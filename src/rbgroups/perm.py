@@ -4,6 +4,11 @@ Composition is left-to-right (right action): ``(p * q)(i) = q(p(i))``.
 All cycle products elsewhere in the package rely on this convention.
 Elements are kept in a canonical sorted order (lexicographic on image
 tuples) so that equal groups serialize identically.
+
+A permutation is stored as the bytes of its image tuple, so its degree is
+at most ``MAX_DEGREE`` = 256.  Byte order equals tuple order, products and
+inverses are single ``bytes.translate``/``bytes.maketrans`` calls, and
+CPython caches a bytes object's hash.
 """
 
 from __future__ import annotations
@@ -23,16 +28,27 @@ class ClosureCapExceeded(RuntimeError):
 
 ENUMERATION_CAP = 5000
 AUTOMORPHISM_CAP = 48
+MAX_DEGREE = 256
+
+_ID = bytes(range(MAX_DEGREE))
+_new = bytes.__new__  # builds a Perm from known-good bytes, skipping Perm.__new__
 
 
-class Perm(tuple):
-    """A permutation of {0, ..., n-1} stored as its image tuple."""
+class Perm(bytes):
+    """A permutation of {0, ..., n-1} stored as its image bytes."""
 
     __slots__ = ()
 
     def __new__(cls, images: Iterable[int]):
-        self = super().__new__(cls, images)
-        return self
+        try:
+            self = _new(cls, images)
+            if len(self) <= MAX_DEGREE:
+                return self
+        except ValueError:  # an image outside 0..255
+            pass
+        raise PermError(
+            f"Perm images must lie in 0..{MAX_DEGREE - 1}: degree is limited to {MAX_DEGREE}"
+        )
 
     @classmethod
     def checked(cls, images: Iterable[int]) -> "Perm":
@@ -55,22 +71,21 @@ class Perm(tuple):
         return cls.checked(images)
 
     def __mul__(self, other: "Perm") -> "Perm":  # type: ignore[override]
-        if len(self) != len(other):
-            raise PermError(f"domain size mismatch: {len(self)} vs {len(other)}")
-        return Perm(other[v] for v in self)
+        n = len(self)
+        if n != len(other):
+            raise PermError(f"domain size mismatch: {n} vs {len(other)}")
+        return _new(Perm, self.translate(other + _ID[n:]))
 
     def inverse(self) -> "Perm":
-        images = [0] * len(self)
-        for i, v in enumerate(self):
-            images[v] = i
-        return Perm(images)
+        n = len(self)
+        return _new(Perm, bytes.maketrans(self, _ID[:n])[:n])
 
     def conj(self, other: "Perm") -> "Perm":
         """self ** other = other^-1 * self * other."""
         return other.inverse() * self * other
 
     def is_identity(self) -> bool:
-        return all(v == i for i, v in enumerate(self))
+        return self == _ID[: len(self)]
 
     def is_even(self) -> bool:
         seen = [False] * len(self)
@@ -119,10 +134,7 @@ class Perm(tuple):
     def __repr__(self) -> str:
         return f"Perm{tuple(self)}"
 
-
-def compose(p: Perm, q: Perm) -> Perm:
-    """Left-to-right product: the result maps i to q(p(i))."""
-    return p * q
+    __str__ = __repr__  # bytes.__str__ would print b'...'
 
 
 def closure(generators: Sequence[Perm], cap: int = ENUMERATION_CAP) -> tuple[Perm, ...]:
@@ -302,9 +314,6 @@ class FiniteGroup:
         central = [z for z in self.elements if all(z * g == g * z for g in gens)]
         return FiniteGroup.from_elements(central, label=f"Z({self.label})")
 
-    def trivial_subgroup(self) -> "FiniteGroup":
-        return FiniteGroup.from_elements([self.identity], label="1")
-
 
 # -- homomorphism extension and automorphisms ------------------------------
 
@@ -380,10 +389,6 @@ def automorphism_group(G: FiniteGroup, cap: int = AUTOMORPHISM_CAP) -> list[tupl
             continue
         autos.append(tuple(G.index(mapping[e]) for e in G.elements))
     return sorted(set(autos))
-
-
-def apply_automorphism(G: FiniteGroup, phi: tuple[int, ...], p: Perm) -> Perm:
-    return G.elements[phi[G.index(p)]]
 
 
 def is_isomorphic(G: FiniteGroup, H: FiniteGroup) -> bool:

@@ -18,10 +18,10 @@ from typing import Callable, Optional
 
 from .labels import iso_label
 from .perm import (
+    MAX_DEGREE,
     FiniteGroup,
     Perm,
     PermError,
-    closure,
 )
 
 
@@ -213,11 +213,37 @@ def circ(B: RBOperator, g: Perm, h: Perm) -> Perm:
 
 
 def descendent_group(B: RBOperator) -> tuple[FiniteGroup, str]:
-    """The group (G, o); checks the axioms and that B is a homomorphism
-    from it to G.  Returns (group-on-index-permutations, iso label)."""
+    """The group (G, o) and its iso label.
+
+    (G, o) is represented on 2 deg(G) points by the graph embedding
+    phi(g) = (B(g), B_+(g)), B_+(g) = g B(g): B(g) acts on the points
+    0..d-1 and B_+(g) on d..2d-1, so d = deg(G) <= MAX_DEGREE / 2.  The
+    checks are that e is a two-sided identity for o, that every row
+    h -> g o h is a bijection, and, for all pairs, phi(a o b) = phi(a) phi(b).
+    The last check alone proves that (G, o) is a group and that B is a
+    homomorphism from it to G:
+
+    - phi is injective, since g = B_+(g) B(g)^-1 is read off phi(g).
+    - o is associative: phi((a o b) o c) = phi(a) phi(b) phi(c)
+      = phi(a o (b o c)), and phi is injective.
+    - phi(G) is a finite subset of Sym(2d) closed under products, hence a
+      subgroup, and phi is a bijection (G, o) -> phi(G) that respects the
+      products; so (G, o) is a group isomorphic to phi(G).
+    - Products of phi-images act blockwise, so the first block of the
+      identity reads B(a o b) = B(a) B(b): B is a homomorphism
+      (G, o) -> G.  The second block says the same of B_+.
+
+    The regular representation needs |G| points and an O(|G|^3)
+    associativity loop; the tests keep it as an exhaustive oracle.
+    """
     G = B.group
     if not G.enumerated:
         raise PermError("descendent group needs an enumerated group")
+    d = G.degree
+    if 2 * d > MAX_DEGREE:
+        raise PermError(
+            f"descendent group needs degree <= {MAX_DEGREE // 2}, got {d}"
+        )
     elems = G.elements
     n = len(elems)
     idx = {e: i for i, e in enumerate(elems)}
@@ -230,20 +256,12 @@ def descendent_group(B: RBOperator) -> tuple[FiniteGroup, str]:
     for i in range(n):
         if sorted(table[i]) != list(range(n)):
             raise InvalidOperator("descendent product rows are not bijections")
-    # associativity via the regular action: represent a by the row map
-    # i -> a o elems[i]; products must close, which closure() verifies.
-    perms = [Perm(table[j][i] for j in range(n)) for i in range(n)]
-    # right-regular perms: perms[i] maps j to j o i; homomorphism check below
+    phi = [Perm(tuple(B(g)) + tuple(d + v for v in g * B(g))) for g in elems]
     for a in range(n):
         for b in range(n):
-            if perms[a] * perms[b] != perms[table[a][b]]:
-                raise InvalidOperator("descendent product is not associative")
-    # B: (G, o) -> (G, .) must be a homomorphism
-    for a in elems:
-        for b in elems:
-            if B(circ(B, a, b)) != B(a) * B(b):
-                raise InvalidOperator("B is not a homomorphism from the descendent group")
-    D = FiniteGroup.from_elements(perms, label=f"{G.label}^o")
+            if phi[a] * phi[b] != phi[table[a][b]]:
+                raise InvalidOperator("B is not a homomorphism from the descendent product")
+    D = FiniteGroup.from_elements(phi, label=f"{G.label}^o")
     return D, iso_label(D)
 
 

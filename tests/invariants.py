@@ -16,25 +16,21 @@ from rbgroups.rbop import RBOperator, bplus, circ, tilde, verify
 EXHAUSTIVE_MAX_ORDER = 200
 
 
-def _power(p: Perm, k: int, ident: Perm) -> Perm:
-    if k < 0:
-        p, k = p.inverse(), -k
-    out = ident
-    for _ in range(k):
-        out = out * p
-    return out
-
-
-def _circ_power(B: RBOperator, a: Perm, k: int) -> Perm:
-    """a to the k-th power under the descendent product."""
-    if k < 0:
-        ba = B(a)
-        a = ba.inverse() * a.inverse() * ba  # descendent inverse of a
-        k = -k
-    out = B.group.identity
-    for _ in range(k):
-        out = circ(B, out, a)
-    return out
+def _prop5(B: RBOperator, a: Perm, kmax: int) -> bool:
+    """Prop 5 for -kmax <= k <= kmax: the k-th descendent power of a equals
+    B_+(a)^k B(a)^-k.  Each side is built one factor at a time from k = 0
+    outwards, so the cost is linear in kmax."""
+    ident = B.group.identity
+    ba, bpa = B(a), bplus(B)(a)
+    a_bar = ba.inverse() * a.inverse() * ba  # descendent inverse of a
+    # k >= 0 steps by (a, B_+(a), B(a)^-1); k <= 0 by (a_bar, B_+(a)^-1, B(a))
+    for step, left, right in ((a, bpa, ba.inverse()), (a_bar, bpa.inverse(), ba)):
+        power, lpow, rpow = ident, ident, ident
+        for _ in range(kmax + 1):
+            if power != lpow * rpow:
+                return False
+            power, lpow, rpow = circ(B, power, step), lpow * left, rpow * right
+    return True
 
 
 def check_invariants(B: RBOperator) -> list[tuple[str, bool]]:
@@ -67,16 +63,7 @@ def check_invariants(B: RBOperator) -> list[tuple[str, bool]]:
     # B B_+ = B_+ B as maps: B(g B(g)) = B(g) B(B(g))
     results.append(("prop4", all(B(Bp(g)) == Bp(B(g)) for g in singles)))
     kmax = min(n, 24)
-    ok5 = True
-    for a in singles:
-        ba, bpa = B(a), Bp(a)
-        for k in range(-kmax, kmax + 1):
-            if _circ_power(B, a, k) != _power(bpa, k, B.group.identity) * _power(ba, -k, B.group.identity):
-                ok5 = False
-                break
-        if not ok5:
-            break
-    results.append(("prop5", ok5))
+    results.append(("prop5", all(_prop5(B, a, kmax) for a in singles)))
 
     data = rbop.images(B)
     im_bbt = {B(Bt(g)) for g in elems}
@@ -115,7 +102,6 @@ def check_invariants_sampled(B: RBOperator, seed: int = 7, samples: int = 50) ->
 
     results = []
     Bt = tilde(B)
-    Bp = bplus(B)
     results.append(("eq2", all(rbop._check_pair(B, g, h) for g, h in pairs)))
     results.append((
         "prop1c",
@@ -127,13 +113,7 @@ def check_invariants_sampled(B: RBOperator, seed: int = 7, samples: int = 50) ->
         all(B(g * h) == B(h) for g in ker_gens for h in singles),
     ))
     results.append(("prop4", all(B(g * B(g)) == B(g) * B(B(g)) for g in singles)))
-    ok5 = True
-    for a in singles[:10]:
-        ba, bpa = B(a), Bp(a)
-        for k in range(-8, 9):
-            if _circ_power(B, a, k) != _power(bpa, k, B.group.identity) * _power(ba, -k, B.group.identity):
-                ok5 = False
-    results.append(("prop5", ok5))
+    results.append(("prop5", all(_prop5(B, a, 8) for a in singles[:10])))
     R = set(B.structural["R"].elements)
     results.append((
         "lemma1",

@@ -1,6 +1,11 @@
 import io
+import os
+import subprocess
+import sys
 
 from rbgroups.cli import main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(argv):
@@ -61,6 +66,25 @@ def test_determinism():
     c = run(["sharply2", "--m", "2", "--q", "3", "--t", "1", "--dump"])
     d = run(["sharply2", "--m", "2", "--q", "3", "--t", "1", "--dump"])
     assert c == d
+
+
+def test_stdout_does_not_depend_on_hash_seed():
+    """Perm hashes are salted per process, so only a fresh process per
+    PYTHONHASHSEED can catch set-iteration order leaking into stdout."""
+    pythonpath = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    for argv in (
+        ["enumerate", "A:4", "--up-to-equivalence"],
+        ["construct", "--example", "q60", "--dump"],
+    ):
+        outs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=pythonpath)
+            proc = subprocess.run(
+                [sys.executable, "-m", "rbgroups.cli", *argv],
+                env=env, capture_output=True, check=True,
+            )
+            outs.append(proc.stdout)
+        assert outs[0] and outs[0] == outs[1], argv
 
 
 def test_threads_flag_does_not_change_bytes():

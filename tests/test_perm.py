@@ -1,4 +1,9 @@
+import io
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rbgroups.perm import (
     FiniteGroup,
@@ -91,3 +96,102 @@ def test_isomorphism_testing():
     )
     assert is_isomorphic(z6, z6b)
     assert not is_isomorphic(z6, s3)
+
+
+def test_degree_above_256_raises_perm_error():
+    from rbgroups import families
+    from rbgroups.cli import main
+
+    for make in (
+        lambda: Perm(range(257)),
+        lambda: Perm.identity(257),
+        lambda: Perm.checked([0, 300, 1]),
+        lambda: families.cyclic(300),
+    ):
+        with pytest.raises(PermError, match="256"):
+            make()
+    assert Perm.identity(256).is_identity()
+    assert main(["classify", "Z:300"], out=io.StringIO()) == 1
+
+
+# -- the bytes kernel against a plain-tuple reference ----------------------
+
+
+def _ref_mul(p: tuple, q: tuple) -> tuple:
+    return tuple(q[v] for v in p)
+
+
+def _ref_inverse(p: tuple) -> tuple:
+    inv = [0] * len(p)
+    for i, v in enumerate(p):
+        inv[v] = i
+    return tuple(inv)
+
+
+def _ref_cycles(p: tuple) -> list:
+    seen, out = set(), []
+    for i in range(len(p)):
+        if i in seen or p[i] == i:
+            continue
+        cyc, j = [], i
+        while j not in seen:
+            seen.add(j)
+            cyc.append(j)
+            j = p[j]
+        out.append(tuple(cyc))
+    return out
+
+
+@st.composite
+def _perm_triples(draw):
+    n = draw(st.integers(min_value=1, max_value=256))
+    return tuple(tuple(draw(st.permutations(range(n)))) for _ in range(3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_perm_triples())
+def test_bytes_kernel_matches_tuple_reference(triple):
+    a, b, c = triple
+    p, q, r = (Perm(t) for t in triple)
+    assert tuple(p) == a and len(p) == len(a)
+    assert tuple(p * q) == _ref_mul(a, b)
+    assert tuple(p.inverse()) == _ref_inverse(a)
+    assert tuple(p.conj(q)) == _ref_mul(_ref_mul(_ref_inverse(b), a), b)
+    assert p.is_identity() == (a == tuple(range(len(a))))
+    assert (p * p.inverse()).is_identity()
+    assert p.cycles() == _ref_cycles(a)
+    ref_order = math.lcm(*(len(cyc) for cyc in _ref_cycles(a)))
+    if ref_order <= 5000:  # order() takes ref_order - 1 products
+        assert p.order() == ref_order
+    assert isinstance(p * q, Perm) and isinstance(p.inverse(), Perm)
+    # sort order is tuple order; equality and hashing agree
+    assert sorted([p, q, r]) == [Perm(t) for t in sorted(triple)]
+    assert (p < q) == (a < b) and (p == q) == (a == b)
+    assert Perm(list(a)) == p and hash(Perm(list(a))) == hash(p)
+    assert len({p, q, r, Perm(a)}) == len({a, b, c})
+
+
+@st.composite
+def _bounded_order_perms(draw):
+    """A relabelled product of disjoint cycles of length <= 8 on 1..256 points."""
+    n = draw(st.integers(min_value=1, max_value=256))
+    lengths = draw(st.lists(st.integers(min_value=1, max_value=8), max_size=n))
+    images, start = list(range(n)), 0
+    for length in lengths:
+        if start + length > n:
+            break
+        for i in range(start, start + length):
+            images[i] = start + (i - start + 1) % length
+        start += length
+    relabel = tuple(draw(st.permutations(range(n))))
+    # conjugate by relabel: i -> relabel[images[relabel^-1[i]]]
+    inv = _ref_inverse(relabel)
+    return tuple(relabel[images[inv[i]]] for i in range(n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_bounded_order_perms())
+def test_order_matches_cycle_lengths(a):
+    p = Perm(a)
+    assert p.cycles() == _ref_cycles(a)
+    assert p.order() == math.lcm(*(len(cyc) for cyc in _ref_cycles(a)))

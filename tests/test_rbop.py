@@ -2,7 +2,9 @@ import pytest
 
 from invariants import assert_invariants
 from rbgroups import build, families, rbop
-from rbgroups.perm import Perm
+from rbgroups.classify import enumerate_rb
+from rbgroups.labels import iso_label
+from rbgroups.perm import FiniteGroup, Perm, PermError
 from rbgroups.rbop import (
     InvalidOperator,
     circ,
@@ -78,6 +80,43 @@ def test_descendent_of_trivial_is_the_group():
     G = s3()
     D, label = descendent_group(trivial_e(G))
     assert D.order() == 6 and label == "S3"
+
+
+def _regular_descendent_label(B) -> str:
+    """Exhaustive oracle for descendent_group: the right-regular
+    representation of (G, o) on |G| points, with associativity checked
+    over all triples and the homomorphism property over all pairs."""
+    elems = B.group.elements
+    n = len(elems)
+    idx = {e: i for i, e in enumerate(elems)}
+    table = [[idx[g * B(g) * h * B(g).inverse()] for h in elems] for g in elems]
+    ident = idx[B.group.identity]
+    assert all(table[i][ident] == i == table[ident][i] for i in range(n))
+    assert all(sorted(row) == list(range(n)) for row in table)
+    # perms[i] maps j to j o i; they compose like the elements iff o is associative
+    perms = [Perm(table[j][i] for j in range(n)) for i in range(n)]
+    for a in range(n):
+        for b in range(n):
+            assert perms[a] * perms[b] == perms[table[a][b]]
+            assert B(elems[table[a][b]]) == B(elems[a]) * B(elems[b])
+    return iso_label(FiniteGroup.from_elements(perms))
+
+
+@pytest.mark.parametrize("spec", ["S:3", "A:4", "D:8", "Q:8"])
+def test_descendent_group_matches_regular_representation_oracle(spec):
+    G = families.parse_group_spec(spec).group
+    ops = enumerate_rb(G)
+    assert ops
+    for B in ops:
+        D, label = descendent_group(B)
+        assert D.degree == 2 * G.degree and D.order() == G.order()
+        assert label == _regular_descendent_label(B)
+
+
+def test_descendent_group_degree_limit():
+    G = families.cyclic(129).group
+    with pytest.raises(PermError, match="128"):
+        descendent_group(trivial_e(G))
 
 
 def test_circ_collapses_for_trivial_e():
