@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from .labels import iso_label
 from .perm import FiniteGroup, PermError, automorphism_group
@@ -21,7 +21,6 @@ from .rbop import (
     tilde,
 )
 
-SUBGROUP_SEARCH_CAP = 600
 ENUMERATE_GUARANTEED = 24
 ENUMERATE_BEST_EFFORT = 48
 ORACLE_CAP = 10
@@ -34,85 +33,99 @@ class EnumerationCapExceeded(PermError):
 # -- generic bottom-up subgroup search -------------------------------------
 
 
-def _closure_mask(
-    seed_mask: int,
-    seed_elems: list[int],
-    gens: list[int],
-    mul: list[int],
-    nn: int,
+def _extend(
+    h_mask: int,
+    h_elems: list[int],
+    h_gens: list[int],
+    x: int,
+    cols: list[list[int]],
     max_size: int,
-    forbidden_mask: int,
-) -> Optional[tuple[int, list[int]]]:
-    """Close seed ∪ gens under multiplication; None once the closure grows
-    past max_size or touches a forbidden element."""
-    mask = seed_mask
-    elems = list(seed_elems)
-    for g in gens:
-        bit = 1 << g
-        if mask & bit:
-            continue
-        if forbidden_mask & bit:
-            return None
-        mask |= bit
-        elems.append(g)
-    if len(elems) > max_size:
-        return None
-    allgens = [g for g in elems[1:]]  # identity contributes nothing
-    frontier = list(elems)
-    while frontier:
-        y = frontier.pop()
-        row = y * nn
-        for g in allgens:
-            z = mul[row + g]
-            bit = 1 << z
-            if mask & bit:
+    forbidden: frozenset[int],
+) -> Optional[tuple[int, list[int], list[int]]]:
+    """K = <H, x> for a subgroup H = <h_gens>, as (mask, elems, gens); None
+    once K grows past max_size or touches a forbidden element.  cols[y][x]
+    is the index of the product x*y.
+
+    Dimino's method: K is built as a union of right cosets H*r, starting
+    from H = H*e.  For each coset representative r and each generator s of
+    K, if r*s is not yet in the set, the whole coset H*(r*s) is added and
+    r*s becomes a representative.  Proof that the result is K: the set is
+    always a union of right cosets of H, so a coset is added whole or not at
+    all, and each addition is disjoint from what is there.  Once every
+    representative is processed, the set is closed under right
+    multiplication by every generator s, because for an element h*r,
+    (h*r)*s = h*(r*s) and r*s lies in some coset H*r' already in the set,
+    so h*(r*s) lies in H*r' too.  A finite set that contains e and is closed
+    under right multiplication by the generators contains every positive
+    word in them, which in a finite group is all of <gens> = K; and every
+    element added is such a word.  This costs |K| products for the cosets
+    plus (|K|/|H|)*|gens| for the representatives, against |K|*|H| for
+    closing H u {x} as if every element were a generator."""
+    gens = h_gens + [x]
+    members = set(h_elems)
+    elems = list(h_elems)
+    limit = max_size - len(h_elems)
+    reps = [h_elems[0]]  # every elems list starts with the identity
+    for r in reps:
+        for s in gens:
+            rs = cols[s][r]
+            if rs in members:
                 continue
-            if forbidden_mask & bit:
+            if len(elems) > limit:
                 return None
-            mask |= bit
-            elems.append(z)
-            if len(elems) > max_size:
+            col = cols[rs]
+            coset = [col[h] for h in h_elems]
+            if not forbidden.isdisjoint(coset):
                 return None
-            frontier.append(z)
-    return mask, elems
+            members.update(coset)
+            elems += coset
+            reps.append(rs)
+    mask = h_mask
+    for z in elems[len(h_elems):]:
+        mask |= 1 << z
+    return mask, elems, gens
 
 
 def _subgroup_masks(
-    nn: int,
-    mul: list[int],
+    cols: list[list[int]],
     identity: int,
     target: int,
-    forbidden_mask: int,
+    forbidden: frozenset[int],
     orders: list[int],
 ) -> list[int]:
     """All subgroup element-masks of order exactly target avoiding the
-    forbidden set, by cyclic extension from the trivial subgroup."""
+    forbidden set, by cyclic extension from the trivial subgroup.
+
+    Each subgroup H of a layer is extended by one candidate x at a time.
+    For every h in H, <H, h*x> = <H, x>: h*x lies in <H, x>, and
+    x = h^-1*(h*x) lies in <H, h*x>.  So one closure serves the whole right
+    coset H*x: before closing x the coset is marked done, and any later
+    candidate in it is skipped, whatever the closure gave (a new subgroup,
+    one already seen, or None)."""
     candidates = [
         i
-        for i in range(nn)
-        if i != identity
-        and not (forbidden_mask >> i) & 1
-        and target % orders[i] == 0
+        for i in range(len(cols))
+        if i != identity and i not in forbidden and target % orders[i] == 0
     ]
-    root = (1 << identity, [identity])
-    seen = {root[0]}
-    layer = [root]
+    seen = {1 << identity}
+    layer = [(1 << identity, [identity], [])]
     found: list[int] = []
     while layer:
         nxt = []
-        for mask, elems in layer:
+        for mask, elems, gens in layer:
             if len(elems) == target:
                 found.append(mask)
                 continue
+            done = set(elems)
             for x in candidates:
-                if (mask >> x) & 1:
+                if x in done:
                     continue
-                closed = _closure_mask(
-                    mask, elems, [x], mul, nn, target, forbidden_mask
-                )
+                col = cols[x]
+                done.update([col[h] for h in elems])
+                closed = _extend(mask, elems, gens, x, cols, target, forbidden)
                 if closed is None:
                     continue
-                cmask, celems = closed
+                cmask, celems, _ = closed
                 if target % len(celems) or cmask in seen:
                     continue
                 seen.add(cmask)
@@ -121,55 +134,35 @@ def _subgroup_masks(
     return sorted(found)
 
 
-def subgroups_of_order(G: FiniteGroup, k: int) -> list[FiniteGroup]:
-    """All subgroups of order k, canonically sorted by element tuple."""
-    n = G.order()
-    if n > SUBGROUP_SEARCH_CAP:
-        raise EnumerationCapExceeded(f"|G| = {n} exceeds cap {SUBGROUP_SEARCH_CAP}")
-    if n % k:
-        raise ValueError(f"{k} does not divide |G| = {n}")
-    table = G.mult_table()
-    mul = [table[i][j] for i in range(n) for j in range(n)]
-    orders = [G.elements[i].order() for i in range(n)]
-    e = G.index(G.identity)
-    masks = _subgroup_masks(n, mul, e, k, 0, orders)
-    subs = []
-    for mask in masks:
-        elems = [G.elements[i] for i in range(n) if (mask >> i) & 1]
-        subs.append(FiniteGroup.from_elements(elems, label=f"{G.label}-sub{k}"))
-    subs.sort(key=lambda S: S.elements)
-    return subs
-
-
 # -- operator enumeration via the product-group lattice --------------------
 
 
 def enumerate_rb(G: FiniteGroup, cap: int = ENUMERATE_GUARANTEED) -> list[RBOperator]:
     """All operators on G, as the order-|G| subgroups of GxG meeting the
-    diagonal trivially.  Canonical order: by sorted graph pairs."""
+    diagonal trivially.  Canonical order: by sorted graph pairs.
+
+    The subgroups are found by cyclic extension from the trivial subgroup:
+    each subgroup H of order dividing |G| is extended to <H, x> by one
+    closure per right coset H*x (every element of that coset gives the same
+    subgroup), and each closure is built by Dimino's method as a union of
+    right cosets of H, stopping as soon as it meets the diagonal or outgrows
+    |G|.  See _subgroup_masks and _extend for the proofs."""
     n = G.order()
     if n > cap:
         raise EnumerationCapExceeded(f"|G| = {n} exceeds enumeration cap {cap}")
     table = G.mult_table()
     nn = n * n
-    # product index (a, b) -> a*n + b
-    mul = [0] * (nn * nn)
-    for a1 in range(n):
-        for b1 in range(n):
-            i = a1 * n + b1
-            row = i * nn
-            ta, tb = table[a1], table[b1]
-            for a2 in range(n):
-                base = ta[a2] * n
-                tb2 = tb
-                for b2 in range(n):
-                    mul[row + a2 * n + b2] = base + tb2[b2]
+    # product index (a, b) -> a*n + b; cols[y][x] = x*y in GxG
+    g_cols = [[table[a][c] for a in range(n)] for c in range(n)]
+    cols = []
+    for a2 in range(n):
+        left = [v * n for v in g_cols[a2]]
+        for b2 in range(n):
+            right = g_cols[b2]
+            cols.append([u + v for u in left for v in right])
     e = G.index(G.identity)
     eid = e * n + e
-    forbidden = 0
-    for i in range(n):
-        if i != e:
-            forbidden |= 1 << (i * n + i)
+    forbidden = frozenset(i * n + i for i in range(n) if i != e)
     orders = [0] * nn
     for a in range(n):
         oa = G.elements[a].order()
@@ -180,7 +173,7 @@ def enumerate_rb(G: FiniteGroup, cap: int = ENUMERATE_GUARANTEED) -> list[RBOper
             while y:
                 x, y = y, x % y
             orders[a * n + b] = oa * ob // x
-    masks = _subgroup_masks(nn, mul, eid, n, forbidden, orders)
+    masks = _subgroup_masks(cols, eid, n, forbidden, orders)
     ops = []
     for mask in masks:
         pairs = frozenset(
@@ -250,18 +243,22 @@ def oracle_enumerate(G: FiniteGroup) -> list[RBOperator]:
 
 # -- equivalence under the graph action ------------------------------------
 
-PairSet = frozenset
-
-
-def _canonical(pairs: Iterable[tuple[int, int]]) -> frozenset:
-    return frozenset(pairs)
-
 
 def equivalence_classes(
     G: FiniteGroup, ops: list[RBOperator]
 ) -> list[list[RBOperator]]:
     """Partition ops into orbits of their graphs under pair automorphisms
-    (phi, phi), conjugation twists (id, alpha_x), and the swap tau."""
+    (phi, phi), conjugation twists (id, alpha_x), and the swap tau.
+
+    Every move maps an operator graph K (order |G|, K meets the diagonal D
+    only in e) to another one.  Each move is an automorphism of GxG, so
+    |K| is kept; (phi, phi) and tau map D to itself; and (id, alpha_x) maps
+    K to (1,x)^-1 K (1,x).  As |K||D| = |G|^2 and K meets D trivially,
+    GxG = K*D, so (1,x) = k*d with k in K, d in D, and
+    (1,x)^-1 K (1,x) = d^-1 K d meets D in d^-1 (K meet D) d = {e}.  So when
+    ops is the complete enumeration every orbit stays inside it, and an
+    orbit that reaches a graph outside ops raises: the enumeration missed
+    an operator."""
     n = G.order()
     auts = automorphism_group(G)
     conj = []
@@ -298,7 +295,9 @@ def equivalence_classes(
         while orbit:
             P = orbit.pop()
             j = index_of.get(P)
-            if j is not None and assigned[j] < 0:
+            if j is None:
+                raise AssertionError("orbit reaches a graph outside the enumerated operators")
+            if assigned[j] < 0:
                 assigned[j] = cid
                 members.append(j)
             for mv in moves:

@@ -273,7 +273,7 @@ def _cmd_descendent(args, out) -> int:
         raise UsageError("descendent needs exactly one of --example / --file / --n")
     if args.n:
         B = build_an_operator(args.n)
-        rep = descendent_structure(B)
+        rep = descendent_structure(B, seed=args.seed)
         out.write(
             f"descendent: {'pass' if rep.ok else 'fail'} "
             f"s_pairs={rep.s_pairs} k_samples={rep.k_samples} "

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from rbgroups import build, classify, families, rbop
@@ -9,12 +11,76 @@ def _by_graph(ops):
     return {B.table_key() for B in ops}
 
 
-@pytest.mark.parametrize("spec", ["Z:2", "Z:3", "Z:4", "S:3", "D:8", "Q:8"])
+ORACLE_SPECS = (
+    [f"Z:{n}" for n in range(1, classify.ORACLE_CAP + 1)]
+    + [f"D:{n}" for n in range(2, classify.ORACLE_CAP + 1, 2)]
+    + ["Q:8", "S:3"]
+)
+
+# Operator count and sha256 of repr(sorted(table keys)) for every D/Q/Z/S/A
+# group of order <= 24, recorded with the element-by-element closure search
+# that the coset search replaced.
+PINNED = {
+    "Z:1": (1, "78fce9491f4b0e3b895728f3c6efe71e16e4ae77f5f6db9148e6e0584bc5fd42"),
+    "Z:2": (2, "6eb681965c5b82a90cca16c8bdf17656f2924a055ac074ea7f4c45a594d0b76a"),
+    "Z:3": (3, "bc0ae902c5f82a60c0897cd2552ebf30bea58ecfc15412c3bed1a709c3bf7dee"),
+    "Z:4": (4, "431f0b32eeb093056125fe5fce0494c96202fc6e630c1184ca81a7bbe5893420"),
+    "Z:5": (5, "9c204860cddbda2dc03b9d8be5a73015f0e1ffd076e0f0ecc610782c38a5610b"),
+    "Z:6": (6, "441868969c292b41fea2a99130a7d56ec94cb1bc8fe00677c070ad17d9734a32"),
+    "Z:7": (7, "913764d077c439ac6726dddb46e7018c0d5c5e0508f53bd780fd2c9a31d4873a"),
+    "Z:8": (8, "bd19bf31e9ea70b12a6a4795c99369fdb8725ec91650203dc7b9272d7b29027f"),
+    "Z:9": (9, "8d01059569b5fbaac965b76d95d0fc3c72b64b078c34c5472e0ddfe734f2a3f6"),
+    "Z:10": (10, "5779bd75689ef10138762f3ad89a8fae472bdd3bfe6934bcc92e8be458175704"),
+    "Z:11": (11, "5c3e5824c8eec2d13fa7e474fd13de52bd4fcec88d803e5ab958d3be81a1ed4f"),
+    "Z:12": (12, "bdddcc0f5f55ac0c8aac74767fafadcb76b8651549c6f598fe269658a51ff6ab"),
+    "Z:13": (13, "b314b67c39736c6c15163011e46d27e908e346e18d46de9b1ed2e514c4f3705e"),
+    "Z:14": (14, "6163044bd4d341df00270f752622a40758752cbc698724242e522bf7000ce0fe"),
+    "Z:15": (15, "d73ae503337ae58748bd09a803a7c4978e8da161c8204afea954aca5d1aa3b2c"),
+    "Z:16": (16, "79724e6b548cd6d412e461e765ef3e97fd1d28ca65c17064a28821988d6325df"),
+    "Z:17": (17, "2f3499db6025451134d6f1b74a215457da903870b852bc3f1d90e5c0afefd21a"),
+    "Z:18": (18, "3b79ce32db6f9f2c9a5d324464494aecdbb0cd04804073c090abff3a71a063a5"),
+    "Z:19": (19, "4407b1678af5ac9bfb1aa4c19e0e97fa2b7f5756005ced48e6ec846ea2b7e285"),
+    "Z:20": (20, "6ede3e6d2f55903760a855e409e4179a98e4a6d940d14c7515c17fb4645661e9"),
+    "Z:21": (21, "0dad41bc16bbf31d937f0177a4e9e37ebfd1ad5d3017d9a804b1175871ed9e71"),
+    "Z:22": (22, "a2eb9c8b3ed813e1a2eb7e1f80e93fe0d4db6e9108e322b9d2f890f81793a6af"),
+    "Z:23": (23, "5ef881278605b071060776ce5acd48226354c56a3c18fa0fd0cf470828b96621"),
+    "Z:24": (24, "f1e9d38fa183dd46a2fb54c4dedd7172ddd077f3663e99ad4941634d8c62ebda"),
+    "D:2": (2, "6eb681965c5b82a90cca16c8bdf17656f2924a055ac074ea7f4c45a594d0b76a"),
+    "D:4": (16, "7d0bec6bf8ba1865bbfdac37bfc8fc0107173c811e27afc96a20f502d98e1fed"),
+    "D:6": (8, "f41bcab8b6b8457475cf9051dbf990d4a5a607473af6daaf72998cc957f90c11"),
+    "D:8": (56, "61100d44507010a174abec9984ea103866e9527a68294c233ed728ca51b0fce4"),
+    "D:10": (12, "4e1983443e793b091318731264a000c7e60caa51424cca7056b574225ac64ffe"),
+    "D:12": (80, "d937f12b03d6c836ccdb9ca6eefb89d86d50537649c4a405d8d17f52cc5df0ff"),
+    "D:14": (16, "81216e9e216c7ede0e2bd4af6c090c5ab7fd0fd71d4f7066aa2317d66a64233d"),
+    "D:16": (136, "e1ad6808a0e1da802ec18b7b5d1854dad3c3b1e2ed1cdf58766a8b6c998d7d7b"),
+    "D:18": (20, "6afef230b194af3fb47a0aee0b89cd605a0bde9817aa51a0c040d141e2e161a4"),
+    "D:20": (128, "021243d977f98c7966f285aff49da569ab53de71760d7f30fe7e7cf2d6599f57"),
+    "D:22": (24, "af58426df2b66ffdc2314fce2ee831db84e3b0e68712cb5a0a811cf23b1bad3a"),
+    "D:24": (288, "8e44a96596884879acc1285de1361a318e07c6dd3d7983ffe324628a7c12d085"),
+    "Q:8": (8, "bd3ef66c09806482f3ec52eb189cdf1b7a0cb127a7b728d0cfaa208e17a0cc8d"),
+    "Q:12": (16, "6ef082bb0cadb8a29fa150ae1637d492e3d1d87899b5bbeb3e57f3d33e561462"),
+    "Q:16": (8, "370d0f30ec35c55d1898cf322857e16c009ba180377d6bc23a08cb166b0d5b7e"),
+    "Q:20": (24, "2586c8973079f4c54359c15bf5f12939254f71114865b18c54038d10d8001fad"),
+    "Q:24": (32, "1f7c3df0998e9611b531bf0b5aa26768cda4b8b4164471b9fc7e84d543817a85"),
+    "S:3": (8, "f41bcab8b6b8457475cf9051dbf990d4a5a607473af6daaf72998cc957f90c11"),
+    "S:4": (100, "6b65fe1204620c2eceead75fb5fb70d15267643dfaeadd53d111966c7038fe40"),
+    "A:4": (18, "25249c57a5d32c3552a288d317bbebb2fe64259901cd9841a2e2bbb2dde98248"),
+}
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
 def test_lattice_matches_oracle(spec):
     G = families.parse_group_spec(spec).group
     fast = classify.enumerate_rb(G)
     slow = classify.oracle_enumerate(G)
     assert _by_graph(fast) == _by_graph(slow)
+
+
+@pytest.mark.parametrize("spec", list(PINNED))
+def test_enumeration_is_pinned(spec):
+    ops = classify.enumerate_rb(families.parse_group_spec(spec).group)
+    digest = hashlib.sha256(repr(sorted(B.table_key() for B in ops)).encode()).hexdigest()
+    assert (len(ops), digest) == PINNED[spec]
 
 
 def test_s3_enumeration():
@@ -62,6 +128,15 @@ def test_a4_class_structure():
     nonsplit = [c for c in nontrivial if not is_splitting(c[0])]
     assert len(split) == 1 and len(nonsplit) == 1
     assert iso_label(rbop.images(nonsplit[0][0]).R) == "Z3"
+
+
+@pytest.mark.parametrize("drop", range(8))
+def test_equivalence_classes_detect_a_missing_operator(drop):
+    G = families.parse_group_spec("S:3").group
+    ops = classify.enumerate_rb(G)
+    assert len(ops) == 8
+    with pytest.raises(AssertionError, match="outside the enumerated operators"):
+        classify.equivalence_classes(G, ops[:drop] + ops[drop + 1 :])
 
 
 def test_tilde_stays_within_class():

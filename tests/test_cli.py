@@ -2,7 +2,9 @@ import io
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
+from rbgroups import cli
 from rbgroups.cli import main
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -57,6 +59,19 @@ def test_descendent_example():
     code, text = run(["descendent", "--example", "s3"])
     assert code == 0
     assert "Z6" in text
+
+
+def test_descendent_n_passes_the_seed(monkeypatch):
+    seeds = []
+
+    def fake(B, seed):
+        seeds.append(seed)
+        return SimpleNamespace(ok=True, s_pairs=0, k_samples=0, twist_samples=0)
+
+    monkeypatch.setattr(cli, "build_an_operator", lambda n: None)
+    monkeypatch.setattr(cli, "descendent_structure", fake)
+    assert run(["--seed", "3", "descendent", "--n", "9"])[0] == 0
+    assert seeds == [3]
 
 
 def test_determinism():

@@ -162,3 +162,31 @@ def test_diagonal_subgroup_is_not_a_graph():
 def test_property_suite_on_s3_operators():
     for B in (trivial_e(s3()), trivial_inv(s3()), s3_example()):
         assert_invariants(B)
+
+
+def test_a4_descendent_products_by_hand():
+    # A4 = V4 . <c>: the catalog retraction B(v c^k) = c^k is non-splitting
+    # with descendent A4; the inverse retraction B(v c^k) = c^-k is splitting
+    # with descendent Z6xZ2.
+    B = build.catalog_operator("a4_b2")
+    G = B.group
+    c = Perm.from_cycles(4, [(1, 2, 3)])
+    cp = [G.identity, c, c * c]
+    V = [g for g in G.elements if g.order() in (1, 2)]
+    assert len(V) == 4
+    Binv = build.from_homomorphism(
+        G, {v * cp[k]: cp[-k % 3] for v in V for k in range(3)}, G.subgroup([c])
+    )
+    for v in V:
+        for k in range(3):
+            assert B(v * cp[k]) == cp[k]
+            for w in V:
+                for j in range(3):
+                    g, h = v * cp[k], w * cp[j]
+                    conj = cp[2 * k % 3] * w * cp[-2 * k % 3]
+                    assert circ(B, g, h) == v * conj * cp[(k + j) % 3]
+                    assert circ(Binv, g, h) == v * w * cp[(j + k) % 3]
+    assert not is_splitting(B)
+    assert descendent_group(B)[1] == "A4"
+    assert is_splitting(Binv)
+    assert descendent_group(Binv)[1] == "Z6xZ2"
