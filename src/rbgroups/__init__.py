@@ -8,6 +8,7 @@ groups.
 from .perm import FiniteGroup, Perm, exact_factorization
 from .rbop import (
     RBOperator,
+    check_pair,
     circ,
     descendent_group,
     from_table,
@@ -24,6 +25,7 @@ __all__ = [
     "FiniteGroup",
     "Perm",
     "RBOperator",
+    "check_pair",
     "circ",
     "descendent_group",
     "exact_factorization",

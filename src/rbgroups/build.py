@@ -4,18 +4,16 @@ the index-2 twist, and a catalog of named example operators."""
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from . import families
 from .perm import (
     FactorizationWitness,
     FiniteGroup,
     Perm,
-    PermError,
-    decompose,
     exact_factorization,
 )
-from .rbop import InvalidOperator, RBOperator, from_table, tilde
+from .rbop import RBOperator, from_table, tilde
 
 
 class ConstructionError(ValueError):
@@ -76,9 +74,62 @@ def extend_over_factorization(w: FactorizationWitness, C: RBOperator) -> RBOpera
     return from_table(w.group, images, provenance=f"extend[{C.provenance}]")
 
 
-def _coset_indicator(L: FiniteGroup, S: FiniteGroup) -> Callable[[Perm], int]:
-    sset = set(S.elements)
-    return lambda l: 0 if l in sset else 1
+def check_index2(
+    G: FiniteGroup,
+    K: FiniteGroup,
+    in_k: Callable[[Perm], bool],
+    L: FiniteGroup,
+    S: FiniteGroup,
+    t: Perm,
+    r: Perm,
+) -> None:
+    """Raise ConstructionError naming the first failed precondition of the
+    index-2 construction over G = K * L; `in_k` is the membership test for K.
+
+    - G = K * L is exact: |K| |L| = |G| and K meets L trivially (as
+      |K L| = |K| |L| / |K meet L|).
+    - S is a subgroup of index 2 in L, and t lies in L outside S.  This is
+      all that d, the S-coset indicator on L, needs: a subgroup of index 2
+      is normal (its one other left coset and its one other right coset are
+      both L - S), so d is the quotient map L -> L/S = Z2, a homomorphism.
+      As r^2 = e, l -> r^d(l) is then a homomorphism L -> <r>.
+      tests/test_transitive.py checks d on all of L x L for n = 9 and 10.
+    - r is an involution of S (an involution outside S degenerates to the
+      splitting operator of G = <K, r> * S).
+    - <r> normalizes K, checked on K.generators: conjugation by r is an
+      automorphism, so r K r^-1 is generated by the conjugates of those
+      generators and lies in K when they do; <r> = {e, r}.
+    """
+    if K.order() * L.order() != G.order():
+        raise ConstructionError("G = K*L is not exact: |K| |L| != |G|")
+    for l in L.elements:
+        if in_k(l) and not l.is_identity():
+            raise ConstructionError(f"G = K*L is not exact: K meets L at {l!r}")
+    if 2 * S.order() != L.order():
+        raise ConstructionError("S does not have index 2 in L")
+    sset, lset = S._element_set(), L._element_set()
+    if not (sset <= lset and L.is_subgroup(sset)):
+        raise ConstructionError("S is not a subgroup of L")
+    if t not in lset or t in sset:
+        raise ConstructionError("t must lie in L outside S")
+    if r.is_identity() or not (r * r).is_identity():
+        raise ConstructionError("r is not an involution")
+    if r not in sset:
+        raise ConstructionError("r must lie in S")
+    for k in K.generators:
+        if not in_k(k.conj(r)):
+            raise ConstructionError(f"<r> does not normalize K at {k!r}")
+
+
+def index2_body(
+    l_of: Callable[[Perm], Perm], L: FiniteGroup, S: FiniteGroup, r: Perm
+) -> Callable[[Perm], Perm]:
+    """The index-2 operator x -> l^-1 r^d(l), where l = l_of(x) is the
+    L-part of x = k l and d(l) is 0 on S and 1 off S; the |L| images are
+    computed once."""
+    sset = S._element_set()
+    image = {l: l.inverse() if l in sset else l.inverse() * r for l in L.elements}
+    return lambda x: image[l_of(x)]
 
 
 def index2_construction(
@@ -89,46 +140,12 @@ def index2_construction(
     t: Perm,
     r: Perm,
 ) -> RBOperator:
-    """The non-splitting twist B(k t^d y) = l^-1 r^d (l = t^d y, y in S,
-    d the S-coset indicator on L).
-
-    Preconditions, each reported by name:
-      - G = K * L is an exact factorization;
-      - S has index 2 in L and t lies in L outside S;
-      - r is an involution of S (so that the twist is non-splitting with
-        R = <r>; an involution outside S degenerates to the splitting
-        operator of G = <K, r> * S);
-      - <r> normalizes K;
-      - l -> r^(d(l)) is a homomorphism L -> <r>.
-    """
+    """The non-splitting twist B(k t^d y) = l^-1 r^d as a table operator,
+    after check_index2; the L-part comes from exact_factorization."""
     w = exact_factorization(G, K, L)
-    if not w.exact:
-        raise ConstructionError("factorization G = K*L is not exact")
-    if 2 * S.order() != L.order():
-        raise ConstructionError("S does not have index 2 in L")
-    if not L.is_subgroup(set(S.elements)):
-        raise ConstructionError("S is not a subgroup of L")
-    sset = set(S.elements)
-    if t not in L._element_set() or t in sset:
-        raise ConstructionError("t must lie in L outside S")
-    if r.is_identity() or r * r != G.identity:
-        raise ConstructionError("r is not an involution")
-    if r not in sset:
-        raise ConstructionError("r must lie in S")
-    kset = set(K.elements)
-    for k in K.elements:
-        if k.conj(r) not in kset:
-            raise ConstructionError(f"<r> does not normalize K at {k!r}")
-    delta = _coset_indicator(L, S)
-    for l1 in L.elements:
-        for l2 in L.elements:
-            if delta(l1 * l2) != (delta(l1) + delta(l2)) % 2:
-                raise ConstructionError("coset indicator of S is not a homomorphism")
-
-    images = {}
-    for x, (k, l) in w.table.items():
-        images[x] = l.inverse() * (r if delta(l) else G.identity)
-    return from_table(G, images, provenance="index2")
+    check_index2(G, K, K.__contains__, L, S, t, r)
+    B = index2_body(lambda x: w.table[x][1], L, S, r)
+    return from_table(G, {x: B(x) for x in G.elements}, provenance="index2")
 
 
 # -- catalog of named example operators ------------------------------------
@@ -164,21 +181,27 @@ def _a4_b2() -> RBOperator:
     return from_homomorphism(G, phi, A)
 
 
-def _dihedral_klein_tilde_table(built: families.BuiltGroup, n: int) -> dict[Perm, Perm]:
-    """The order-4-image homomorphism on D_2n (n even >= 4):
-    r^2k -> e, r^2k+1 -> r^(n/2) s, r^2k s -> r^(n/2), r^2k+1 s -> s."""
-    G, r, s = built.group, built.r, built.s
-    half = n // 2
-    rh = G.identity
-    for _ in range(half):
-        rh = rh * r
+def _pow(p: Perm, e: int, G: FiniteGroup) -> Perm:
+    out = G.identity
+    step = p if e >= 0 else p.inverse()
+    for _ in range(abs(e)):
+        out = out * step
+    return out
+
+
+def _klein_operator(G: FiniteGroup, r: Perm, s: Perm, n: int) -> RBOperator:
+    """The companion of the order-4-image homomorphism on G = <r, s> = D_2n
+    (n even >= 4): r^2k -> e, r^2k+1 -> r^(n/2) s, r^2k s -> r^(n/2),
+    r^2k+1 s -> s."""
+    rh = _pow(r, n // 2, G)
     table = {}
     x = G.identity
     for i in range(n):
         table[x] = G.identity if i % 2 == 0 else rh * s
         table[x * s] = rh if i % 2 == 0 else s
         x = x * r
-    return table
+    A = G.subgroup(sorted(set(table.values())), label="Z2xZ2")
+    return tilde(from_homomorphism(G, table, A))
 
 
 def d2n_klein(n: int) -> RBOperator:
@@ -187,19 +210,7 @@ def d2n_klein(n: int) -> RBOperator:
     if n < 4 or n % 2:
         raise ConstructionError("the Klein-image operator needs even n >= 4")
     built = families.dihedral(n)
-    G = built.group
-    table = _dihedral_klein_tilde_table(built, n)
-    A = G.subgroup(sorted(set(table.values())), label="Z2xZ2")
-    Bt = from_homomorphism(G, table, A)
-    return tilde(Bt)
-
-
-def _pow(p: Perm, e: int, G: FiniteGroup) -> Perm:
-    out = G.identity
-    step = p if e >= 0 else p.inverse()
-    for _ in range(abs(e)):
-        out = out * step
-    return out
+    return _klein_operator(built.group, built.r, built.s, n)
 
 
 def _d16_operator() -> RBOperator:
@@ -227,17 +238,7 @@ def _d60_operator() -> RBOperator:
     H = G.subgroup([_pow(r, 10, G)], label="Z3")
     L = G.subgroup([_pow(r, 3, G), s], label="D20")
     # the Klein-image operator on L ~= D20, generated by r^3 and s
-    r_l, s_l = _pow(r, 3, G), s
-    half = 10 // 2
-    rh = _pow(r_l, half, G)
-    table = {}
-    x = G.identity
-    for i in range(10):
-        table[x] = G.identity if i % 2 == 0 else rh * s_l
-        table[x * s_l] = rh if i % 2 == 0 else s_l
-        x = x * r_l
-    A = L.subgroup(sorted(set(table.values())), label="Z2xZ2")
-    C = tilde(from_homomorphism(L, table, A))
+    C = _klein_operator(L, _pow(r, 3, G), s, 10)
     return extend_over_factorization(exact_factorization(G, H, L), C)
 
 

@@ -3,6 +3,7 @@ classes under the graph action, and classification reports."""
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -22,7 +23,6 @@ from .rbop import (
 )
 
 ENUMERATE_GUARANTEED = 24
-ENUMERATE_BEST_EFFORT = 48
 ORACLE_CAP = 10
 
 
@@ -163,16 +163,8 @@ def enumerate_rb(G: FiniteGroup, cap: int = ENUMERATE_GUARANTEED) -> list[RBOper
     e = G.index(G.identity)
     eid = e * n + e
     forbidden = frozenset(i * n + i for i in range(n) if i != e)
-    orders = [0] * nn
-    for a in range(n):
-        oa = G.elements[a].order()
-        for b in range(n):
-            ob = G.elements[b].order()
-            # lcm of the component orders
-            x, y = oa, ob
-            while y:
-                x, y = y, x % y
-            orders[a * n + b] = oa * ob // x
+    g_orders = [g.order() for g in G.elements]
+    orders = [math.lcm(oa, ob) for oa in g_orders for ob in g_orders]
     masks = _subgroup_masks(cols, eid, n, forbidden, orders)
     ops = []
     for mask in masks:

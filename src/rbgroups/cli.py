@@ -19,7 +19,7 @@ from .classify import (
     equivalence_classes,
 )
 from .labels import iso_label
-from .perm import FiniteGroup, PermError
+from .perm import PermError
 from .rbop import (
     DEFAULT_SEED,
     RBOperator,
@@ -58,8 +58,8 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     p = _Parser(prog="rbgroups", description=__doc__)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--format", choices=("text", "records"), default="text")
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted and ignored: every command runs serially")
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("construct", help="build a catalog or derived operator")
@@ -205,7 +205,7 @@ def _cmd_verify(args, out) -> int:
     with open(args.file) as fh:
         B = serialize.parse_operator(fh.read())
     if B.is_table:
-        v = verify(B, mode="full", chunks=max(1, args.threads))
+        v = verify(B, mode="full")
         out.write(v.line() + "\n")
         return EXIT_OK if v.ok else EXIT_VERIFY
     lv = verify_an_operator(B, sample_count=args.verify_samples, seed=args.seed)

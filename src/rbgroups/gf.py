@@ -192,10 +192,6 @@ class FiniteField:
     def format_element(self, x: int) -> str:
         return ",".join(str(c) for c in self.coeffs(x))
 
-    def header(self) -> str:
-        mod = ",".join(str(c) for c in self.modulus)
-        return f"GF({self.p},{self.k},modulus={mod})"
-
 
 @lru_cache(maxsize=None)
 def make_field(p: int, k: int) -> FiniteField:

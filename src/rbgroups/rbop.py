@@ -131,9 +131,10 @@ def trivial_inv(G: FiniteGroup) -> RBOperator:
     return from_table(G, tuple(e.inverse() for e in G.elements), provenance="B_inv", check=False)
 
 
-def _check_pair(B: RBOperator, g: Perm, h: Perm) -> bool:
+def check_pair(B: RBOperator, g: Perm, h: Perm) -> bool:
+    """The defining identity B(g) B(h) = B(g o h) at the pair (g, h)."""
     bg = B(g)
-    return bg * B(h) == B(g * bg * h * bg.inverse())
+    return bg * B(h) == B(circ(B, g, h, bg))
 
 
 def verify(
@@ -141,11 +142,9 @@ def verify(
     mode: str = "full",
     count: int = 10_000,
     seed: int = DEFAULT_SEED,
-    chunks: int = 1,
 ) -> Verdict:
     """Check the defining identity on all pairs (full) or seeded random
-    pairs (sampled).  Deterministic for a fixed seed and independent of
-    the chunk count."""
+    pairs (sampled).  Deterministic for a fixed seed."""
     if mode == "full":
         if not B.group.enumerated:
             raise PermError("full verification needs an enumerated group")
@@ -162,18 +161,15 @@ def verify(
     else:
         raise PermError(f"unknown verify mode {mode!r}")
 
-    size = max(1, (len(pairs) + chunks - 1) // chunks)
-    for lo in range(0, len(pairs), size):
-        for g, h in pairs[lo : lo + size]:
-            if not _check_pair(B, g, h):
-                bg = B(g)
-                return Verdict(
-                    ok=False,
-                    pairs=len(pairs),
-                    seed=seed_out,
-                    witness=(g, h),
-                    detail=f"B(g)B(h)={bg * B(h)!r} != B(gB(g)hB(g)^-1)={B(g * bg * h * bg.inverse())!r}",
-                )
+    for g, h in pairs:
+        if not check_pair(B, g, h):
+            return Verdict(
+                ok=False,
+                pairs=len(pairs),
+                seed=seed_out,
+                witness=(g, h),
+                detail=f"B(g)B(h)={B(g) * B(h)!r} != B(gB(g)hB(g)^-1)={B(circ(B, g, h))!r}",
+            )
     return Verdict(ok=True, pairs=len(pairs), seed=seed_out)
 
 
@@ -206,9 +202,11 @@ def bplus(B: RBOperator) -> Callable[[Perm], Perm]:
     return lambda g: g * B(g)
 
 
-def circ(B: RBOperator, g: Perm, h: Perm) -> Perm:
-    """The descendent product g o h = g B(g) h B(g)^-1."""
-    bg = B(g)
+def circ(B: RBOperator, g: Perm, h: Perm, bg: Optional[Perm] = None) -> Perm:
+    """The descendent product g o h = g B(g) h B(g)^-1; a caller that
+    already holds B(g) passes it as bg."""
+    if bg is None:
+        bg = B(g)
     return g * bg * h * bg.inverse()
 
 

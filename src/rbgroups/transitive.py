@@ -7,12 +7,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from . import families
+from .build import ConstructionError, check_index2, index2_body
 from .gf import FiniteField, make_field, prime_factors, prime_power
 from .perm import FiniteGroup, Perm, PermError
-from .rbop import RBOperator, Verdict
+from .rbop import RBOperator, check_pair, circ
 
 DEFAULT_SAMPLES = 100_000
 DEFAULT_SEED = 7
@@ -34,7 +35,6 @@ class SharplyTransitiveGroup:
     transitivity_degree: int
     a: Optional[Perm] = None
     b: Optional[Perm] = None
-    translations: Optional[list[Perm]] = None
     n_part: Optional[FiniteGroup] = None  # <a, b>
     s1: Optional[FiniteGroup] = None  # F.<a, b^2>, index 2 in L
     s2: Optional[FiniteGroup] = None  # F.<a^2, b>
@@ -120,7 +120,6 @@ def sharply2(m: int, q: int, t: int) -> SharplyTransitiveGroup:
 
     a = _scale(F, F.pow(w, m))
     b = Perm(F.mul(F.pow(w, t), frob_q(x)) for x in range(n))
-    translations = [_translation(F, c) for c in range(n)]
     # translations by an additive basis of GF(p^(j m))
     basis = [_translation(F, p**i) for i in range(j * m)]
     L = FiniteGroup.from_generators(
@@ -147,14 +146,13 @@ def sharply2(m: int, q: int, t: int) -> SharplyTransitiveGroup:
         transitivity_degree=2,
         a=a,
         b=b,
-        translations=translations,
         n_part=L.subgroup([a, b], label=f"N({m},{q},{t})"),
     )
     if q % 4 == 3 and m % 4 == 2:
         for g in (a, b):
             if not g.is_even():
                 raise TransitiveError("generator is an odd permutation")
-        f1 = translations[1]
+        f1 = _translation(F, 1)
         st.s1 = L.subgroup([f1, a, b * b], label="FS1")
         st.s2 = L.subgroup([f1, a * a, b], label="FS2")
         st.s3 = L.subgroup([f1, a * a, a * b], label="FS3")
@@ -325,7 +323,10 @@ def build_an_operator(n: int, variant: str = "default") -> RBOperator:
 
     The distinguished points are the largest two (case a) or three
     (case b) point indices; r is the least involution of S = ker(B~)
-    stabilizing the distinguished set."""
+    stabilizing the distinguished set.  K is the pointwise stabilizer of
+    the distinguished points, and the L-part of x is read off the images
+    of those points by the transporter table; build.check_index2 and
+    build.index2_body do the rest, as for table operators."""
     if variant not in VARIANTS:
         raise TransitiveError(f"variant must be one of {VARIANTS}")
     v = admissible(n)
@@ -371,8 +372,6 @@ def build_an_operator(n: int, variant: str = "default") -> RBOperator:
             return table3[(x[distinguished[0]], x[distinguished[1]], x[distinguished[2]])]
 
     sset = S._element_set()
-    if 2 * S.order() != L.order():
-        raise TransitiveError("S does not have index 2 in L")
     rs = _involutions_stabilizing(S, distinguished)
     if not rs:
         raise TransitiveError(
@@ -384,14 +383,8 @@ def build_an_operator(n: int, variant: str = "default") -> RBOperator:
     kpoints = [i for i in range(n) if i not in distinguished]
     K = families.alternating_on_points(n, kpoints)
     G = families.alternating(n).group
-
-    def B(x: Perm) -> Perm:
-        l = decompose_l(x)
-        delta = 0 if l in sset else 1
-        out = l.inverse()
-        if delta:
-            out = out * r
-        return out
+    check_index2(G, K, _fixes(distinguished), L, S, t, r)
+    B = index2_body(decompose_l, L, S, r)
 
     im_tilde = FiniteGroup.generator_only(
         n,
@@ -418,6 +411,12 @@ def build_an_operator(n: int, variant: str = "default") -> RBOperator:
         provenance=f"an[{n},{variant}]",
         structural=structural,
     )
+
+
+def _fixes(points: tuple[int, ...]) -> Callable[[Perm], bool]:
+    """Membership test for K = Alt(the other points): the even
+    permutations that fix every distinguished point."""
+    return lambda x: all(x[i] == i for i in points)
 
 
 def _relabel_perm(n: int, src: tuple[int, ...], dst: tuple[int, ...]) -> Perm:
@@ -477,15 +476,14 @@ def verify_an_operator(
     sample_count: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
 ) -> LayeredVerdict:
-    """Three layers: structural facts of the construction, exhaustive
-    identity over Im(B) x Im(B), and seeded random pairs from A_n."""
+    """Three layers: the preconditions of the construction (check_index2)
+    and agreement with its body on L, exhaustive identity over
+    Im(B) x Im(B), and seeded random pairs from A_n."""
     st = B.structural
     if not {"ker", "im", "ker_tilde", "r", "t"} <= st.keys():
         raise TransitiveError("operator was not built by build_an_operator")
     K, L, S = st["ker"], st["im"], st["ker_tilde"]
     r, t = st["r"], st["t"]
-    n = B.group.degree
-    sset = S._element_set()
 
     def fail(layer: int, detail: str) -> LayeredVerdict:
         return LayeredVerdict(
@@ -493,58 +491,31 @@ def verify_an_operator(
             pairs_exhaustive=0, pairs_sampled=0, seed=seed,
         )
 
-    # layer 1: structure
-    korder = K.order()
-    if korder * L.order() != B.group.order():
-        return fail(1, "K L is not an exact factorization by order")
-    lset = L._element_set()
-    distinguished = st["distinguished"]
-    # K meets L inside the pointwise stabilizer of the distinguished
-    # points, which sharp transitivity forces to be trivial
+    # layer 1: structure; an element of L is its own L-part
+    try:
+        check_index2(B.group, K, _fixes(st["distinguished"]), L, S, t, r)
+    except ConstructionError as exc:
+        return fail(1, str(exc))
+    body = index2_body(lambda l: l, L, S, r)
     for l in L.elements:
-        if all(l[i] == i for i in distinguished) and not l.is_identity():
-            return fail(1, "K L is not exact: L has a nontrivial stabilizer")
-    if 2 * S.order() != L.order():
-        return fail(1, "S does not have index 2 in L")
-    if t in sset or t not in lset:
-        return fail(1, "t does not lie in L outside S")
-    if r.is_identity() or not (r * r).is_identity():
-        return fail(1, "r is not an involution")
-    if r not in sset:
-        return fail(1, "r does not lie in S = ker(B~)")
-    kpts = {i for i in range(n) if not all(g[i] == i for g in K.generators)}
-    fixed_outside = {i for i in range(n) if i not in kpts}
-    if not ({r[i] for i in fixed_outside} == fixed_outside):
-        return fail(1, "<r> does not normalize K (distinguished set moved)")
-    for l1 in L.elements:
-        d1 = 0 if l1 in sset else 1
-        for l2 in L.elements:
-            if ((0 if l2 in sset else 1) + d1) % 2 != (
-                0 if (l1 * l2) in sset else 1
-            ):
-                return fail(1, "coset indicator is not a homomorphism")
-        if d1 == 0 and B(l1) != l1.inverse():
-            return fail(1, "B(y) != y^-1 on S")
-        if d1 == 1 and B(l1) != l1.inverse() * r:
-            return fail(1, "B(l) != l^-1 r off S")
+        if B(l) != body(l):
+            return fail(1, f"B(l) != l^-1 r^d(l) at {l!r}")
 
     # layer 2: exhaustive over L x L
     exhaustive = 0
     for g in L.elements:
-        bg = B(g)
-        bgi = bg.inverse()
         for h in L.elements:
             exhaustive += 1
-            if bg * B(h) != B(g * bg * h * bgi):
+            if not check_pair(B, g, h):
                 return fail(2, f"identity fails at L-pair ({g!r}, {h!r})")
 
     # layer 3: seeded random pairs from the whole group
     rng = random.Random(seed)
+    n = B.group.degree
     for i in range(sample_count):
         g = _random_even(rng, n)
         h = _random_even(rng, n)
-        bg = B(g)
-        if bg * B(h) != B(g * bg * h * bg.inverse()):
+        if not check_pair(B, g, h):
             return LayeredVerdict(
                 ok=False, layer=3,
                 detail=f"identity fails at sample {i}: ({g!r}, {h!r})",
@@ -582,15 +553,11 @@ def descendent_structure(
     L = st["im"]
     sset = S._element_set()
 
-    def circ(g: Perm, h: Perm) -> Perm:
-        bg = B(g)
-        return g * bg * h * bg.inverse()
-
     s_pairs = 0
     for s1 in S.elements:
         for s2 in S.elements:
             s_pairs += 1
-            if circ(s1, s2) != s2 * s1:
+            if circ(B, s1, s2) != s2 * s1:
                 return DescendentReport(
                     False, f"s o s' != s' s at ({s1!r}, {s2!r})", s_pairs, 0, 0
                 )
@@ -607,7 +574,7 @@ def descendent_structure(
 
     for i in range(k_samples):
         h1, h2 = random_k(), random_k()
-        if circ(h1, h2) != h1 * h2:
+        if circ(B, h1, h2) != h1 * h2:
             return DescendentReport(
                 False, f"h o h' != h h' at sample {i}", s_pairs, i + 1, 0
             )
@@ -616,10 +583,8 @@ def descendent_structure(
     for i in range(twist_samples):
         l = rng.choice(lelems)
         h = random_k()
-        d = 0 if l in sset else 1
-        ref = r if d else B.group.identity
-        h_tw = ref * h * ref.inverse() if d else h
-        if circ(l, h) != circ(h_tw, l):
+        h_tw = h if l in sset else r * h * r
+        if circ(B, l, h) != circ(B, h_tw, l):
             return DescendentReport(
                 False,
                 f"l o h != h^(r^d) o l at sample {i}",

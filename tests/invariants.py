@@ -50,7 +50,7 @@ def check_invariants(B: RBOperator) -> list[tuple[str, bool]]:
     Bt = tilde(B)
     Bp = bplus(B)
 
-    results.append(("eq2", all(rbop._check_pair(B, g, h) for g, h in pairs)))
+    results.append(("eq2", all(rbop.check_pair(B, g, h) for g, h in pairs)))
     results.append((
         "prop1c",
         all(B(g).inverse() == B(B(g).inverse() * g.inverse() * B(g)) for g in singles),
@@ -102,7 +102,7 @@ def check_invariants_sampled(B: RBOperator, seed: int = 7, samples: int = 50) ->
 
     results = []
     Bt = tilde(B)
-    results.append(("eq2", all(rbop._check_pair(B, g, h) for g, h in pairs)))
+    results.append(("eq2", all(rbop.check_pair(B, g, h) for g, h in pairs)))
     results.append((
         "prop1c",
         all(B(g).inverse() == B(B(g).inverse() * g.inverse() * B(g)) for g in singles),

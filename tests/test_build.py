@@ -1,7 +1,7 @@
 import pytest
 
 from invariants import assert_invariants
-from rbgroups import build, families, rbop
+from rbgroups import build, classify, families, rbop
 from rbgroups.build import ConstructionError
 from rbgroups.perm import Perm, exact_factorization
 from rbgroups.rbop import descendent_group, images, is_splitting, kernel_invariant, verify
@@ -73,6 +73,36 @@ def test_index2_rejects_r_outside_s():
     bad_r = built.r  # not an involution and not in S
     with pytest.raises(ConstructionError):
         build.index2_construction(G, K, L, S, t, bad_r)
+
+
+def _d16_index2_data():
+    built = families.dihedral(8)
+    G, r, s = built.group, built.r, built.s
+    r2 = r * r
+    r4 = r2 * r2
+    K = G.subgroup([s], label="K")
+    L = G.subgroup([r2, r * s], label="L")
+    subgroups = {
+        "<r^2>": L.subgroup([r2]),
+        "<r^4,rs>": L.subgroup([r4, r * s]),
+        "<r^4,r^3s>": L.subgroup([r4, r2 * r * s]),
+    }
+    return G, K, L, subgroups, r4
+
+
+@pytest.mark.parametrize("name", ["<r^2>", "<r^4,rs>", "<r^4,r^3s>"])
+def test_index2_construction_on_d16(name):
+    # D16 = <s> * <r^2, rs> is exact, r^4 is a central involution lying in
+    # each of the three index-2 subgroups S of L = <r^2, rs> ~ D8
+    G, K, L, subgroups, r4 = _d16_index2_data()
+    S = subgroups[name]
+    assert 2 * S.order() == L.order() and r4 in S
+    t = min(l for l in L.elements if l not in S)
+    B = build.index2_construction(G, K, L, S, t, r4)
+    assert verify(B).ok
+    assert not is_splitting(B)
+    assert images(B).R.order() == 2
+    assert B.table_key() in {A.table_key() for A in classify.enumerate_rb(G)}
 
 
 def test_q60_catalog():

@@ -1,8 +1,11 @@
+import hashlib
 import io
 import os
 import subprocess
 import sys
 from types import SimpleNamespace
+
+import pytest
 
 from rbgroups import cli
 from rbgroups.cli import main
@@ -109,7 +112,12 @@ def test_threads_flag_does_not_change_bytes():
 
 
 def test_usage_errors_exit_64():
-    for argv in (["frobnicate"], ["classify", "--no-such-flag", "D:6"], []):
+    for argv in (
+        ["frobnicate"],
+        ["classify", "--no-such-flag", "D:6"],
+        [],
+        ["--format", "records", "classify", "D:6"],
+    ):
         code, _ = run(argv)
         assert code == 64
 
@@ -141,3 +149,42 @@ def test_verification_failure_exits_2(tmp_path):
     code2, text2 = run(["verify", str(path)])
     assert code2 == 2
     assert "fail" in text2
+
+
+# sha256 of the stdout of each README CLI example (build-an with fewer
+# samples), recorded before the index-2 construction was merged.
+README_DIGESTS = {
+    "classify D:16": "bef241a57def3b389d4ad70ba64ed227fb40104d5acaf5a0c61f5c42b2ff2d0b",
+    "enumerate S:3 --up-to-equivalence": "f7f2ffa6c30860f063a88238836732bdfeca83afd199ea6cfa7001c8945dfd2f",
+    "construct --example q60 --dump": "d985b71d7a0c1547abfa037d1fa28657d534b331961724cb713f20ae4f279ee6",
+    "admissible --n 10": "5db9a12744deec58f86052d2163e2ea44204a1e30f31af942021cbc4d9bf82dd",
+    "build-an --n 9 --variant S1 --verify-samples 2000 --dump": "78ffea76b3098c122f5ffd6341d2d250c6dd5e3cbe194e447bfd2144fe0d36b6",
+    "sharply2 --m 2 --q 3 --t 1 --dump": "2b4c308b5d32eccb53a496fa9dc1f67e3552000ec3e4727e2903a356614f8e92",
+    "sharply3 --q 9": "0269c069c3268dcd16f15c7301a77b154501f474e641d8dde8d1b8c3abcfbfe7",
+    "descendent --example s3": "8e64e58fc5d1be3c9ebdea3e2a165cd825a5954ae3cc50095a390652cdcc47e2",
+}
+
+# the same for `verify` on the operator block each --dump printed
+VERIFY_DIGESTS = {
+    "construct --example q60 --dump": "bfb585f0db2413199310075f06938c4bcf3cffcf943c3d3382899064ba9e1f4a",
+    "build-an --n 9 --variant S1 --verify-samples 2000 --dump": "4204eceaf404635bb52cead02dad16bc82a5d92e5891fcce6d477b6a2344acd1",
+}
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("command", list(README_DIGESTS))
+def test_readme_output_is_pinned(command):
+    code, text = run(command.split())
+    assert (code, _sha(text)) == (0, README_DIGESTS[command])
+
+
+@pytest.mark.parametrize("command", list(VERIFY_DIGESTS))
+def test_readme_verify_output_is_pinned(command, tmp_path):
+    text = run(command.split())[1]
+    path = tmp_path / "operator.txt"
+    path.write_text(text[: text.index("operator:")])
+    code, out = run(["verify", str(path), "--verify-samples", "2000"])
+    assert (code, _sha(out)) == (0, VERIFY_DIGESTS[command])

@@ -1,7 +1,11 @@
+import dataclasses
+import functools
+
 import pytest
 
 from invariants import check_invariants_sampled
 from rbgroups import rbop, transitive
+from rbgroups.perm import FiniteGroup, Perm
 from rbgroups.labels import iso_label
 from rbgroups.transitive import (
     TransitiveError,
@@ -133,6 +137,69 @@ def test_verification_catches_a_corrupted_operator():
     )
     v = transitive.verify_an_operator(bad, sample_count=2000, seed=7)
     assert not v.ok
+
+
+@functools.lru_cache(maxsize=None)
+def _an(n, variant="default"):
+    return build_an_operator(n, variant=variant)
+
+
+@pytest.mark.parametrize("n,variant", [(9, "S1"), (9, "S2"), (9, "S3"), (10, "default")])
+def test_coset_indicator_is_a_homomorphism(n, variant):
+    """Exhaustive oracle for the shortcut in build.check_index2: the
+    S-coset indicator d on L satisfies d(l1 l2) = d(l1) + d(l2) mod 2."""
+    st = _an(n, variant).structural
+    L, sset = st["im"], st["ker_tilde"]._element_set()
+    d = {l: 0 if l in sset else 1 for l in L.elements}
+    for l1 in L.elements:
+        for l2 in L.elements:
+            assert d[l1 * l2] == (d[l1] + d[l2]) % 2, (l1, l2)
+
+
+def _tampered(field):
+    B = _an(9)
+    st = B.structural
+    S = st["ker_tilde"]
+    if field == "t in S":
+        change = {"t": B.group.identity}
+    elif field == "r not an involution":
+        change = {"r": next(g for g in S.elements if g.order() == 3)}
+    elif field == "r not in S":
+        r = Perm.from_cycles(9, [(0, 1), (2, 3)])
+        assert r not in S
+        change = {"r": r}
+    elif field == "<r> does not normalize K":
+        change = {"r": next(
+            g for g in S.elements if g.order() == 2 and {g[7], g[8]} != {7, 8}
+        )}
+    elif field == "S not a subgroup":
+        # half of L with e, r and not t, but one element of S swapped for
+        # another element of L outside S
+        L, t, r = st["im"], st["t"], st["r"]
+        s0 = next(g for g in S.elements if g not in (B.group.identity, r))
+        t1 = next(g for g in L.elements if g not in S and g != t)
+        swapped = [g for g in S.elements if g != s0] + [t1]
+        change = {"ker_tilde": FiniteGroup.from_elements(swapped)}
+    elif field == "S not of index 2":
+        change = {"ker_tilde": FiniteGroup.from_elements([B.group.identity, st["r"]])}
+    else:  # "K meets L": K taken as the stabilizer of one point only
+        change = {"distinguished": (8,)}
+    return dataclasses.replace(B, structural={**st, **change})
+
+
+@pytest.mark.parametrize("field,message", [
+    ("t in S", "t must lie in L outside S"),
+    ("r not an involution", "r is not an involution"),
+    ("r not in S", "r must lie in S"),
+    ("<r> does not normalize K", "<r> does not normalize K"),
+    ("S not a subgroup", "S is not a subgroup of L"),
+    ("S not of index 2", "S does not have index 2 in L"),
+    ("K meets L", "K meets L"),
+])
+def test_layer1_names_the_broken_precondition(field, message):
+    v = verify_an_operator(_tampered(field), sample_count=10, seed=7)
+    assert (v.ok, v.layer) == (False, 1)
+    assert message in v.detail
 
 
 @pytest.mark.slow
