@@ -12,6 +12,7 @@ from .perm import (
     FiniteGroup,
     Perm,
     exact_factorization,
+    homomorphism_failure,
 )
 from .rbop import RBOperator, from_table, tilde
 
@@ -37,7 +38,8 @@ def from_homomorphism(
     A: FiniteGroup,
 ) -> RBOperator:
     """A homomorphism G -> A with A an abelian subgroup of G is an
-    operator.  Both the homomorphism property and abelianness are checked."""
+    operator.  Both the homomorphism property (on generators, see
+    perm.homomorphism_failure) and abelianness are checked."""
     if not A.is_abelian():
         raise ConstructionError("target subgroup is not abelian")
     if not G.is_subgroup(set(A.elements)):
@@ -48,15 +50,15 @@ def from_homomorphism(
     for g, v in table.items():
         if v not in aset:
             raise ConstructionError(f"phi({g!r}) = {v!r} lies outside the target")
-    for g in G.elements:
-        for h in G.elements:
-            if table[g * h] != table[g] * table[h]:
-                raise ConstructionError(f"phi is not a homomorphism at ({g!r}, {h!r})")
+    bad = homomorphism_failure(table.__getitem__, G)
+    if bad is not None:
+        raise ConstructionError(f"phi is not a homomorphism at ({bad[0]!r}, {bad[1]!r})")
     return from_table(G, table, provenance="homomorphism")
 
 
 def extend_over_factorization(w: FactorizationWitness, C: RBOperator) -> RBOperator:
-    """B(hl) = C(l) over an exact G = HL, valid when Im(C~) normalizes H."""
+    """B(hl) = C(l) over an exact G = HL, valid when Im(C~) normalizes H.
+    That is checked on H.generators, as in check_index2."""
     if not w.exact:
         raise ConstructionError("factorization is not exact")
     if C.group.elements != w.right.elements:
@@ -65,7 +67,7 @@ def extend_over_factorization(w: FactorizationWitness, C: RBOperator) -> RBOpera
     im_ct = {Ct(l) for l in w.right.elements}
     hset = set(w.left.elements)
     for z in im_ct:
-        for h in w.left.elements:
+        for h in w.left.generators:
             if h.conj(z) not in hset:
                 raise ConstructionError(
                     f"Im(C~) does not normalize H: conjugating {h!r} by {z!r} leaves H"

@@ -345,7 +345,7 @@ class ClassificationReport:
 def lemma3_shape(B: RBOperator) -> bool:
     """Whether B (or its companion) factors as G = ker(B)*Im(B) exactly
     with the companion restricting to a homomorphism onto R on Im(B)."""
-    from .perm import exact_factorization
+    from .perm import exact_factorization, homomorphism_failure
 
     for C in (B, tilde(B)):
         im = images(C)
@@ -356,18 +356,9 @@ def lemma3_shape(B: RBOperator) -> bool:
             continue
         Ct = tilde(C)
         rset = im.R._element_set()
-        ok = True
-        for y1 in im.im.elements:
-            if Ct(y1) not in rset:
-                ok = False
-                break
-            for y2 in im.im.elements:
-                if Ct(y1 * y2) != Ct(y1) * Ct(y2):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if all(Ct(y) in rset for y in im.im.elements) and (
+            homomorphism_failure(Ct, im.im) is None
+        ):
             return True
     return False
 

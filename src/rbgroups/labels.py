@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import families
-from .perm import FiniteGroup, Perm, closure, is_isomorphic
+from .perm import FiniteGroup, Grower, Perm, closure, is_isomorphic
 
 
 def direct_product(A: FiniteGroup, B: FiniteGroup, label: str = "") -> FiniteGroup:
@@ -120,7 +120,7 @@ def _recognize_large(G: FiniteGroup) -> str | None:
     if order in (36, 72) and not G.is_abelian():
         # (Z3xZ3)-by-2-group shapes from the sharply 2-transitive world
         E = _elements_of_order_dividing(G, 3)
-        if len(E) == 9 and G.is_subgroup(E) and G.is_normal(E):
+        if len(E) == 9 and G.is_normal(E):
             if order == 36 and any(e.order() == 4 for e in G.elements):
                 return "(Z3xZ3):Z4"
             if order == 72:
@@ -137,11 +137,21 @@ def _recognize_large(G: FiniteGroup) -> str | None:
 
 
 def _is_perfect(G: FiniteGroup) -> bool:
-    comms = [a.inverse() * b.inverse() * a * b for a in G.generators for b in G.generators]
-    try:
-        return len(closure(comms, cap=G.order())) == G.order()
-    except Exception:
-        return False
+    """Whether [G, G] = G.  [G, G] is the normal closure N of the
+    commutators of the generators: G/N is generated by commuting images,
+    so it is abelian and [G, G] lies in N; N lies in [G, G], which is
+    normal and contains them.  N is grown from those commutators; each
+    element that joins its generators queues its conjugates by the
+    generators of G, so at the end every generator of N has its conjugates
+    in N, and N is normal (as in FiniteGroup.is_normal)."""
+    gens = G.generators
+    N = Grower(G.identity)
+    queue = [a.inverse() * b.inverse() * a * b for a in gens for b in gens]
+    for x in queue:
+        if x not in N.members:
+            N.add(x)
+            queue += [x.conj(g) for g in gens]
+    return len(N.elements) == G.order()
 
 
 def iso_label(G: FiniteGroup) -> str:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import AbstractSet, Callable, Iterable, Optional, Sequence
 
 
 class PermError(ValueError):
@@ -137,6 +137,96 @@ class Perm(bytes):
     __str__ = __repr__  # bytes.__str__ would print b'...'
 
 
+class Grower:
+    """The subgroup <gens>, grown one generator at a time by Dimino's
+    method: `elements` lists it as a union of right cosets, `members` is
+    the same as a set.
+
+    add(x) replaces K = <gens> by <gens, x> (x not in K).  For each coset
+    representative r, starting from e, and each generator s, if r*s is not
+    yet in the set, the whole coset K*(r*s) is added and r*s becomes a
+    representative.  Proof that this gives <gens, x>: the set is always a
+    union of right cosets of the group K, so a coset is added whole or not
+    at all.  Once every representative is processed, the set is closed
+    under right multiplication by each generator s: an element k*r goes to
+    k*(r*s), and r*s lies in a coset K*r' already there, so k*(r*s) does
+    too.  A finite set that contains e and is closed under right
+    multiplication by the generators contains every positive word in
+    them, which in a finite group is the whole generated subgroup; every
+    element added is such a word.  This costs |<gens, x>| - |K| products
+    for the cosets and |gens| per representative, against |gens| per
+    element for a breadth-first closure.
+
+    add returns False, leaving the set part-built, as soon as a coset
+    meets an element outside `inside` or the set grows past `cap`
+    (None: no bound).
+    """
+
+    __slots__ = ("elements", "members", "gens", "inside", "cap")
+
+    def __init__(
+        self,
+        identity: Perm,
+        inside: Optional[AbstractSet[Perm]] = None,
+        cap: Optional[int] = None,
+    ):
+        self.elements = [identity]
+        self.members = {identity}
+        self.gens: list[Perm] = []
+        self.inside = inside
+        self.cap = cap
+
+    def add(self, x: Perm) -> bool:
+        closed = self.elements[:]
+        members, inside = self.members, self.inside
+        self.gens.append(x)
+        reps = [closed[0]]
+        for r in reps:
+            for s in self.gens:
+                rs = r * s
+                if rs in members:
+                    continue
+                coset = [k * rs for k in closed]
+                if inside is not None and not inside.issuperset(coset):
+                    return False
+                members.update(coset)
+                self.elements += coset
+                if self.cap is not None and len(self.elements) > self.cap:
+                    return False
+                reps.append(rs)
+        return True
+
+
+def grow(
+    order: Iterable[Perm], identity: Perm, inside: AbstractSet[Perm]
+) -> Optional[tuple[Perm, ...]]:
+    """A generating tuple T of the set `inside`, or None when it is not a
+    subgroup.
+
+    Greedy: each element of `order` that <T> does not yet cover is
+    appended to T and <T> is grown by Grower.add; the walk stops once <T>
+    covers `inside`.  None as soon as <T> leaves `inside` (as <T> contains
+    e, also when e is not in `inside`).  The trivial group gets (e,).
+
+    Proof, for `order` listing all of a set S = `inside`: if S is a
+    subgroup, <T> lies in S for any T drawn from S, so the walk never
+    leaves S.  If the walk completes, <T> lies in S (every element added
+    was checked), and <T> covers S (each element of S was covered or
+    added to T); hence S = <T>, a subgroup generated by T.
+    This takes about |S| products, where testing every product of two
+    elements of S takes |S|^2.
+    """
+    if identity not in inside:
+        return None
+    g = Grower(identity, inside)
+    for x in order:
+        if len(g.members) == len(inside):
+            break
+        if x not in g.members and not g.add(x):
+            return None
+    return tuple(g.gens) or (identity,)
+
+
 def closure(generators: Sequence[Perm], cap: int = ENUMERATION_CAP) -> tuple[Perm, ...]:
     """All products of the generators, canonically sorted.
 
@@ -148,23 +238,11 @@ def closure(generators: Sequence[Perm], cap: int = ENUMERATION_CAP) -> tuple[Per
     for g in generators:
         if len(g) != n:
             raise PermError("generators have mixed domain sizes")
-    gens = [Perm(g) for g in generators]
-    seen = {Perm.identity(n)}
-    frontier = [Perm.identity(n)]
-    while frontier:
-        new = []
-        for p in frontier:
-            for g in gens:
-                q = p * g
-                if q not in seen:
-                    seen.add(q)
-                    new.append(q)
-                    if len(seen) > cap:
-                        raise ClosureCapExceeded(
-                            f"closure exceeds cap of {cap} elements"
-                        )
-        frontier = new
-    return tuple(sorted(seen))
+    g = Grower(Perm.identity(n), cap=cap)
+    for x in generators:
+        if x not in g.members and not g.add(Perm(x)):
+            raise ClosureCapExceeded(f"closure exceeds cap of {cap} elements")
+    return tuple(sorted(g.elements))
 
 
 @dataclass(frozen=True)
@@ -206,8 +284,14 @@ class FiniteGroup:
         generators: Optional[Sequence[Perm]] = None,
         label: str = "",
     ) -> "FiniteGroup":
+        """The group on a set of elements.  Without `generators`, grow()
+        picks them from the canonical order; a set that is not a subgroup
+        keeps every element as a generator."""
         elems = tuple(sorted(Perm(e) for e in set(elements)))
-        gens = tuple(generators) if generators is not None else elems
+        if generators is not None:
+            gens = tuple(generators)
+        else:
+            gens = grow(elems, Perm.identity(len(elems[0])), frozenset(elems)) or elems
         return cls(
             degree=len(elems[0]),
             generators=gens,
@@ -295,19 +379,25 @@ class FiniteGroup:
                 raise PermError(f"{g!r} is not an element of {self.label or 'G'}")
         return FiniteGroup.from_generators(generators, cap=self.order(), label=label)
 
-    def is_subgroup(self, S: Iterable[Perm]) -> bool:
+    def _grow(self, S: Iterable[Perm]) -> tuple[set, Optional[tuple[Perm, ...]]]:
         S = set(S)
         if not S <= self._element_set():
             raise PermError("S is not a subset of the group")
-        if self.identity not in S:
-            return False
-        return all(a * b in S for a in S for b in S)
+        return S, grow(sorted(S), self.identity, S)
+
+    def is_subgroup(self, S: Iterable[Perm]) -> bool:
+        """Whether S is a subgroup: e is in S and grow() stays inside S
+        (see grow for the proof)."""
+        return self._grow(S)[1] is not None
 
     def is_normal(self, S: Iterable[Perm]) -> bool:
-        S = set(S)
-        if not self.is_subgroup(S):
-            return False
-        return all(s.conj(g) in S for s in S for g in self.generators)
+        """Whether S is a normal subgroup, checked on generators: for g in
+        G, conjugation by g is an automorphism, so g^-1 <T> g is generated
+        by the conjugates of T and lies in S = <T> when they do; and if
+        that holds for each generator of G it holds for every product of
+        them."""
+        S, T = self._grow(S)
+        return T is not None and all(t.conj(g) in S for t in T for g in self.generators)
 
     def center(self) -> "FiniteGroup":
         gens = self.generators
@@ -319,18 +409,27 @@ class FiniteGroup:
 
 
 def small_generating_tuple(G: FiniteGroup) -> tuple[Perm, ...]:
-    """A short generating tuple, greedily grown from high-order elements."""
+    """A short generating tuple: grow() over the elements by decreasing
+    order, ties broken by the canonical order."""
     best = sorted(G.elements, key=lambda e: (-e.order(), e))
-    gens: list[Perm] = []
-    covered = {G.identity}
-    for e in best:
-        if e in covered:
-            continue
-        gens.append(e)
-        covered = set(closure(gens, cap=G.order()))
-        if len(covered) == G.order():
-            return tuple(gens)
-    return tuple(gens) if gens else (G.identity,)
+    return grow(best, G.identity, G._element_set())
+
+
+def homomorphism_failure(
+    f: Callable[[Perm], Perm], H: FiniteGroup
+) -> Optional[tuple[Perm, Perm]]:
+    """The first (y, s), y in H and s among H.generators, with
+    f(y s) != f(y) f(s); None when f is a homomorphism on H.
+
+    Checking generators is enough: every z in H is a positive word
+    s1...sk in them, so by induction on k, f(y z) = f(y) f(s1)...f(sk);
+    with y = e, where f(s) = f(e) f(s) gives f(e) = e, that reads
+    f(z) = f(s1)...f(sk), so f(y z) = f(y) f(z)."""
+    for y in H.elements:
+        for s in H.generators:
+            if f(y * s) != f(y) * f(s):
+                return y, s
+    return None
 
 
 def extend_homomorphism(

@@ -22,6 +22,7 @@ from .perm import (
     FiniteGroup,
     Perm,
     PermError,
+    grow,
 )
 
 
@@ -277,7 +278,12 @@ class OperatorImages:
 
 def images(B: RBOperator) -> OperatorImages:
     """The five structural subgroups, with the consequences of the
-    defining identity asserted (normality, factorization, index identity)."""
+    defining identity asserted (normality, factorization, index identity).
+
+    Each set is made a group by one grow() pass, which also tests that it
+    is a subgroup.  G = Im(B~) Im(B) is checked by the product formula
+    |XY| = |X| |Y| / |X meet Y| for subgroups X, Y, with X meet Y = R:
+    XY is a subset of G, so XY = G iff |Im(B~)| |Im(B)| = |G| |R|."""
     G = B.group
     if not G.enumerated:
         st = B.structural
@@ -288,40 +294,41 @@ def images(B: RBOperator) -> OperatorImages:
             )
         raise PermError("images of a procedural operator need structural data")
     Bt = tilde(B)
-    im = sorted({B(g) for g in G.elements})
-    ker = sorted(g for g in G.elements if B(g).is_identity())
-    im_t = sorted({Bt(g) for g in G.elements})
-    ker_t = sorted(g for g in G.elements if Bt(g).is_identity())
-    R = sorted(set(im) & set(im_t))
-    for name, S in (("Im(B)", im), ("ker(B)", ker), ("Im(B~)", im_t), ("ker(B~)", ker_t)):
-        if not G.is_subgroup(set(S)):
-            raise InvalidOperator(f"{name} is not a subgroup")
-    im_g = FiniteGroup.from_elements(im, label="Im(B)")
-    ker_g = FiniteGroup.from_elements(ker, label="ker(B)")
-    im_t_g = FiniteGroup.from_elements(im_t, label="Im(B~)")
-    ker_t_g = FiniteGroup.from_elements(ker_t, label="ker(B~)")
-    R_g = FiniteGroup.from_elements(R, label="R")
+    im = _subgroup(G, {B(g) for g in G.elements}, "Im(B)")
+    ker = _subgroup(G, {g for g in G.elements if B(g).is_identity()}, "ker(B)")
+    im_t = _subgroup(G, {Bt(g) for g in G.elements}, "Im(B~)")
+    ker_t = _subgroup(G, {g for g in G.elements if Bt(g).is_identity()}, "ker(B~)")
+    R = _subgroup(G, im._element_set() & im_t._element_set(), "R")
 
-    if not _normal_in(ker_t_g, im_g):
+    if not _normal_in(ker_t, im):
         raise InvalidOperator("ker(B~) is not normal in Im(B)")
-    if not _normal_in(ker_g, im_t_g):
+    if not _normal_in(ker, im_t):
         raise InvalidOperator("ker(B) is not normal in Im(B~)")
-    # G = Im(B~) . Im(B)
-    prods = {a * b for a in im_t for b in im}
-    if len(prods) != G.order():
+    # G = Im(B~) Im(B) iff |Im(B~) Im(B)| = |Im(B~)| |Im(B)| / |R| is |G|
+    if im_t.order() * im.order() != G.order() * R.order():
         raise InvalidOperator("G != Im(B~) Im(B)")
     # |R| = |Im(B):ker(B~)| = |Im(B~):ker(B)|
-    if R_g.order() * ker_t_g.order() != im_g.order():
+    if R.order() * ker_t.order() != im.order():
         raise InvalidOperator("|R| != |Im(B):ker(B~)|")
-    if R_g.order() * ker_g.order() != im_t_g.order():
+    if R.order() * ker.order() != im_t.order():
         raise InvalidOperator("|R| != |Im(B~):ker(B)|")
-    return OperatorImages(im=im_g, ker=ker_g, im_tilde=im_t_g, ker_tilde=ker_t_g, R=R_g)
+    return OperatorImages(im=im, ker=ker, im_tilde=im_t, ker_tilde=ker_t, R=R)
+
+
+def _subgroup(G: FiniteGroup, S: set, label: str) -> FiniteGroup:
+    """S as a group with the generators grow() picks; InvalidOperator
+    when S is not a subgroup."""
+    elems = sorted(S)
+    gens = grow(elems, G.identity, S)
+    if gens is None:
+        raise InvalidOperator(f"{label} is not a subgroup")
+    return FiniteGroup.from_elements(elems, generators=gens, label=label)
 
 
 def _normal_in(S: FiniteGroup, T: FiniteGroup) -> bool:
-    """S normal in T (both given as groups on the same domain)."""
-    selems = set(S.elements)
-    return all(s.conj(t) in selems for s in S.elements for t in T.generators)
+    """S normal in T, checked on generators of both (as FiniteGroup.is_normal)."""
+    selems = S._element_set()
+    return all(s.conj(t) in selems for s in S.generators for t in T.generators)
 
 
 def is_splitting(B: RBOperator) -> bool:

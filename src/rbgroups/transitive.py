@@ -223,7 +223,8 @@ def sharply3(q: int) -> SharplyTransitiveGroup:
         if not all(g.is_even() for g in (add1, scale2, neginv, twist)):
             failures.append(f"c={F.format_element(c)}: odd generator")
             continue
-        if 2 * psl.order() != L.order() or not L.is_subgroup(set(psl.elements)):
+        # PSL2 = <psl_gens> lies in L when its generators do
+        if 2 * psl.order() != L.order() or not all(g in L for g in psl.generators):
             failures.append(f"c={F.format_element(c)}: PSL2 index is not 2")
             continue
         try:
@@ -358,14 +359,17 @@ def build_an_operator(n: int, variant: str = "default") -> RBOperator:
         # become the three largest A_n points
         natural = (0, 1, n - 1)  # 0, 1, INF in the builder's numbering
         relabeling = _relabel_perm(n, natural, distinguished)
-        L = FiniteGroup.from_elements(
-            [relabeling.inverse() * g * relabeling for g in L.elements],
-            label=L.label,
-        )
-        S = FiniteGroup.from_elements(
-            [relabeling.inverse() * g * relabeling for g in S.elements],
-            label=S.label,
-        )
+
+        def relabel(X: FiniteGroup) -> FiniteGroup:
+            # conjugation is an automorphism, so it carries generators of X
+            # to generators of the relabelled group
+            return FiniteGroup.from_elements(
+                [g.conj(relabeling) for g in X.elements],
+                generators=[g.conj(relabeling) for g in X.generators],
+                label=X.label,
+            )
+
+        L, S = relabel(L), relabel(S)
         table3 = triple_table(L, *distinguished)
 
         def decompose_l(x: Perm) -> Perm:
@@ -563,13 +567,14 @@ def descendent_structure(
                 )
 
     rng = random.Random(seed)
-    kgens = list(K.generators)
+    kgens = [(g, g.inverse()) for g in K.generators]
+    e = B.group.identity
 
     def random_k() -> Perm:
-        out = B.group.identity
+        out = e
         for _ in range(12):
-            g = rng.choice(kgens)
-            out = out * (g if rng.random() < 0.5 else g.inverse())
+            g, g_inv = rng.choice(kgens)
+            out = out * (g if rng.random() < 0.5 else g_inv)
         return out
 
     for i in range(k_samples):

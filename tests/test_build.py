@@ -134,3 +134,54 @@ def test_catalog_names_all_buildable():
 def test_property_suite_on_catalog():
     for name in _concrete_catalog():
         assert_invariants(build.catalog_operator(name))
+
+
+def test_from_homomorphism_checks_every_pair_through_generators():
+    """All 64 maps S3 -> <(0 1)>: exactly the two homomorphisms (trivial and
+    sign) are accepted, as the check on every pair says."""
+    import itertools
+
+    G = families.parse_group_spec("S:3").group
+    A = G.subgroup([Perm.from_cycles(3, [(0, 1)])])
+    accepted = 0
+    for values in itertools.product(A.elements, repeat=G.order()):
+        phi = dict(zip(G.elements, values))
+        hom = all(phi[g * h] == phi[g] * phi[h] for g in G.elements for h in G.elements)
+        try:
+            build.from_homomorphism(G, phi, A)
+            accepted += 1
+            assert hom
+        except ConstructionError:
+            assert not hom
+    assert accepted == 2
+
+
+@pytest.mark.parametrize("spec, h_gens, l_gens, expected", [
+    ("S:3", [[(0, 1)]], [[(0, 1, 2)]], {True, False}),
+    ("S:3", [[(0, 1, 2)]], [[(0, 1)]], {True}),
+    ("A:4", [[(0, 1), (2, 3)], [(0, 2), (1, 3)]], [[(1, 2, 3)]], {True}),
+    ("A:4", [[(1, 2, 3)]], [[(0, 1), (2, 3)], [(0, 2), (1, 3)]], {True, False}),
+    ("S:4", [[(0, 1)], [(0, 1, 2)]], [[(0, 1), (2, 3)], [(0, 2), (1, 3)]], {True, False}),
+])
+def test_extend_over_factorization_normality_matches_exhaustive(spec, h_gens, l_gens, expected):
+    """Each operator C on L extends iff Im(C~) normalizes H element by element
+    (H normal in G in the middle two cases)."""
+    from oracles import normal_in
+    from rbgroups.classify import enumerate_rb
+
+    G = families.parse_group_spec(spec).group
+    n = G.degree
+    H = G.subgroup([Perm.from_cycles(n, c) for c in h_gens])
+    L = G.subgroup([Perm.from_cycles(n, c) for c in l_gens])
+    w = exact_factorization(G, H, L)
+    outcomes = set()
+    for C in enumerate_rb(L):
+        Ct = rbop.tilde(C)
+        normalizes = normal_in(H.elements, {Ct(l) for l in L.elements})
+        try:
+            B = build.extend_over_factorization(w, C)
+            assert normalizes and verify(B).ok
+        except ConstructionError:
+            assert not normalizes
+        outcomes.add(normalizes)
+    assert outcomes == expected

@@ -4,6 +4,7 @@ import pytest
 
 from rbgroups import build, classify, families, rbop
 from rbgroups.labels import iso_label
+from rbgroups.perm import closure, small_generating_tuple
 from rbgroups.rbop import descendent_group, graph, is_splitting, tilde
 
 
@@ -66,6 +67,64 @@ PINNED = {
     "S:4": (100, "6b65fe1204620c2eceead75fb5fb70d15267643dfaeadd53d111966c7038fe40"),
     "A:4": (18, "25249c57a5d32c3552a288d317bbebb2fe64259901cd9841a2e2bbb2dde98248"),
 }
+
+
+# small_generating_tuple of each pinned group, as canonical element indices,
+# recorded with the repeated breadth-first closures that grow() replaced.
+SMALL_GENERATING_TUPLES = {
+    "Z:1": (0,),
+    "Z:2": (1,),
+    "Z:3": (1,),
+    "Z:4": (1,),
+    "Z:5": (1,),
+    "Z:6": (1,),
+    "Z:7": (1,),
+    "Z:8": (1,),
+    "Z:9": (1,),
+    "Z:10": (1,),
+    "Z:11": (1,),
+    "Z:12": (1,),
+    "Z:13": (1,),
+    "Z:14": (1,),
+    "Z:15": (1,),
+    "Z:16": (1,),
+    "Z:17": (1,),
+    "Z:18": (1,),
+    "Z:19": (1,),
+    "Z:20": (1,),
+    "Z:21": (1,),
+    "Z:22": (1,),
+    "Z:23": (1,),
+    "Z:24": (1,),
+    "D:2": (1,),
+    "D:4": (1, 2),
+    "D:6": (3, 1),
+    "D:8": (3, 1),
+    "D:10": (3, 1),
+    "D:12": (3, 1),
+    "D:14": (3, 1),
+    "D:16": (3, 1),
+    "D:18": (3, 1),
+    "D:20": (3, 1),
+    "D:22": (3, 1),
+    "D:24": (3, 1),
+    "Q:8": (1, 4),
+    "Q:12": (1, 6),
+    "Q:16": (1, 8),
+    "Q:20": (1, 10),
+    "Q:24": (1, 12),
+    "S:3": (3, 1),
+    "S:4": (9, 10),
+    "A:4": (1, 4),
+}
+
+
+@pytest.mark.parametrize("spec", list(SMALL_GENERATING_TUPLES))
+def test_small_generating_tuple_is_pinned(spec):
+    G = families.parse_group_spec(spec).group
+    gens = small_generating_tuple(G)
+    assert tuple(G.index(g) for g in gens) == SMALL_GENERATING_TUPLES[spec]
+    assert closure(gens) == G.elements
 
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS)

@@ -3,6 +3,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -188,3 +189,23 @@ def test_readme_verify_output_is_pinned(command, tmp_path):
     path.write_text(text[: text.index("operator:")])
     code, out = run(["verify", str(path), "--verify-samples", "2000"])
     assert (code, _sha(out)) == (0, VERIFY_DIGESTS[command])
+
+
+@pytest.mark.slow
+def test_build_an_10_output_is_pinned():
+    """Budget 60 s; recorded before subgroups carried small generating sets."""
+    start = time.perf_counter()
+    code, text = run(["--seed", "5", "build-an", "--n", "10", "--verify-samples", "2000"])
+    assert time.perf_counter() - start < 60
+    assert code == 0 and text.endswith("verify: pass pairs=520400 seed=5\n")
+    assert _sha(text) == "4fd19f8abe0ffbffb38b006a692b83583ef063360e96d15f2e9f3620f343e980"
+
+
+@pytest.mark.slow
+def test_sharply3_q49_finishes():
+    """Budget 60 s; |M(q)| = q(q^2 - 1) = 117,600 for q = 49."""
+    start = time.perf_counter()
+    code, text = run(["sharply3", "--q", "49"])
+    assert time.perf_counter() - start < 60
+    assert code == 0
+    assert text.splitlines()[0] == "group: M(49) degree=50 order=117600 psl_index=2"

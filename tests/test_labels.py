@@ -1,0 +1,17 @@
+from rbgroups import families, transitive
+from rbgroups.labels import _is_perfect, iso_label
+from rbgroups.perm import FiniteGroup, Perm
+
+
+def test_is_perfect_takes_the_normal_closure():
+    """The commutators of the two 3-cycles alone generate a proper subgroup
+    of A5; their normal closure is A5."""
+    a5 = FiniteGroup.from_generators(
+        [Perm.from_cycles(5, [(0, 1, 2)]), Perm.from_cycles(5, [(2, 3, 4)])]
+    )
+    assert a5.order() == 60 and _is_perfect(a5)
+    assert _is_perfect(families.alternating(7).group)
+    psl = transitive.sharply3(9).psl
+    assert psl.order() == 360 and _is_perfect(psl)
+    assert not _is_perfect(families.symmetric(4).group)
+    assert iso_label(FiniteGroup.from_elements(psl.elements)) == "PSL(2,9)"

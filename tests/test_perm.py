@@ -10,6 +10,7 @@ from rbgroups.perm import (
     Perm,
     PermError,
     closure,
+    grow,
     exact_factorization,
     decompose,
     is_isomorphic,
@@ -195,3 +196,64 @@ def test_order_matches_cycle_lengths(a):
     p = Perm(a)
     assert p.cycles() == _ref_cycles(a)
     assert p.order() == math.lcm(*(len(cyc) for cyc in _ref_cycles(a)))
+
+
+# -- the generating-set grower against exhaustive oracles -------------------
+
+
+@pytest.mark.parametrize("spec", ["S:3", "D:8"])
+def test_subgroup_tests_match_pairwise_oracles(spec):
+    """Every subset containing e: 32 of S3, 128 of D8."""
+    from oracles import exhaustive_normal, pairwise_subgroup, subsets_with_identity
+    from rbgroups import families
+
+    G = families.parse_group_spec(spec).group
+    subgroups = 0
+    for S in subsets_with_identity(G):
+        is_sub = pairwise_subgroup(S)
+        assert G.is_subgroup(S) == is_sub
+        assert G.is_normal(S) == exhaustive_normal(G, S)
+        T = grow(sorted(S), G.identity, S)
+        assert (T is not None) == is_sub
+        H = FiniteGroup.from_elements(S)
+        if is_sub:
+            subgroups += 1
+            assert closure(T) == H.elements and H.generators == T
+        else:
+            assert H.generators == H.elements
+    assert subgroups == {"S:3": 6, "D:8": 10}[spec]
+
+
+def test_is_subgroup_needs_the_identity():
+    G = FiniteGroup.from_generators([Perm.from_cycles(3, [(0, 1, 2)])])
+    assert not G.is_subgroup(set(G.elements) - {G.identity})
+    assert not G.is_subgroup(set())
+    with pytest.raises(PermError):
+        G.is_subgroup({Perm.from_cycles(3, [(0, 1)])})
+
+
+def _count_products(monkeypatch):
+    calls = [0]
+    mul = Perm.__mul__
+
+    def counted(p, q):
+        calls[0] += 1
+        return mul(p, q)
+
+    monkeypatch.setattr(Perm, "__mul__", counted)
+    return calls
+
+
+def test_subgroup_tests_take_linear_products(monkeypatch):
+    """At most 8 |S| products: the pairwise test takes |S|^2 (6.35M on A7)."""
+    from rbgroups import families, transitive
+
+    A7 = families.alternating(7).group
+    psl = transitive.sharply3(9).psl
+    calls = _count_products(monkeypatch)
+    assert A7.is_subgroup(A7.elements)
+    assert calls[0] <= 8 * 2520
+    calls[0] = 0
+    H = FiniteGroup.from_elements(psl.elements)
+    assert calls[0] <= 8 * 360
+    assert closure(H.generators) == psl.elements

@@ -190,3 +190,90 @@ def test_a4_descendent_products_by_hand():
     assert descendent_group(B)[1] == "A4"
     assert is_splitting(Binv)
     assert descendent_group(Binv)[1] == "Z6xZ2"
+
+
+SMALL_SPECS = (
+    [f"Z:{n}" for n in range(1, 13)]
+    + [f"D:{n}" for n in range(2, 13, 2)]
+    + ["Q:8", "Q:12", "S:3", "A:4"]
+)
+
+
+@pytest.mark.parametrize("spec", SMALL_SPECS)
+def test_images_match_exhaustive_oracles(spec):
+    """The five image sets of every operator on a group of order <= 12:
+    each is a subgroup by the |S|^2 test and its generators generate exactly
+    it; _normal_in and the product formula agree with the exhaustive checks
+    on every ordered pair of the five."""
+    from oracles import normal_in, pairwise_subgroup, product_set
+    from rbgroups.perm import closure
+    from rbgroups.rbop import _normal_in
+
+    G = families.parse_group_spec(spec).group
+    for B in enumerate_rb(G):
+        data = images(B)
+        Bt = tilde(B)
+        assert set(data.im.elements) == {B(g) for g in G.elements}
+        assert set(data.ker_tilde.elements) == {g for g in G.elements if Bt(g).is_identity()}
+        five = (data.im, data.ker, data.im_tilde, data.ker_tilde, data.R)
+        for X in five:
+            assert pairwise_subgroup(X.elements)
+            assert closure(X.generators) == X.elements
+        assert product_set(data.im_tilde.elements, data.im.elements) == set(G.elements)
+        for X in five:
+            for Y in five:
+                assert _normal_in(X, Y) == normal_in(X.elements, Y.elements)
+                meet = set(X.elements) & set(Y.elements)
+                by_formula = X.order() * Y.order() == G.order() * len(meet)
+                assert by_formula == (product_set(X.elements, Y.elements) == set(G.elements))
+
+
+def _oracle_images_verdict(B):
+    """The first check of images() that fails on B, by exhaustive oracles;
+    "ok" when all hold."""
+    from oracles import normal_in, pairwise_subgroup, product_set
+
+    G, Bt = B.group, tilde(B)
+    im = {B(g) for g in G.elements}
+    ker = {g for g in G.elements if B(g).is_identity()}
+    im_t = {Bt(g) for g in G.elements}
+    ker_t = {g for g in G.elements if Bt(g).is_identity()}
+    R = im & im_t
+    for name, S in (("Im(B)", im), ("ker(B)", ker), ("Im(B~)", im_t), ("ker(B~)", ker_t)):
+        if not pairwise_subgroup(S):
+            return f"{name} is not a subgroup"
+    if not normal_in(ker_t, im):
+        return "ker(B~) is not normal in Im(B)"
+    if not normal_in(ker, im_t):
+        return "ker(B) is not normal in Im(B~)"
+    if product_set(im_t, im) != set(G.elements):
+        return "G != Im(B~) Im(B)"
+    if len(R) * len(ker_t) != len(im):
+        return "|R| != |Im(B):ker(B~)|"
+    if len(R) * len(ker) != len(im_t):
+        return "|R| != |Im(B~):ker(B)|"
+    return "ok"
+
+
+@pytest.mark.parametrize("spec", ["D:4", "S:3"])
+def test_images_verdicts_on_arbitrary_tables(spec):
+    """images() on every table with B(e) = e (256 on the Klein group, 7,776
+    on S3), operators or not, fails exactly where the exhaustive checks do."""
+    import collections
+    import itertools
+
+    G = families.parse_group_spec(spec).group
+    rest = [g for g in G.elements if not g.is_identity()]
+    verdicts = collections.Counter()
+    for values in itertools.product(G.elements, repeat=len(rest)):
+        table = dict(zip(rest, values))
+        table[G.identity] = G.identity
+        B = rbop.RBOperator(group=G, images=tuple(table[g] for g in G.elements))
+        try:
+            images(B)
+            got = "ok"
+        except InvalidOperator as exc:
+            got = str(exc)
+        assert got == _oracle_images_verdict(B)
+        verdicts[got] += 1
+    assert verdicts["ok"] == len(enumerate_rb(G))

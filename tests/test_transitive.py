@@ -156,6 +156,17 @@ def test_coset_indicator_is_a_homomorphism(n, variant):
             assert d[l1 * l2] == (d[l1] + d[l2]) % 2, (l1, l2)
 
 
+@pytest.mark.parametrize("n,variant", [(9, "S1"), (10, "default")])
+def test_structural_groups_are_generated_by_their_generators(n, variant):
+    """For n = 10, L = M(9) and S = PSL(2,9) are relabelled into the A_10
+    numbering together with their generators."""
+    from rbgroups.perm import closure
+
+    st = _an(n, variant).structural
+    for X in (st["im"], st["ker_tilde"]):
+        assert closure(X.generators, cap=X.order()) == X.elements
+
+
 def _tampered(field):
     B = _an(9)
     st = B.structural
