@@ -11,6 +11,7 @@ from typing import Callable, Optional
 from .labels import iso_label
 from .perm import FiniteGroup, PermError, automorphism_group
 from .rbop import (
+    OperatorImages,
     RBOperator,
     from_graph,
     from_table,
@@ -342,19 +343,27 @@ class ClassificationReport:
         return out
 
 
-def lemma3_shape(B: RBOperator) -> bool:
+def lemma3_shape(B: RBOperator, data: Optional[OperatorImages] = None) -> bool:
     """Whether B (or its companion) factors as G = ker(B)*Im(B) exactly
-    with the companion restricting to a homomorphism onto R on Im(B)."""
+    with the companion restricting to a homomorphism onto R on Im(B).  A
+    caller that already holds images(B) passes it as data; the companion's
+    images are the same five groups with the roles of B and B~ swapped,
+    and its companion is B, since B -> B~ is an involution."""
     from .perm import exact_factorization, homomorphism_failure
 
-    for C in (B, tilde(B)):
-        im = images(C)
+    if data is None:
+        data = images(B)
+    Bt = tilde(B)
+    swapped = OperatorImages(
+        im=data.im_tilde, ker=data.ker_tilde,
+        im_tilde=data.im, ker_tilde=data.ker, R=data.R,
+    )
+    for Ct, im in ((Bt, data), (B, swapped)):  # C = B, then C = B~; Ct its companion
         if not im.R.is_abelian():
             continue
-        w = exact_factorization(C.group, im.ker, im.im)
+        w = exact_factorization(B.group, im.ker, im.im)
         if not w.exact:
             continue
-        Ct = tilde(C)
         rset = im.R._element_set()
         if all(Ct(y) in rset for y in im.im.elements) and (
             homomorphism_failure(Ct, im.im) is None
@@ -371,10 +380,18 @@ def classify(G: FiniteGroup, cap: int = ENUMERATE_GUARANTEED) -> ClassificationR
     ops = enumerate_rb(G, cap=cap)
     split_flags = [is_splitting(B) for B in ops]
     classes = equivalence_classes(G, ops)
+    computed: dict[tuple, OperatorImages] = {}
+
+    def images_of(B: RBOperator) -> OperatorImages:
+        """images(B), computed once per operator table."""
+        if B.images not in computed:
+            computed[B.images] = images(B)
+        return computed[B.images]
+
     summaries = []
     for members in classes:
         rep = members[0]
-        im = images(rep)
+        im = images_of(rep)
         _, dlabel = descendent_group(rep)
         summaries.append(
             ClassSummary(
@@ -382,7 +399,7 @@ def classify(G: FiniteGroup, cap: int = ENUMERATE_GUARANTEED) -> ClassificationR
                 size=len(members),
                 splitting=is_splitting(rep),
                 r_label=iso_label(im.R),
-                kernel_labels=kernel_invariant(rep),
+                kernel_labels=kernel_invariant(rep, im),
                 descendent_label=dlabel,
             )
         )
@@ -402,9 +419,9 @@ def classify(G: FiniteGroup, cap: int = ENUMERATE_GUARANTEED) -> ClassificationR
             report.conformance["dihedral-odd-no-nonsplitting"] = not nonsplit
         else:
             ok_r = all(
-                iso_label(images(B).R) in ("Z2", "Z2xZ2") for B in nonsplit
+                iso_label(images_of(B).R) in ("Z2", "Z2xZ2") for B in nonsplit
             )
-            ok_shape = all(lemma3_shape(B) for B in nonsplit)
+            ok_shape = all(lemma3_shape(B, images_of(B)) for B in nonsplit)
             report.conformance["dihedral-even-R-small"] = ok_r
             report.conformance["dihedral-even-shape"] = ok_shape
     m = _QUATERNION.match(G.label or "")
@@ -412,6 +429,6 @@ def classify(G: FiniteGroup, cap: int = ENUMERATE_GUARANTEED) -> ClassificationR
         n = int(m.group(1)) // 4
         if n % 2:
             report.conformance["quaternion-odd-R-order-2"] = all(
-                images(B).R.order() == 2 for B in nonsplit
+                images_of(B).R.order() == 2 for B in nonsplit
             )
     return report

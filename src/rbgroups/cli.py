@@ -171,7 +171,7 @@ def _cmd_enumerate(args, out) -> int:
             rep = members[0]
             im = images(rep)
             _, dlabel = descendent_group(rep)
-            ki = kernel_invariant(rep)
+            ki = kernel_invariant(rep, im)
             out.write(
                 f"class: size={len(members)} "
                 f"splitting={'yes' if is_splitting(rep) else 'no'} "

@@ -339,9 +339,13 @@ def is_splitting(B: RBOperator) -> bool:
     return all(Bt(B(g)).is_identity() for g in B.group.elements)
 
 
-def kernel_invariant(B: RBOperator) -> tuple[str, str]:
-    """Unordered pair {label(ker B), label(ker B~)} as a sorted tuple."""
-    data = images(B)
+def kernel_invariant(
+    B: RBOperator, data: Optional[OperatorImages] = None
+) -> tuple[str, str]:
+    """Unordered pair {label(ker B), label(ker B~)} as a sorted tuple; a
+    caller that already holds images(B) passes it as data."""
+    if data is None:
+        data = images(B)
     return tuple(sorted((iso_label(data.ker), iso_label(data.ker_tilde))))
 
 

@@ -93,11 +93,12 @@ def check_invariants(B: RBOperator) -> list[tuple[str, bool]]:
 
 def check_invariants_sampled(B: RBOperator, seed: int = 7, samples: int = 50) -> list[tuple[str, bool]]:
     """Sampled variant of the ten properties for procedural operators."""
-    from rbgroups.transitive import _random_even
+    from rbgroups.transitive import even_sampler
 
     G = B.group
     rng = random.Random(seed)
-    singles = [_random_even(rng, G.degree) for _ in range(samples)]
+    draw = even_sampler(G.degree)
+    singles = [draw(rng) for _ in range(samples)]
     pairs = [(a, b) for a in singles[:20] for b in singles[:20]]
 
     results = []

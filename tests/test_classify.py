@@ -229,6 +229,36 @@ def test_lemma3_shape_on_d16_example():
     assert classify.lemma3_shape(B)
 
 
+def test_classify_computes_images_once_per_operator(monkeypatch):
+    """classify calls images once per distinct operator table it reports
+    on.  With the summary, kernel_invariant, the dihedral R check and
+    lemma3_shape each calling it, D:16 took 275 calls over these 105."""
+    tables = []
+    images = rbop.images
+
+    def counted(B):
+        tables.append(B.images)
+        return images(B)
+
+    monkeypatch.setattr(classify, "images", counted)
+    monkeypatch.setattr(rbop, "images", counted)
+    report = classify.classify(families.parse_group_spec("D:16").group)
+    assert all(report.conformance.values())
+    assert len(tables) == len(set(tables)) == 105
+
+
+@pytest.mark.parametrize("spec", ["S:3", "D:8", "Q:8", "D:12"])
+def test_companion_images_are_the_swapped_images(spec):
+    """lemma3_shape reads images(B~) off images(B) with the roles of B and
+    B~ swapped."""
+    def sets(d):
+        return [set(X.elements) for X in (d.im, d.ker, d.im_tilde, d.ker_tilde, d.R)]
+
+    for B in classify.enumerate_rb(families.parse_group_spec(spec).group):
+        im, ker, im_t, ker_t, R = sets(rbop.images(B))
+        assert sets(rbop.images(tilde(B))) == [im_t, ker_t, im, ker, R]
+
+
 def test_cap_guard():
     G = families.parse_group_spec("A:5").group
     with pytest.raises(classify.EnumerationCapExceeded):

@@ -1,5 +1,9 @@
+import collections
 import dataclasses
 import functools
+import itertools
+import math
+import random
 
 import pytest
 
@@ -211,6 +215,115 @@ def test_layer1_names_the_broken_precondition(field, message):
     v = verify_an_operator(_tampered(field), sample_count=10, seed=7)
     assert (v.ok, v.layer) == (False, 1)
     assert message in v.detail
+
+
+class _Ranks:
+    """A stub rng whose randrange(N) returns 0, 1, ..., N-1 in turn."""
+
+    def __init__(self):
+        self.next = 0
+
+    def randrange(self, total):
+        assert self.next < total
+        self.next += 1
+        return self.next - 1
+
+
+def _even_perms(n, points):
+    """Every even permutation of `points` fixing the other points of 0..n-1."""
+    out = set()
+    for imgs in itertools.permutations(points):
+        p = list(range(n))
+        for x, y in zip(points, imgs):
+            p[x] = y
+        if Perm(p).is_even():
+            out.add(Perm(p))
+    return out
+
+
+@pytest.mark.parametrize("points", [tuple(range(k)) for k in range(7)] + [(1, 3, 4, 6)])
+def test_even_sampler_hits_each_even_permutation_equally(points):
+    """All k! ranks in turn: each even permutation of the points comes out
+    twice for k >= 2 (once for k <= 1), and nothing else comes out."""
+    k = len(points)
+    for n in range(max(points, default=0) + 1, 9):
+        draw = transitive.even_sampler(n, None if points == tuple(range(n)) else points)
+        rng = _Ranks()
+        counts = collections.Counter(draw(rng) for _ in range(math.factorial(k)))
+        assert rng.next == math.factorial(k)
+        assert set(counts) == _even_perms(n, points), (n, points)
+        assert set(counts.values()) == {2 if k >= 2 else 1}, (n, points)
+
+
+def test_descendent_k_samples_lie_in_k(monkeypatch):
+    """Every K-sample is even and fixes the distinguished points, and the
+    samples are not one element over and over: 1,200 uniform draws from
+    |K| = 2,520 give about 955 distinct elements."""
+    drawn = []
+    sampler = transitive.even_sampler
+
+    def recording(n, points=None):
+        draw = sampler(n, points)
+
+        def rec(rng):
+            drawn.append(draw(rng))
+            return drawn[-1]
+
+        return rec
+
+    monkeypatch.setattr(transitive, "even_sampler", recording)
+    B = _an(9)
+    assert descendent_structure(B, k_samples=500, twist_samples=200, seed=7).ok
+    assert len(drawn) == 2 * 500 + 200
+    assert all(p.is_even() and p[7] == 7 and p[8] == 8 for p in drawn)
+    assert len(set(drawn)) > 800
+
+
+def test_descendent_catches_an_operator_corrupted_only_on_k():
+    """B'(k) = r for k in K of order 7.  S and L have no element of order
+    7, so only the K-sample loop can see the corruption; the first failing
+    sample is the first pair (h, h') with h of order 7 and r h' r != h'."""
+    B = _an(9)
+    st = B.structural
+    r, in_k = st["r"], transitive._fixes(st["distinguished"])
+    assert all(g.order() != 7 for g in st["im"].elements)
+    bad = dataclasses.replace(
+        B, proc=lambda g: r if in_k(g) and g.order() == 7 else B.proc(g)
+    )
+    rep = descendent_structure(bad, k_samples=500, twist_samples=200, seed=7)
+    assert not rep.ok
+    rng = random.Random(7)
+    draw = transitive.even_sampler(9, range(7))
+    for i in range(500):
+        h1, h2 = draw(rng), draw(rng)
+        if h1.order() == 7 and r * h2 * r != h2:
+            break
+    assert rep.detail == f"h o h' != h h' at sample {i}"
+    assert (rep.s_pairs, rep.k_samples, rep.twist_samples) == (36 * 36, i + 1, 0)
+
+
+def test_descendent_structure_takes_few_products(monkeypatch):
+    """At most 130,000 Perm products at the default 10,000 + 10,000 samples
+    (a K-element built as a word of 12 generators took 475,561)."""
+    from test_perm import _count_products
+
+    calls = _count_products(monkeypatch)
+    assert descendent_structure(build_an_operator(9)).ok
+    assert calls[0] <= 130_000
+
+
+def test_layer3_draws_one_rank_per_element(monkeypatch):
+    calls = [0]
+    randrange = random.Random.randrange
+
+    def counted(self, *args):
+        calls[0] += 1
+        return randrange(self, *args)
+
+    monkeypatch.setattr(random.Random, "randrange", counted)
+    v = verify_an_operator(_an(9), sample_count=1000, seed=7)
+    assert v.ok and v.pairs_sampled == 1000
+    assert calls[0] == 2 * 1000
 
 
 @pytest.mark.slow
