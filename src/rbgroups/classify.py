@@ -314,6 +314,33 @@ class ClassSummary:
     kernel_labels: tuple[str, str]
     descendent_label: str
 
+    def line(self, head: str) -> str:
+        return (
+            f"{head}: size={self.size} splitting={'yes' if self.splitting else 'no'}"
+            f" R={self.r_label} kernels={self.kernel_labels[0]},{self.kernel_labels[1]}"
+            f" descendent={self.descendent_label}"
+        )
+
+
+def summarize(
+    members: list[RBOperator], im: Optional[OperatorImages] = None
+) -> ClassSummary:
+    """The summary of one equivalence class, read off its first member.
+    A caller that already holds images(members[0]) passes it as im.  The
+    operator is splitting iff R is trivial (see rbop.is_splitting)."""
+    rep = members[0]
+    if im is None:
+        im = images(rep)
+    _, dlabel = descendent_group(rep)
+    return ClassSummary(
+        representative=rep,
+        size=len(members),
+        splitting=im.R.order() == 1,
+        r_label=iso_label(im.R),
+        kernel_labels=kernel_invariant(rep, im),
+        descendent_label=dlabel,
+    )
+
 
 @dataclass
 class ClassificationReport:
@@ -333,11 +360,7 @@ class ClassificationReport:
             f"classes: {len(self.classes)}",
         ]
         for i, c in enumerate(self.classes):
-            out.append(
-                f"class {i}: size={c.size} splitting={'yes' if c.splitting else 'no'}"
-                f" R={c.r_label} kernels={c.kernel_labels[0]},{c.kernel_labels[1]}"
-                f" descendent={c.descendent_label}"
-            )
+            out.append(c.line(f"class {i}"))
         for name in sorted(self.conformance):
             out.append(f"conformant[{name}]: {'yes' if self.conformance[name] else 'no'}")
         return out
@@ -388,21 +411,7 @@ def classify(G: FiniteGroup, cap: int = ENUMERATE_GUARANTEED) -> ClassificationR
             computed[B.images] = images(B)
         return computed[B.images]
 
-    summaries = []
-    for members in classes:
-        rep = members[0]
-        im = images_of(rep)
-        _, dlabel = descendent_group(rep)
-        summaries.append(
-            ClassSummary(
-                representative=rep,
-                size=len(members),
-                splitting=is_splitting(rep),
-                r_label=iso_label(im.R),
-                kernel_labels=kernel_invariant(rep, im),
-                descendent_label=dlabel,
-            )
-        )
+    summaries = [summarize(members, images_of(members[0])) for members in classes]
     report = ClassificationReport(
         group_label=G.label or f"G{G.order()}",
         total=len(ops),

@@ -17,6 +17,7 @@ from .classify import (
     classify,
     enumerate_rb,
     equivalence_classes,
+    summarize,
 )
 from .labels import iso_label
 from .perm import PermError
@@ -73,8 +74,6 @@ def _build_parser() -> _Parser:
     e.add_argument("group")
     e.add_argument("--up-to-equivalence", action="store_true")
     e.add_argument("--max-order", type=int, default=ENUMERATE_GUARANTEED)
-    e.add_argument("--max-square-order", type=int, default=None,
-                   help="cap on |GxG| (overrides --max-order when set)")
 
     k = sub.add_parser("classify", help="classification report")
     k.add_argument("group", nargs="?")
@@ -134,7 +133,7 @@ def _operator_line(B: RBOperator) -> str:
     im = images(B)
     return (
         f"op: {' '.join(str(i) for i in B.table_key())} | splitting="
-        f"{'yes' if is_splitting(B) else 'no'} R={iso_label(im.R)}"
+        f"{'yes' if im.R.order() == 1 else 'no'} R={iso_label(im.R)}"
     )
 
 
@@ -160,24 +159,12 @@ def _cmd_construct(args, out) -> int:
 
 def _cmd_enumerate(args, out) -> int:
     G = families.parse_group_spec(args.group).group
-    cap = args.max_order
-    if args.max_square_order is not None:
-        cap = int(args.max_square_order ** 0.5)
-    ops = enumerate_rb(G, cap=cap)
+    ops = enumerate_rb(G, cap=args.max_order)
     if args.up_to_equivalence:
         classes = equivalence_classes(G, ops)
         out.write(f"group: {G.label} operators: {len(ops)} classes: {len(classes)}\n")
         for members in classes:
-            rep = members[0]
-            im = images(rep)
-            _, dlabel = descendent_group(rep)
-            ki = kernel_invariant(rep, im)
-            out.write(
-                f"class: size={len(members)} "
-                f"splitting={'yes' if is_splitting(rep) else 'no'} "
-                f"R={iso_label(im.R)} kernels={ki[0]},{ki[1]} "
-                f"descendent={dlabel}\n"
-            )
+            out.write(summarize(members).line("class") + "\n")
     else:
         out.write(f"group: {G.label} operators: {len(ops)}\n")
         for B in ops:
@@ -228,12 +215,11 @@ def _cmd_build_an(args, out) -> int:
     B = build_an_operator(args.n, args.variant)
     if args.dump:
         out.write(serialize.format_operator(B))
-    st = B.structural
     im = images(B)
     out.write(
         f"operator: {B.provenance} ker={iso_label(im.ker)} "
         f"ker_tilde={iso_label(im.ker_tilde)} |R|={im.R.order()} "
-        f"splitting={'yes' if is_splitting(B) else 'no'}\n"
+        f"splitting={'yes' if im.R.order() == 1 else 'no'}\n"
     )
     lv = verify_an_operator(B, sample_count=args.verify_samples, seed=args.seed)
     out.write(lv.line() + "\n")

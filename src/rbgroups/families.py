@@ -14,12 +14,6 @@ from .perm import FiniteGroup, Perm, PermError
 
 
 @dataclass(frozen=True)
-class GroupSpec:
-    family: str  # cyclic | dihedral | generalized_quaternion | symmetric | alternating | klein
-    parameter: int
-
-
-@dataclass(frozen=True)
 class BuiltGroup:
     group: FiniteGroup
     r: Optional[Perm] = None
@@ -157,25 +151,6 @@ def alternating_on_points(degree: int, points: list[int], enumerate_cap: int = 0
     if 0 < order <= enumerate_cap:
         return FiniteGroup.from_generators(gens, cap=order, label=f"A{k}")
     return FiniteGroup.generator_only(degree, gens, order=order, label=f"A{k}")
-
-
-_FAMILIES = {
-    "cyclic": cyclic,
-    "dihedral": dihedral,
-    "generalized_quaternion": generalized_quaternion,
-    "symmetric": symmetric,
-    "alternating": alternating,
-}
-
-
-def build(spec: GroupSpec) -> BuiltGroup:
-    if spec.family == "klein":
-        return klein()
-    try:
-        fn = _FAMILIES[spec.family]
-    except KeyError:
-        raise PermError(f"unknown family {spec.family!r}") from None
-    return fn(spec.parameter)
 
 
 def parse_group_spec(text: str) -> BuiltGroup:

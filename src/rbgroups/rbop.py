@@ -132,9 +132,11 @@ def trivial_inv(G: FiniteGroup) -> RBOperator:
     return from_table(G, tuple(e.inverse() for e in G.elements), provenance="B_inv", check=False)
 
 
-def check_pair(B: RBOperator, g: Perm, h: Perm) -> bool:
-    """The defining identity B(g) B(h) = B(g o h) at the pair (g, h)."""
-    bg = B(g)
+def check_pair(B: RBOperator, g: Perm, h: Perm, bg: Optional[Perm] = None) -> bool:
+    """The defining identity B(g) B(h) = B(g o h) at the pair (g, h); a
+    caller that already holds B(g) passes it as bg."""
+    if bg is None:
+        bg = B(g)
     return bg * B(h) == B(circ(B, g, h, bg))
 
 

@@ -5,6 +5,7 @@ on large alternating groups built from them."""
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -12,7 +13,7 @@ from typing import Callable, Optional, Sequence
 from . import families
 from .build import ConstructionError, check_index2, index2_body
 from .gf import FiniteField, make_field, prime_factors, prime_power
-from .perm import FiniteGroup, Perm, PermError
+from .perm import FiniteGroup, Perm
 from .rbop import RBOperator, check_pair, circ
 
 DEFAULT_SAMPLES = 100_000
@@ -30,17 +31,13 @@ class TransitiveError(ValueError):
 @dataclass
 class SharplyTransitiveGroup:
     degree: int
-    field: FiniteField
     group: FiniteGroup
     transitivity_degree: int
-    a: Optional[Perm] = None
-    b: Optional[Perm] = None
     n_part: Optional[FiniteGroup] = None  # <a, b>
     s1: Optional[FiniteGroup] = None  # F.<a, b^2>, index 2 in L
     s2: Optional[FiniteGroup] = None  # F.<a^2, b>
     s3: Optional[FiniteGroup] = None  # F.<a^2, ab>
     psl: Optional[FiniteGroup] = None  # index-2 subgroup, degree-3 case
-    twist: Optional[Perm] = None
 
 
 def _translation(F: FiniteField, c: int) -> Perm:
@@ -51,45 +48,23 @@ def _scale(F: FiniteField, c: int) -> Perm:
     return Perm(F.mul(c, x) for x in range(F.size))
 
 
-def pair_table(
-    L: FiniteGroup, alpha: int, beta: int
-) -> dict[tuple[int, int], Perm]:
-    """Ordered point pair (gamma, delta) -> the unique l with
-    alpha -> gamma, beta -> delta.  Total iff L is sharply 2-transitive."""
-    if alpha == beta:
-        raise TransitiveError("pair_table needs two distinct points")
-    table: dict[tuple[int, int], Perm] = {}
+def transporter_table(L: FiniteGroup, points: tuple[int, ...]) -> dict[tuple, Perm]:
+    """The images of the distinct `points` under l, read by
+    operator.itemgetter(*points) -> the unique l with those images.
+    Total iff L is sharply k-transitive, k = len(points): it then has one
+    key for each of the n!/(n-k)! ordered k-tuples of distinct points."""
+    if len(set(points)) != len(points):
+        raise TransitiveError("a transporter table needs distinct points")
+    key = operator.itemgetter(*points)
+    table: dict[tuple, Perm] = {}
     for l in L.elements:
-        key = (l[alpha], l[beta])
-        if key in table:
-            raise TransitiveError(f"two transporters for pair {key}: sharpness fails")
-        table[key] = l
-    n = L.degree
-    if len(table) != n * (n - 1):
-        raise TransitiveError(
-            f"transporter table covers {len(table)} of {n * (n - 1)} pairs"
-        )
-    return table
-
-
-def triple_table(
-    L: FiniteGroup, alpha: int, beta: int, gamma: int
-) -> dict[tuple[int, int, int], Perm]:
-    """Ordered distinct point triple -> the unique transporter from
-    (alpha, beta, gamma)."""
-    if len({alpha, beta, gamma}) != 3:
-        raise TransitiveError("triple_table needs three distinct points")
-    table: dict[tuple[int, int, int], Perm] = {}
-    for l in L.elements:
-        key = (l[alpha], l[beta], l[gamma])
-        if key in table:
-            raise TransitiveError(f"two transporters for triple {key}: sharpness fails")
-        table[key] = l
-    n = L.degree
-    if len(table) != n * (n - 1) * (n - 2):
-        raise TransitiveError(
-            f"transporter table covers {len(table)} of {n*(n-1)*(n-2)} triples"
-        )
+        k = key(l)
+        if k in table:
+            raise TransitiveError(f"two transporters for {k}: sharpness fails")
+        table[k] = l
+    need = math.perm(L.degree, len(points))
+    if len(table) != need:
+        raise TransitiveError(f"transporter table covers {len(table)} of {need} tuples")
     return table
 
 
@@ -131,7 +106,7 @@ def sharply2(m: int, q: int, t: int) -> SharplyTransitiveGroup:
         raise TransitiveError(
             f"|L| = {L.order()}, expected n(n-1) = {n*(n-1)}: field defect"
         )
-    pair_table(L, 0, 1)  # sharpness
+    transporter_table(L, (0, 1))  # sharpness
     # Frobenius twist relation b^-1 a b = a^q
     apow = L.identity
     for _ in range(q):
@@ -141,11 +116,8 @@ def sharply2(m: int, q: int, t: int) -> SharplyTransitiveGroup:
 
     st = SharplyTransitiveGroup(
         degree=n,
-        field=F,
         group=L,
         transitivity_degree=2,
-        a=a,
-        b=b,
         n_part=L.subgroup([a, b], label=f"N({m},{q},{t})"),
     )
     if q % 4 == 3 and m % 4 == 2:
@@ -167,8 +139,25 @@ def sharply2(m: int, q: int, t: int) -> SharplyTransitiveGroup:
 
 def sharply3(q: int) -> SharplyTransitiveGroup:
     """M(q) = PSL2(q).2 on the projective line over GF(q), q = p^(2e)
-    with p odd; the twisting generator x -> c x^(p^e) is searched and
-    validated, never assumed."""
+    with p odd, numbered as the points of A_(q+1): field element x is
+    point (x - 2) mod q and infinity is point q, so (0, 1, infinity) are
+    the largest three points.  The twisting generator tau: x -> c x^(p^e)
+    is searched and validated, never assumed.
+
+    PSL2(q) is closed once.  A candidate tau is kept when every generator
+    is even, tau is not in PSL2, tau^2 is in PSL2 and tau^-1 g tau is in
+    PSL2 for each generator g of PSL2; then M(q) = PSL2 u PSL2 tau, and
+    it must be sharply 3-transitive.  These tests keep exactly the tau
+    whose closure <PSL2, tau> has order 2|PSL2| = q(q^2 - 1).  If the
+    conjugates of the generators lie in PSL2, conjugation by tau maps PSL2
+    into itself, hence onto it, so tau normalizes PSL2 and <PSL2, tau> is
+    the union of the cosets PSL2 tau^i; with tau^2 in PSL2 that is
+    PSL2 u PSL2 tau, disjoint as tau is not in PSL2, of order 2|PSL2|.
+    Conversely, a group of order 2|PSL2| containing PSL2 and tau has PSL2
+    of index 2: PSL2 is normal in it, tau is outside PSL2 (else the group
+    is PSL2), and the quotient is Z2, so tau^2 lies in PSL2.  So, walking
+    c in the same order, these tests pick the same tau as closing
+    <PSL2, tau> for each candidate and testing its order would."""
     pp = prime_power(q)
     if pp is None:
         raise TransitiveError(f"q = {q} is not a prime power")
@@ -181,20 +170,21 @@ def sharply3(q: int) -> SharplyTransitiveGroup:
 
     F = make_field(p, k)
     n = q + 1
-    INF = q  # projective point at infinity
+    INF = q  # infinity after the q field elements
+    point = [(x - 2) % q for x in range(q)] + [INF]
 
-    def proj(fmap) -> Perm:
-        """Lift x -> fmap(x) on field points, fixing infinity."""
-        return Perm(list(fmap) + [INF])
+    def proj(fmap: Sequence[int]) -> Perm:
+        """x -> fmap[x] on the field elements, fixing infinity, on the
+        A_(q+1) points."""
+        imgs = [INF] * n
+        for x, y in enumerate(fmap):
+            imgs[point[x]] = point[y]
+        return Perm(imgs)
 
     add1 = proj([F.add(x, F.one) for x in range(q)])
     w2 = F.pow(F.w, 2)
     scale2 = proj([F.mul(w2, x) for x in range(q)])
-    neginv = [0] * (q + 1)
-    for x in range(q):
-        neginv[x] = F.neg(F.inv(x)) if x != F.zero else INF
-    neginv[INF] = F.zero
-    neginv = Perm(neginv)
+    neginv = proj([F.neg(F.inv(x)) if x != F.zero else INF for x in range(q)] + [F.zero])
     psl_gens = [add1, scale2, neginv]
     psl_order = q * (q * q - 1) // 2
     psl = FiniteGroup.from_generators(psl_gens, cap=psl_order, label=f"PSL2({q})")
@@ -206,42 +196,42 @@ def sharply3(q: int) -> SharplyTransitiveGroup:
             x = F.frobenius(x)
         return x
 
-    target = n * (n - 1) * (n - 2)
     failures = []
     for c in range(1, q):
-        twist = proj([F.mul(c, semi(x)) for x in range(q)])
+        tau = proj([F.mul(c, semi(x)) for x in range(q)])
+        name = f"c={F.format_element(c)}"
+        if not all(g.is_even() for g in psl_gens + [tau]):
+            failures.append(f"{name}: odd generator")
+            continue
+        if not _doubles(psl, tau):
+            failures.append(f"{name}: <PSL2, tau> does not have order 2|PSL2|")
+            continue
+        L = FiniteGroup.from_elements(
+            psl.elements + tuple(g * tau for g in psl.elements),
+            generators=psl_gens + [tau],
+            label=f"M({q})",
+        )
         try:
-            L = FiniteGroup.from_generators(
-                psl_gens + [twist], cap=target, label=f"M({q})"
-            )
-        except PermError:
-            failures.append(f"c={F.format_element(c)}: closure exceeds {target}")
-            continue
-        if L.order() != target:
-            failures.append(f"c={F.format_element(c)}: order {L.order()} != {target}")
-            continue
-        if not all(g.is_even() for g in (add1, scale2, neginv, twist)):
-            failures.append(f"c={F.format_element(c)}: odd generator")
-            continue
-        # PSL2 = <psl_gens> lies in L when its generators do
-        if 2 * psl.order() != L.order() or not all(g in L for g in psl.generators):
-            failures.append(f"c={F.format_element(c)}: PSL2 index is not 2")
-            continue
-        try:
-            triple_table(L, 0, 1, INF)
+            transporter_table(L, (n - 3, n - 2, n - 1))
         except TransitiveError as exc:
-            failures.append(f"c={F.format_element(c)}: {exc}")
+            failures.append(f"{name}: {exc}")
             continue
         return SharplyTransitiveGroup(
-            degree=n,
-            field=F,
-            group=L,
-            transitivity_degree=3,
-            psl=psl,
-            twist=twist,
+            degree=n, group=L, transitivity_degree=3, psl=psl
         )
     raise TransitiveError(
         "no twisting candidate validates: " + "; ".join(failures)
+    )
+
+
+def _doubles(psl: FiniteGroup, tau: Perm) -> bool:
+    """Whether <psl, tau> = psl u psl tau with psl of index 2: tau is
+    outside psl, tau^2 is inside, and tau conjugates each generator of psl
+    into psl.  Equivalent to |<psl, tau>| = 2|psl| (proof in sharply3)."""
+    return (
+        tau not in psl
+        and tau * tau in psl
+        and all(g.conj(tau) in psl for g in psl.generators)
     )
 
 
@@ -323,11 +313,14 @@ def build_an_operator(n: int, variant: str = "default") -> RBOperator:
     A_n = K L with L sharply 2- or 3-transitive: B(k t^d y) = l^-1 r^d.
 
     The distinguished points are the largest two (case a) or three
-    (case b) point indices; r is the least involution of S = ker(B~)
-    stabilizing the distinguished set.  K is the pointwise stabilizer of
-    the distinguished points, and the L-part of x is read off the images
-    of those points by the transporter table; build.check_index2 and
-    build.index2_body do the rest, as for table operators."""
+    (case b) point indices.  sharply3 builds M(q) on the A_n numbering
+    with (0, 1, infinity) on those three points, so past the choice of
+    L, S and the distinguished points both cases run the same code.  r is
+    the least involution of S = ker(B~) stabilizing the distinguished set.
+    K is the pointwise stabilizer of the distinguished points, and the
+    L-part of x is read off the images of those points by one
+    transporter_table lookup; build.check_index2 and build.index2_body do
+    the rest, as for table operators."""
     if variant not in VARIANTS:
         raise TransitiveError(f"variant must be one of {VARIANTS}")
     v = admissible(n)
@@ -340,40 +333,20 @@ def build_an_operator(n: int, variant: str = "default") -> RBOperator:
 
     if v.case == "a":
         st = sharply2(v.m, v.q, 1)
-        L = st.group
         S = {"S1": st.s1, "S2": st.s2, "S3": st.s3, "default": st.s1}[variant]
         distinguished = (n - 2, n - 1)
-        table = pair_table(L, *distinguished)
-
-        def decompose_l(x: Perm) -> Perm:
-            return table[(x[distinguished[0]], x[distinguished[1]])]
-
     else:
         if variant != "default":
             raise TransitiveError("variants apply only to the q^m case")
         st = sharply3(v.q ** v.m)
-        L = st.group
         S = st.psl
         distinguished = (n - 3, n - 2, n - 1)
-        # the projective line is relabelled so that (0, 1, infinity)
-        # become the three largest A_n points
-        natural = (0, 1, n - 1)  # 0, 1, INF in the builder's numbering
-        relabeling = _relabel_perm(n, natural, distinguished)
+    L = st.group
+    table = transporter_table(L, distinguished)
+    key = operator.itemgetter(*distinguished)
 
-        def relabel(X: FiniteGroup) -> FiniteGroup:
-            # conjugation is an automorphism, so it carries generators of X
-            # to generators of the relabelled group
-            return FiniteGroup.from_elements(
-                [g.conj(relabeling) for g in X.elements],
-                generators=[g.conj(relabeling) for g in X.generators],
-                label=X.label,
-            )
-
-        L, S = relabel(L), relabel(S)
-        table3 = triple_table(L, *distinguished)
-
-        def decompose_l(x: Perm) -> Perm:
-            return table3[(x[distinguished[0]], x[distinguished[1]], x[distinguished[2]])]
+    def decompose_l(x: Perm) -> Perm:
+        return table[key(x)]
 
     sset = S._element_set()
     rs = _involutions_stabilizing(S, distinguished)
@@ -421,28 +394,6 @@ def _fixes(points: tuple[int, ...]) -> Callable[[Perm], bool]:
     """Membership test for K = Alt(the other points): the even
     permutations that fix every distinguished point."""
     return lambda x: all(x[i] == i for i in points)
-
-
-def _relabel_perm(n: int, src: tuple[int, ...], dst: tuple[int, ...]) -> Perm:
-    """An even permutation of n points carrying each src point to the
-    matching dst point."""
-    mapping = list(range(n))
-    used = {}
-    for s, d in zip(src, dst):
-        used[s] = d
-    # complete to a bijection: send displaced targets back greedily
-    remaining_src = [i for i in range(n) if i not in used]
-    remaining_dst = [i for i in range(n) if i not in used.values()]
-    for s, d in zip(remaining_src, remaining_dst):
-        used[s] = d
-    perm = Perm(used[i] for i in range(n))
-    if not perm.is_even():
-        # swap two non-distinguished images to fix parity
-        imgs = list(perm)
-        i1, i2 = [i for i in range(n) if imgs[i] not in dst][:2]
-        imgs[i1], imgs[i2] = imgs[i2], imgs[i1]
-        perm = Perm(imgs)
-    return perm
 
 
 # -- verification layers ---------------------------------------------------
@@ -553,9 +504,10 @@ def verify_an_operator(
     # layer 2: exhaustive over L x L
     exhaustive = 0
     for g in L.elements:
+        bg = B(g)
         for h in L.elements:
             exhaustive += 1
-            if not check_pair(B, g, h):
+            if not check_pair(B, g, h, bg):
                 return fail(2, f"identity fails at L-pair ({g!r}, {h!r})")
 
     # layer 3: seeded random pairs from the whole group

@@ -118,6 +118,7 @@ def test_usage_errors_exit_64():
         ["classify", "--no-such-flag", "D:6"],
         [],
         ["--format", "records", "classify", "D:6"],
+        ["enumerate", "D:8", "--max-square-order", "64"],
     ):
         code, _ = run(argv)
         assert code == 64
@@ -129,6 +130,7 @@ def test_precondition_errors_exit_1():
         ["build-an", "--n", "25"],
         ["construct", "--example", "nope"],
         ["classify", "D:7"],
+        ["sharply3", "--q", "25"],  # M(25) does not lie in A_26
     ):
         code, _ = run(argv)
         assert code == 1

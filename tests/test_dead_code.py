@@ -1,9 +1,11 @@
 """Guard against dead code in the package, by static reading only.
 
 A module of src/rbgroups may not import a name it never uses, and every
-module-level name defined there must be referenced somewhere in src/ or
-tests/ other than by its own definition.  Names listed in
-rbgroups.__all__ count as used.
+module-level name X defined in a module M must be live.  X is live when
+a top-level statement of M that defines no name reads it, when another
+module or a test refers to it as M.X or imports it from M (so every name
+rbgroups/__init__.py re-exports is live), or when the definition of a
+live name of M reads it.
 """
 
 import ast
@@ -30,26 +32,36 @@ def _loaded_names(tree):
     return out
 
 
-def _exported():
-    tree = ast.parse((PACKAGE / "__init__.py").read_text())
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            return set(ast.literal_eval(node.value))
-    return set()
+def _defined(stmt):
+    """The names a module-level statement defines: functions, classes and
+    assigned names."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        yield stmt.name
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        for t in targets:
+            if isinstance(t, ast.Name) and not t.id.startswith("__"):
+                yield t.id
 
 
-def _defined(tree):
-    """Module-level functions, classes and assigned names."""
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node.name
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            for t in targets:
-                if isinstance(t, ast.Name) and not t.id.startswith("__"):
-                    yield t.id
+def _external_references(modules):
+    """(module, name) for every M.X attribute read, rbgroups.M.X included,
+    and every name imported from a module M of the package."""
+    out = set()
+    for _, tree in _trees(ROOT / "src", ROOT / "tests"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                if node.level == 1 or node.module.startswith("rbgroups."):
+                    module = node.module.removeprefix("rbgroups.")
+                    out |= {(module, alias.name) for alias in node.names}
+            elif isinstance(node, ast.Attribute):
+                value = node.value
+                if isinstance(value, ast.Attribute) and isinstance(value.value, ast.Name):
+                    if value.value.id == "rbgroups":
+                        out.add((value.attr, node.attr))
+                elif isinstance(value, ast.Name) and value.id in modules:
+                    out.add((value.id, node.attr))
+    return out
 
 
 def test_no_unused_imports():
@@ -70,13 +82,25 @@ def test_no_unused_imports():
 
 
 def test_every_module_level_name_is_referenced():
-    referenced = set(_exported())
-    for _, tree in _trees(ROOT / "src", ROOT / "tests"):
-        referenced |= _loaded_names(tree)
-    dead = [
-        f"{path.name}: {name}"
-        for path, tree in _trees(PACKAGE)
-        for name in _defined(tree)
-        if name not in referenced
-    ]
+    trees = {path.stem: tree for path, tree in _trees(PACKAGE)}
+    external = _external_references(set(trees))
+    dead = []
+    for module, tree in trees.items():
+        uses = {}  # defined name -> names its definition reads
+        live = set()
+        for stmt in tree.body:
+            names = list(_defined(stmt))
+            for name in names:
+                uses.setdefault(name, set()).update(_loaded_names(stmt))
+            if not names:
+                live |= _loaded_names(stmt)
+        live &= set(uses)
+        live |= {x for x in uses if (module, x) in external}
+        todo = list(live)
+        while todo:
+            for x in uses[todo.pop()] & set(uses):
+                if x not in live:
+                    live.add(x)
+                    todo.append(x)
+        dead += [f"{module}.py: {x}" for x in uses if x not in live]
     assert not dead, dead

@@ -1,15 +1,18 @@
 import collections
 import dataclasses
 import functools
+import hashlib
 import itertools
 import math
 import random
+import time
 
 import pytest
 
 from invariants import check_invariants_sampled
-from rbgroups import rbop, transitive
-from rbgroups.perm import FiniteGroup, Perm
+from rbgroups import families, rbop, serialize, transitive
+from rbgroups.gf import make_field, prime_power
+from rbgroups.perm import FiniteGroup, Grower, Perm
 from rbgroups.labels import iso_label
 from rbgroups.transitive import (
     TransitiveError,
@@ -87,6 +90,80 @@ def test_sharply3_gf9():
     assert all(g.is_even() for g in sg.group.generators)
 
 
+def test_sharply3_is_the_l_of_build_an():
+    """M(9) comes out on the A_10 numbering that build_an_operator uses."""
+    assert sharply3(9).group.elements == _an(10).structural["im"].elements
+
+
+def _check_twist_screen(q):
+    """transitive._doubles(PSL2(q), tau) against the closure oracle
+    |<PSL2 gens, tau>| = 2|PSL2|, for tau: x -> c x^(p^e) at every c and
+    for two controls: an element of PSL2 (closure of order |PSL2|) and
+    the involution (0 1)(2 3), which fixes too many points to normalize
+    PSL2 (closure past 2|PSL2|).  Everything is rebuilt from gf on the
+    plain numbering, field element x at point x and infinity at q.
+
+    The oracle runs closure(gens + [tau])'s Dimino steps: the steps for
+    gens, which close PSL2 and do not depend on tau, run once, and each
+    tau is added to a copy of their result."""
+    p, k = prime_power(q)
+    F = make_field(p, k)
+
+    def proj(images):
+        return Perm(list(images) + [q])
+
+    def semi(x):
+        for _ in range(k // 2):
+            x = F.frobenius(x)
+        return x
+
+    gens = [
+        proj(F.add(x, 1) for x in range(q)),
+        proj(F.mul(F.pow(F.w, 2), x) for x in range(q)),
+        Perm([F.neg(F.inv(x)) if x else q for x in range(q)] + [0]),
+    ]
+    target = q * (q * q - 1)  # 2|PSL2|
+    base = Grower(Perm.identity(q + 1), cap=target)
+    for g in gens:
+        assert g in base.members or base.add(g)
+    psl = FiniteGroup.from_elements(base.elements, generators=gens)
+    assert 2 * psl.order() == target
+    taus = [proj(F.mul(c, semi(x)) for x in range(q)) for c in range(1, q)]
+    taus += [gens[0] * gens[2], Perm.from_cycles(q + 1, [(0, 1), (2, 3)])]
+    verdicts = []
+    for tau in taus:
+        grown = Grower(base.elements[0], cap=target)
+        grown.elements, grown.members = list(base.elements), set(base.members)
+        grown.gens = list(base.gens)
+        closed = tau in grown.members or grown.add(tau)
+        doubles = closed and len(grown.elements) == target
+        assert transitive._doubles(psl, tau) == doubles, tau
+        verdicts.append(doubles)
+    assert verdicts[-2:] == [False, False]
+
+
+@pytest.mark.parametrize("q", [9, 25])
+def test_twist_screen_matches_closure_oracle(q):
+    _check_twist_screen(q)
+
+
+@pytest.mark.slow
+def test_twist_screen_matches_closure_oracle_q49():
+    _check_twist_screen(49)
+
+
+def test_transporter_table_rejects_two_transporters():
+    S4 = families.symmetric(4).group
+    with pytest.raises(TransitiveError, match="two transporters"):
+        transitive.transporter_table(S4, (0, 1))
+
+
+def test_transporter_table_rejects_too_few_keys():
+    """PSL2(9) moves no triple twice but reaches only 360 of 720."""
+    with pytest.raises(TransitiveError, match="covers 360 of 720"):
+        transitive.transporter_table(sharply3(9).psl, (7, 8, 9))
+
+
 def test_sharply3_rejects_odd_exponent():
     with pytest.raises(TransitiveError):
         sharply3(3)
@@ -162,13 +239,38 @@ def test_coset_indicator_is_a_homomorphism(n, variant):
 
 @pytest.mark.parametrize("n,variant", [(9, "S1"), (10, "default")])
 def test_structural_groups_are_generated_by_their_generators(n, variant):
-    """For n = 10, L = M(9) and S = PSL(2,9) are relabelled into the A_10
-    numbering together with their generators."""
+    """For n = 10, L = M(9) and S = PSL(2,9) are built directly on the
+    A_10 numbering, generators included."""
     from rbgroups.perm import closure
 
     st = _an(n, variant).structural
     for X in (st["im"], st["ker_tilde"]):
         assert closure(X.generators, cap=X.order()) == X.elements
+
+
+# sha256 of serialize.format_operator(build_an_operator(n)), recorded while
+# case b still conjugated M(q) and PSL2(q) into the A_n numbering
+AN_DUMP_DIGESTS = {
+    10: "b9f2a43d203b55b0c0c629c05e8b23d7dabd700a3cc7b19e45ec9924e2d79282",
+    50: "07ab1a2b2c945fafc61e1c3174cfb74db13057c853f64811273746d7c1b4f3f1",
+}
+
+
+def _dump_digest(n):
+    dump = serialize.format_operator(build_an_operator(n))
+    return hashlib.sha256(dump.encode()).hexdigest()
+
+
+def test_build_an_10_dump_is_pinned():
+    assert _dump_digest(10) == AN_DUMP_DIGESTS[10]
+
+
+@pytest.mark.slow
+def test_build_an_50_dump_is_pinned():
+    """Budget 60 s."""
+    start = time.perf_counter()
+    assert _dump_digest(50) == AN_DUMP_DIGESTS[50]
+    assert time.perf_counter() - start < 60
 
 
 def _tampered(field):
