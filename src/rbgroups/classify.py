@@ -3,13 +3,12 @@ classes under the graph action, and classification reports."""
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .labels import iso_label
-from .perm import FiniteGroup, PermError, automorphism_group
+from .perm import FiniteGroup, Grower, PermError, automorphism_group
 from .rbop import (
     OperatorImages,
     RBOperator,
@@ -31,150 +30,151 @@ class EnumerationCapExceeded(PermError):
     pass
 
 
-# -- generic bottom-up subgroup search -------------------------------------
+# -- operator enumeration via sections of the subgroup lattice -------------
 
 
-def _extend(
-    h_mask: int,
-    h_elems: list[int],
-    h_gens: list[int],
-    x: int,
-    cols: list[list[int]],
-    max_size: int,
-    forbidden: frozenset[int],
-) -> Optional[tuple[int, list[int], list[int]]]:
-    """K = <H, x> for a subgroup H = <h_gens>, as (mask, elems, gens); None
-    once K grows past max_size or touches a forbidden element.  cols[y][x]
-    is the index of the product x*y.
+def _subgroups(identity: int, n: int, times) -> list[tuple[int, Grower]]:
+    """Every subgroup of the group on the indices 0..n-1 with product
+    `times`, as (element mask, Grower), by cyclic extension from the
+    trivial subgroup.
 
-    Dimino's method: K is built as a union of right cosets H*r, starting
-    from H = H*e.  For each coset representative r and each generator s of
-    K, if r*s is not yet in the set, the whole coset H*(r*s) is added and
-    r*s becomes a representative.  Proof that the result is K: the set is
-    always a union of right cosets of H, so a coset is added whole or not at
-    all, and each addition is disjoint from what is there.  Once every
-    representative is processed, the set is closed under right
-    multiplication by every generator s, because for an element h*r,
-    (h*r)*s = h*(r*s) and r*s lies in some coset H*r' already in the set,
-    so h*(r*s) lies in H*r' too.  A finite set that contains e and is closed
-    under right multiplication by the generators contains every positive
-    word in them, which in a finite group is all of <gens> = K; and every
-    element added is such a word.  This costs |K| products for the cosets
-    plus (|K|/|H|)*|gens| for the representatives, against |K|*|H| for
-    closing H u {x} as if every element were a generator."""
-    gens = h_gens + [x]
-    members = set(h_elems)
-    elems = list(h_elems)
-    limit = max_size - len(h_elems)
-    reps = [h_elems[0]]  # every elems list starts with the identity
-    for r in reps:
-        for s in gens:
-            rs = cols[s][r]
-            if rs in members:
-                continue
-            if len(elems) > limit:
-                return None
-            col = cols[rs]
-            coset = [col[h] for h in h_elems]
-            if not forbidden.isdisjoint(coset):
-                return None
-            members.update(coset)
-            elems += coset
-            reps.append(rs)
-    mask = h_mask
-    for z in elems[len(h_elems):]:
-        mask |= 1 << z
-    return mask, elems, gens
-
-
-def _subgroup_masks(
-    cols: list[list[int]],
-    identity: int,
-    target: int,
-    forbidden: frozenset[int],
-    orders: list[int],
-) -> list[int]:
-    """All subgroup element-masks of order exactly target avoiding the
-    forbidden set, by cyclic extension from the trivial subgroup.
-
-    Each subgroup H of a layer is extended by one candidate x at a time.
-    For every h in H, <H, h*x> = <H, x>: h*x lies in <H, x>, and
-    x = h^-1*(h*x) lies in <H, h*x>.  So one closure serves the whole right
-    coset H*x: before closing x the coset is marked done, and any later
-    candidate in it is skipped, whatever the closure gave (a new subgroup,
-    one already seen, or None)."""
-    candidates = [
-        i
-        for i in range(len(cols))
-        if i != identity and i not in forbidden and target % orders[i] == 0
-    ]
-    seen = {1 << identity}
-    layer = [(1 << identity, [identity], [])]
-    found: list[int] = []
+    Each subgroup H found is extended by one candidate x at a time.  For
+    every h in H, <H, h*x> = <H, x>: h*x lies in <H, x>, and
+    x = h^-1*(h*x) lies in <H, h*x>.  So one closure serves the whole
+    right coset H*x, and any later candidate in it is skipped.  Every
+    subgroup <x1, ..., xk> is reached, by induction on i: once
+    <x1, ..., x(i-1)> is found, its extension by xi (or by another element
+    of the same coset) gives <x1, ..., xi>."""
+    first = Grower(identity, times=times)
+    found = {1 << identity: first}
+    layer = [first]
     while layer:
         nxt = []
-        for mask, elems, gens in layer:
-            if len(elems) == target:
-                found.append(mask)
-                continue
-            done = set(elems)
-            for x in candidates:
+        for H in layer:
+            done = set(H.members)
+            for x in range(n):
                 if x in done:
                     continue
-                col = cols[x]
-                done.update([col[h] for h in elems])
-                closed = _extend(mask, elems, gens, x, cols, target, forbidden)
-                if closed is None:
-                    continue
-                cmask, celems, _ = closed
-                if target % len(celems) or cmask in seen:
-                    continue
-                seen.add(cmask)
-                nxt.append(closed)
+                done.update(times(H.elements, x))
+                K = H.extended(x)
+                mask = sum(1 << z for z in K.elements)
+                if mask not in found:
+                    found[mask] = K
+                    nxt.append(K)
         layer = nxt
-    return sorted(found)
-
-
-# -- operator enumeration via the product-group lattice --------------------
+    return list(found.items())
 
 
 def enumerate_rb(G: FiniteGroup, cap: int = ENUMERATE_GUARANTEED) -> list[RBOperator]:
     """All operators on G, as the order-|G| subgroups of GxG meeting the
-    diagonal trivially.  Canonical order: by sorted graph pairs.
+    diagonal D trivially (their graphs, see rbop.from_graph).  Canonical
+    order: by sorted graph pairs.
 
-    The subgroups are found by cyclic extension from the trivial subgroup:
-    each subgroup H of order dividing |G| is extended to <H, x> by one
-    closure per right coset H*x (every element of that coset gives the same
-    subgroup), and each closure is built by Dimino's method as a union of
-    right cosets of H, stopping as soon as it meets the diagonal or outgrows
-    |G|.  See _subgroup_masks and _extend for the proofs."""
+    The search runs over sections of G's own subgroup lattice (Goursat's
+    lemma).  A subgroup H of GxG has the projections A = pi1(H) and
+    C = pi2(H), and H meets Gx1 in A0 x 1 and 1xG in 1 x C0, with A0
+    normal in A, C0 normal in C, A/A0 isomorphic to C/C0 and
+    |H| = |A||C0|.  All subgroups of G are found by cyclic extension
+    (_subgroups); a section (A, A0) is kept when A0 lies in A and is
+    normalized by A's generators; and a pair of sections is tried when
+    |A||C0| = |G|, |A/A0| = |C/C0| and A0 meets C0 only in e.  For such a
+    pair the search starts from N = A0 x C0 and, for each generator a_i of
+    A in turn, tries every c_i of a transversal T of C0 in C, growing
+    <N, (a_1, c_1), ..., (a_i, c_i)> in GxG by Dimino's method
+    (perm.Grower on the pair index a*n + b, with (a, b)(c, d) = (ac, bd)
+    read off G's table).  A branch stops as soon as the closure grows past
+    |G| or meets D; every closure that takes all the generators is kept.
+    A generator a_i that the closure already projects onto is passed over:
+    the closure holds some (a_i, c), and with 1 x C0 in N it holds
+    (a_i, c') for every c' in c C0.
+
+    Soundness: a kept closure K contains 1 x C0 and projects onto
+    <A0, a_1, a_2, ...> = A, so |K| >= |A||C0| = |G|; it did not grow past
+    |G|, so |K| = |G|, and it meets D only in e.  So K is an operator graph.
+
+    Completeness: let H be the graph of B, so pi1(H) = Im B,
+    H meet (Gx1) = ker B~ x 1, pi2(H) = Im B~ and H meet (1xG) = 1 x ker B.
+    Its sections are kept (A0 is normal in A, C0 in C) and pass the three
+    tests: |A||C0| = |H| = |G|, A/A0 and C/C0 are isomorphic, and an x in
+    A0 meet C0 puts (x, x) in H meet D, so x = e.  N lies in H.  Each a_i
+    has partners c with (a_i, c) in H, and they form one coset c C0 (two of
+    them, c and c', put (e, c^-1 c') in H); as C0 is normal in C, T holds
+    exactly one of them, c_i.  With these choices every closure lies in H
+    (a closure in H that projects onto a_i already holds (a_i, c_i)), so
+    it neither grows past |G| nor meets D, and the last one, of order
+    >= |A||C0| = |H|, is H."""
     n = G.order()
     if n > cap:
         raise EnumerationCapExceeded(f"|G| = {n} exceeds enumeration cap {cap}")
     table = G.mult_table()
-    nn = n * n
-    # product index (a, b) -> a*n + b; cols[y][x] = x*y in GxG
-    g_cols = [[table[a][c] for a in range(n)] for c in range(n)]
-    cols = []
-    for a2 in range(n):
-        left = [v * n for v in g_cols[a2]]
-        for b2 in range(n):
-            right = g_cols[b2]
-            cols.append([u + v for u in left for v in right])
     e = G.index(G.identity)
-    eid = e * n + e
-    forbidden = frozenset(i * n + i for i in range(n) if i != e)
-    g_orders = [g.order() for g in G.elements]
-    orders = [math.lcm(oa, ob) for oa in g_orders for ob in g_orders]
-    masks = _subgroup_masks(cols, eid, n, forbidden, orders)
-    ops = []
-    for mask in masks:
-        pairs = frozenset(
-            divmod(i, n) for i in range(nn) if (mask >> i) & 1
-        )
-        ops.append(from_graph(G, pairs))
-    ops.sort(key=lambda B: sorted(graph(B).pairs))
-    return ops
+    cols = [[table[x][y] for x in range(n)] for y in range(n)]  # cols[y][x] = x*y
+    ncols = [[v * n for v in col] for col in cols]  # the a*c part of (a*c)*n + b*d
+    pi1 = [p // n for p in range(n * n)]
+    pi2 = [p % n for p in range(n * n)]
+
+    def g_times(xs, y):
+        col = cols[y]
+        return [col[x] for x in xs]
+
+    def pair_times(xs, y):
+        ca, cb = ncols[pi1[y]], cols[pi2[y]]
+        return [ca[pi1[x]] + cb[pi2[x]] for x in xs]
+
+    inv = [row.index(e) for row in table]
+    subgroups = _subgroups(e, n, g_times)
+    # (|A|, |A0|) -> [(A, A0, mask of A0, transversal of A0 in A)]
+    sections: dict[tuple[int, int], list] = {}
+    for amask, A in subgroups:
+        for a0mask, A0 in subgroups:
+            if a0mask & ~amask or not all(
+                table[table[inv[a]][t]][a] in A0.members for a in A.gens for t in A0.gens
+            ):
+                continue
+            transversal, covered = [], set()
+            for a in A.elements:
+                if a not in covered:
+                    transversal.append(a)
+                    covered.update(g_times(A0.elements, a))
+            key = (len(A.elements), len(A0.elements))
+            sections.setdefault(key, []).append((A, A0, a0mask, transversal))
+
+    off_diagonal = frozenset(range(n * n)) - {i * n + i for i in range(n) if i != e}
+    kernels: dict[tuple[int, int], Grower] = {}  # A0 x C0 by the masks of A0, C0
+    graphs = set()
+    for (na, na0), lefts in sections.items():
+        nc0 = n // na
+        rights = sections.get((nc0 * na // na0, nc0), ())
+        for A, A0, a0mask, _ in lefts:
+            for _, C0, c0mask, transversal in rights:
+                if a0mask & c0mask != 1 << e:
+                    continue
+                N = kernels.get((a0mask, c0mask))
+                if N is None:
+                    N = Grower(e * n + e, off_diagonal, n, pair_times)
+                    for a in A0.gens:
+                        N.add(a * n + e)
+                    for c in C0.gens:
+                        N.add(e * n + c)
+                    kernels[a0mask, c0mask] = N
+                stack = [(N, 0)]
+                while stack:
+                    K, i = stack.pop()
+                    if i == len(A.gens):
+                        graphs.add(frozenset(K.elements))
+                        continue
+                    a = A.gens[i]
+                    if any(pi1[x] == a for x in K.elements):
+                        stack.append((K, i + 1))
+                        continue
+                    for c in transversal:
+                        grown = K.extended(a * n + c)
+                        if grown is not None:
+                            stack.append((grown, i + 1))
+    # graph(from_graph(G, pairs)).pairs is pairs, so this is the sort by graph pairs
+    return [from_graph(G, frozenset(pairs)) for pairs in sorted(
+        sorted(divmod(p, n) for p in H) for H in graphs
+    )]
 
 
 def oracle_enumerate(G: FiniteGroup) -> list[RBOperator]:

@@ -20,7 +20,7 @@ from .classify import (
     summarize,
 )
 from .labels import iso_label
-from .perm import PermError
+from .perm import ClosureCapExceeded, PermError
 from .rbop import (
     DEFAULT_SEED,
     RBOperator,
@@ -301,7 +301,10 @@ def main(argv: Optional[list[str]] = None, out=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    except (TransitiveError, build.ConstructionError, PermError, ValueError, OSError) as exc:
+    except (
+        TransitiveError, build.ConstructionError, PermError, ValueError, OSError,
+        ClosureCapExceeded,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

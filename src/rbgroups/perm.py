@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import AbstractSet, Callable, Iterable, Optional, Sequence
+from typing import AbstractSet, Any, Callable, Iterable, Optional, Sequence
 
 
 class PermError(ValueError):
@@ -137,6 +137,10 @@ class Perm(bytes):
     __str__ = __repr__  # bytes.__str__ would print b'...'
 
 
+def _times(xs: Sequence[Perm], y: Perm) -> list[Perm]:
+    return [x * y for x in xs]
+
+
 class Grower:
     """The subgroup <gens>, grown one generator at a time by Dimino's
     method: `elements` lists it as a union of right cosets, `members` is
@@ -145,9 +149,10 @@ class Grower:
     add(x) replaces K = <gens> by <gens, x> (x not in K).  For each coset
     representative r, starting from e, and each generator s, if r*s is not
     yet in the set, the whole coset K*(r*s) is added and r*s becomes a
-    representative.  Proof that this gives <gens, x>: the set is always a
-    union of right cosets of the group K, so a coset is added whole or not
-    at all.  Once every representative is processed, the set is closed
+    representative; the representatives are taken in rounds, each round
+    multiplying the last round's new ones by one generator at a time.
+    Proof that this gives <gens, x>: the set is always a union of right
+    cosets of the group K, so a coset is added whole or not at all.  Once every representative is processed, the set is closed
     under right multiplication by each generator s: an element k*r goes to
     k*(r*s), and r*s lies in a coset K*r' already there, so k*(r*s) does
     too.  A finite set that contains e and is closed under right
@@ -159,42 +164,57 @@ class Grower:
 
     add returns False, leaving the set part-built, as soon as a coset
     meets an element outside `inside` or the set grows past `cap`
-    (None: no bound).
+    (None: no bound); extended(x) grows a copy and keeps this one.
+
+    `times(xs, y)` lists x*y for x in xs.  By default the elements are
+    Perms; a group given by a Cayley table on element indices passes a
+    table lookup instead, so one grower serves G and G x G alike.
     """
 
-    __slots__ = ("elements", "members", "gens", "inside", "cap")
+    __slots__ = ("elements", "members", "gens", "inside", "cap", "times")
 
     def __init__(
         self,
-        identity: Perm,
-        inside: Optional[AbstractSet[Perm]] = None,
+        identity: Any,
+        inside: Optional[AbstractSet] = None,
         cap: Optional[int] = None,
+        times: Callable[[Sequence, Any], list] = _times,
     ):
         self.elements = [identity]
         self.members = {identity}
-        self.gens: list[Perm] = []
+        self.gens: list = []
         self.inside = inside
         self.cap = cap
+        self.times = times
 
-    def add(self, x: Perm) -> bool:
+    def add(self, x: Any) -> bool:
         closed = self.elements[:]
-        members, inside = self.members, self.inside
+        members, inside, times = self.members, self.inside, self.times
         self.gens.append(x)
         reps = [closed[0]]
-        for r in reps:
+        while reps:
+            fresh = []
             for s in self.gens:
-                rs = r * s
-                if rs in members:
-                    continue
-                coset = [k * rs for k in closed]
-                if inside is not None and not inside.issuperset(coset):
-                    return False
-                members.update(coset)
-                self.elements += coset
-                if self.cap is not None and len(self.elements) > self.cap:
-                    return False
-                reps.append(rs)
+                for rs in times(reps, s):
+                    if rs in members:
+                        continue
+                    coset = times(closed, rs)
+                    if inside is not None and not inside.issuperset(coset):
+                        return False
+                    members.update(coset)
+                    self.elements += coset
+                    if self.cap is not None and len(self.elements) > self.cap:
+                        return False
+                    fresh.append(rs)
+            reps = fresh
         return True
+
+    def extended(self, x: Any) -> Optional["Grower"]:
+        """A new Grower for <gens, x>, or None where add(x) fails; this
+        one is left as it is."""
+        g = Grower(None, self.inside, self.cap, self.times)
+        g.elements, g.members, g.gens = self.elements[:], set(self.members), self.gens[:]
+        return g if g.add(x) else None
 
 
 def grow(

@@ -132,12 +132,13 @@ def trivial_inv(G: FiniteGroup) -> RBOperator:
     return from_table(G, tuple(e.inverse() for e in G.elements), provenance="B_inv", check=False)
 
 
-def check_pair(B: RBOperator, g: Perm, h: Perm, bg: Optional[Perm] = None) -> bool:
+def check_pair(
+    B: RBOperator, g: Perm, h: Perm, row: Optional[tuple[Perm, Perm, Perm]] = None
+) -> bool:
     """The defining identity B(g) B(h) = B(g o h) at the pair (g, h); a
-    caller that already holds B(g) passes it as bg."""
-    if bg is None:
-        bg = B(g)
-    return bg * B(h) == B(circ(B, g, h, bg))
+    caller that checks a whole row g passes row = circ_row(B, g) once."""
+    row = row or circ_row(B, g)
+    return row[0] * B(h) == B(circ(B, g, h, row))
 
 
 def verify(
@@ -164,8 +165,11 @@ def verify(
     else:
         raise PermError(f"unknown verify mode {mode!r}")
 
+    row_g = row = None  # full mode takes the pairs row by row
     for g, h in pairs:
-        if not check_pair(B, g, h):
+        if g is not row_g:
+            row_g, row = g, circ_row(B, g)
+        if not check_pair(B, g, h, row):
             return Verdict(
                 ok=False,
                 pairs=len(pairs),
@@ -205,12 +209,20 @@ def bplus(B: RBOperator) -> Callable[[Perm], Perm]:
     return lambda g: g * B(g)
 
 
-def circ(B: RBOperator, g: Perm, h: Perm, bg: Optional[Perm] = None) -> Perm:
+def circ_row(B: RBOperator, g: Perm) -> tuple[Perm, Perm, Perm]:
+    """(B(g), g B(g), B(g)^-1): what g o h and the identity at (g, h) need
+    of g, the same for every h."""
+    bg = B(g)
+    return bg, g * bg, bg.inverse()
+
+
+def circ(
+    B: RBOperator, g: Perm, h: Perm, row: Optional[tuple[Perm, Perm, Perm]] = None
+) -> Perm:
     """The descendent product g o h = g B(g) h B(g)^-1; a caller that
-    already holds B(g) passes it as bg."""
-    if bg is None:
-        bg = B(g)
-    return g * bg * h * bg.inverse()
+    already holds circ_row(B, g) passes it as row."""
+    _, gbg, bgi = row or circ_row(B, g)
+    return gbg * h * bgi
 
 
 def descendent_group(B: RBOperator) -> tuple[FiniteGroup, str]:
@@ -248,7 +260,10 @@ def descendent_group(B: RBOperator) -> tuple[FiniteGroup, str]:
     elems = G.elements
     n = len(elems)
     idx = {e: i for i, e in enumerate(elems)}
-    table = [[idx[circ(B, a, b)] for b in elems] for a in elems]
+    table = []
+    for a in elems:
+        row = circ_row(B, a)
+        table.append([idx[circ(B, a, b, row)] for b in elems])
 
     ident = idx[G.identity]
     for i in range(n):

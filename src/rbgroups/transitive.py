@@ -14,7 +14,7 @@ from . import families
 from .build import ConstructionError, check_index2, index2_body
 from .gf import FiniteField, make_field, prime_factors, prime_power
 from .perm import FiniteGroup, Perm
-from .rbop import RBOperator, check_pair, circ
+from .rbop import RBOperator, check_pair, circ, circ_row
 
 DEFAULT_SAMPLES = 100_000
 DEFAULT_SEED = 7
@@ -504,10 +504,10 @@ def verify_an_operator(
     # layer 2: exhaustive over L x L
     exhaustive = 0
     for g in L.elements:
-        bg = B(g)
+        row = circ_row(B, g)
         for h in L.elements:
             exhaustive += 1
-            if not check_pair(B, g, h, bg):
+            if not check_pair(B, g, h, row):
                 return fail(2, f"identity fails at L-pair ({g!r}, {h!r})")
 
     # layer 3: seeded random pairs from the whole group
@@ -560,9 +560,10 @@ def descendent_structure(
 
     s_pairs = 0
     for s1 in S.elements:
+        row = circ_row(B, s1)
         for s2 in S.elements:
             s_pairs += 1
-            if circ(B, s1, s2) != s2 * s1:
+            if circ(B, s1, s2, row) != s2 * s1:
                 return DescendentReport(
                     False, f"s o s' != s' s at ({s1!r}, {s2!r})", s_pairs, 0, 0
                 )

@@ -1,8 +1,10 @@
-"""Exhaustive test-side oracles for the generator-based shortcuts in
-rbgroups: the |S|^2 closure test, normality on every element pair, and
-the explicit product set of two subgroups."""
+"""Exhaustive test-side oracles for the shortcuts in rbgroups: the |S|^2
+closure test, normality on every element pair, the explicit product set
+of two subgroups, and the operator graphs found by a subgroup search in
+G x G itself."""
 
 import itertools
+import math
 
 
 def pairwise_subgroup(S) -> bool:
@@ -33,3 +35,90 @@ def subsets_with_identity(G):
     for k in range(len(rest) + 1):
         for chosen in itertools.combinations(rest, k):
             yield {G.identity, *chosen}
+
+
+def _extend(h_mask, h_elems, h_gens, x, cols, max_size, forbidden):
+    """K = <H, x> for a subgroup H = <h_gens>, as (mask, elems, gens); None
+    once K grows past max_size or touches a forbidden element.  cols[y][x]
+    is the index of the product x*y.  Dimino's method: K is built as a
+    union of right cosets of H (see rbgroups.perm.Grower for the proof)."""
+    gens = h_gens + [x]
+    members = set(h_elems)
+    elems = list(h_elems)
+    limit = max_size - len(h_elems)
+    reps = [h_elems[0]]  # every elems list starts with the identity
+    for r in reps:
+        for s in gens:
+            rs = cols[s][r]
+            if rs in members:
+                continue
+            if len(elems) > limit:
+                return None
+            col = cols[rs]
+            coset = [col[h] for h in h_elems]
+            if not forbidden.isdisjoint(coset):
+                return None
+            members.update(coset)
+            elems += coset
+            reps.append(rs)
+    mask = h_mask
+    for z in elems[len(h_elems):]:
+        mask |= 1 << z
+    return mask, elems, gens
+
+
+def _subgroup_masks(cols, identity, target, forbidden, orders):
+    """All subgroup element-masks of order exactly target avoiding the
+    forbidden set, by cyclic extension from the trivial subgroup, one
+    closure per right coset H*x (as <H, h*x> = <H, x>)."""
+    candidates = [
+        i
+        for i in range(len(cols))
+        if i != identity and i not in forbidden and target % orders[i] == 0
+    ]
+    seen = {1 << identity}
+    layer = [(1 << identity, [identity], [])]
+    found = []
+    while layer:
+        nxt = []
+        for mask, elems, gens in layer:
+            if len(elems) == target:
+                found.append(mask)
+                continue
+            done = set(elems)
+            for x in candidates:
+                if x in done:
+                    continue
+                col = cols[x]
+                done.update([col[h] for h in elems])
+                closed = _extend(mask, elems, gens, x, cols, target, forbidden)
+                if closed is None:
+                    continue
+                cmask, celems, _ = closed
+                if target % len(celems) or cmask in seen:
+                    continue
+                seen.add(cmask)
+                nxt.append(closed)
+        layer = nxt
+    return sorted(found)
+
+
+def lattice_graph_masks(G):
+    """The order-|G| subgroups of G x G meeting the diagonal trivially (the
+    operator graphs), as masks over the pair index a*n + b, found by
+    cyclic extension in G x G on its n^4 product table."""
+    n = G.order()
+    table = G.mult_table()
+    # product index (a, b) -> a*n + b; cols[y][x] = x*y in GxG
+    g_cols = [[table[a][c] for a in range(n)] for c in range(n)]
+    cols = []
+    for a2 in range(n):
+        left = [v * n for v in g_cols[a2]]
+        for b2 in range(n):
+            right = g_cols[b2]
+            cols.append([u + v for u in left for v in right])
+    e = G.index(G.identity)
+    forbidden = frozenset(i * n + i for i in range(n) if i != e)
+    g_orders = [g.order() for g in G.elements]
+    orders = [math.lcm(oa, ob) for oa in g_orders for ob in g_orders]
+    return _subgroup_masks(cols, e * n + e, n, forbidden, orders)

@@ -2,9 +2,10 @@ import hashlib
 
 import pytest
 
-from rbgroups import build, classify, families, rbop
+from oracles import lattice_graph_masks
+from rbgroups import build, classify, families, rbop, transitive
 from rbgroups.labels import iso_label
-from rbgroups.perm import closure, small_generating_tuple
+from rbgroups.perm import Grower, closure, small_generating_tuple
 from rbgroups.rbop import descendent_group, graph, is_splitting, tilde
 
 
@@ -140,6 +141,43 @@ def test_enumeration_is_pinned(spec):
     ops = classify.enumerate_rb(families.parse_group_spec(spec).group)
     digest = hashlib.sha256(repr(sorted(B.table_key() for B in ops)).encode()).hexdigest()
     assert (len(ops), digest) == PINNED[spec]
+
+
+@pytest.mark.parametrize("spec", list(PINNED))
+def test_section_search_matches_lattice_search(spec):
+    """The graphs enumerate_rb finds from sections of G's subgroup lattice
+    are the ones a subgroup search in G x G finds."""
+    G = families.parse_group_spec(spec).group
+    n = G.order()
+    masks = sorted(
+        sum(1 << (a * n + b) for a, b in graph(B).pairs) for B in classify.enumerate_rb(G)
+    )
+    assert masks == lattice_graph_masks(G)
+
+
+def test_enumeration_takes_few_closures(monkeypatch):
+    """At most 10,000 Grower.add calls for D:24 (the subgroup search in
+    G x G made 241,805 closures)."""
+    calls = [0]
+    add = Grower.add
+
+    def counted(self, x):
+        calls[0] += 1
+        return add(self, x)
+
+    monkeypatch.setattr(Grower, "add", counted)
+    assert len(classify.enumerate_rb(families.parse_group_spec("D:24").group)) == 288
+    assert calls[0] <= 10_000
+
+
+def test_a5_operators_all_split():
+    """A_5 has 62 operators, all splitting (R trivial), and 5 is not an
+    admissible degree: the non-splitting construction does not reach A_5."""
+    G = families.parse_group_spec("A:5").group
+    ops = classify.enumerate_rb(G, cap=60)
+    assert len(ops) == 62
+    assert all(rbop.images(B).R.order() == 1 for B in ops)
+    assert not transitive.admissible(5).admissible
 
 
 def test_s3_enumeration():

@@ -130,6 +130,7 @@ def test_precondition_errors_exit_1():
         ["build-an", "--n", "25"],
         ["construct", "--example", "nope"],
         ["classify", "D:7"],
+        ["classify", "A:5", "--max-order", "60"],  # past the automorphism cap
         ["sharply3", "--q", "25"],  # M(25) does not lie in A_26
     ):
         code, _ = run(argv)
