@@ -238,7 +238,9 @@ def oracle_enumerate(G: FiniteGroup) -> list[RBOperator]:
 
 
 def equivalence_classes(
-    G: FiniteGroup, ops: list[RBOperator]
+    G: FiniteGroup,
+    ops: list[RBOperator],
+    companions: Optional[list[RBOperator]] = None,
 ) -> list[list[RBOperator]]:
     """Partition ops into orbits of their graphs under pair automorphisms
     (phi, phi), conjugation twists (id, alpha_x), and the swap tau.
@@ -251,7 +253,8 @@ def equivalence_classes(
     (1,x)^-1 K (1,x) = d^-1 K d meets D in d^-1 (K meet D) d = {e}.  So when
     ops is the complete enumeration every orbit stays inside it, and an
     orbit that reaches a graph outside ops raises: the enumeration missed
-    an operator."""
+    an operator.  A caller that already holds tilde(B) for each B of ops
+    passes them, in the same order, as companions."""
     n = G.order()
     auts = automorphism_group(G)
     conj = []
@@ -270,9 +273,11 @@ def equivalence_classes(
     index_of = {g: i for i, g in enumerate(graphs)}
 
     # tau must realize the companion operator
-    for B, P in zip(ops, graphs):
+    if companions is None:
+        companions = [tilde(B) for B in ops]
+    for Bt, P in zip(companions, graphs):
         swapped = frozenset((b, a) for a, b in P)
-        tg = graph(tilde(B)).pairs
+        tg = graph(Bt).pairs
         if swapped != tg:
             raise AssertionError("swap move does not realize the companion operator")
 
@@ -366,17 +371,14 @@ class ClassificationReport:
         return out
 
 
-def lemma3_shape(B: RBOperator, data: Optional[OperatorImages] = None) -> bool:
+def lemma3_shape(B: RBOperator, data: OperatorImages, Bt: RBOperator) -> bool:
     """Whether B (or its companion) factors as G = ker(B)*Im(B) exactly
-    with the companion restricting to a homomorphism onto R on Im(B).  A
-    caller that already holds images(B) passes it as data; the companion's
-    images are the same five groups with the roles of B and B~ swapped,
-    and its companion is B, since B -> B~ is an involution."""
+    with the companion restricting to a homomorphism onto R on Im(B),
+    given data = images(B) and Bt = tilde(B).  The companion's images are
+    the same five groups with the roles of B and B~ swapped, and its
+    companion is B, since B -> B~ is an involution."""
     from .perm import exact_factorization, homomorphism_failure
 
-    if data is None:
-        data = images(B)
-    Bt = tilde(B)
     swapped = OperatorImages(
         im=data.im_tilde, ker=data.ker_tilde,
         im_tilde=data.im, ker_tilde=data.ker, R=data.R,
@@ -401,8 +403,9 @@ _QUATERNION = re.compile(r"Q(\d+)$")
 
 def classify(G: FiniteGroup, cap: int = ENUMERATE_GUARANTEED) -> ClassificationReport:
     ops = enumerate_rb(G, cap=cap)
+    companions = [tilde(B) for B in ops]
     split_flags = [is_splitting(B) for B in ops]
-    classes = equivalence_classes(G, ops)
+    classes = equivalence_classes(G, ops, companions)
     computed: dict[tuple, OperatorImages] = {}
 
     def images_of(B: RBOperator) -> OperatorImages:
@@ -420,7 +423,7 @@ def classify(G: FiniteGroup, cap: int = ENUMERATE_GUARANTEED) -> ClassificationR
         classes=summaries,
     )
 
-    nonsplit = [B for B, s in zip(ops, split_flags) if not s]
+    nonsplit = [(B, Bt) for B, Bt, s in zip(ops, companions, split_flags) if not s]
     m = _DIHEDRAL.match(G.label or "")
     if m:
         n = int(m.group(1)) // 2
@@ -428,9 +431,9 @@ def classify(G: FiniteGroup, cap: int = ENUMERATE_GUARANTEED) -> ClassificationR
             report.conformance["dihedral-odd-no-nonsplitting"] = not nonsplit
         else:
             ok_r = all(
-                iso_label(images_of(B).R) in ("Z2", "Z2xZ2") for B in nonsplit
+                iso_label(images_of(B).R) in ("Z2", "Z2xZ2") for B, _ in nonsplit
             )
-            ok_shape = all(lemma3_shape(B, images_of(B)) for B in nonsplit)
+            ok_shape = all(lemma3_shape(B, images_of(B), Bt) for B, Bt in nonsplit)
             report.conformance["dihedral-even-R-small"] = ok_r
             report.conformance["dihedral-even-shape"] = ok_shape
     m = _QUATERNION.match(G.label or "")
@@ -438,6 +441,6 @@ def classify(G: FiniteGroup, cap: int = ENUMERATE_GUARANTEED) -> ClassificationR
         n = int(m.group(1)) // 4
         if n % 2:
             report.conformance["quaternion-odd-R-order-2"] = all(
-                images_of(B).R.order() == 2 for B in nonsplit
+                images_of(B).R.order() == 2 for B, _ in nonsplit
             )
     return report

@@ -131,8 +131,13 @@ def _recognize_large(G: FiniteGroup) -> str | None:
                             Q = closure([x, y], cap=order)
                             if len(Q) == 8 and sorted(p.order() for p in Q) == [1, 2, 4, 4, 4, 4, 4, 4]:
                                 return "(Z3xZ3):Q8"
-    if order in (360, 2520, 181440, 1814400) and _is_perfect(G):
-        return {360: "PSL(2,9)", 2520: "A7", 181440: "A9", 1814400: "A10"}[order]
+    # A perfect group G of order 60 is A5.  A proper nontrivial normal
+    # subgroup N would give a perfect quotient G/N of order between 2 and
+    # 59; every group of order < 60 is solvable, and a solvable perfect
+    # group is trivial.  So G is simple, and A5 is the only simple group
+    # of order 60.
+    if order in (60, 360, 2520, 181440, 1814400) and _is_perfect(G):
+        return {60: "A5", 360: "PSL(2,9)", 2520: "A7", 181440: "A9", 1814400: "A10"}[order]
     return None
 
 

@@ -27,7 +27,7 @@ class ClosureCapExceeded(RuntimeError):
 
 
 ENUMERATION_CAP = 5000
-AUTOMORPHISM_CAP = 48
+AUTOMORPHISM_CAP = 60
 MAX_DEGREE = 256
 
 _ID = bytes(range(MAX_DEGREE))
@@ -365,21 +365,54 @@ class FiniteGroup:
             self._index["set"] = cached
         return cached
 
-    def index(self, p: Perm) -> int:
-        """Index of p in the canonical element order."""
+    def _indices(self) -> dict[Perm, int]:
         table = self._index.get("idx")
         if table is None:
             table = {e: i for i, e in enumerate(self.elements)}
             self._index["idx"] = table
-        return table[p]
+        return table
+
+    def index(self, p: Perm) -> int:
+        """Index of p in the canonical element order."""
+        return self._indices()[p]
 
     def mult_table(self) -> list[list[int]]:
-        """Cayley table on canonical element indices (left-to-right)."""
+        """Cayley table T on canonical element indices, T[a][b] = index
+        of a*b (left-to-right), grown from the generators.
+
+        The row of each generator s takes |G| products.  Every other row
+        is read off rows already known: walking the Cayley graph
+        breadth-first from the generators, T[p*s] = [T[p][v] for v in
+        T[s]], since (p*s)*b = p*(s*b).  In a finite group every element,
+        e included, is a positive word in the generators, so the walk
+        reaches it.  The table takes |gens| |G| products where filling it
+        pair by pair takes |G|^2.  Raises PermError when the walk misses
+        an element, that is, when the generators do not generate the
+        elements."""
         cached = self._index.get("table")
         if cached is None:
             elems = self.elements
-            idx = {e: i for i, e in enumerate(elems)}
-            cached = [[idx[a * b] for b in elems] for a in elems]
+            idx = self._indices()
+            gens = list(dict.fromkeys(idx[s] for s in self.generators))
+            cached = [None] * len(elems)
+            for s in gens:
+                a = elems[s]
+                cached[s] = [idx[a * b] for b in elems]
+            frontier = gens
+            while frontier:
+                fresh = []
+                for p in frontier:
+                    row = cached[p]
+                    for s in gens:
+                        ps = row[s]
+                        if cached[ps] is None:
+                            cached[ps] = list(map(row.__getitem__, cached[s]))
+                            fresh.append(ps)
+                frontier = fresh
+            if None in cached:
+                raise PermError(
+                    f"the generators of {self.label or 'G'} do not generate its elements"
+                )
             self._index["table"] = cached
         return cached
 

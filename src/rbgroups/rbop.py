@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 from .labels import iso_label
 from .perm import (
@@ -148,36 +148,73 @@ def verify(
     seed: int = DEFAULT_SEED,
 ) -> Verdict:
     """Check the defining identity on all pairs (full) or seeded random
-    pairs (sampled).  Deterministic for a fixed seed."""
-    if mode == "full":
-        if not B.group.enumerated:
-            raise PermError("full verification needs an enumerated group")
-        elems = B.group.elements
-        pairs = [(g, h) for g in elems for h in elems]
-        seed_out = None
-    elif mode == "sampled":
-        if not B.group.enumerated:
-            raise PermError("sampled verification over tables needs elements")
-        rng = random.Random(seed)
-        elems = B.group.elements
-        pairs = [(rng.choice(elems), rng.choice(elems)) for _ in range(count)]
-        seed_out = seed
-    else:
-        raise PermError(f"unknown verify mode {mode!r}")
+    pairs (sampled).  Deterministic for a fixed seed.
 
-    row_g = row = None  # full mode takes the pairs row by row
-    for g, h in pairs:
-        if g is not row_g:
-            row_g, row = g, circ_row(B, g)
-        if not check_pair(B, g, h, row):
-            return Verdict(
-                ok=False,
-                pairs=len(pairs),
-                seed=seed_out,
-                witness=(g, h),
-                detail=f"B(g)B(h)={B(g) * B(h)!r} != B(gB(g)hB(g)^-1)={B(circ(B, g, h))!r}",
-            )
-    return Verdict(ok=True, pairs=len(pairs), seed=seed_out)
+    Full verification takes a table operator and runs one row g at a time
+    on G's Cayley table (see _circ_rows): the row holds iff
+    [B(g o h) for h] == [B(g) B(h) for h] as lists of element indices.
+    The first failing row is searched for its first failing h with
+    check_pair, so the witness and detail are those of the pairwise
+    walk.  Sampled pairs go through check_pair one by one."""
+    if mode not in ("full", "sampled"):
+        raise PermError(f"unknown verify mode {mode!r}")
+    if not B.group.enumerated:
+        raise PermError(f"{mode} verification needs an enumerated group")
+    if mode == "full":
+        if not B.is_table:
+            raise PermError("full verification needs a table operator")
+        return _verify_rows(B)
+    rng = random.Random(seed)
+    elems = B.group.elements
+    for _ in range(count):
+        g, h = rng.choice(elems), rng.choice(elems)
+        if not check_pair(B, g, h):
+            return _failure(B, g, h, count, seed)
+    return Verdict(ok=True, pairs=count, seed=seed)
+
+
+def _failure(B: RBOperator, g: Perm, h: Perm, pairs: int, seed: Optional[int]) -> Verdict:
+    return Verdict(
+        ok=False,
+        pairs=pairs,
+        seed=seed,
+        witness=(g, h),
+        detail=f"B(g)B(h)={B(g) * B(h)!r} != B(gB(g)hB(g)^-1)={B(circ(B, g, h))!r}",
+    )
+
+
+def _verify_rows(B: RBOperator) -> Verdict:
+    G = B.group
+    T = G.mult_table()
+    Bi = B.table_key()
+    pairs = len(Bi) ** 2
+    for g, row in enumerate(_circ_rows(G, Bi)):
+        if not _respects(Bi, T, g, row):
+            g = G.elements[g]
+            crow = circ_row(B, g)
+            h = next(h for h in G.elements if not check_pair(B, g, h, crow))
+            return _failure(B, g, h, pairs, None)
+    return Verdict(ok=True, pairs=pairs)
+
+
+def _circ_rows(G: FiniteGroup, Bi: Sequence[int]) -> Iterator[list[int]]:
+    """Row g of the descendent product on element indices, for each g of
+    G in canonical order, where Bi[g] is the index of B(g): row[h] is the
+    index of g o h.  With T = G.mult_table(), x = g B(g) and
+    y = B(g)^-1, g o h = x h y, so row = [T[T[x][h]][y] for h]: column y
+    of T read along row x.  No Perm product is taken."""
+    T = G.mult_table()
+    cols = list(zip(*T))  # cols[y][v] = index of v*y
+    e = G.index(G.identity)
+    for g, b in enumerate(Bi):
+        yield list(map(cols[T[b].index(e)].__getitem__, T[T[g][b]]))
+
+
+def _respects(f: Sequence[int], T: list[list[int]], g: int, row: list[int]) -> bool:
+    """f(g o h) = f(g) f(h) for every h, on element indices: f lists the
+    index of f(v) for each v, T is G's table and row is row g of o.  With
+    f = B this is the defining identity on row g."""
+    return list(map(f.__getitem__, row)) == list(map(T[f[g]].__getitem__, f))
 
 
 # -- derived operators -----------------------------------------------------
@@ -246,6 +283,15 @@ def descendent_group(B: RBOperator) -> tuple[FiniteGroup, str]:
       identity reads B(a o b) = B(a) B(b): B is a homomorphism
       (G, o) -> G.  The second block says the same of B_+.
 
+    Only the first block is checked: it implies the second, since then
+    B_+(a o b) = (a o b) B(a) B(b) = a B(a) b B(b) = B_+(a) B_+(b).  As
+    phi(a) phi(b) acts as B(a) B(b) on 0..d-1 and as B_+(a) B_+(b) on
+    d..2d-1, B(a o b) = B(a) B(b) for all a, b is the same as
+    phi(a o b) = phi(a) phi(b).  The check runs one row a at a time on
+    G's Cayley table T, on element indices, with the rows of o from
+    _circ_rows: it is the defining identity of B, read row by row as in
+    verify.
+
     The regular representation needs |G| points and an O(|G|^3)
     associativity loop; the tests keep it as an exhaustive oracle.
     """
@@ -259,24 +305,22 @@ def descendent_group(B: RBOperator) -> tuple[FiniteGroup, str]:
         )
     elems = G.elements
     n = len(elems)
-    idx = {e: i for i, e in enumerate(elems)}
-    table = []
-    for a in elems:
-        row = circ_row(B, a)
-        table.append([idx[circ(B, a, b, row)] for b in elems])
+    T = G.mult_table()
+    Bi = tuple(G.index(B(g)) for g in elems)
+    table = list(_circ_rows(G, Bi))
 
-    ident = idx[G.identity]
+    ident = G.index(G.identity)
     for i in range(n):
         if table[i][ident] != i or table[ident][i] != i:
             raise InvalidOperator("descendent product has no identity")
     for i in range(n):
         if sorted(table[i]) != list(range(n)):
             raise InvalidOperator("descendent product rows are not bijections")
-    phi = [Perm(tuple(B(g)) + tuple(d + v for v in g * B(g))) for g in elems]
-    for a in range(n):
-        for b in range(n):
-            if phi[a] * phi[b] != phi[table[a][b]]:
-                raise InvalidOperator("B is not a homomorphism from the descendent product")
+    for a, row in enumerate(table):
+        if not _respects(Bi, T, a, row):
+            raise InvalidOperator("B is not a homomorphism from the descendent product")
+    # phi(g) = (B(g), B_+(g)), with T[g][b] the index of B_+(g) = g B(g)
+    phi = [Perm(elems[b] + bytes(d + v for v in elems[T[g][b]])) for g, b in enumerate(Bi)]
     D = FiniteGroup.from_elements(phi, label=f"{G.label}^o")
     return D, iso_label(D)
 
@@ -300,7 +344,9 @@ def images(B: RBOperator) -> OperatorImages:
     Each set is made a group by one grow() pass, which also tests that it
     is a subgroup.  G = Im(B~) Im(B) is checked by the product formula
     |XY| = |X| |Y| / |X meet Y| for subgroups X, Y, with X meet Y = R:
-    XY is a subset of G, so XY = G iff |Im(B~)| |Im(B)| = |G| |R|."""
+    XY is a subset of G, so XY = G iff |Im(B~)| |Im(B)| = |G| |R|.
+    The companion's sets are read off B: B~(g) = g^-1 B(g^-1), so
+    Im(B~) = {x B(x)} (x = g^-1) and B~(g) = e iff B(g^-1) = g."""
     G = B.group
     if not G.enumerated:
         st = B.structural
@@ -310,11 +356,10 @@ def images(B: RBOperator) -> OperatorImages:
                 im_tilde=st["im_tilde"], ker_tilde=st["ker_tilde"], R=st["R"],
             )
         raise PermError("images of a procedural operator need structural data")
-    Bt = tilde(B)
     im = _subgroup(G, {B(g) for g in G.elements}, "Im(B)")
     ker = _subgroup(G, {g for g in G.elements if B(g).is_identity()}, "ker(B)")
-    im_t = _subgroup(G, {Bt(g) for g in G.elements}, "Im(B~)")
-    ker_t = _subgroup(G, {g for g in G.elements if Bt(g).is_identity()}, "ker(B~)")
+    im_t = _subgroup(G, {g * B(g) for g in G.elements}, "Im(B~)")
+    ker_t = _subgroup(G, {g for g in G.elements if B(g.inverse()) == g}, "ker(B~)")
     R = _subgroup(G, im._element_set() & im_t._element_set(), "R")
 
     if not _normal_in(ker_t, im):
@@ -349,11 +394,11 @@ def _normal_in(S: FiniteGroup, T: FiniteGroup) -> bool:
 
 
 def is_splitting(B: RBOperator) -> bool:
-    """True iff Im(B~ B) is trivial, iff R is trivial."""
+    """True iff Im(B~ B) is trivial, iff R is trivial.  For b = B(g),
+    B~(b) = b^-1 B(b^-1) is e iff B(b^-1) = b."""
     if not B.group.enumerated:
         return images(B).R.order() == 1
-    Bt = tilde(B)
-    return all(Bt(B(g)).is_identity() for g in B.group.elements)
+    return all(B(b.inverse()) == b for b in {B(g) for g in B.group.elements})
 
 
 def kernel_invariant(

@@ -38,6 +38,7 @@ class SharplyTransitiveGroup:
     s2: Optional[FiniteGroup] = None  # F.<a^2, b>
     s3: Optional[FiniteGroup] = None  # F.<a^2, ab>
     psl: Optional[FiniteGroup] = None  # index-2 subgroup, degree-3 case
+    transporter: Optional[dict] = None  # degree-3 case, at the last three points
 
 
 def _translation(F: FiniteField, c: int) -> Perm:
@@ -212,12 +213,12 @@ def sharply3(q: int) -> SharplyTransitiveGroup:
             label=f"M({q})",
         )
         try:
-            transporter_table(L, (n - 3, n - 2, n - 1))
+            table = transporter_table(L, (n - 3, n - 2, n - 1))
         except TransitiveError as exc:
             failures.append(f"{name}: {exc}")
             continue
         return SharplyTransitiveGroup(
-            degree=n, group=L, transitivity_degree=3, psl=psl
+            degree=n, group=L, transitivity_degree=3, psl=psl, transporter=table
         )
     raise TransitiveError(
         "no twisting candidate validates: " + "; ".join(failures)
@@ -315,7 +316,9 @@ def build_an_operator(n: int, variant: str = "default") -> RBOperator:
     The distinguished points are the largest two (case a) or three
     (case b) point indices.  sharply3 builds M(q) on the A_n numbering
     with (0, 1, infinity) on those three points, so past the choice of
-    L, S and the distinguished points both cases run the same code.  r is
+    L, S, the distinguished points and their transporter table (case b
+    takes the one sharply3 built for its sharpness check) both cases run
+    the same code.  r is
     the least involution of S = ker(B~) stabilizing the distinguished set.
     K is the pointwise stabilizer of the distinguished points, and the
     L-part of x is read off the images of those points by one
@@ -335,14 +338,15 @@ def build_an_operator(n: int, variant: str = "default") -> RBOperator:
         st = sharply2(v.m, v.q, 1)
         S = {"S1": st.s1, "S2": st.s2, "S3": st.s3, "default": st.s1}[variant]
         distinguished = (n - 2, n - 1)
+        table = transporter_table(st.group, distinguished)
     else:
         if variant != "default":
             raise TransitiveError("variants apply only to the q^m case")
         st = sharply3(v.q ** v.m)
         S = st.psl
         distinguished = (n - 3, n - 2, n - 1)
+        table = st.transporter  # sharply3 builds it at these three points
     L = st.group
-    table = transporter_table(L, distinguished)
     key = operator.itemgetter(*distinguished)
 
     def decompose_l(x: Perm) -> Perm:

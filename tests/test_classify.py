@@ -128,6 +128,32 @@ def test_small_generating_tuple_is_pinned(spec):
     assert closure(gens) == G.elements
 
 
+def _pairwise_table(G):
+    idx = {e: i for i, e in enumerate(G.elements)}
+    return [[idx[a * b] for b in G.elements] for a in G.elements]
+
+
+@pytest.mark.parametrize("spec", list(PINNED) + ["d2n_klein(72)", "q60"])
+def test_grown_mult_table_matches_pairwise_table(spec):
+    """mult_table, grown from the generators, is the table filled pair by
+    pair."""
+    if spec in PINNED:
+        G = families.parse_group_spec(spec).group
+    else:
+        G = build.catalog_operator(spec).group
+        G._index.pop("table", None)
+    assert G.mult_table() == _pairwise_table(G)
+
+
+def test_mult_table_needs_generating_generators():
+    from rbgroups.perm import FiniteGroup, PermError
+
+    D8 = families.dihedral(4)
+    G = FiniteGroup(degree=4, generators=(D8.r,), elements=D8.group.elements)
+    with pytest.raises(PermError, match="do not generate"):
+        G.mult_table()
+
+
 @pytest.mark.parametrize("spec", ORACLE_SPECS)
 def test_lattice_matches_oracle(spec):
     G = families.parse_group_spec(spec).group
@@ -264,7 +290,7 @@ def test_classify_report_conformance_d8():
 
 def test_lemma3_shape_on_d16_example():
     B = build.catalog_operator("d16")
-    assert classify.lemma3_shape(B)
+    assert classify.lemma3_shape(B, rbop.images(B), tilde(B))
 
 
 def test_classify_computes_images_once_per_operator(monkeypatch):
@@ -283,6 +309,25 @@ def test_classify_computes_images_once_per_operator(monkeypatch):
     report = classify.classify(families.parse_group_spec("D:16").group)
     assert all(report.conformance.values())
     assert len(tables) == len(set(tables)) == 105
+
+
+def test_classify_builds_each_companion_once(monkeypatch):
+    """classify calls tilde at most once per operator, each time on a
+    different table.  With is_splitting, the equivalence-class check,
+    images and lemma3_shape each calling it, D:16 took 479 calls over its
+    136 operators."""
+    tables = []
+
+    def counted(B):
+        tables.append(B.images)
+        return tilde(B)
+
+    monkeypatch.setattr(classify, "tilde", counted)
+    monkeypatch.setattr(rbop, "tilde", counted)
+    G = families.parse_group_spec("D:16").group
+    report = classify.classify(G)
+    assert report.total == 136 and all(report.conformance.values())
+    assert len(tables) == len(set(tables)) <= report.total
 
 
 @pytest.mark.parametrize("spec", ["S:3", "D:8", "Q:8", "D:12"])

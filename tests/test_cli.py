@@ -130,11 +130,28 @@ def test_precondition_errors_exit_1():
         ["build-an", "--n", "25"],
         ["construct", "--example", "nope"],
         ["classify", "D:7"],
-        ["classify", "A:5", "--max-order", "60"],  # past the automorphism cap
+        ["classify", "Z:61", "--max-order", "61"],  # past the automorphism cap
         ["sharply3", "--q", "25"],  # M(25) does not lie in A_26
     ):
         code, _ = run(argv)
         assert code == 1
+
+
+CLASSIFY_A5 = """\
+group: A5
+operators: 62
+splitting: 62
+non_splitting: 0
+classes: 2
+class 0: size=2 splitting=yes R=Z1 kernels=A5,Z1 descendent=A5
+class 1: size=60 splitting=yes R=Z1 kernels=A4,Z5 descendent=G[order=60,abelian=False,spectrum=1:1,2:3,3:8,5:4,10:12,15:32]
+"""
+
+
+def test_classify_a5_is_pinned():
+    """The paper's boundary case: A5 is classified within the automorphism
+    cap of 60."""
+    assert run(["classify", "A:5", "--max-order", "60"]) == (0, CLASSIFY_A5)
 
 
 def test_verification_failure_exits_2(tmp_path):

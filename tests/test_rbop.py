@@ -7,6 +7,7 @@ from rbgroups.labels import iso_label
 from rbgroups.perm import FiniteGroup, Perm, PermError
 from rbgroups.rbop import (
     InvalidOperator,
+    check_pair,
     circ,
     descendent_group,
     from_graph,
@@ -52,6 +53,18 @@ def test_sampled_verify_is_deterministic():
     b = verify(B, mode="sampled", count=100, seed=3)
     assert a == b
     assert a.line() == "verify: pass pairs=100 seed=3"
+
+
+def test_full_verify_takes_table_operators_only():
+    """Full verification runs on the Cayley table and refuses a
+    procedural operator; sampled verification still takes it pair by pair."""
+    G = s3()
+    B = rbop.RBOperator(group=G, proc=lambda g: g.inverse())
+    with pytest.raises(PermError, match="table operator"):
+        verify(B)
+    assert verify(B, mode="sampled", count=100, seed=3) == verify(
+        trivial_inv(G), mode="sampled", count=100, seed=3
+    )
 
 
 def test_s3_example_images_and_descendent():
@@ -277,3 +290,80 @@ def test_images_verdicts_on_arbitrary_tables(spec):
         assert got == _oracle_images_verdict(B)
         verdicts[got] += 1
     assert verdicts["ok"] == len(enumerate_rb(G))
+
+
+def _pairwise_verdict(B):
+    """Oracle for full verification: check_pair on every pair in canonical
+    order, stopping at the first failure."""
+    elems = B.group.elements
+    pairs = len(elems) ** 2
+    for g in elems:
+        for h in elems:
+            if not check_pair(B, g, h):
+                detail = f"B(g)B(h)={B(g) * B(h)!r} != B(gB(g)hB(g)^-1)={B(circ(B, g, h))!r}"
+                return rbop.Verdict(ok=False, pairs=pairs, witness=(g, h), detail=detail)
+    return rbop.Verdict(ok=True, pairs=pairs)
+
+
+def _small_pinned_specs():
+    from test_classify import PINNED
+
+    return [s for s in PINNED if families.parse_group_spec(s).group.order() <= 12]
+
+
+@pytest.mark.parametrize("spec", _small_pinned_specs())
+def test_row_verify_matches_pairwise_oracle(spec):
+    for B in enumerate_rb(families.parse_group_spec(spec).group):
+        assert verify(B) == _pairwise_verdict(B) == rbop.Verdict(ok=True, pairs=B.group.order() ** 2)
+
+
+def _corruptions(n):
+    """Every table that differs from d2n_klein(n) in exactly one entry."""
+    B = build.d2n_klein(n)
+    for i, old in enumerate(B.images):
+        for v in B.group.elements:
+            if v != old:
+                images = B.images[:i] + (v,) + B.images[i + 1 :]
+                yield rbop.RBOperator(group=B.group, images=images)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_table_checks_match_oracles_on_corruptions(n):
+    """Row verify gives the pairwise verdict, witness and detail, and
+    descendent_group raises exactly when the regular-representation
+    oracle fails, on every single-entry corruption of d2n_klein(n)."""
+    failures = 0
+    for B in _corruptions(n):
+        v = verify(B)
+        assert v == _pairwise_verdict(B)
+        try:
+            descendent_group(B)
+            raised = False
+        except InvalidOperator:
+            raised = True
+        try:
+            _regular_descendent_label(B)
+            oracle_failed = False
+        except AssertionError:
+            oracle_failed = True
+        assert raised == oracle_failed == (not v.ok)
+        failures += not v.ok
+    assert failures == 2 * n * (2 * n - 1)  # no corruption is an operator
+
+
+def test_table_checks_take_few_products(monkeypatch):
+    """On d2n_klein(72), from no cached table: full verify takes at most
+    4 |gens| |G| products and descendent_group at most 5,000 (pair by
+    pair they took 62,352 and 65,416)."""
+    from test_perm import _count_products
+
+    B = build.d2n_klein(72)
+    G = B.group
+    calls = _count_products(monkeypatch)
+    G._index.pop("table")
+    assert verify(B).ok
+    assert calls[0] <= 4 * len(G.generators) * G.order()
+    G._index.pop("table")
+    calls[0] = 0
+    descendent_group(B)
+    assert calls[0] <= 5000
