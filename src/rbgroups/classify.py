@@ -121,7 +121,7 @@ def enumerate_rb(G: FiniteGroup, cap: int = ENUMERATE_GUARANTEED) -> list[RBOper
         ca, cb = ncols[pi1[y]], cols[pi2[y]]
         return [ca[pi1[x]] + cb[pi2[x]] for x in xs]
 
-    inv = [row.index(e) for row in table]
+    inv = G.inverses()
     subgroups = _subgroups(e, n, g_times)
     # (|A|, |A0|) -> [(A, A0, mask of A0, transversal of A0 in A)]
     sections: dict[tuple[int, int], list] = {}
@@ -171,7 +171,7 @@ def enumerate_rb(G: FiniteGroup, cap: int = ENUMERATE_GUARANTEED) -> list[RBOper
                         grown = K.extended(a * n + c)
                         if grown is not None:
                             stack.append((grown, i + 1))
-    # graph(from_graph(G, pairs)).pairs is pairs, so this is the sort by graph pairs
+    # graph(from_graph(G, pairs)) is pairs, so this is the sort by graph pairs
     return [from_graph(G, frozenset(pairs)) for pairs in sorted(
         sorted(divmod(p, n) for p in H) for H in graphs
     )]
@@ -230,7 +230,7 @@ def oracle_enumerate(G: FiniteGroup) -> list[RBOperator]:
     for assign in results:
         imgs = {G.elements[g]: G.elements[v] for g, v in assign.items()}
         ops.append(from_table(G, imgs, provenance="oracle"))
-    ops.sort(key=lambda B: sorted(graph(B).pairs))
+    ops.sort(key=lambda B: sorted(graph(B)))
     return ops
 
 
@@ -257,10 +257,8 @@ def equivalence_classes(
     passes them, in the same order, as companions."""
     n = G.order()
     auts = automorphism_group(G)
-    conj = []
-    for x in G.elements:
-        xi = x.inverse()
-        conj.append(tuple(G.index(xi * G.elements[i] * x) for i in range(n)))
+    T, inv = G.mult_table(), G.inverses()
+    conj = [tuple(T[T[inv[x]][i]][x] for i in range(n)) for x in range(n)]  # x^-1 i x
 
     moves: list[Callable[[frozenset], frozenset]] = []
     for phi in auts:
@@ -269,7 +267,7 @@ def equivalence_classes(
         moves.append(lambda P, c=c: frozenset((a, c[b]) for a, b in P))
     moves.append(lambda P: frozenset((b, a) for a, b in P))
 
-    graphs = [graph(B).pairs for B in ops]
+    graphs = [graph(B) for B in ops]
     index_of = {g: i for i, g in enumerate(graphs)}
 
     # tau must realize the companion operator
@@ -277,7 +275,7 @@ def equivalence_classes(
         companions = [tilde(B) for B in ops]
     for Bt, P in zip(companions, graphs):
         swapped = frozenset((b, a) for a, b in P)
-        tg = graph(Bt).pairs
+        tg = graph(Bt)
         if swapped != tg:
             raise AssertionError("swap move does not realize the companion operator")
 
@@ -410,9 +408,9 @@ def classify(G: FiniteGroup, cap: int = ENUMERATE_GUARANTEED) -> ClassificationR
 
     def images_of(B: RBOperator) -> OperatorImages:
         """images(B), computed once per operator table."""
-        if B.images not in computed:
-            computed[B.images] = images(B)
-        return computed[B.images]
+        if B.table not in computed:
+            computed[B.table] = images(B)
+        return computed[B.table]
 
     summaries = [summarize(members, images_of(members[0])) for members in classes]
     report = ClassificationReport(

@@ -22,7 +22,6 @@ from .classify import (
 from .labels import iso_label
 from .perm import ClosureCapExceeded, PermError
 from .rbop import (
-    DEFAULT_SEED,
     RBOperator,
     descendent_group,
     images,
@@ -32,6 +31,7 @@ from .rbop import (
 )
 from .transitive import (
     DEFAULT_SAMPLES,
+    DEFAULT_SEED,
     TransitiveError,
     admissible,
     build_an_operator,
@@ -132,7 +132,7 @@ def _parse_split(spec: str, h_text: str, l_text: str) -> RBOperator:
 def _operator_line(B: RBOperator) -> str:
     im = images(B)
     return (
-        f"op: {' '.join(str(i) for i in B.table_key())} | splitting="
+        f"op: {' '.join(map(str, B.table))} | splitting="
         f"{'yes' if im.R.order() == 1 else 'no'} R={iso_label(im.R)}"
     )
 
@@ -144,7 +144,7 @@ def _cmd_construct(args, out) -> int:
         B = build.catalog_operator(args.example)
     else:
         B = _parse_split(*args.split)
-    v = verify(B, mode="full")
+    v = verify(B)
     if args.dump:
         out.write(serialize.format_operator(B))
     ki = kernel_invariant(B)
@@ -192,7 +192,7 @@ def _cmd_verify(args, out) -> int:
     with open(args.file) as fh:
         B = serialize.parse_operator(fh.read())
     if B.is_table:
-        v = verify(B, mode="full")
+        v = verify(B)
         out.write(v.line() + "\n")
         return EXIT_OK if v.ok else EXIT_VERIFY
     lv = verify_an_operator(B, sample_count=args.verify_samples, seed=args.seed)

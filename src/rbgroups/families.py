@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .perm import FiniteGroup, Perm, PermError
+from .perm import ENUMERATION_CAP, FiniteGroup, Perm, PermError
 
 
 @dataclass(frozen=True)
@@ -115,23 +115,25 @@ def alternating_generators(n: int) -> list[Perm]:
     return [c3, big]
 
 
-def alternating(n: int, enumerate_cap: int = 5000) -> BuiltGroup:
-    """A_n; enumerated when n!/2 fits under the cap, generator-only beyond."""
+def alternating(n: int) -> BuiltGroup:
+    """A_n; enumerated when n!/2 fits under ENUMERATION_CAP, generator-only
+    beyond."""
     if n < 3:
         raise PermError("alternating group needs n >= 3")
     import math
 
     order = math.factorial(n) // 2
     gens = alternating_generators(n)
-    if order <= enumerate_cap:
+    if order <= ENUMERATION_CAP:
         G = FiniteGroup.from_generators(gens, cap=order, label=f"A{n}")
     else:
         G = FiniteGroup.generator_only(n, gens, order=order, label=f"A{n}")
     return BuiltGroup(group=G)
 
 
-def alternating_on_points(degree: int, points: list[int], enumerate_cap: int = 0) -> FiniteGroup:
-    """Alt(points) as a subgroup of S_degree; generator-only by default."""
+def alternating_on_points(degree: int, points: list[int]) -> FiniteGroup:
+    """Alt(points) as a generator-only subgroup of S_degree (the trivial
+    group, enumerated, on fewer than three points)."""
     pts = sorted(points)
     k = len(pts)
     if k < 3:
@@ -148,8 +150,6 @@ def alternating_on_points(degree: int, points: list[int], enumerate_cap: int = 0
         for i, pt in enumerate(pts):
             images[pt] = pts[g[i]]
         gens.append(Perm(images))
-    if 0 < order <= enumerate_cap:
-        return FiniteGroup.from_generators(gens, cap=order, label=f"A{k}")
     return FiniteGroup.generator_only(degree, gens, order=order, label=f"A{k}")
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import AbstractSet, Any, Callable, Iterable, Optional, Sequence
+from typing import AbstractSet, Any, Callable, Iterable, Iterator, Optional, Sequence
 
 
 class PermError(ValueError):
@@ -27,7 +27,6 @@ class ClosureCapExceeded(RuntimeError):
 
 
 ENUMERATION_CAP = 5000
-AUTOMORPHISM_CAP = 60
 MAX_DEGREE = 256
 
 _ID = bytes(range(MAX_DEGREE))
@@ -416,6 +415,16 @@ class FiniteGroup:
             self._index["table"] = cached
         return cached
 
+    def inverses(self) -> list[int]:
+        """inverses()[a] is the index of the inverse of element a: the
+        column of e in row a of mult_table()."""
+        cached = self._index.get("inv")
+        if cached is None:
+            e = self.index(self.identity)
+            cached = [row.index(e) for row in self.mult_table()]
+            self._index["inv"] = cached
+        return cached
+
     def is_abelian(self) -> bool:
         gens = self.generators
         return all(a * b == b * a for a in gens for b in gens)
@@ -516,39 +525,11 @@ def extend_homomorphism(
     return mapping
 
 
-def automorphism_group(G: FiniteGroup, cap: int = AUTOMORPHISM_CAP) -> list[tuple[int, ...]]:
-    """All automorphisms of G as element-index tables.
-
-    Each entry `phi` satisfies elements[phi[i]] = image of elements[i].
-    Searches images of a small generating tuple, pruned by element order.
-    """
-    if not G.enumerated:
-        raise PermError("automorphism search needs an enumerated group")
-    if G.order() > cap:
-        raise ClosureCapExceeded(f"|G| = {G.order()} exceeds automorphism cap {cap}")
-    gens = small_generating_tuple(G)
-    by_order: dict[int, list[Perm]] = {}
-    for e in G.elements:
-        by_order.setdefault(e.order(), []).append(e)
-    candidates = [by_order[g.order()] for g in gens]
-
-    autos = []
-    for images in itertools.product(*candidates):
-        mapping = extend_homomorphism(G, gens, images, G)
-        if mapping is None or len(mapping) != G.order():
-            continue
-        if len(set(mapping.values())) != G.order():
-            continue
-        autos.append(tuple(G.index(mapping[e]) for e in G.elements))
-    return sorted(set(autos))
-
-
-def is_isomorphic(G: FiniteGroup, H: FiniteGroup) -> bool:
-    """Brute-force isomorphism test via generator-image search."""
-    if G.order() != H.order():
-        return False
-    if G.element_orders() != H.element_orders():
-        return False
+def _isomorphisms(G: FiniteGroup, H: FiniteGroup) -> Iterator[dict[Perm, Perm]]:
+    """Every isomorphism G -> H, as a map on elements: the images of a
+    small generating tuple of G are searched among the elements of H of
+    the same orders, and each choice that extends to a bijective
+    homomorphism is yielded."""
     gens = small_generating_tuple(G)
     by_order: dict[int, list[Perm]] = {}
     for e in H.elements:
@@ -559,8 +540,28 @@ def is_isomorphic(G: FiniteGroup, H: FiniteGroup) -> bool:
         if mapping is None or len(mapping) != G.order():
             continue
         if len(set(mapping.values())) == G.order():
-            return True
-    return False
+            yield mapping
+
+
+def automorphism_group(G: FiniteGroup) -> list[tuple[int, ...]]:
+    """All automorphisms of G as element-index tables.
+
+    Each entry `phi` satisfies elements[phi[i]] = image of elements[i].
+    """
+    if not G.enumerated:
+        raise PermError("automorphism search needs an enumerated group")
+    return sorted(
+        {tuple(G.index(m[e]) for e in G.elements) for m in _isomorphisms(G, G)}
+    )
+
+
+def is_isomorphic(G: FiniteGroup, H: FiniteGroup) -> bool:
+    """Brute-force isomorphism test via generator-image search."""
+    if G.order() != H.order():
+        return False
+    if G.element_orders() != H.element_orders():
+        return False
+    return next(_isomorphisms(G, H), None) is not None
 
 
 # -- exact factorizations --------------------------------------------------

@@ -5,14 +5,13 @@ An operator B on a group G satisfies, for all g, h:
     B(g) B(h) = B(g B(g) h B(g)^-1)
 
 with the package-wide left-to-right composition convention.  Table
-operators store one image per canonical element; procedural operators
-(used on large alternating groups) carry an evaluation closure plus
-structural facts from their construction.
+operators store the index of the image of each canonical element;
+procedural operators (used on large alternating groups) carry an
+evaluation closure plus structural facts from their construction.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -30,57 +29,47 @@ class InvalidOperator(ValueError):
     """The defining identity or a structural consequence of it failed."""
 
 
-DEFAULT_SEED = 7
-FULL_VERIFY_MAX_ORDER = 1024
-
-
 @dataclass(frozen=True)
 class Verdict:
     ok: bool
     pairs: int
-    seed: Optional[int] = None
     witness: Optional[tuple] = None
     detail: str = ""
 
     def line(self) -> str:
-        status = "pass" if self.ok else "fail"
-        seed = "-" if self.seed is None else str(self.seed)
-        return f"verify: {status} pairs={self.pairs} seed={seed}"
+        return f"verify: {'pass' if self.ok else 'fail'} pairs={self.pairs} seed=-"
 
 
 @dataclass(frozen=True)
 class RBOperator:
     """A Rota-Baxter operator on a finite group.
 
-    Exactly one of `images` (table body, aligned with group.elements)
-    and `proc` (procedural body) is set.  `structural` carries
-    construction-provided subgroup data for procedural operators.
+    Exactly one of `table` and `proc` (procedural body) is set.  A table
+    operator lives on an enumerated group: table[i] is the index of
+    B(elements[i]) in the canonical element order, as the op: line
+    prints it.  `structural` carries construction-provided subgroup data
+    for procedural operators.
     """
 
     group: FiniteGroup
-    images: Optional[tuple[Perm, ...]] = None
+    table: Optional[tuple[int, ...]] = None
     proc: Optional[Callable[[Perm], Perm]] = None
     provenance: str = ""
     structural: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        if (self.images is None) == (self.proc is None):
+        if (self.table is None) == (self.proc is None):
             raise PermError("operator needs exactly one of a table or a procedure")
 
     @property
     def is_table(self) -> bool:
-        return self.images is not None
+        return self.table is not None
 
     def __call__(self, g: Perm) -> Perm:
-        if self.images is not None:
-            return self.images[self.group.index(g)]
+        if self.table is not None:
+            G = self.group
+            return G.elements[self.table[G.index(g)]]
         return self.proc(g)
-
-    def table_key(self) -> tuple[int, ...]:
-        """Canonical key: image indices in canonical element order."""
-        if self.images is None:
-            raise PermError("procedural operator has no table key")
-        return tuple(self.group.index(p) for p in self.images)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RBOperator):
@@ -88,12 +77,12 @@ class RBOperator:
         if self.group is not other.group and self.group != other.group:
             return False
         if self.is_table and other.is_table:
-            return self.images == other.images
+            return self.table == other.table
         return self is other
 
     def __hash__(self):
-        if self.images is not None:
-            return hash((self.group.degree, self.images))
+        if self.table is not None:
+            return hash((self.group.degree, self.table))
         return id(self)
 
 
@@ -103,18 +92,16 @@ def from_table(
     provenance: str = "",
     check: bool = True,
 ) -> RBOperator:
-    """Table operator; verifies the defining identity on all pairs unless
-    the group is too large (then sampled) or check=False."""
+    """The table operator with the given image of each element (a dict,
+    or a tuple in canonical element order); verify runs unless
+    check=False."""
     if not G.enumerated:
         raise PermError("table operators need an enumerated group")
     if isinstance(images, dict):
-        images = tuple(images[e] for e in G.elements)
-    B = RBOperator(group=G, images=tuple(images), provenance=provenance)
+        images = map(images.__getitem__, G.elements)
+    B = RBOperator(group=G, table=tuple(map(G.index, images)), provenance=provenance)
     if check:
-        if G.order() <= FULL_VERIFY_MAX_ORDER:
-            v = verify(B, mode="full")
-        else:
-            v = verify(B, mode="sampled", count=10_000, seed=DEFAULT_SEED)
+        v = verify(B)
         if not v.ok:
             raise InvalidOperator(
                 f"defining identity fails at {v.witness}: {v.detail}"
@@ -124,12 +111,12 @@ def from_table(
 
 def trivial_e(G: FiniteGroup) -> RBOperator:
     """g -> e."""
-    return from_table(G, tuple(G.identity for _ in G.elements), provenance="B_e", check=False)
+    return RBOperator(group=G, table=(G.index(G.identity),) * G.order(), provenance="B_e")
 
 
 def trivial_inv(G: FiniteGroup) -> RBOperator:
     """g -> g^-1."""
-    return from_table(G, tuple(e.inverse() for e in G.elements), provenance="B_inv", check=False)
+    return RBOperator(group=G, table=tuple(G.inverses()), provenance="B_inv")
 
 
 def check_pair(
@@ -141,91 +128,58 @@ def check_pair(
     return row[0] * B(h) == B(circ(B, g, h, row))
 
 
-def verify(
-    B: RBOperator,
-    mode: str = "full",
-    count: int = 10_000,
-    seed: int = DEFAULT_SEED,
-) -> Verdict:
-    """Check the defining identity on all pairs (full) or seeded random
-    pairs (sampled).  Deterministic for a fixed seed.
+def verify(B: RBOperator) -> Verdict:
+    """Check the defining identity of a table operator on all pairs.
 
-    Full verification takes a table operator and runs one row g at a time
-    on G's Cayley table (see _circ_rows): the row holds iff
-    [B(g o h) for h] == [B(g) B(h) for h] as lists of element indices.
-    The first failing row is searched for its first failing h with
-    check_pair, so the witness and detail are those of the pairwise
-    walk.  Sampled pairs go through check_pair one by one."""
-    if mode not in ("full", "sampled"):
-        raise PermError(f"unknown verify mode {mode!r}")
-    if not B.group.enumerated:
-        raise PermError(f"{mode} verification needs an enumerated group")
-    if mode == "full":
-        if not B.is_table:
-            raise PermError("full verification needs a table operator")
-        return _verify_rows(B)
-    rng = random.Random(seed)
-    elems = B.group.elements
-    for _ in range(count):
-        g, h = rng.choice(elems), rng.choice(elems)
-        if not check_pair(B, g, h):
-            return _failure(B, g, h, count, seed)
-    return Verdict(ok=True, pairs=count, seed=seed)
-
-
-def _failure(B: RBOperator, g: Perm, h: Perm, pairs: int, seed: Optional[int]) -> Verdict:
-    return Verdict(
-        ok=False,
-        pairs=pairs,
-        seed=seed,
-        witness=(g, h),
-        detail=f"B(g)B(h)={B(g) * B(h)!r} != B(gB(g)hB(g)^-1)={B(circ(B, g, h))!r}",
-    )
-
-
-def _verify_rows(B: RBOperator) -> Verdict:
+    The check runs one row g at a time on G's Cayley table T (see
+    _circ_rows): the row holds iff [B(g o h) for h] == [B(g) B(h) for h]
+    as lists of element indices.  The first failing row is searched for
+    its first failing h with check_pair, so the witness and detail are
+    those of a pair-by-pair walk in canonical order."""
+    if not B.is_table:
+        raise PermError("verification needs a table operator")
     G = B.group
     T = G.mult_table()
-    Bi = B.table_key()
-    pairs = len(Bi) ** 2
-    for g, row in enumerate(_circ_rows(G, Bi)):
-        if not _respects(Bi, T, g, row):
+    Bt = B.table
+    pairs = len(Bt) ** 2
+    for g, row in enumerate(_circ_rows(G, Bt)):
+        if list(map(Bt.__getitem__, row)) != list(map(T[Bt[g]].__getitem__, Bt)):
             g = G.elements[g]
             crow = circ_row(B, g)
             h = next(h for h in G.elements if not check_pair(B, g, h, crow))
-            return _failure(B, g, h, pairs, None)
+            return Verdict(
+                ok=False,
+                pairs=pairs,
+                witness=(g, h),
+                detail=f"B(g)B(h)={B(g) * B(h)!r} != B(gB(g)hB(g)^-1)={B(circ(B, g, h))!r}",
+            )
     return Verdict(ok=True, pairs=pairs)
 
 
-def _circ_rows(G: FiniteGroup, Bi: Sequence[int]) -> Iterator[list[int]]:
+def _circ_rows(G: FiniteGroup, Bt: Sequence[int]) -> Iterator[list[int]]:
     """Row g of the descendent product on element indices, for each g of
-    G in canonical order, where Bi[g] is the index of B(g): row[h] is the
+    G in canonical order, where Bt[g] is the index of B(g): row[h] is the
     index of g o h.  With T = G.mult_table(), x = g B(g) and
     y = B(g)^-1, g o h = x h y, so row = [T[T[x][h]][y] for h]: column y
     of T read along row x.  No Perm product is taken."""
     T = G.mult_table()
+    inv = G.inverses()
     cols = list(zip(*T))  # cols[y][v] = index of v*y
-    e = G.index(G.identity)
-    for g, b in enumerate(Bi):
-        yield list(map(cols[T[b].index(e)].__getitem__, T[T[g][b]]))
-
-
-def _respects(f: Sequence[int], T: list[list[int]], g: int, row: list[int]) -> bool:
-    """f(g o h) = f(g) f(h) for every h, on element indices: f lists the
-    index of f(v) for each v, T is G's table and row is row g of o.  With
-    f = B this is the defining identity on row g."""
-    return list(map(f.__getitem__, row)) == list(map(T[f[g]].__getitem__, f))
+    for g, b in enumerate(Bt):
+        yield list(map(cols[inv[b]].__getitem__, T[T[g][b]]))
 
 
 # -- derived operators -----------------------------------------------------
 
 
 def tilde(B: RBOperator) -> RBOperator:
-    """The companion operator g -> g^-1 B(g^-1); an involution."""
-    if B.images is not None:
-        G = B.group
-        images = tuple(e.inverse() * B(e.inverse()) for e in G.elements)
-        return RBOperator(group=G, images=images, provenance=f"tilde({B.provenance})")
+    """The companion operator g -> g^-1 B(g^-1); an involution.  On a
+    table, with j the index of g^-1, that is T[j][B.table[j]]."""
+    if B.table is not None:
+        G, Bt = B.group, B.table
+        T = G.mult_table()
+        table = tuple(T[j][Bt[j]] for j in G.inverses())
+        return RBOperator(group=G, table=table, provenance=f"tilde({B.provenance})")
     proc = B.proc
     structural = {}
     for a, b in (("ker", "ker_tilde"), ("im", "im_tilde"), ("R", "R")):
@@ -268,29 +222,23 @@ def descendent_group(B: RBOperator) -> tuple[FiniteGroup, str]:
     (G, o) is represented on 2 deg(G) points by the graph embedding
     phi(g) = (B(g), B_+(g)), B_+(g) = g B(g): B(g) acts on the points
     0..d-1 and B_+(g) on d..2d-1, so d = deg(G) <= MAX_DEGREE / 2.  The
-    checks are that e is a two-sided identity for o, that every row
-    h -> g o h is a bijection, and, for all pairs, phi(a o b) = phi(a) phi(b).
-    The last check alone proves that (G, o) is a group and that B is a
-    homomorphism from it to G:
+    one check is verify(B), the defining identity B(a o b) = B(a) B(b)
+    for all a, b; InvalidOperator when it fails.  It proves that (G, o)
+    is a group, with identity e, isomorphic to phi(G):
 
+    - The identity implies phi(a o b) = phi(a) phi(b).  phi(a) phi(b)
+      acts blockwise, as B(a) B(b) on 0..d-1 and as B_+(a) B_+(b) on
+      d..2d-1, and the second block follows from the first:
+      B_+(a o b) = (a o b) B(a) B(b) = a B(a) b B(b) = B_+(a) B_+(b).
     - phi is injective, since g = B_+(g) B(g)^-1 is read off phi(g).
     - o is associative: phi((a o b) o c) = phi(a) phi(b) phi(c)
       = phi(a o (b o c)), and phi is injective.
     - phi(G) is a finite subset of Sym(2d) closed under products, hence a
       subgroup, and phi is a bijection (G, o) -> phi(G) that respects the
-      products; so (G, o) is a group isomorphic to phi(G).
-    - Products of phi-images act blockwise, so the first block of the
-      identity reads B(a o b) = B(a) B(b): B is a homomorphism
-      (G, o) -> G.  The second block says the same of B_+.
-
-    Only the first block is checked: it implies the second, since then
-    B_+(a o b) = (a o b) B(a) B(b) = a B(a) b B(b) = B_+(a) B_+(b).  As
-    phi(a) phi(b) acts as B(a) B(b) on 0..d-1 and as B_+(a) B_+(b) on
-    d..2d-1, B(a o b) = B(a) B(b) for all a, b is the same as
-    phi(a o b) = phi(a) phi(b).  The check runs one row a at a time on
-    G's Cayley table T, on element indices, with the rows of o from
-    _circ_rows: it is the defining identity of B, read row by row as in
-    verify.
+      products; so (G, o) is a group isomorphic to phi(G).  Every row
+      h -> g o h of a group is a bijection.
+    - Its identity is e: B(e) B(e) = B(e o e) = B(e B(e) e B(e)^-1) = B(e)
+      gives B(e) = e, so phi(e) is the identity of Sym(2d).
 
     The regular representation needs |G| points and an O(|G|^3)
     associativity loop; the tests keep it as an exhaustive oracle.
@@ -303,24 +251,13 @@ def descendent_group(B: RBOperator) -> tuple[FiniteGroup, str]:
         raise PermError(
             f"descendent group needs degree <= {MAX_DEGREE // 2}, got {d}"
         )
+    v = verify(B)
+    if not v.ok:
+        raise InvalidOperator(f"B is not a homomorphism from the descendent product: {v.detail}")
     elems = G.elements
-    n = len(elems)
     T = G.mult_table()
-    Bi = tuple(G.index(B(g)) for g in elems)
-    table = list(_circ_rows(G, Bi))
-
-    ident = G.index(G.identity)
-    for i in range(n):
-        if table[i][ident] != i or table[ident][i] != i:
-            raise InvalidOperator("descendent product has no identity")
-    for i in range(n):
-        if sorted(table[i]) != list(range(n)):
-            raise InvalidOperator("descendent product rows are not bijections")
-    for a, row in enumerate(table):
-        if not _respects(Bi, T, a, row):
-            raise InvalidOperator("B is not a homomorphism from the descendent product")
     # phi(g) = (B(g), B_+(g)), with T[g][b] the index of B_+(g) = g B(g)
-    phi = [Perm(elems[b] + bytes(d + v for v in elems[T[g][b]])) for g, b in enumerate(Bi)]
+    phi = [Perm(elems[b] + bytes(d + v for v in elems[T[g][b]])) for g, b in enumerate(B.table)]
     D = FiniteGroup.from_elements(phi, label=f"{G.label}^o")
     return D, iso_label(D)
 
@@ -346,9 +283,11 @@ def images(B: RBOperator) -> OperatorImages:
     |XY| = |X| |Y| / |X meet Y| for subgroups X, Y, with X meet Y = R:
     XY is a subset of G, so XY = G iff |Im(B~)| |Im(B)| = |G| |R|.
     The companion's sets are read off B: B~(g) = g^-1 B(g^-1), so
-    Im(B~) = {x B(x)} (x = g^-1) and B~(g) = e iff B(g^-1) = g."""
+    Im(B~) = {x B(x)} (x = g^-1) and B~(g) = e iff B(g^-1) = g.  On the
+    table, with T = G.mult_table() and inv = G.inverses(), these are
+    {T[g][b]} and {g : table[inv[g]] = g}."""
     G = B.group
-    if not G.enumerated:
+    if not B.is_table:
         st = B.structural
         if {"ker", "im", "ker_tilde", "im_tilde", "R"} <= st.keys():
             return OperatorImages(
@@ -356,10 +295,13 @@ def images(B: RBOperator) -> OperatorImages:
                 im_tilde=st["im_tilde"], ker_tilde=st["ker_tilde"], R=st["R"],
             )
         raise PermError("images of a procedural operator need structural data")
-    im = _subgroup(G, {B(g) for g in G.elements}, "Im(B)")
-    ker = _subgroup(G, {g for g in G.elements if B(g).is_identity()}, "ker(B)")
-    im_t = _subgroup(G, {g * B(g) for g in G.elements}, "Im(B~)")
-    ker_t = _subgroup(G, {g for g in G.elements if B(g.inverse()) == g}, "ker(B~)")
+    elems, Bt = G.elements, B.table
+    T, inv = G.mult_table(), G.inverses()
+    e = G.index(G.identity)
+    im = _subgroup(G, {elems[b] for b in set(Bt)}, "Im(B)")
+    ker = _subgroup(G, {elems[g] for g, b in enumerate(Bt) if b == e}, "ker(B)")
+    im_t = _subgroup(G, {elems[T[g][b]] for g, b in enumerate(Bt)}, "Im(B~)")
+    ker_t = _subgroup(G, {elems[g] for g, j in enumerate(inv) if Bt[j] == g}, "ker(B~)")
     R = _subgroup(G, im._element_set() & im_t._element_set(), "R")
 
     if not _normal_in(ker_t, im):
@@ -396,9 +338,10 @@ def _normal_in(S: FiniteGroup, T: FiniteGroup) -> bool:
 def is_splitting(B: RBOperator) -> bool:
     """True iff Im(B~ B) is trivial, iff R is trivial.  For b = B(g),
     B~(b) = b^-1 B(b^-1) is e iff B(b^-1) = b."""
-    if not B.group.enumerated:
+    if not B.is_table:
         return images(B).R.order() == 1
-    return all(B(b.inverse()) == b for b in {B(g) for g in B.group.elements})
+    Bt, inv = B.table, B.group.inverses()
+    return all(Bt[inv[b]] == b for b in set(Bt))
 
 
 def kernel_invariant(
@@ -414,38 +357,27 @@ def kernel_invariant(
 # -- graph correspondence with subgroups of G x G --------------------------
 
 
-@dataclass(frozen=True)
-class GraphSubgroup:
+def graph(B: RBOperator) -> frozenset[tuple[int, int]]:
     """H_B = {(B(g), g B(g))} as a frozenset of element-index pairs."""
-
-    group: FiniteGroup
-    pairs: frozenset[tuple[int, int]]
-
-
-def graph(B: RBOperator) -> GraphSubgroup:
-    G = B.group
-    pairs = frozenset(
-        (G.index(B(g)), G.index(g * B(g))) for g in G.elements
-    )
-    return GraphSubgroup(group=G, pairs=pairs)
+    T = B.group.mult_table()
+    return frozenset((b, T[g][b]) for g, b in enumerate(B.table))
 
 
 def from_graph(G: FiniteGroup, pairs: frozenset[tuple[int, int]]) -> RBOperator:
     """The operator with graph `pairs`: B(g) = a for the unique (a, b)
-    with b a^-1 = g.  Requires |H| = |G| and trivial diagonal meet."""
-    if len(pairs) != G.order():
-        raise InvalidOperator(f"graph has {len(pairs)} pairs, need |G| = {G.order()}")
+    with b a^-1 = g.  Requires |H| = |G| and trivial diagonal meet; then
+    the |G| quotients b a^-1 cover G as soon as they are distinct."""
+    n = G.order()
+    if len(pairs) != n:
+        raise InvalidOperator(f"graph has {len(pairs)} pairs, need |G| = {n}")
     ident = G.index(G.identity)
+    T, inv = G.mult_table(), G.inverses()
+    table: list[Optional[int]] = [None] * n
     for a, b in pairs:
         if a == b and a != ident:
             raise InvalidOperator("graph meets the diagonal nontrivially")
-    elems = G.elements
-    images: dict[Perm, Perm] = {}
-    for a, b in pairs:
-        g = elems[b] * elems[a].inverse()
-        if g in images:
+        g = T[b][inv[a]]
+        if table[g] is not None:
             raise InvalidOperator("graph pairs do not separate quotients b a^-1")
-        images[g] = elems[a]
-    if len(images) != G.order():
-        raise InvalidOperator("graph quotients b a^-1 do not cover G")
-    return from_table(G, images, provenance="from_graph", check=False)
+        table[g] = a
+    return RBOperator(group=G, table=tuple(table), provenance="from_graph")

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .perm import FiniteGroup, Perm, PermError
-from .rbop import RBOperator, from_table
+from .rbop import RBOperator
 
 
 class FormatError(ValueError):
@@ -78,7 +78,7 @@ def parse_group(text: str | list[str]) -> FiniteGroup:
 def format_operator(B: RBOperator) -> str:
     out = format_group(B.group)
     if B.is_table:
-        out += "op: " + " ".join(str(i) for i in B.table_key()) + "\n"
+        out += "op: " + " ".join(map(str, B.table)) + "\n"
     else:
         st = B.structural
         out += f"proc: an n={B.group.degree} case={st['case']} variant={st['variant']}\n"
@@ -100,14 +100,18 @@ def parse_operator(text: str | list[str]) -> RBOperator:
     if head.startswith("op:"):
         if not G.enumerated:
             raise FormatError("table operator needs an enumerated group")
-        idx = [int(tok) for tok in _expect(head, "op").split()]
-        if len(idx) != G.order():
-            raise FormatError(f"op line has {len(idx)} entries, need {G.order()}")
-        images = tuple(G.elements[i] for i in idx)
-        return from_table(G, images, provenance="file", check=False)
+        n = G.order()
+        table = tuple(int(tok) for tok in _expect(head, "op").split())
+        if len(table) != n:
+            raise FormatError(f"op line has {len(table)} entries, need {n}")
+        if not all(0 <= i < n for i in table):
+            raise FormatError(f"op line has an index outside 0..{n - 1}")
+        return RBOperator(group=G, table=table, provenance="file")
     fields = dict(
         tok.split("=", 1) for tok in _expect(head, "proc").split()[1:]
     )
+    if not {"n", "variant"} <= fields.keys():
+        raise FormatError(f"proc line needs n= and variant=, got {head!r}")
     n = int(fields["n"])
     variant = fields["variant"]
     from .transitive import build_an_operator

@@ -12,6 +12,7 @@ import random
 from rbgroups import rbop
 from rbgroups.perm import FiniteGroup, Perm
 from rbgroups.rbop import RBOperator, bplus, circ, tilde, verify
+from rbgroups.transitive import DEFAULT_SEED
 
 EXHAUSTIVE_MAX_ORDER = 200
 
@@ -42,7 +43,7 @@ def check_invariants(B: RBOperator) -> list[tuple[str, bool]]:
         pairs = [(g, h) for g in elems for h in elems]
         singles = list(elems)
     else:
-        rng = random.Random(rbop.DEFAULT_SEED)
+        rng = random.Random(DEFAULT_SEED)
         pairs = [(rng.choice(elems), rng.choice(elems)) for _ in range(2000)]
         singles = [rng.choice(elems) for _ in range(200)]
 
@@ -76,7 +77,7 @@ def check_invariants(B: RBOperator) -> list[tuple[str, bool]]:
 
     try:
         w = perm.exact_factorization(G, data.ker, data.ker_tilde)
-        matches = build.from_factorization(w).images == B.images
+        matches = build.from_factorization(w).table == B.table
     except (perm.PermError, build.ConstructionError):
         matches = False
     results.append(("prop7", split == matches))
@@ -86,7 +87,7 @@ def check_invariants(B: RBOperator) -> list[tuple[str, bool]]:
         "lemma2b",
         all(c.order() % B(c).order() == 0 for c in center.elements),
     ))
-    results.append(("tilde_involution", tilde(Bt).images == B.images))
+    results.append(("tilde_involution", tilde(Bt).table == B.table))
     results.append(("prop6d_eq8", True))  # asserted inside images(); raising = failure
     return results
 

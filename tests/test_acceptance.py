@@ -39,7 +39,7 @@ def test_criterion_01_s3_classification(emit):
     ops = enumerated("S:3")
     ok = all(is_splitting(B) for B in ops)
     example = build.catalog_operator("s3")
-    ok &= example.table_key() in {B.table_key() for B in ops}
+    ok &= example.table in {B.table for B in ops}
     ok &= descendent_group(example)[1] == "Z6"
     elapsed = time.time() - start
     ok &= elapsed < 1.0
@@ -51,16 +51,16 @@ def test_criterion_02_a4_classification(emit):
     G = group("A:4")
     ops = enumerated("A:4")
     classes = classify.equivalence_classes(G, list(ops))
-    trivial_keys = {rbop.trivial_e(G).table_key(), rbop.trivial_inv(G).table_key()}
-    nontrivial = [c for c in classes if not trivial_keys & {B.table_key() for B in c}]
+    trivial_keys = {rbop.trivial_e(G).table, rbop.trivial_inv(G).table}
+    nontrivial = [c for c in classes if not trivial_keys & {B.table for B in c}]
     ok = len(nontrivial) == 2
     detail = f"{len(nontrivial)} nontrivial classes"
     split = [c for c in nontrivial if is_splitting(c[0])]
     nonsplit = [c for c in nontrivial if not is_splitting(c[0])]
     ok &= len(split) == 1 and len(nonsplit) == 1
     if split:
-        keys = {B.table_key() for B in split[0]}
-        ok &= build.catalog_operator("a4_b1").table_key() in keys
+        keys = {B.table for B in split[0]}
+        ok &= build.catalog_operator("a4_b1").table in keys
         detail += "; splitting class carries the <(234)>.V4 factorization"
     if nonsplit:
         r_label = iso_label(images(nonsplit[0][0]).R)
@@ -116,7 +116,7 @@ def test_criterion_05_quaternion(emit):
         counts[spec] = len(nonsplit)
         ok &= all(images(B).R.order() == 2 for B in nonsplit)
     q60 = build.catalog_operator("q60")
-    ok &= verify(q60, mode="full").ok
+    ok &= verify(q60).ok
     elapsed = time.time() - start
     emit(5, ok, f"Q12/Q20 non-splitting all |R|=2 {counts}; Q60 example fully verified ({elapsed:.1f}s)")
 
@@ -231,8 +231,8 @@ def test_criterion_12_oracle_equivalence(emit):
     counts = []
     for spec in ORACLE_SPECS:
         G = oracle_group(spec)
-        fast = {B.table_key() for B in classify.enumerate_rb(G)}
-        slow = {B.table_key() for B in classify.oracle_enumerate(G)}
+        fast = {B.table for B in classify.enumerate_rb(G)}
+        slow = {B.table for B in classify.oracle_enumerate(G)}
         ok &= fast == slow
         counts.append(f"{spec}:{len(fast)}")
     elapsed = time.time() - start

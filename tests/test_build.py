@@ -102,7 +102,7 @@ def test_index2_construction_on_d16(name):
     assert verify(B).ok
     assert not is_splitting(B)
     assert images(B).R.order() == 2
-    assert B.table_key() in {A.table_key() for A in classify.enumerate_rb(G)}
+    assert B.table in {A.table for A in classify.enumerate_rb(G)}
 
 
 def test_q60_catalog():

@@ -10,7 +10,7 @@ from rbgroups.rbop import descendent_group, graph, is_splitting, tilde
 
 
 def _by_graph(ops):
-    return {B.table_key() for B in ops}
+    return {B.table for B in ops}
 
 
 ORACLE_SPECS = (
@@ -145,6 +145,12 @@ def test_grown_mult_table_matches_pairwise_table(spec):
     assert G.mult_table() == _pairwise_table(G)
 
 
+@pytest.mark.parametrize("spec", list(PINNED))
+def test_inverses_match_perm_inverses(spec):
+    G = families.parse_group_spec(spec).group
+    assert G.inverses() == [G.index(g.inverse()) for g in G.elements]
+
+
 def test_mult_table_needs_generating_generators():
     from rbgroups.perm import FiniteGroup, PermError
 
@@ -165,7 +171,7 @@ def test_lattice_matches_oracle(spec):
 @pytest.mark.parametrize("spec", list(PINNED))
 def test_enumeration_is_pinned(spec):
     ops = classify.enumerate_rb(families.parse_group_spec(spec).group)
-    digest = hashlib.sha256(repr(sorted(B.table_key() for B in ops)).encode()).hexdigest()
+    digest = hashlib.sha256(repr(sorted(B.table for B in ops)).encode()).hexdigest()
     assert (len(ops), digest) == PINNED[spec]
 
 
@@ -176,7 +182,7 @@ def test_section_search_matches_lattice_search(spec):
     G = families.parse_group_spec(spec).group
     n = G.order()
     masks = sorted(
-        sum(1 << (a * n + b) for a, b in graph(B).pairs) for B in classify.enumerate_rb(G)
+        sum(1 << (a * n + b) for a, b in graph(B)) for B in classify.enumerate_rb(G)
     )
     assert masks == lattice_graph_masks(G)
 
@@ -213,7 +219,7 @@ def test_s3_enumeration():
     # exact factorization Z3 * Z2 (three reflections, both orders)
     assert len(ops) == 8
     assert all(is_splitting(B) for B in ops)
-    assert build.catalog_operator("s3").table_key() in _by_graph(ops)
+    assert build.catalog_operator("s3").table in _by_graph(ops)
 
 
 def test_z2_operators():
@@ -222,8 +228,8 @@ def test_z2_operators():
     # only B_e and B_inv = identity-as-table: on Z2, g^-1 = g so both
     # trivial operators plus the identity map g -> g
     keys = _by_graph(ops)
-    assert rbop.trivial_e(G).table_key() in keys
-    assert rbop.trivial_inv(G).table_key() in keys
+    assert rbop.trivial_e(G).table in keys
+    assert rbop.trivial_inv(G).table in keys
 
 
 def test_equivalence_preserves_invariants():
@@ -244,7 +250,7 @@ def test_a4_class_structure():
     assert len(ops) == 18
     classes = classify.equivalence_classes(G, ops)
     assert len(classes) == 3
-    trivial_keys = {rbop.trivial_e(G).table_key(), rbop.trivial_inv(G).table_key()}
+    trivial_keys = {rbop.trivial_e(G).table, rbop.trivial_inv(G).table}
     nontrivial = [c for c in classes if not trivial_keys & _by_graph(c)]
     assert len(nontrivial) == 2
     split = [c for c in nontrivial if is_splitting(c[0])]
@@ -269,7 +275,7 @@ def test_tilde_stays_within_class():
     for cls in classes:
         keys = _by_graph(cls)
         for B in cls:
-            assert tilde(B).table_key() in keys
+            assert tilde(B).table in keys
 
 
 def test_classify_report_d6():
@@ -301,7 +307,7 @@ def test_classify_computes_images_once_per_operator(monkeypatch):
     images = rbop.images
 
     def counted(B):
-        tables.append(B.images)
+        tables.append(B.table)
         return images(B)
 
     monkeypatch.setattr(classify, "images", counted)
@@ -319,7 +325,7 @@ def test_classify_builds_each_companion_once(monkeypatch):
     tables = []
 
     def counted(B):
-        tables.append(B.images)
+        tables.append(B.table)
         return tilde(B)
 
     monkeypatch.setattr(classify, "tilde", counted)

@@ -130,7 +130,6 @@ def test_precondition_errors_exit_1():
         ["build-an", "--n", "25"],
         ["construct", "--example", "nope"],
         ["classify", "D:7"],
-        ["classify", "Z:61", "--max-order", "61"],  # past the automorphism cap
         ["sharply3", "--q", "25"],  # M(25) does not lie in A_26
     ):
         code, _ = run(argv)
@@ -149,9 +148,36 @@ class 1: size=60 splitting=yes R=Z1 kernels=A4,Z5 descendent=G[order=60,abelian=
 
 
 def test_classify_a5_is_pinned():
-    """The paper's boundary case: A5 is classified within the automorphism
-    cap of 60."""
+    """The paper's boundary case: A5 is classified."""
     assert run(["classify", "A:5", "--max-order", "60"]) == (0, CLASSIFY_A5)
+
+
+def test_classify_d32_conforms():
+    """--max-order is the one cap: classify reaches D32 (264 operators,
+    10 classes), and every conformance flag is yes."""
+    code, text = run(["classify", "D:32", "--max-order", "32"])
+    flags = [line for line in text.splitlines() if line.startswith("conformant[")]
+    assert code == 0 and "operators: 264" in text and "classes: 10" in text
+    assert flags and all(line.endswith(": yes") for line in flags)
+
+
+@pytest.mark.parametrize("op", ["0 -1 -2", "0 1 3"])
+@pytest.mark.parametrize("command", [["verify"], ["descendent", "--file"]])
+def test_op_index_outside_the_group_exits_1(tmp_path, capsys, command, op):
+    """An op: index outside 0..|G|-1 is a format error: on Z3, 0 -1 -2 is
+    not read as 0 2 1 (the operator g -> g^-1), and 3 is not an
+    IndexError."""
+    path = tmp_path / "bad.op"
+    path.write_text(f"domain: 3\ngen: 1 2 0\nop: {op}\n")
+    assert run(command + [str(path)]) == (1, "")
+    assert "error: op line has an index outside 0..2" in capsys.readouterr().err
+
+
+def test_proc_line_without_n_exits_1(tmp_path, capsys):
+    path = tmp_path / "bad.op"
+    path.write_text("domain: 9\norder: 181440\ngen: 1 2 0 3 4 5 6 7 8\nproc: an variant=S1\n")
+    assert run(["verify", str(path)]) == (1, "")
+    assert "error: proc line needs n= and variant=" in capsys.readouterr().err
 
 
 def test_verification_failure_exits_2(tmp_path):

@@ -47,24 +47,13 @@ def test_constant_nonidentity_map_fails():
     assert not v.ok and v.witness is not None
 
 
-def test_sampled_verify_is_deterministic():
-    B = trivial_inv(s3())
-    a = verify(B, mode="sampled", count=100, seed=3)
-    b = verify(B, mode="sampled", count=100, seed=3)
-    assert a == b
-    assert a.line() == "verify: pass pairs=100 seed=3"
-
-
 def test_full_verify_takes_table_operators_only():
-    """Full verification runs on the Cayley table and refuses a
-    procedural operator; sampled verification still takes it pair by pair."""
+    """Verification runs on the Cayley table and refuses a procedural
+    operator."""
     G = s3()
     B = rbop.RBOperator(group=G, proc=lambda g: g.inverse())
     with pytest.raises(PermError, match="table operator"):
         verify(B)
-    assert verify(B, mode="sampled", count=100, seed=3) == verify(
-        trivial_inv(G), mode="sampled", count=100, seed=3
-    )
 
 
 def test_s3_example_images_and_descendent():
@@ -84,9 +73,9 @@ def test_s3_example_images_and_descendent():
 
 def test_tilde_is_involution_and_swaps_trivials():
     G = s3()
-    assert tilde(trivial_e(G)).images == trivial_inv(G).images
+    assert tilde(trivial_e(G)).table == trivial_inv(G).table
     B = s3_example()
-    assert tilde(tilde(B)).images == B.images
+    assert tilde(tilde(B)).table == B.table
 
 
 def test_descendent_of_trivial_is_the_group():
@@ -152,17 +141,17 @@ def test_images_of_trivials():
 def test_graph_roundtrip():
     for B in (trivial_e(s3()), trivial_inv(s3()), s3_example()):
         H = graph(B)
-        assert len(H.pairs) == 6
-        B2 = from_graph(B.group, H.pairs)
-        assert B2.images == B.images
+        assert len(H) == 6
+        B2 = from_graph(B.group, H)
+        assert B2.table == B.table
 
 
 def test_graph_of_trivials():
     G = s3()
     idx = {g: G.index(g) for g in G.elements}
     e = idx[G.identity]
-    assert graph(trivial_e(G)).pairs == frozenset((e, i) for i in range(6))
-    assert graph(trivial_inv(G)).pairs == frozenset((i, e) for i in range(6))
+    assert graph(trivial_e(G)) == frozenset((e, i) for i in range(6))
+    assert graph(trivial_inv(G)) == frozenset((i, e) for i in range(6))
 
 
 def test_diagonal_subgroup_is_not_a_graph():
@@ -281,7 +270,7 @@ def test_images_verdicts_on_arbitrary_tables(spec):
     for values in itertools.product(G.elements, repeat=len(rest)):
         table = dict(zip(rest, values))
         table[G.identity] = G.identity
-        B = rbop.RBOperator(group=G, images=tuple(table[g] for g in G.elements))
+        B = rbop.RBOperator(group=G, table=tuple(G.index(table[g]) for g in G.elements))
         try:
             images(B)
             got = "ok"
@@ -317,14 +306,28 @@ def test_row_verify_matches_pairwise_oracle(spec):
         assert verify(B) == _pairwise_verdict(B) == rbop.Verdict(ok=True, pairs=B.group.order() ** 2)
 
 
+@pytest.mark.parametrize("spec", _small_pinned_specs())
+def test_table_forms_match_perm_formulas(spec):
+    """tilde, graph and is_splitting, read off the index table, agree with
+    their Perm definitions on every operator."""
+    G = families.parse_group_spec(spec).group
+    for B in enumerate_rb(G):
+        Bt = tilde(B)
+        assert all(Bt(g) == g.inverse() * B(g.inverse()) for g in G.elements)
+        assert graph(B) == frozenset((G.index(B(g)), G.index(g * B(g))) for g in G.elements)
+        # splitting: Im(B~ B) is trivial, with B~ by its formula
+        split = all((b.inverse() * B(b.inverse())).is_identity() for b in map(B, G.elements))
+        assert is_splitting(B) == split
+
+
 def _corruptions(n):
     """Every table that differs from d2n_klein(n) in exactly one entry."""
     B = build.d2n_klein(n)
-    for i, old in enumerate(B.images):
-        for v in B.group.elements:
+    for i, old in enumerate(B.table):
+        for v in range(len(B.table)):
             if v != old:
-                images = B.images[:i] + (v,) + B.images[i + 1 :]
-                yield rbop.RBOperator(group=B.group, images=images)
+                table = B.table[:i] + (v,) + B.table[i + 1 :]
+                yield rbop.RBOperator(group=B.group, table=table)
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])

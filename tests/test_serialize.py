@@ -45,7 +45,7 @@ def test_table_operator_roundtrip():
         B = build.catalog_operator(name)
         text = format_operator(B)
         C = parse_operator(text)
-        assert C.images == B.images
+        assert C.table == B.table
         assert format_operator(C) == text
 
 
