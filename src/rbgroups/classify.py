@@ -10,6 +10,7 @@ from typing import Callable, Optional
 from .labels import iso_label
 from .perm import FiniteGroup, Grower, PermError, automorphism_group
 from .rbop import (
+    ENUMERATE_GUARANTEED,
     OperatorImages,
     RBOperator,
     from_graph,
@@ -22,7 +23,6 @@ from .rbop import (
     tilde,
 )
 
-ENUMERATE_GUARANTEED = 24
 ORACLE_CAP = 10
 
 

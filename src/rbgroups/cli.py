@@ -11,34 +11,22 @@ import argparse
 import sys
 from typing import Optional
 
-from . import build, families, serialize
-from .classify import (
-    ENUMERATE_GUARANTEED,
-    classify,
-    enumerate_rb,
-    equivalence_classes,
-    summarize,
-)
+# Only what every command needs is imported here; each command imports the
+# rest when it runs, so `verify` on a table dump never loads `classify` or
+# `transitive` (without a bytecode cache, every module loaded is compiled).
+from . import families
 from .labels import iso_label
-from .perm import ClosureCapExceeded, PermError
+from .perm import ClosureCapExceeded, FactorizationWitness
 from .rbop import (
+    DEFAULT_SAMPLES,
+    DEFAULT_SEED,
+    ENUMERATE_GUARANTEED,
     RBOperator,
     descendent_group,
     images,
     is_splitting,
     kernel_invariant,
     verify,
-)
-from .transitive import (
-    DEFAULT_SAMPLES,
-    DEFAULT_SEED,
-    TransitiveError,
-    admissible,
-    build_an_operator,
-    descendent_structure,
-    sharply2,
-    sharply3,
-    verify_an_operator,
 )
 
 EXIT_OK = 0
@@ -113,7 +101,7 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _parse_split(spec: str, h_text: str, l_text: str) -> RBOperator:
+def _parse_split(spec: str, h_text: str, l_text: str) -> FactorizationWitness:
     from .perm import Perm, exact_factorization
 
     G = families.parse_group_spec(spec).group
@@ -126,7 +114,7 @@ def _parse_split(spec: str, h_text: str, l_text: str) -> RBOperator:
 
     H = G.subgroup(gens(h_text), label="H")
     L = G.subgroup(gens(l_text), label="L")
-    return build.from_factorization(exact_factorization(G, H, L))
+    return exact_factorization(G, H, L)
 
 
 def _operator_line(B: RBOperator) -> str:
@@ -140,12 +128,16 @@ def _operator_line(B: RBOperator) -> str:
 def _cmd_construct(args, out) -> int:
     if bool(args.example) == bool(args.split):
         raise UsageError("construct needs exactly one of --example / --split")
+    from . import build
+
     if args.example:
         B = build.catalog_operator(args.example)
     else:
-        B = _parse_split(*args.split)
+        B = build.from_factorization(_parse_split(*args.split))
     v = verify(B)
     if args.dump:
+        from . import serialize
+
         out.write(serialize.format_operator(B))
     ki = kernel_invariant(B)
     out.write(
@@ -158,6 +150,8 @@ def _cmd_construct(args, out) -> int:
 
 
 def _cmd_enumerate(args, out) -> int:
+    from .classify import enumerate_rb, equivalence_classes, summarize
+
     G = families.parse_group_spec(args.group).group
     ops = enumerate_rb(G, cap=args.max_order)
     if args.up_to_equivalence:
@@ -175,6 +169,8 @@ def _cmd_enumerate(args, out) -> int:
 def _cmd_classify(args, out) -> int:
     if bool(args.group) == bool(args.family):
         raise UsageError("classify needs exactly one of a group spec / --family")
+    from .classify import classify
+
     if args.group:
         G = families.parse_group_spec(args.group).group
         for line in classify(G, cap=args.max_order).lines():
@@ -189,12 +185,16 @@ def _cmd_classify(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
+    from . import serialize
+
     with open(args.file) as fh:
         B = serialize.parse_operator(fh.read())
     if B.is_table:
         v = verify(B)
         out.write(v.line() + "\n")
         return EXIT_OK if v.ok else EXIT_VERIFY
+    from .transitive import verify_an_operator
+
     lv = verify_an_operator(B, sample_count=args.verify_samples, seed=args.seed)
     out.write(lv.line() + "\n")
     if not lv.ok:
@@ -203,6 +203,8 @@ def _cmd_verify(args, out) -> int:
 
 
 def _cmd_admissible(args, out) -> int:
+    from .transitive import admissible
+
     v = admissible(args.n)
     if v.admissible:
         out.write(f"yes case={v.case} q={v.q} m={v.m} s={v.s}\n")
@@ -212,8 +214,12 @@ def _cmd_admissible(args, out) -> int:
 
 
 def _cmd_build_an(args, out) -> int:
+    from .transitive import build_an_operator, verify_an_operator
+
     B = build_an_operator(args.n, args.variant)
     if args.dump:
+        from . import serialize
+
         out.write(serialize.format_operator(B))
     im = images(B)
     out.write(
@@ -229,6 +235,8 @@ def _cmd_build_an(args, out) -> int:
 
 
 def _cmd_sharply2(args, out) -> int:
+    from .transitive import sharply2
+
     st = sharply2(args.m, args.q, args.t)
     out.write(
         f"group: {st.group.label} degree={st.degree} order={st.group.order()} "
@@ -238,26 +246,34 @@ def _cmd_sharply2(args, out) -> int:
         for name, S in (("FS1", st.s1), ("FS2", st.s2), ("FS3", st.s3)):
             out.write(f"{name}: order={S.order()} label={iso_label(S)}\n")
     if args.dump:
+        from . import serialize
+
         out.write(serialize.format_group(st.group))
     return EXIT_OK
 
 
 def _cmd_sharply3(args, out) -> int:
+    from .transitive import sharply3
+
     st = sharply3(args.q)
     out.write(
         f"group: {st.group.label} degree={st.degree} order={st.group.order()} "
         f"psl_index={st.group.order() // st.psl.order()}\n"
     )
     if args.dump:
+        from . import serialize
+
         out.write(serialize.format_group(st.group))
     return EXIT_OK
 
 
 def _cmd_descendent(args, out) -> int:
-    given = [x for x in (args.example, args.file, args.n) if x]
+    given = [x for x in (args.example, args.file, args.n) if x is not None]
     if len(given) != 1:
         raise UsageError("descendent needs exactly one of --example / --file / --n")
-    if args.n:
+    if args.n is not None:
+        from .transitive import build_an_operator, descendent_structure
+
         B = build_an_operator(args.n)
         rep = descendent_structure(B, seed=args.seed)
         out.write(
@@ -268,9 +284,13 @@ def _cmd_descendent(args, out) -> int:
         if not rep.ok:
             out.write(f"detail: {rep.detail}\n")
         return EXIT_OK if rep.ok else EXIT_VERIFY
-    if args.example:
+    if args.example is not None:
+        from . import build
+
         B = build.catalog_operator(args.example)
     else:
+        from . import serialize
+
         with open(args.file) as fh:
             B = serialize.parse_operator(fh.read())
     _, label = descendent_group(B)
@@ -301,10 +321,7 @@ def main(argv: Optional[list[str]] = None, out=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    except (
-        TransitiveError, build.ConstructionError, PermError, ValueError, OSError,
-        ClosureCapExceeded,
-    ) as exc:
+    except (ValueError, OSError, ClosureCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

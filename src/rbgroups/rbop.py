@@ -24,6 +24,13 @@ from .perm import (
     grow,
 )
 
+# Defaults shared with the command line, kept here so that parsing it loads
+# neither `classify` nor `transitive`: the largest order `enumerate_rb` is
+# guaranteed on, and the sample count and seed of the sampled checks.
+ENUMERATE_GUARANTEED = 24
+DEFAULT_SAMPLES = 100_000
+DEFAULT_SEED = 7
+
 
 class InvalidOperator(ValueError):
     """The defining identity or a structural consequence of it failed."""

@@ -14,10 +14,8 @@ from . import families
 from .build import ConstructionError, check_index2, index2_body
 from .gf import FiniteField, make_field, prime_factors, prime_power
 from .perm import FiniteGroup, Perm
-from .rbop import RBOperator, check_pair, circ, circ_row
+from .rbop import DEFAULT_SAMPLES, DEFAULT_SEED, RBOperator, check_pair, circ, circ_row
 
-DEFAULT_SAMPLES = 100_000
-DEFAULT_SEED = 7
 SUPPORTED_DEGREES = (9, 10, 49, 50)
 
 

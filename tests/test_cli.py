@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from rbgroups import cli
+from rbgroups import classify, cli, transitive
 from rbgroups.cli import main
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -72,10 +72,63 @@ def test_descendent_n_passes_the_seed(monkeypatch):
         seeds.append(seed)
         return SimpleNamespace(ok=True, s_pairs=0, k_samples=0, twist_samples=0)
 
-    monkeypatch.setattr(cli, "build_an_operator", lambda n: None)
-    monkeypatch.setattr(cli, "descendent_structure", fake)
+    monkeypatch.setattr(transitive, "build_an_operator", lambda n: None)
+    monkeypatch.setattr(transitive, "descendent_structure", fake)
     assert run(["--seed", "3", "descendent", "--n", "9"])[0] == 0
     assert seeds == [3]
+
+
+def test_descendent_counts_n_0_as_given(tmp_path, capsys):
+    """--n 0 is an option given, not one left out: next to --file it is a
+    usage error, and alone it is the build-an precondition error."""
+    path = tmp_path / "s3.op"
+    path.write_text(run(["construct", "--example", "s3", "--dump"])[1].split("operator:")[0])
+    assert run(["descendent", "--file", str(path), "--n", "0"]) == (64, "")
+    capsys.readouterr()
+    assert run(["descendent", "--n", "0"]) == (1, "")
+    assert run(["build-an", "--n", "0"]) == (1, "")
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == err[1] and "admissibility is defined for n >= 5" in err[0]
+
+
+def test_parser_defaults_are_the_library_defaults():
+    args = cli._build_parser().parse_args(["classify", "D:8"])
+    assert args.seed == transitive.DEFAULT_SEED
+    assert args.max_order == classify.ENUMERATE_GUARANTEED
+    args = cli._build_parser().parse_args(["build-an", "--n", "9"])
+    assert args.verify_samples == transitive.DEFAULT_SAMPLES
+
+
+def _modules_after(argv):
+    """The rbgroups modules a fresh interpreter holds after importing the
+    CLI and, unless argv is None, running one command in-process."""
+    code = "import io, sys\nfrom rbgroups import cli\nrc = 0\n"
+    if argv is not None:
+        code += f"rc = cli.main({argv!r}, out=io.StringIO())\n"
+    code += (
+        "print(' '.join(m for m in sys.modules if m.startswith('rbgroups.')))\n"
+        "sys.exit(rc)\n"
+    )
+    pythonpath = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=pythonpath),
+        capture_output=True, text=True, check=True,
+    )
+    return {m.removeprefix("rbgroups.") for m in proc.stdout.split()}
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    dump = tmp_path / "d16.op"
+    dump.write_text(run(["construct", "--example", "d16", "--dump"])[1].split("operator:")[0])
+    for argv, loaded, absent in (
+        (None, {"cli", "perm", "rbop"}, {"classify", "transitive", "gf", "build", "serialize"}),
+        (["verify", str(dump)], {"serialize"}, {"transitive", "gf", "classify", "build"}),
+        (["classify", "D:8"], {"classify"}, {"transitive", "gf", "serialize"}),
+        (["sharply2", "--m", "1", "--q", "5", "--t", "1"], {"transitive", "gf"},
+         {"classify", "serialize"}),
+    ):
+        modules = _modules_after(argv)
+        assert loaded <= modules and not absent & modules, (argv, sorted(modules))
 
 
 def test_determinism():
