@@ -123,15 +123,11 @@ def check_index2(
             raise ConstructionError(f"<r> does not normalize K at {k!r}")
 
 
-def index2_body(
-    l_of: Callable[[Perm], Perm], L: FiniteGroup, S: FiniteGroup, r: Perm
-) -> Callable[[Perm], Perm]:
-    """The index-2 operator x -> l^-1 r^d(l), where l = l_of(x) is the
-    L-part of x = k l and d(l) is 0 on S and 1 off S; the |L| images are
-    computed once."""
+def index2_body(L: FiniteGroup, S: FiniteGroup, r: Perm) -> dict[Perm, Perm]:
+    """The |L| images l -> l^-1 r^d(l) of the index-2 operator, d(l) = 0 on
+    S and 1 off S: the operator maps x = k l to the image of its L-part l."""
     sset = S._element_set()
-    image = {l: l.inverse() if l in sset else l.inverse() * r for l in L.elements}
-    return lambda x: image[l_of(x)]
+    return {l: l.inverse() if l in sset else l.inverse() * r for l in L.elements}
 
 
 def index2_construction(
@@ -146,8 +142,10 @@ def index2_construction(
     after check_index2; the L-part comes from exact_factorization."""
     w = exact_factorization(G, K, L)
     check_index2(G, K, K.__contains__, L, S, t, r)
-    B = index2_body(lambda x: w.table[x][1], L, S, r)
-    return from_table(G, {x: B(x) for x in G.elements}, provenance="index2")
+    image = index2_body(L, S, r)
+    return from_table(
+        G, {x: image[w.table[x][1]] for x in G.elements}, provenance="index2"
+    )
 
 
 # -- catalog of named example operators ------------------------------------

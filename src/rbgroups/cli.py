@@ -12,10 +12,9 @@ import sys
 from typing import Optional
 
 # Only what every command needs is imported here; each command imports the
-# rest when it runs, so `verify` on a table dump never loads `classify` or
-# `transitive` (without a bytecode cache, every module loaded is compiled).
-from . import families
-from .labels import iso_label
+# rest when it runs, so `verify` on a table dump never loads `classify`,
+# `transitive` or `labels` (without a bytecode cache, every module loaded is
+# compiled).
 from .perm import ClosureCapExceeded, FactorizationWitness
 from .rbop import (
     DEFAULT_SAMPLES,
@@ -102,6 +101,7 @@ def _build_parser() -> _Parser:
 
 
 def _parse_split(spec: str, h_text: str, l_text: str) -> FactorizationWitness:
+    from . import families
     from .perm import Perm, exact_factorization
 
     G = families.parse_group_spec(spec).group
@@ -118,6 +118,8 @@ def _parse_split(spec: str, h_text: str, l_text: str) -> FactorizationWitness:
 
 
 def _operator_line(B: RBOperator) -> str:
+    from .labels import iso_label
+
     im = images(B)
     return (
         f"op: {' '.join(map(str, B.table))} | splitting="
@@ -150,6 +152,7 @@ def _cmd_construct(args, out) -> int:
 
 
 def _cmd_enumerate(args, out) -> int:
+    from . import families
     from .classify import enumerate_rb, equivalence_classes, summarize
 
     G = families.parse_group_spec(args.group).group
@@ -169,6 +172,7 @@ def _cmd_enumerate(args, out) -> int:
 def _cmd_classify(args, out) -> int:
     if bool(args.group) == bool(args.family):
         raise UsageError("classify needs exactly one of a group spec / --family")
+    from . import families
     from .classify import classify
 
     if args.group:
@@ -214,9 +218,11 @@ def _cmd_admissible(args, out) -> int:
 
 
 def _cmd_build_an(args, out) -> int:
+    from .labels import iso_label
     from .transitive import build_an_operator, verify_an_operator
 
     B = build_an_operator(args.n, args.variant)
+    lv = verify_an_operator(B, sample_count=args.verify_samples, seed=args.seed)
     if args.dump:
         from . import serialize
 
@@ -227,7 +233,6 @@ def _cmd_build_an(args, out) -> int:
         f"ker_tilde={iso_label(im.ker_tilde)} |R|={im.R.order()} "
         f"splitting={'yes' if im.R.order() == 1 else 'no'}\n"
     )
-    lv = verify_an_operator(B, sample_count=args.verify_samples, seed=args.seed)
     out.write(lv.line() + "\n")
     if not lv.ok:
         out.write(f"detail: {lv.detail}\n")
@@ -235,6 +240,7 @@ def _cmd_build_an(args, out) -> int:
 
 
 def _cmd_sharply2(args, out) -> int:
+    from .labels import iso_label
     from .transitive import sharply2
 
     st = sharply2(args.m, args.q, args.t)

@@ -124,12 +124,6 @@ class Perm(bytes):
             out.append(tuple(cyc))
         return out
 
-    def cycle_string(self) -> str:
-        cycs = self.cycles()
-        if not cycs:
-            return "()"
-        return "".join("(" + " ".join(str(pt) for pt in cyc) + ")" for cyc in cycs)
-
     def __repr__(self) -> str:
         return f"Perm{tuple(self)}"
 

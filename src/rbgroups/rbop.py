@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
 
-from .labels import iso_label
 from .perm import (
     MAX_DEGREE,
     FiniteGroup,
@@ -250,6 +249,8 @@ def descendent_group(B: RBOperator) -> tuple[FiniteGroup, str]:
     The regular representation needs |G| points and an O(|G|^3)
     associativity loop; the tests keep it as an exhaustive oracle.
     """
+    from .labels import iso_label
+
     G = B.group
     if not G.enumerated:
         raise PermError("descendent group needs an enumerated group")
@@ -356,6 +357,8 @@ def kernel_invariant(
 ) -> tuple[str, str]:
     """Unordered pair {label(ker B), label(ker B~)} as a sorted tuple; a
     caller that already holds images(B) passes it as data."""
+    from .labels import iso_label
+
     if data is None:
         data = images(B)
     return tuple(sorted((iso_label(data.ker), iso_label(data.ker_tilde))))

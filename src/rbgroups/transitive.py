@@ -13,10 +13,14 @@ from typing import Callable, Optional, Sequence
 from . import families
 from .build import ConstructionError, check_index2, index2_body
 from .gf import FiniteField, make_field, prime_factors, prime_power
-from .perm import FiniteGroup, Perm
+from .perm import FiniteGroup, Perm, _new
 from .rbop import DEFAULT_SAMPLES, DEFAULT_SEED, RBOperator, check_pair, circ, circ_row
 
 SUPPORTED_DEGREES = (9, 10, 49, 50)
+
+# Largest radix product of one chunk of Fisher-Yates steps in even_sampler:
+# the size of that chunk's decode table.
+SAMPLER_CHUNK = 1000
 
 
 class TransitiveError(ValueError):
@@ -36,7 +40,6 @@ class SharplyTransitiveGroup:
     s2: Optional[FiniteGroup] = None  # F.<a^2, b>
     s3: Optional[FiniteGroup] = None  # F.<a^2, ab>
     psl: Optional[FiniteGroup] = None  # index-2 subgroup, degree-3 case
-    transporter: Optional[dict] = None  # degree-3 case, at the last three points
 
 
 def _translation(F: FiniteField, c: int) -> Perm:
@@ -211,13 +214,11 @@ def sharply3(q: int) -> SharplyTransitiveGroup:
             label=f"M({q})",
         )
         try:
-            table = transporter_table(L, (n - 3, n - 2, n - 1))
+            transporter_table(L, (n - 3, n - 2, n - 1))  # sharpness
         except TransitiveError as exc:
             failures.append(f"{name}: {exc}")
             continue
-        return SharplyTransitiveGroup(
-            degree=n, group=L, transitivity_degree=3, psl=psl, transporter=table
-        )
+        return SharplyTransitiveGroup(degree=n, group=L, transitivity_degree=3, psl=psl)
     raise TransitiveError(
         "no twisting candidate validates: " + "; ".join(failures)
     )
@@ -314,14 +315,18 @@ def build_an_operator(n: int, variant: str = "default") -> RBOperator:
     The distinguished points are the largest two (case a) or three
     (case b) point indices.  sharply3 builds M(q) on the A_n numbering
     with (0, 1, infinity) on those three points, so past the choice of
-    L, S, the distinguished points and their transporter table (case b
-    takes the one sharply3 built for its sharpness check) both cases run
-    the same code.  r is
+    L, S and the distinguished points both cases run the same code.  r is
     the least involution of S = ker(B~) stabilizing the distinguished set.
-    K is the pointwise stabilizer of the distinguished points, and the
-    L-part of x is read off the images of those points by one
-    transporter_table lookup; build.check_index2 and build.index2_body do
-    the rest, as for table operators."""
+    K is the pointwise stabilizer of the distinguished points;
+    build.check_index2 checks the construction and build.index2_body
+    gives the image of each l in L, as for table operators.
+
+    One lookup evaluates B.  With key = the images of the distinguished
+    points, x = k l has key(x) = key(l), as x(i) = l(k(i)) = l(i) there.
+    key is injective on L: key(l1) = key(l2) puts l1 l2^-1 in L fixing
+    every distinguished point, that is in K meet L, which check_index2
+    found trivial.  So the images re-keyed by key(l) give
+    B(x) = image[key(x)]."""
     if variant not in VARIANTS:
         raise TransitiveError(f"variant must be one of {VARIANTS}")
     v = admissible(n)
@@ -336,19 +341,13 @@ def build_an_operator(n: int, variant: str = "default") -> RBOperator:
         st = sharply2(v.m, v.q, 1)
         S = {"S1": st.s1, "S2": st.s2, "S3": st.s3, "default": st.s1}[variant]
         distinguished = (n - 2, n - 1)
-        table = transporter_table(st.group, distinguished)
     else:
         if variant != "default":
             raise TransitiveError("variants apply only to the q^m case")
         st = sharply3(v.q ** v.m)
         S = st.psl
         distinguished = (n - 3, n - 2, n - 1)
-        table = st.transporter  # sharply3 builds it at these three points
     L = st.group
-    key = operator.itemgetter(*distinguished)
-
-    def decompose_l(x: Perm) -> Perm:
-        return table[key(x)]
 
     sset = S._element_set()
     rs = _involutions_stabilizing(S, distinguished)
@@ -363,7 +362,8 @@ def build_an_operator(n: int, variant: str = "default") -> RBOperator:
     K = families.alternating_on_points(n, kpoints)
     G = families.alternating(n).group
     check_index2(G, K, _fixes(distinguished), L, S, t, r)
-    B = index2_body(decompose_l, L, S, r)
+    key = operator.itemgetter(*distinguished)
+    image = {key(l): b for l, b in index2_body(L, S, r).items()}
 
     im_tilde = FiniteGroup.generator_only(
         n,
@@ -386,7 +386,7 @@ def build_an_operator(n: int, variant: str = "default") -> RBOperator:
     }
     return RBOperator(
         group=G,
-        proc=B,
+        proc=lambda x: image[key(x)],
         provenance=f"an[{n},{variant}]",
         structural=structural,
     )
@@ -444,26 +444,64 @@ def even_sampler(
     bijection from the odd permutations onto the even ones.  For k >= 2
     each even permutation is therefore hit by exactly two ranks (itself
     and its odd partner), so the draw is uniform on Alt(points); for
-    k <= 1 the only permutation is the identity."""
+    k <= 1 the only permutation is the identity.
+
+    Table decode.  The steps are cut, in order, into chunks, each as long
+    as keeps its radix product R (the i+1 of its steps i) at most
+    SAMPLER_CHUNK.  A chunk's digits are one digit c = x mod R, read
+    before x = x div R: the same mixed-radix digits, read in groups, so
+    the same bijection.  The chunk's table holds, for each c, the
+    permutation P[c] its swaps make from the identity and the parity of
+    their number.  Swapping the images at positions a and b turns the
+    image tuple of q into that of tau q, tau = (a b), as
+    (tau q)(p) = q(tau(p)) in the package's left-to-right product.  So
+    later swaps multiply on the left, the pass is P_m ... P_2 P_1 with
+    P_1 the least significant chunk, and each chunk after the first
+    composes as acc -> P[c] acc = P[c].translate(acc + pad).  The
+    parities add up, and an odd total applies the fixed transposition
+    the same way.  The tables are built per call, not at import: at
+    k = 9 the chunks are 9*8*7 and 6*5*4*3*2, 1,224 entries."""
     pts = list(range(n)) if points is None else list(points)
     total = math.factorial(len(pts))
-    ident = bytes(range(n))
-    steps = [(i + 1, i, pts[i]) for i in range(len(pts) - 1, 0, -1)]
+    pad = bytes(range(n, 256))
+    swap = bytearray(range(n))  # the transposition of points[0], points[1]
+    if len(pts) >= 2:
+        swap[pts[0]], swap[pts[1]] = pts[1], pts[0]
+    swap = bytes(swap)
+
+    chunks = []  # (R, P, parity) for each chunk, least significant first
+    steps = [(i + 1, pts[i]) for i in range(len(pts) - 1, 0, -1)]
+    while steps:
+        size, radix = 1, steps[0][0]
+        while size < len(steps) and radix * steps[size][0] <= SAMPLER_CHUNK:
+            radix *= steps[size][0]
+            size += 1
+        chunk, steps = steps[:size], steps[size:]
+        perms, parity = [], []
+        for c in range(radix):
+            imgs, odd = bytearray(range(n)), 0
+            for step_radix, a in chunk:
+                c, j = divmod(c, step_radix)
+                b = pts[j]
+                if a != b:
+                    imgs[a], imgs[b] = imgs[b], imgs[a]
+                    odd ^= 1
+            perms.append(bytes(imgs))
+            parity.append(odd)
+        chunks.append((radix, perms, parity))
+    # k <= 1: no steps, one chunk of radix 1 holding the identity
+    (radix1, perms1, parity1), *rest = chunks or [(1, [bytes(range(n))], [0])]
 
     def draw(rng: random.Random) -> Perm:
-        x = rng.randrange(total)
-        imgs = bytearray(ident)
-        odd = False
-        for radix, i, a in steps:
-            x, j = divmod(x, radix)
-            if j != i:
-                b = pts[j]
-                imgs[a], imgs[b] = imgs[b], imgs[a]
-                odd = not odd
+        x, c = divmod(rng.randrange(total), radix1)
+        acc, odd = perms1[c], parity1[c]
+        for radix, perms, parity in rest:
+            x, c = divmod(x, radix)
+            acc = perms[c].translate(acc + pad)
+            odd ^= parity[c]
         if odd:
-            a, b = pts[0], pts[1]
-            imgs[a], imgs[b] = imgs[b], imgs[a]
-        return Perm(imgs)
+            acc = swap.translate(acc + pad)
+        return _new(Perm, acc)
 
     return draw
 
@@ -481,6 +519,8 @@ def verify_an_operator(
     rng.randrange call per element.  The verdict line prints only the
     pair counts and the seed; a failing verdict's detail names the
     sample index and the pair."""
+    if sample_count < 0:
+        raise TransitiveError(f"sample count must be >= 0, got {sample_count}")
     st = B.structural
     if not {"ker", "im", "ker_tilde", "r", "t"} <= st.keys():
         raise TransitiveError("operator was not built by build_an_operator")
@@ -498,9 +538,9 @@ def verify_an_operator(
         check_index2(B.group, K, _fixes(st["distinguished"]), L, S, t, r)
     except ConstructionError as exc:
         return fail(1, str(exc))
-    body = index2_body(lambda l: l, L, S, r)
+    image = index2_body(L, S, r)
     for l in L.elements:
-        if B(l) != body(l):
+        if B(l) != image[l]:
             return fail(1, f"B(l) != l^-1 r^d(l) at {l!r}")
 
     # layer 2: exhaustive over L x L
@@ -555,7 +595,12 @@ def descendent_structure(
     S x S is checked exhaustively.  The K-elements are drawn uniformly
     from K = Alt(the points outside the distinguished ones) with
     even_sampler, one rng.randrange call per element; l is a seeded
-    rng.choice from L."""
+    rng.choice from L, and circ_row(B, l) is kept for each l once drawn:
+    at most min(|L|, twist_samples) rows, never all of L up front."""
+    if k_samples < 0 or twist_samples < 0:
+        raise TransitiveError(
+            f"sample counts must be >= 0, got {k_samples} and {twist_samples}"
+        )
     st = B.structural
     S, r, L = st["ker_tilde"], st["r"], st["im"]
     sset = S._element_set()
@@ -584,11 +629,14 @@ def descendent_structure(
             )
 
     lelems = L.elements
+    rows = {}
     for i in range(twist_samples):
         l = rng.choice(lelems)
         h = random_k(rng)
         h_tw = h if l in sset else r * h * r
-        if circ(B, l, h) != circ(B, h_tw, l):
+        if l not in rows:
+            rows[l] = circ_row(B, l)
+        if circ(B, l, h, rows[l]) != circ(B, h_tw, l):
             return DescendentReport(
                 False,
                 f"l o h != h^(r^d) o l at sample {i}",

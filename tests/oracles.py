@@ -122,3 +122,31 @@ def lattice_graph_masks(G):
     g_orders = [g.order() for g in G.elements]
     orders = [math.lcm(oa, ob) for oa in g_orders for ob in g_orders]
     return _subgroup_masks(cols, e * n + e, n, forbidden, orders)
+
+
+def digit_sampler(n, points=None):
+    """The per-digit decoder that transitive.even_sampler's tables replace:
+    one randrange(k!) read as Fisher-Yates digits, least significant
+    first, one divmod and swap per step, then the images of points[0] and
+    points[1] swapped when the number of swaps is odd."""
+    from rbgroups.perm import Perm
+
+    pts = list(range(n)) if points is None else list(points)
+    total = math.factorial(len(pts))
+
+    def draw(rng):
+        x = rng.randrange(total)
+        imgs = list(range(n))
+        odd = False
+        for i in range(len(pts) - 1, 0, -1):
+            x, j = divmod(x, i + 1)
+            if j != i:
+                a, b = pts[i], pts[j]
+                imgs[a], imgs[b] = imgs[b], imgs[a]
+                odd = not odd
+        if odd:
+            a, b = pts[0], pts[1]
+            imgs[a], imgs[b] = imgs[b], imgs[a]
+        return Perm(imgs)
+
+    return draw

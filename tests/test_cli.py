@@ -121,8 +121,12 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     dump = tmp_path / "d16.op"
     dump.write_text(run(["construct", "--example", "d16", "--dump"])[1].split("operator:")[0])
     for argv, loaded, absent in (
-        (None, {"cli", "perm", "rbop"}, {"classify", "transitive", "gf", "build", "serialize"}),
-        (["verify", str(dump)], {"serialize"}, {"transitive", "gf", "classify", "build"}),
+        (None, {"cli", "perm", "rbop"},
+         {"classify", "transitive", "gf", "build", "serialize", "labels", "families"}),
+        (["verify", str(dump)], {"serialize"},
+         {"transitive", "gf", "classify", "build", "labels", "families"}),
+        (["descendent", "--n", "9"], {"transitive", "gf", "build"},
+         {"classify", "serialize", "labels"}),
         (["classify", "D:8"], {"classify"}, {"transitive", "gf", "serialize"}),
         (["sharply2", "--m", "1", "--q", "5", "--t", "1"], {"transitive", "gf"},
          {"classify", "serialize"}),
@@ -231,6 +235,19 @@ def test_proc_line_without_n_exits_1(tmp_path, capsys):
     path.write_text("domain: 9\norder: 181440\ngen: 1 2 0 3 4 5 6 7 8\nproc: an variant=S1\n")
     assert run(["verify", str(path)]) == (1, "")
     assert "error: proc line needs n= and variant=" in capsys.readouterr().err
+
+
+def test_negative_sample_count_exits_1(tmp_path, capsys):
+    """A negative --verify-samples is an error, for build-an and for verify
+    on a proc: dump; it was subtracted from the exhaustive pairs, so
+    build-an --n 9 --verify-samples -5 printed pairs=5179 and passed."""
+    text = run(["build-an", "--n", "9", "--verify-samples", "0", "--dump"])[1]
+    path = tmp_path / "a9.op"
+    path.write_text(text[: text.index("operator:")])
+    capsys.readouterr()
+    for argv in (["build-an", "--n", "9"], ["verify", str(path)]):
+        assert run(argv + ["--verify-samples", "-5"]) == (1, ""), argv
+        assert "error: sample count must be >= 0, got -5" in capsys.readouterr().err
 
 
 def test_verification_failure_exits_2(tmp_path):

@@ -10,6 +10,7 @@ import time
 import pytest
 
 from invariants import check_invariants_sampled
+from oracles import digit_sampler
 from rbgroups import families, rbop, serialize, transitive
 from rbgroups.gf import make_field, prime_power
 from rbgroups.perm import FiniteGroup, Grower, Perm
@@ -357,6 +358,34 @@ def test_even_sampler_hits_each_even_permutation_equally(points):
         assert set(counts.values()) == {2 if k >= 2 else 1}, (n, points)
 
 
+SAMPLER_CASES = [
+    (9, None), (9, range(7)), (10, None), (49, None), (50, range(47)), (12, range(1, 12, 2)),
+]
+
+
+@pytest.mark.parametrize("n,points", SAMPLER_CASES)
+def test_even_sampler_matches_the_digit_decoder_on_seeded_ranks(n, points):
+    """The table decode is the per-digit Fisher-Yates decode, rank for
+    rank, so every seeded sample stream is unchanged."""
+    tables, digits = transitive.even_sampler(n, points), digit_sampler(n, points)
+    r1, r2 = random.Random(11), random.Random(11)
+    for _ in range(3000):
+        p = tables(r1)
+        assert type(p) is Perm and p == digits(r2), (n, points)
+
+
+@pytest.mark.parametrize(
+    "points", [tuple(range(k)) for k in range(8)] + [(5, 0, 2), (6, 1, 3, 4, 0), (7, 2, 5, 0, 3, 6, 1)]
+)
+def test_even_sampler_matches_the_digit_decoder_on_every_rank(points):
+    """k <= 6 is one chunk; k = 7 is two (7*6*5*4 and 3*2), so every way
+    two chunks compose is compared too."""
+    tables, digits = transitive.even_sampler(8, points), digit_sampler(8, points)
+    r1, r2 = _Ranks(), _Ranks()
+    for _ in range(math.factorial(len(points))):
+        assert tables(r1) == digits(r2), points
+
+
 def test_descendent_k_samples_lie_in_k(monkeypatch):
     """Every K-sample is even and fixes the distinguished points, and the
     samples are not one element over and over: 1,200 uniform draws from
@@ -395,13 +424,58 @@ def test_descendent_catches_an_operator_corrupted_only_on_k():
     rep = descendent_structure(bad, k_samples=500, twist_samples=200, seed=7)
     assert not rep.ok
     rng = random.Random(7)
-    draw = transitive.even_sampler(9, range(7))
+    draw = digit_sampler(9, range(7))
     for i in range(500):
         h1, h2 = draw(rng), draw(rng)
         if h1.order() == 7 and r * h2 * r != h2:
             break
     assert rep.detail == f"h o h' != h h' at sample {i}"
     assert (rep.s_pairs, rep.k_samples, rep.twist_samples) == (36 * 36, i + 1, 0)
+
+
+def test_layer3_names_the_sample_the_digit_decoder_predicts():
+    """B'(g) = B(g) r for g of order 7.  L has no element of order 7, so
+    layers 1 and 2 pass, and layer 3 fails at the first pair, drawn by the
+    per-digit decoder, at which the identity fails."""
+    B = _an(9)
+    r = B.structural["r"]
+    bad = dataclasses.replace(
+        B, proc=lambda g: B.proc(g) * r if g.order() == 7 else B.proc(g)
+    )
+    v = verify_an_operator(bad, sample_count=2000, seed=7)
+    rng = random.Random(7)
+    draw = digit_sampler(9)
+    for i in range(2000):
+        g, h = draw(rng), draw(rng)
+        if not rbop.check_pair(bad, g, h):
+            break
+    assert i > 0
+    assert (v.ok, v.layer, v.pairs_sampled) == (False, 3, i + 1)
+    assert v.detail == f"identity fails at sample {i}: ({g!r}, {h!r})"
+
+
+def test_twist_rows_are_computed_once_per_drawn_l(monkeypatch):
+    """circ_row(B, l) runs once for each distinct l of the twist loop (after
+    one per element of S in the S x S loop): at most twist_samples rows."""
+    rows = []
+    monkeypatch.setattr(transitive, "circ_row", lambda B, g: rows.append(g) or rbop.circ_row(B, g))
+    B = _an(9)
+    s_order = B.structural["ker_tilde"].order()
+    for twist_samples in (5, 2000):
+        rows.clear()
+        assert descendent_structure(B, k_samples=0, twist_samples=twist_samples).ok
+        twist_rows = rows[s_order:]
+        assert len(twist_rows) == len(set(twist_rows)) <= min(twist_samples, 72)
+    assert len(twist_rows) > 60  # 2,000 draws from |L| = 72 reach nearly all of L
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"sample_count": -1}, {"k_samples": -1}, {"twist_samples": -5},
+])
+def test_negative_sample_counts_raise(kwargs):
+    check = verify_an_operator if "sample_count" in kwargs else descendent_structure
+    with pytest.raises(TransitiveError, match="must be >= 0"):
+        check(_an(9), **kwargs)
 
 
 def test_descendent_structure_takes_few_products(monkeypatch):
