@@ -71,7 +71,9 @@ def _build_parser() -> _Parser:
 
     v = sub.add_parser("verify", help="verify an operator file")
     v.add_argument("file")
-    v.add_argument("--verify-samples", type=int, default=DEFAULT_SAMPLES)
+    v.add_argument("--verify-samples", type=int, default=DEFAULT_SAMPLES,
+                   help="random pairs of layer 3; it and --seed apply to proc: "
+                        "dumps only, as a table is checked on all pairs")
 
     a = sub.add_parser("admissible", help="degree admissibility")
     a.add_argument("--n", type=int, required=True)
@@ -189,6 +191,8 @@ def _cmd_classify(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
+    if args.verify_samples < 0:
+        raise ValueError(f"sample count must be >= 0, got {args.verify_samples}")
     from . import serialize
 
     with open(args.file) as fh:

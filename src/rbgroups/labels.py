@@ -104,22 +104,11 @@ def _fallback_label(G: FiniteGroup) -> str:
     return f"G[order={order},abelian={abelian},spectrum={spec}]"
 
 
-def _elements_of_order_dividing(G: FiniteGroup, k: int) -> list[Perm]:
-    out = []
-    for e in G.elements:
-        p = e
-        for _ in range(k - 1):
-            p = p * e
-        if p.is_identity():
-            out.append(e)
-    return out
-
-
 def _recognize_large(G: FiniteGroup) -> str | None:
     order = G.order()
     if order in (36, 72) and not G.is_abelian():
         # (Z3xZ3)-by-2-group shapes from the sharply 2-transitive world
-        E = _elements_of_order_dividing(G, 3)
+        E = [e for e in G.elements if 3 % e.order() == 0]
         if len(E) == 9 and G.is_normal(E):
             if order == 36 and any(e.order() == 4 for e in G.elements):
                 return "(Z3xZ3):Z4"

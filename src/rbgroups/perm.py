@@ -589,13 +589,3 @@ def exact_factorization(
                 table[h * l] = (h, l)
         assert len(table) == G.order()
     return FactorizationWitness(group=G, left=H, right=L, exact=exact, table=table)
-
-
-def decompose(w: FactorizationWitness, x: Perm) -> tuple[Perm, Perm]:
-    """The unique (h, l) with x = h * l."""
-    if not w.exact:
-        raise PermError("decompose requires an exact factorization")
-    try:
-        return w.table[x]
-    except KeyError:
-        raise PermError(f"{x!r} is not an element of the factored group") from None

@@ -125,12 +125,9 @@ def trivial_inv(G: FiniteGroup) -> RBOperator:
     return RBOperator(group=G, table=tuple(G.inverses()), provenance="B_inv")
 
 
-def check_pair(
-    B: RBOperator, g: Perm, h: Perm, row: Optional[tuple[Perm, Perm, Perm]] = None
-) -> bool:
-    """The defining identity B(g) B(h) = B(g o h) at the pair (g, h); a
-    caller that checks a whole row g passes row = circ_row(B, g) once."""
-    row = row or circ_row(B, g)
+def check_pair(B: RBOperator, g: Perm, h: Perm) -> bool:
+    """The defining identity B(g) B(h) = B(g o h) at the pair (g, h)."""
+    row = circ_row(B, g)
     return row[0] * B(h) == B(circ(B, g, h, row))
 
 
@@ -138,10 +135,10 @@ def verify(B: RBOperator) -> Verdict:
     """Check the defining identity of a table operator on all pairs.
 
     The check runs one row g at a time on G's Cayley table T (see
-    _circ_rows): the row holds iff [B(g o h) for h] == [B(g) B(h) for h]
-    as lists of element indices.  The first failing row is searched for
-    its first failing h with check_pair, so the witness and detail are
-    those of a pair-by-pair walk in canonical order."""
+    _circ_rows): the row holds iff [B(g) B(h) for h] == [B(g o h) for h]
+    as lists of element indices.  The witness is the first h where the
+    two lists of the first failing row differ, so the witness and detail
+    are those of a pair-by-pair walk in canonical order."""
     if not B.is_table:
         raise PermError("verification needs a table operator")
     G = B.group
@@ -149,15 +146,16 @@ def verify(B: RBOperator) -> Verdict:
     Bt = B.table
     pairs = len(Bt) ** 2
     for g, row in enumerate(_circ_rows(G, Bt)):
-        if list(map(Bt.__getitem__, row)) != list(map(T[Bt[g]].__getitem__, Bt)):
-            g = G.elements[g]
-            crow = circ_row(B, g)
-            h = next(h for h in G.elements if not check_pair(B, g, h, crow))
+        lhs = list(map(T[Bt[g]].__getitem__, Bt))
+        rhs = list(map(Bt.__getitem__, row))
+        if lhs != rhs:
+            h = next(h for h, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+            elems = G.elements
             return Verdict(
                 ok=False,
                 pairs=pairs,
-                witness=(g, h),
-                detail=f"B(g)B(h)={B(g) * B(h)!r} != B(gB(g)hB(g)^-1)={B(circ(B, g, h))!r}",
+                witness=(elems[g], elems[h]),
+                detail=f"B(g)B(h)={elems[lhs[h]]!r} != B(gB(g)hB(g)^-1)={elems[rhs[h]]!r}",
             )
     return Verdict(ok=True, pairs=pairs)
 

@@ -13,8 +13,8 @@ from typing import Callable, Optional, Sequence
 from . import families
 from .build import ConstructionError, check_index2, index2_body
 from .gf import FiniteField, make_field, prime_factors, prime_power
-from .perm import FiniteGroup, Perm, _new
-from .rbop import DEFAULT_SAMPLES, DEFAULT_SEED, RBOperator, check_pair, circ, circ_row
+from .perm import ENUMERATION_CAP, FiniteGroup, Perm, _new
+from .rbop import DEFAULT_SAMPLES, DEFAULT_SEED, RBOperator, check_pair, circ, circ_row, verify
 
 SUPPORTED_DEGREES = (9, 10, 49, 50)
 
@@ -512,8 +512,16 @@ def verify_an_operator(
     seed: int = DEFAULT_SEED,
 ) -> LayeredVerdict:
     """Three layers: the preconditions of the construction (check_index2)
-    and agreement with its body on L, exhaustive identity over
-    Im(B) x Im(B), and seeded random pairs from A_n.
+    and agreement with its body on L, the defining identity on L x L, and
+    seeded random pairs from A_n.
+
+    Layer 2 is rbop.verify on B restricted to L, a table operator on L's
+    Cayley table: layer 1 has shown B(l) = l^-1 r^d(l), which lies in L,
+    and then g o h = g B(g) h B(g)^-1 lies in L for g, h in L, so the
+    restriction satisfies the identity exactly where B does on L x L.  An
+    L of more than ENUMERATION_CAP elements (M(49), at n = 50) is refused
+    with TransitiveError before any layer runs: its table would hold
+    |L|^2 entries.
 
     Layer 3 draws g and h uniformly from A_n with even_sampler, one
     rng.randrange call per element.  The verdict line prints only the
@@ -526,6 +534,11 @@ def verify_an_operator(
         raise TransitiveError("operator was not built by build_an_operator")
     K, L, S = st["ker"], st["im"], st["ker_tilde"]
     r, t = st["r"], st["t"]
+    if L.order() > ENUMERATION_CAP:
+        raise TransitiveError(
+            f"|L| = {L.order()} exceeds the enumeration cap {ENUMERATION_CAP}:"
+            " layer 2 needs the Cayley table of L"
+        )
 
     def fail(layer: int, detail: str) -> LayeredVerdict:
         return LayeredVerdict(
@@ -543,14 +556,11 @@ def verify_an_operator(
         if B(l) != image[l]:
             return fail(1, f"B(l) != l^-1 r^d(l) at {l!r}")
 
-    # layer 2: exhaustive over L x L
-    exhaustive = 0
-    for g in L.elements:
-        row = circ_row(B, g)
-        for h in L.elements:
-            exhaustive += 1
-            if not check_pair(B, g, h, row):
-                return fail(2, f"identity fails at L-pair ({g!r}, {h!r})")
+    # layer 2: the identity on L x L, as B restricted to L
+    v = verify(RBOperator(group=L, table=tuple(L.index(B(l)) for l in L.elements)))
+    if not v.ok:
+        return fail(2, "identity fails at L-pair ({!r}, {!r})".format(*v.witness))
+    exhaustive = v.pairs
 
     # layer 3: seeded random pairs from the whole group
     rng = random.Random(seed)

@@ -1,7 +1,7 @@
 """Exhaustive test-side oracles for the shortcuts in rbgroups: the |S|^2
 closure test, normality on every element pair, the explicit product set
-of two subgroups, and the operator graphs found by a subgroup search in
-G x G itself."""
+of two subgroups, the operator graphs found by a subgroup search in
+G x G itself, and the defining identity pair by pair on L x L."""
 
 import itertools
 import math
@@ -150,3 +150,19 @@ def digit_sampler(n, points=None):
         return Perm(imgs)
 
     return draw
+
+
+def pairwise_identity(B, elements):
+    """The defining identity of B by check_pair on every pair of
+    `elements`, in order, stopping at the first failure: (the failing pair
+    or None, pairs checked).  The reference for layer 2 of
+    transitive.verify_an_operator, which is rbop.verify on L's table."""
+    from rbgroups.rbop import check_pair
+
+    pairs = 0
+    for g in elements:
+        for h in elements:
+            pairs += 1
+            if not check_pair(B, g, h):
+                return (g, h), pairs
+    return None, pairs

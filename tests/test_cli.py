@@ -239,13 +239,17 @@ def test_proc_line_without_n_exits_1(tmp_path, capsys):
 
 def test_negative_sample_count_exits_1(tmp_path, capsys):
     """A negative --verify-samples is an error, for build-an and for verify
-    on a proc: dump; it was subtracted from the exhaustive pairs, so
-    build-an --n 9 --verify-samples -5 printed pairs=5179 and passed."""
-    text = run(["build-an", "--n", "9", "--verify-samples", "0", "--dump"])[1]
-    path = tmp_path / "a9.op"
-    path.write_text(text[: text.index("operator:")])
+    on a proc: or a table dump; it was subtracted from the exhaustive
+    pairs, so build-an --n 9 --verify-samples -5 printed pairs=5179 and
+    passed, and verify on a table dump ignored it and passed."""
+    paths = []
+    for name, argv in (("a9.op", ["build-an", "--n", "9", "--verify-samples", "0"]),
+                       ("d16.op", ["construct", "--example", "d16"])):
+        text = run(argv + ["--dump"])[1]
+        paths.append(tmp_path / name)
+        paths[-1].write_text(text[: text.index("operator:")])
     capsys.readouterr()
-    for argv in (["build-an", "--n", "9"], ["verify", str(path)]):
+    for argv in (["build-an", "--n", "9"], *(["verify", str(p)] for p in paths)):
         assert run(argv + ["--verify-samples", "-5"]) == (1, ""), argv
         assert "error: sample count must be >= 0, got -5" in capsys.readouterr().err
 
@@ -315,6 +319,19 @@ def test_build_an_10_output_is_pinned():
     assert time.perf_counter() - start < 60
     assert code == 0 and text.endswith("verify: pass pairs=520400 seed=5\n")
     assert _sha(text) == "4fd19f8abe0ffbffb38b006a692b83583ef063360e96d15f2e9f3620f343e980"
+
+
+@pytest.mark.slow
+def test_build_an_50_is_refused_by_name(capsys):
+    """Budget 60 s; layer 2 of n = 50 would need the Cayley table of
+    L = M(49), |L|^2 = 1.38e10 entries, so verify_an_operator refuses it."""
+    start = time.perf_counter()
+    assert run(["build-an", "--n", "50"]) == (1, "")
+    assert time.perf_counter() - start < 60
+    assert capsys.readouterr().err == (
+        "error: |L| = 117600 exceeds the enumeration cap 5000:"
+        " layer 2 needs the Cayley table of L\n"
+    )
 
 
 @pytest.mark.slow

@@ -12,7 +12,6 @@ from rbgroups.perm import (
     closure,
     grow,
     exact_factorization,
-    decompose,
     is_isomorphic,
 )
 
@@ -77,7 +76,7 @@ def test_exact_factorization_s3():
     w = exact_factorization(s3, H, L)
     assert w.exact
     for x in s3.elements:
-        h, l = decompose(w, x)
+        h, l = w.table[x]
         assert h * l == x and h in H and l in L
 
 

@@ -10,10 +10,10 @@ import time
 import pytest
 
 from invariants import check_invariants_sampled
-from oracles import digit_sampler
-from rbgroups import families, rbop, serialize, transitive
+from oracles import digit_sampler, pairwise_identity
+from rbgroups import build, families, rbop, serialize, transitive
 from rbgroups.gf import make_field, prime_power
-from rbgroups.perm import FiniteGroup, Grower, Perm
+from rbgroups.perm import ENUMERATION_CAP, FiniteGroup, Grower, Perm
 from rbgroups.labels import iso_label
 from rbgroups.transitive import (
     TransitiveError,
@@ -318,6 +318,47 @@ def test_layer1_names_the_broken_precondition(field, message):
     v = verify_an_operator(_tampered(field), sample_count=10, seed=7)
     assert (v.ok, v.layer) == (False, 1)
     assert message in v.detail
+
+
+@pytest.mark.parametrize("n,variant", [
+    (9, "S1"), (9, "S2"), (9, "S3"), (9, "default"),
+    pytest.param(10, "default", marks=pytest.mark.slow),
+])
+def test_layer2_matches_the_pairwise_oracle(n, variant):
+    B = _an(n, variant)
+    L = B.structural["im"]
+    v = verify_an_operator(B, sample_count=0)
+    assert pairwise_identity(B, L.elements) == (None, L.order() ** 2)
+    assert (v.ok, v.pairs_exhaustive) == (True, L.order() ** 2)
+
+
+def test_layer2_names_the_pairwise_oracles_first_failure(monkeypatch):
+    """Two images of the body swapped on L, in B and in the body layer 1
+    compares it with: layer 1 passes, and layer 2 fails at the first pair
+    of L x L, in canonical order, at which the identity fails."""
+    B = _an(9)
+    L, S, r = (B.structural[k] for k in ("im", "ker_tilde", "r"))
+    image = build.index2_body(L, S, r)
+    a, b = L.elements[5], L.elements[40]
+    image[a], image[b] = image[b], image[a]
+    monkeypatch.setattr(transitive, "index2_body", lambda *args: image)
+    bad = dataclasses.replace(B, proc=lambda x: image[x] if x in image else B.proc(x))
+    pair, _ = pairwise_identity(bad, L.elements)
+    assert pair is not None
+    v = verify_an_operator(bad, sample_count=0)
+    assert (v.ok, v.layer) == (False, 2)
+    assert v.detail == "identity fails at L-pair ({!r}, {!r})".format(*pair)
+
+
+def test_an_l_above_the_enumeration_cap_is_refused():
+    """An L too large for its Cayley table is refused by name, before
+    layer 1 runs (check_index2 would fail on this L)."""
+    B = _an(9)
+    big = FiniteGroup.generator_only(9, B.structural["im"].generators, order=ENUMERATION_CAP + 1)
+    huge = dataclasses.replace(B, structural={**B.structural, "im": big})
+    with pytest.raises(TransitiveError, match=f"[|]L[|] = {ENUMERATION_CAP + 1} exceeds "
+                                              f"the enumeration cap {ENUMERATION_CAP}"):
+        verify_an_operator(huge, sample_count=0)
 
 
 class _Ranks:
