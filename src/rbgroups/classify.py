@@ -237,11 +237,7 @@ def oracle_enumerate(G: FiniteGroup) -> list[RBOperator]:
 # -- equivalence under the graph action ------------------------------------
 
 
-def equivalence_classes(
-    G: FiniteGroup,
-    ops: list[RBOperator],
-    companions: Optional[list[RBOperator]] = None,
-) -> list[list[RBOperator]]:
+def equivalence_classes(G: FiniteGroup, ops: list[RBOperator]) -> list[list[RBOperator]]:
     """Partition ops into orbits of their graphs under pair automorphisms
     (phi, phi), conjugation twists (id, alpha_x), and the swap tau.
 
@@ -253,8 +249,7 @@ def equivalence_classes(
     (1,x)^-1 K (1,x) = d^-1 K d meets D in d^-1 (K meet D) d = {e}.  So when
     ops is the complete enumeration every orbit stays inside it, and an
     orbit that reaches a graph outside ops raises: the enumeration missed
-    an operator.  A caller that already holds tilde(B) for each B of ops
-    passes them, in the same order, as companions."""
+    an operator."""
     n = G.order()
     auts = automorphism_group(G)
     T, inv = G.mult_table(), G.inverses()
@@ -271,12 +266,8 @@ def equivalence_classes(
     index_of = {g: i for i, g in enumerate(graphs)}
 
     # tau must realize the companion operator
-    if companions is None:
-        companions = [tilde(B) for B in ops]
-    for Bt, P in zip(companions, graphs):
-        swapped = frozenset((b, a) for a, b in P)
-        tg = graph(Bt)
-        if swapped != tg:
+    for B, P in zip(ops, graphs):
+        if frozenset((b, a) for a, b in P) != graph(tilde(B)):
             raise AssertionError("swap move does not realize the companion operator")
 
     assigned = [-1] * len(ops)
@@ -325,22 +316,18 @@ class ClassSummary:
         )
 
 
-def summarize(
-    members: list[RBOperator], im: Optional[OperatorImages] = None
-) -> ClassSummary:
+def summarize(members: list[RBOperator]) -> ClassSummary:
     """The summary of one equivalence class, read off its first member.
-    A caller that already holds images(members[0]) passes it as im.  The
-    operator is splitting iff R is trivial (see rbop.is_splitting)."""
+    The operator is splitting iff R is trivial (see rbop.is_splitting)."""
     rep = members[0]
-    if im is None:
-        im = images(rep)
+    im = images(rep)
     _, dlabel = descendent_group(rep)
     return ClassSummary(
         representative=rep,
         size=len(members),
         splitting=im.R.order() == 1,
         r_label=iso_label(im.R),
-        kernel_labels=kernel_invariant(rep, im),
+        kernel_labels=kernel_invariant(rep),
         descendent_label=dlabel,
     )
 
@@ -369,19 +356,20 @@ class ClassificationReport:
         return out
 
 
-def lemma3_shape(B: RBOperator, data: OperatorImages, Bt: RBOperator) -> bool:
+def lemma3_shape(B: RBOperator) -> bool:
     """Whether B (or its companion) factors as G = ker(B)*Im(B) exactly
-    with the companion restricting to a homomorphism onto R on Im(B),
-    given data = images(B) and Bt = tilde(B).  The companion's images are
-    the same five groups with the roles of B and B~ swapped, and its
-    companion is B, since B -> B~ is an involution."""
+    with the companion restricting to a homomorphism onto R on Im(B).
+    The companion's images are the same five groups as images(B) with
+    the roles of B and B~ swapped, and its companion is B, since
+    B -> B~ is an involution."""
     from .perm import exact_factorization, homomorphism_failure
 
+    data = images(B)
     swapped = OperatorImages(
         im=data.im_tilde, ker=data.ker_tilde,
         im_tilde=data.im, ker_tilde=data.ker, R=data.R,
     )
-    for Ct, im in ((Bt, data), (B, swapped)):  # C = B, then C = B~; Ct its companion
+    for Ct, im in ((tilde(B), data), (B, swapped)):  # C = B, then C = B~; Ct its companion
         if not im.R.is_abelian():
             continue
         w = exact_factorization(B.group, im.ker, im.im)
@@ -401,18 +389,9 @@ _QUATERNION = re.compile(r"Q(\d+)$")
 
 def classify(G: FiniteGroup, cap: int = ENUMERATE_GUARANTEED) -> ClassificationReport:
     ops = enumerate_rb(G, cap=cap)
-    companions = [tilde(B) for B in ops]
     split_flags = [is_splitting(B) for B in ops]
-    classes = equivalence_classes(G, ops, companions)
-    computed: dict[tuple, OperatorImages] = {}
-
-    def images_of(B: RBOperator) -> OperatorImages:
-        """images(B), computed once per operator table."""
-        if B.table not in computed:
-            computed[B.table] = images(B)
-        return computed[B.table]
-
-    summaries = [summarize(members, images_of(members[0])) for members in classes]
+    classes = equivalence_classes(G, ops)
+    summaries = [summarize(members) for members in classes]
     report = ClassificationReport(
         group_label=G.label or f"G{G.order()}",
         total=len(ops),
@@ -421,17 +400,15 @@ def classify(G: FiniteGroup, cap: int = ENUMERATE_GUARANTEED) -> ClassificationR
         classes=summaries,
     )
 
-    nonsplit = [(B, Bt) for B, Bt, s in zip(ops, companions, split_flags) if not s]
+    nonsplit = [B for B, s in zip(ops, split_flags) if not s]
     m = _DIHEDRAL.match(G.label or "")
     if m:
         n = int(m.group(1)) // 2
         if n % 2:
             report.conformance["dihedral-odd-no-nonsplitting"] = not nonsplit
         else:
-            ok_r = all(
-                iso_label(images_of(B).R) in ("Z2", "Z2xZ2") for B, _ in nonsplit
-            )
-            ok_shape = all(lemma3_shape(B, images_of(B), Bt) for B, Bt in nonsplit)
+            ok_r = all(iso_label(images(B).R) in ("Z2", "Z2xZ2") for B in nonsplit)
+            ok_shape = all(lemma3_shape(B) for B in nonsplit)
             report.conformance["dihedral-even-R-small"] = ok_r
             report.conformance["dihedral-even-shape"] = ok_shape
     m = _QUATERNION.match(G.label or "")
@@ -439,6 +416,6 @@ def classify(G: FiniteGroup, cap: int = ENUMERATE_GUARANTEED) -> ClassificationR
         n = int(m.group(1)) // 4
         if n % 2:
             report.conformance["quaternion-odd-R-order-2"] = all(
-                images_of(B).R.order() == 2 for B, _ in nonsplit
+                images(B).R.order() == 2 for B in nonsplit
             )
     return report

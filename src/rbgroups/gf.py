@@ -150,9 +150,6 @@ class FiniteField:
     def neg(self, x: int) -> int:
         return self.encode(tuple((-a) % self.p for a in self.coeffs(x)))
 
-    def sub(self, x: int, y: int) -> int:
-        return self.add(x, self.neg(y))
-
     def mul(self, x: int, y: int) -> int:
         cx = tuple(self.coeffs(x))
         cy = tuple(self.coeffs(y))

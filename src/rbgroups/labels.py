@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import families
-from .perm import FiniteGroup, Grower, Perm, closure, is_isomorphic
+from .perm import FiniteGroup, Grower, Perm, _kept, closure, is_isomorphic
 
 
 def direct_product(A: FiniteGroup, B: FiniteGroup, label: str = "") -> FiniteGroup:
@@ -90,8 +90,10 @@ def _reference_catalog() -> dict[int, list[tuple[str, FiniteGroup]]]:
     return by_order
 
 
+@_kept
 def invariant_tuple(G: FiniteGroup) -> tuple:
-    """(order, abelian flag, element-order multiset); cheap iso invariant."""
+    """(order, abelian flag, element-order multiset); cheap iso invariant,
+    kept on G, so each catalog reference's is computed once per process."""
     spectrum: dict[int, int] = {}
     for k in G.element_orders():
         spectrum[k] = spectrum.get(k, 0) + 1

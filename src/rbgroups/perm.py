@@ -13,6 +13,7 @@ CPython caches a bytes object's hash.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import AbstractSet, Any, Callable, Iterable, Iterator, Optional, Sequence
@@ -258,6 +259,22 @@ def closure(generators: Sequence[Perm], cap: int = ENUMERATION_CAP) -> tuple[Per
     return tuple(sorted(g.elements))
 
 
+def _kept(f: Callable) -> Callable:
+    """Decorator: f(obj) is computed once and kept in obj's `_cache` dict,
+    so no caller computes it twice or hands it to another.  A miss calls
+    the decorated function's `__wrapped__` (f, or a test's counter)."""
+
+    @functools.wraps(f)
+    def kept(obj):
+        try:
+            return obj._cache[kept]
+        except KeyError:
+            value = obj._cache[kept] = kept.__wrapped__(obj)
+            return value
+
+    return kept
+
+
 @dataclass(frozen=True)
 class FiniteGroup:
     """A finite permutation group.
@@ -272,7 +289,7 @@ class FiniteGroup:
     elements: Optional[tuple[Perm, ...]] = None
     label: str = ""
     known_order: Optional[int] = None
-    _index: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_generators(
@@ -351,24 +368,19 @@ class FiniteGroup:
             raise PermError("membership test needs an enumerated group")
         return p in self._element_set()
 
+    @_kept
     def _element_set(self) -> frozenset:
-        cached = self._index.get("set")
-        if cached is None:
-            cached = frozenset(self.elements)
-            self._index["set"] = cached
-        return cached
+        return frozenset(self.elements)
 
+    @_kept
     def _indices(self) -> dict[Perm, int]:
-        table = self._index.get("idx")
-        if table is None:
-            table = {e: i for i, e in enumerate(self.elements)}
-            self._index["idx"] = table
-        return table
+        return {e: i for i, e in enumerate(self.elements)}
 
     def index(self, p: Perm) -> int:
         """Index of p in the canonical element order."""
         return self._indices()[p]
 
+    @_kept
     def mult_table(self) -> list[list[int]]:
         """Cayley table T on canonical element indices, T[a][b] = index
         of a*b (left-to-right), grown from the generators.
@@ -382,42 +394,36 @@ class FiniteGroup:
         pair by pair takes |G|^2.  Raises PermError when the walk misses
         an element, that is, when the generators do not generate the
         elements."""
-        cached = self._index.get("table")
-        if cached is None:
-            elems = self.elements
-            idx = self._indices()
-            gens = list(dict.fromkeys(idx[s] for s in self.generators))
-            cached = [None] * len(elems)
-            for s in gens:
-                a = elems[s]
-                cached[s] = [idx[a * b] for b in elems]
-            frontier = gens
-            while frontier:
-                fresh = []
-                for p in frontier:
-                    row = cached[p]
-                    for s in gens:
-                        ps = row[s]
-                        if cached[ps] is None:
-                            cached[ps] = list(map(row.__getitem__, cached[s]))
-                            fresh.append(ps)
-                frontier = fresh
-            if None in cached:
-                raise PermError(
-                    f"the generators of {self.label or 'G'} do not generate its elements"
-                )
-            self._index["table"] = cached
-        return cached
+        elems = self.elements
+        idx = self._indices()
+        gens = list(dict.fromkeys(idx[s] for s in self.generators))
+        table = [None] * len(elems)
+        for s in gens:
+            a = elems[s]
+            table[s] = [idx[a * b] for b in elems]
+        frontier = gens
+        while frontier:
+            fresh = []
+            for p in frontier:
+                row = table[p]
+                for s in gens:
+                    ps = row[s]
+                    if table[ps] is None:
+                        table[ps] = list(map(row.__getitem__, table[s]))
+                        fresh.append(ps)
+            frontier = fresh
+        if None in table:
+            raise PermError(
+                f"the generators of {self.label or 'G'} do not generate its elements"
+            )
+        return table
 
+    @_kept
     def inverses(self) -> list[int]:
         """inverses()[a] is the index of the inverse of element a: the
         column of e in row a of mult_table()."""
-        cached = self._index.get("inv")
-        if cached is None:
-            e = self.index(self.identity)
-            cached = [row.index(e) for row in self.mult_table()]
-            self._index["inv"] = cached
-        return cached
+        e = self.index(self.identity)
+        return [row.index(e) for row in self.mult_table()]
 
     def is_abelian(self) -> bool:
         gens = self.generators

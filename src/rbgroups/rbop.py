@@ -20,6 +20,7 @@ from .perm import (
     FiniteGroup,
     Perm,
     PermError,
+    _kept,
     grow,
 )
 
@@ -54,7 +55,9 @@ class RBOperator:
     operator lives on an enumerated group: table[i] is the index of
     B(elements[i]) in the canonical element order, as the op: line
     prints it.  `structural` carries construction-provided subgroup data
-    for procedural operators.
+    for procedural operators.  `images`, `tilde` and `verify` keep their
+    results in `_cache` (perm._kept); it is not an init field, so an
+    operator made by dataclasses.replace starts with none kept.
     """
 
     group: FiniteGroup
@@ -62,6 +65,7 @@ class RBOperator:
     proc: Optional[Callable[[Perm], Perm]] = None
     provenance: str = ""
     structural: dict = field(default_factory=dict, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if (self.table is None) == (self.proc is None):
@@ -96,22 +100,18 @@ def from_table(
     G: FiniteGroup,
     images: dict[Perm, Perm] | tuple[Perm, ...],
     provenance: str = "",
-    check: bool = True,
 ) -> RBOperator:
     """The table operator with the given image of each element (a dict,
-    or a tuple in canonical element order); verify runs unless
-    check=False."""
+    or a tuple in canonical element order), checked by verify;
+    InvalidOperator when the identity fails."""
     if not G.enumerated:
         raise PermError("table operators need an enumerated group")
     if isinstance(images, dict):
         images = map(images.__getitem__, G.elements)
     B = RBOperator(group=G, table=tuple(map(G.index, images)), provenance=provenance)
-    if check:
-        v = verify(B)
-        if not v.ok:
-            raise InvalidOperator(
-                f"defining identity fails at {v.witness}: {v.detail}"
-            )
+    v = verify(B)
+    if not v.ok:
+        raise InvalidOperator(f"defining identity fails at {v.witness}: {v.detail}")
     return B
 
 
@@ -131,6 +131,7 @@ def check_pair(B: RBOperator, g: Perm, h: Perm) -> bool:
     return row[0] * B(h) == B(circ(B, g, h, row))
 
 
+@_kept
 def verify(B: RBOperator) -> Verdict:
     """Check the defining identity of a table operator on all pairs.
 
@@ -138,7 +139,8 @@ def verify(B: RBOperator) -> Verdict:
     _circ_rows): the row holds iff [B(g) B(h) for h] == [B(g o h) for h]
     as lists of element indices.  The witness is the first h where the
     two lists of the first failing row differ, so the witness and detail
-    are those of a pair-by-pair walk in canonical order."""
+    are those of a pair-by-pair walk in canonical order.  The verdict is
+    kept on B."""
     if not B.is_table:
         raise PermError("verification needs a table operator")
     G = B.group
@@ -163,22 +165,24 @@ def verify(B: RBOperator) -> Verdict:
 def _circ_rows(G: FiniteGroup, Bt: Sequence[int]) -> Iterator[list[int]]:
     """Row g of the descendent product on element indices, for each g of
     G in canonical order, where Bt[g] is the index of B(g): row[h] is the
-    index of g o h.  With T = G.mult_table(), x = g B(g) and
-    y = B(g)^-1, g o h = x h y, so row = [T[T[x][h]][y] for h]: column y
-    of T read along row x.  No Perm product is taken."""
+    index of g o h.  With T = G.mult_table(), b = B(g) and x = g b,
+    g o h = x h b^-1 = (b (x h)^-1)^-1, so row = [inv[T[b][inv[T[x][h]]]]
+    for h]: rows of T and inverses only, with no transpose of T and no
+    Perm product."""
     T = G.mult_table()
-    inv = G.inverses()
-    cols = list(zip(*T))  # cols[y][v] = index of v*y
+    inv = G.inverses().__getitem__
     for g, b in enumerate(Bt):
-        yield list(map(cols[inv[b]].__getitem__, T[T[g][b]]))
+        yield list(map(inv, map(T[b].__getitem__, map(inv, T[T[g][b]]))))
 
 
 # -- derived operators -----------------------------------------------------
 
 
+@_kept
 def tilde(B: RBOperator) -> RBOperator:
     """The companion operator g -> g^-1 B(g^-1); an involution.  On a
-    table, with j the index of g^-1, that is T[j][B.table[j]]."""
+    table, with j the index of g^-1, that is T[j][B.table[j]].  The
+    companion is kept on B."""
     if B.table is not None:
         G, Bt = B.group, B.table
         T = G.mult_table()
@@ -280,6 +284,7 @@ class OperatorImages:
     R: FiniteGroup  # im & im_tilde
 
 
+@_kept
 def images(B: RBOperator) -> OperatorImages:
     """The five structural subgroups, with the consequences of the
     defining identity asserted (normality, factorization, index identity).
@@ -291,7 +296,7 @@ def images(B: RBOperator) -> OperatorImages:
     The companion's sets are read off B: B~(g) = g^-1 B(g^-1), so
     Im(B~) = {x B(x)} (x = g^-1) and B~(g) = e iff B(g^-1) = g.  On the
     table, with T = G.mult_table() and inv = G.inverses(), these are
-    {T[g][b]} and {g : table[inv[g]] = g}."""
+    {T[g][b]} and {g : table[inv[g]] = g}.  The result is kept on B."""
     G = B.group
     if not B.is_table:
         st = B.structural
@@ -350,15 +355,11 @@ def is_splitting(B: RBOperator) -> bool:
     return all(Bt[inv[b]] == b for b in set(Bt))
 
 
-def kernel_invariant(
-    B: RBOperator, data: Optional[OperatorImages] = None
-) -> tuple[str, str]:
-    """Unordered pair {label(ker B), label(ker B~)} as a sorted tuple; a
-    caller that already holds images(B) passes it as data."""
+def kernel_invariant(B: RBOperator) -> tuple[str, str]:
+    """Unordered pair {label(ker B), label(ker B~)} as a sorted tuple."""
     from .labels import iso_label
 
-    if data is None:
-        data = images(B)
+    data = images(B)
     return tuple(sorted((iso_label(data.ker), iso_label(data.ker_tilde))))
 
 

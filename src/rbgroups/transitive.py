@@ -602,7 +602,16 @@ def descendent_structure(
     construction: opposite product on S, plain product on K, and the
     twisted commutation l o h = h^(r^d) o l across parts.
 
-    S x S is checked exhaustively.  The K-elements are drawn uniformly
+    S x S is checked through the generators of S.  With x = s B(s),
+    s o s' = x s' B(s)^-1 and s' s = s' x B(s)^-1, so s o s' = s' s iff
+    x s' = s' x.  That holds for all s' in S iff x commutes with each of
+    S.generators, as the centralizer of x is a subgroup and S is the
+    closure of its generators.  Only a failing s scans S.elements, for
+    the first s' that does not commute with x: the first failing pair of
+    the pairwise walk in canonical order.  s_pairs counts that walk's
+    pairs: |S|^2 on a pass, i |S| + j + 1 at (S.elements[i], S.elements[j]).
+
+    The K-elements are drawn uniformly
     from K = Alt(the points outside the distinguished ones) with
     even_sampler, one rng.randrange call per element; l is a seeded
     rng.choice from L, and circ_row(B, l) is kept for each l once drawn:
@@ -615,15 +624,14 @@ def descendent_structure(
     S, r, L = st["ker_tilde"], st["r"], st["im"]
     sset = S._element_set()
 
-    s_pairs = 0
-    for s1 in S.elements:
-        row = circ_row(B, s1)
-        for s2 in S.elements:
-            s_pairs += 1
-            if circ(B, s1, s2, row) != s2 * s1:
-                return DescendentReport(
-                    False, f"s o s' != s' s at ({s1!r}, {s2!r})", s_pairs, 0, 0
-                )
+    selems = S.elements
+    for i, s1 in enumerate(selems):
+        x = s1 * B(s1)
+        if any(x * s != s * x for s in S.generators):
+            j, s2 = next((j, s2) for j, s2 in enumerate(selems) if x * s2 != s2 * x)
+            detail = f"s o s' != s' s at ({s1!r}, {s2!r})"
+            return DescendentReport(False, detail, i * len(selems) + j + 1, 0, 0)
+    s_pairs = len(selems) ** 2
 
     rng = random.Random(seed)
     n = B.group.degree

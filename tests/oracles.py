@@ -1,7 +1,8 @@
 """Exhaustive test-side oracles for the shortcuts in rbgroups: the |S|^2
 closure test, normality on every element pair, the explicit product set
 of two subgroups, the operator graphs found by a subgroup search in
-G x G itself, and the defining identity pair by pair on L x L."""
+G x G itself, the defining identity pair by pair on L x L, and the
+opposite product on S x S pair by pair."""
 
 import itertools
 import math
@@ -165,4 +166,22 @@ def pairwise_identity(B, elements):
             pairs += 1
             if not check_pair(B, g, h):
                 return (g, h), pairs
+    return None, pairs
+
+
+def pairwise_opposite_product(B, S):
+    """s o s' = s' s checked by circ on every pair of S.elements, in
+    order, stopping at the first failure: (the failing pair or None, pairs
+    checked).  The reference for the S x S check of
+    transitive.descendent_structure, which tests s B(s) against the
+    generators of S."""
+    from rbgroups.rbop import circ, circ_row
+
+    pairs = 0
+    for s1 in S.elements:
+        row = circ_row(B, s1)
+        for s2 in S.elements:
+            pairs += 1
+            if circ(B, s1, s2, row) != s2 * s1:
+                return (s1, s2), pairs
     return None, pairs

@@ -342,3 +342,37 @@ def test_sharply3_q49_finishes():
     assert time.perf_counter() - start < 60
     assert code == 0
     assert text.splitlines()[0] == "group: M(49) degree=50 order=117600 psl_index=2"
+
+
+@pytest.mark.parametrize("n,s_pairs", [(49, 1176**2), (50, 58800**2)])
+@pytest.mark.slow
+def test_descendent_n_output_is_pinned(n, s_pairs):
+    """Budget 60 s each.  S x S is checked through the generators of S, so
+    n = 50 (|S| = |PSL(2,49)| = 58,800, 3.46e9 pairs) finishes; it takes
+    about 4 s, and n = 49 about 1 s."""
+    start = time.perf_counter()
+    code, text = run(["descendent", "--n", str(n)])
+    assert time.perf_counter() - start < 60
+    assert (code, text) == (
+        0, f"descendent: pass s_pairs={s_pairs} k_samples=10000 twist_samples=10000\n"
+    )
+
+
+def test_construct_verifies_its_operator_once(monkeypatch):
+    """construct --example q60 computes verify once per operator: the
+    check in from_table keeps its verdict on the operator, and the
+    verify: line reads it.  The build checks two operators, the
+    homomorphism operator on Q20 and the q60 operator itself."""
+    from rbgroups import rbop
+
+    verified = []
+    compute = rbop.verify.__wrapped__
+
+    def counted(B):
+        verified.append(B.table)
+        return compute(B)
+
+    monkeypatch.setattr(rbop.verify, "__wrapped__", counted)
+    code, text = run(["construct", "--example", "q60"])
+    assert code == 0 and text.endswith("verify: pass pairs=3600 seed=-\n")
+    assert sorted(map(len, verified)) == [20, 60]

@@ -1,7 +1,9 @@
+import dataclasses
+
 import pytest
 
 from invariants import assert_invariants
-from rbgroups import build, families, rbop
+from rbgroups import build, families, rbop, serialize, transitive
 from rbgroups.classify import enumerate_rb
 from rbgroups.labels import iso_label
 from rbgroups.perm import FiniteGroup, Perm, PermError
@@ -42,7 +44,7 @@ def test_constant_nonidentity_map_fails():
     c = Perm.from_cycles(3, [(0, 1, 2)])
     with pytest.raises(InvalidOperator):
         from_table(G, tuple(c for _ in G.elements))
-    B = from_table(G, tuple(c for _ in G.elements), check=False)
+    B = rbop.RBOperator(group=G, table=(G.index(c),) * G.order())
     v = verify(B)
     assert not v.ok and v.witness is not None
 
@@ -355,18 +357,62 @@ def test_table_checks_match_oracles_on_corruptions(n):
 
 
 def test_table_checks_take_few_products(monkeypatch):
-    """On d2n_klein(72), from no cached table: full verify takes at most
-    4 |gens| |G| products and descendent_group at most 5,000 (pair by
-    pair they took 62,352 and 65,416)."""
+    """On d2n_klein(72), each time on a fresh copy of the operator and its
+    group, so that nothing is read from a kept table or verdict: full
+    verify takes at most 4 |gens| |G| products and descendent_group at
+    most 5,000 (pair by pair they took 62,352 and 65,416)."""
     from test_perm import _count_products
 
     B = build.d2n_klein(72)
     G = B.group
+
+    def fresh():
+        return rbop.RBOperator(group=dataclasses.replace(G), table=B.table)
+
     calls = _count_products(monkeypatch)
-    G._index.pop("table")
-    assert verify(B).ok
+    assert verify(fresh()).ok
     assert calls[0] <= 4 * len(G.generators) * G.order()
-    G._index.pop("table")
     calls[0] = 0
-    descendent_group(B)
+    descendent_group(fresh())
     assert calls[0] <= 5000
+
+
+@pytest.mark.parametrize("name", ["d16", "q60", "d2n_klein(72)"])
+def test_circ_rows_are_the_descendent_product(name):
+    """_circ_rows, built from rows of the Cayley table and inverses only,
+    gives the index of g o h = g B(g) h B(g)^-1 by Perm products."""
+    B = build.catalog_operator(name)
+    G = B.group
+    rows = list(rbop._circ_rows(G, B.table))
+    assert rows == [[G.index(circ(B, g, h)) for h in G.elements] for g in G.elements]
+
+
+def test_kept_results_do_not_change_the_operator():
+    """images, tilde and verify keep their results on the operator, and
+    it still compares equal, hashes the same and dumps the same bytes."""
+    G = families.parse_group_spec("D:16").group
+    table = build.catalog_operator("d16").table
+    B = rbop.RBOperator(group=G, table=table)
+    twin = rbop.RBOperator(group=G, table=table)
+    before = (hash(B), serialize.format_operator(B), repr(B))
+    assert not B._cache
+    images(B), tilde(B), verify(B)
+    assert len(B._cache) == 3 and not twin._cache
+    assert B == twin and (hash(B), serialize.format_operator(B), repr(B)) == before
+    assert hash(B) == hash(twin)
+
+
+def test_replace_starts_with_nothing_kept():
+    """dataclasses.replace makes an operator with none of B's kept images,
+    companion or verdict."""
+    B = build.catalog_operator("d16")
+    assert verify(B).ok and images(B) and tilde(B)
+    bad = dataclasses.replace(B, table=(B.table[1],) + B.table[1:])
+    assert not bad._cache and not verify(bad).ok
+    A = transitive.build_an_operator(9)
+    r = A.structural["r"]
+    data, companion = images(A), tilde(A)
+    moved = dataclasses.replace(A, proc=lambda g: A.proc(g) * r)
+    assert not moved._cache
+    assert images(moved) is not data and tilde(moved) is not companion
+    assert tilde(moved)(r) == r * moved(r) != companion(r)

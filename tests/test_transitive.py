@@ -10,7 +10,7 @@ import time
 import pytest
 
 from invariants import check_invariants_sampled
-from oracles import digit_sampler, pairwise_identity
+from oracles import digit_sampler, pairwise_identity, pairwise_opposite_product
 from rbgroups import build, families, rbop, serialize, transitive
 from rbgroups.gf import make_field, prime_power
 from rbgroups.perm import ENUMERATION_CAP, FiniteGroup, Grower, Perm
@@ -451,6 +451,33 @@ def test_descendent_k_samples_lie_in_k(monkeypatch):
     assert len(set(drawn)) > 800
 
 
+@pytest.mark.parametrize("n,variant", [(9, "S1"), (9, "S2"), (9, "S3"), (9, "default"), (10, "default")])
+def test_s_check_matches_the_pairwise_oracle(n, variant):
+    B = _an(n, variant)
+    S = B.structural["ker_tilde"]
+    rep = descendent_structure(B, k_samples=0, twist_samples=0)
+    assert pairwise_opposite_product(B, S) == (None, S.order() ** 2)
+    assert (rep.ok, rep.s_pairs) == (True, S.order() ** 2)
+
+
+@pytest.mark.parametrize("k", [1, 17, 35])
+def test_s_check_names_the_pairwise_oracles_first_failure(k):
+    """B'(s) = s^-1 y at one element s of S, for y = r and for each
+    generator y of S: then s B'(s) = y, which commutes with y but not with
+    all of S, so a check that skipped a generator would pass.  The check
+    fails at the oracle's first failing pair, with its pair count."""
+    B = _an(9)
+    S = B.structural["ker_tilde"]
+    s = S.elements[k]
+    for y in (B.structural["r"], *S.generators):
+        bad = dataclasses.replace(B, proc=lambda g, y=y: s.inverse() * y if g == s else B.proc(g))
+        (s1, s2), pairs = pairwise_opposite_product(bad, S)
+        rep = descendent_structure(bad, k_samples=500, twist_samples=200)
+        assert s1 == s and pairs > k * S.order() + 1
+        assert (rep.ok, rep.s_pairs, rep.k_samples, rep.twist_samples) == (False, pairs, 0, 0)
+        assert rep.detail == f"s o s' != s' s at ({s1!r}, {s2!r})"
+
+
 def test_descendent_catches_an_operator_corrupted_only_on_k():
     """B'(k) = r for k in K of order 7.  S and L have no element of order
     7, so only the K-sample loop can see the corruption; the first failing
@@ -496,18 +523,17 @@ def test_layer3_names_the_sample_the_digit_decoder_predicts():
 
 
 def test_twist_rows_are_computed_once_per_drawn_l(monkeypatch):
-    """circ_row(B, l) runs once for each distinct l of the twist loop (after
-    one per element of S in the S x S loop): at most twist_samples rows."""
+    """circ_row(B, l) runs once for each distinct l of the twist loop, and
+    nowhere else (the S x S check takes s B(s) directly): at most
+    twist_samples rows."""
     rows = []
     monkeypatch.setattr(transitive, "circ_row", lambda B, g: rows.append(g) or rbop.circ_row(B, g))
     B = _an(9)
-    s_order = B.structural["ker_tilde"].order()
     for twist_samples in (5, 2000):
         rows.clear()
         assert descendent_structure(B, k_samples=0, twist_samples=twist_samples).ok
-        twist_rows = rows[s_order:]
-        assert len(twist_rows) == len(set(twist_rows)) <= min(twist_samples, 72)
-    assert len(twist_rows) > 60  # 2,000 draws from |L| = 72 reach nearly all of L
+        assert len(rows) == len(set(rows)) <= min(twist_samples, 72)
+    assert len(rows) > 60  # 2,000 draws from |L| = 72 reach nearly all of L
 
 
 @pytest.mark.parametrize("kwargs", [
