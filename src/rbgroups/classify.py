@@ -77,16 +77,19 @@ def enumerate_rb(G: FiniteGroup, cap: int = ENUMERATE_GUARANTEED) -> list[RBOper
     |H| = |A||C0|.  All subgroups of G are found by cyclic extension
     (_subgroups); a section (A, A0) is kept when A0 lies in A and is
     normalized by A's generators; and a pair of sections is tried when
-    |A||C0| = |G|, |A/A0| = |C/C0| and A0 meets C0 only in e.  For such a
-    pair the search starts from N = A0 x C0 and, for each generator a_i of
-    A in turn, tries every c_i of a transversal T of C0 in C, growing
-    <N, (a_1, c_1), ..., (a_i, c_i)> in GxG by Dimino's method
+    |A||C0| = |G|, |A/A0| = |C/C0|, A0 meets C0 only in e, and
+    (a) |A||C| = |G||A meet C|, with A meet C counted on the masks.  For
+    such a pair the search starts from N = A0 x C0 and, for each generator
+    a_i of A in turn, tries each c_i of a transversal T of C0 in C (b)
+    whose coset c_i C0 has the order in C/C0 that a_i A0 has in A/A0,
+    growing <N, (a_1, c_1), ..., (a_i, c_i)> in GxG by Dimino's method
     (perm.Grower on the pair index a*n + b, with (a, b)(c, d) = (ac, bd)
     read off G's table).  A branch stops as soon as the closure grows past
-    |G| or meets D; every closure that takes all the generators is kept.
-    A generator a_i that the closure already projects onto is passed over:
-    the closure holds some (a_i, c), and with 1 x C0 in N it holds
-    (a_i, c') for every c' in c C0.
+    |G| or meets D; a closure that takes all the generators is kept (c)
+    when its second projection is all of C.  A generator a_i that the
+    closure already projects onto is passed over: the closure holds some
+    (a_i, c), and with 1 x C0 in N it holds (a_i, c') for every c' in
+    c C0.
 
     Soundness: a kept closure K contains 1 x C0 and projects onto
     <A0, a_1, a_2, ...> = A, so |K| >= |A||C0| = |G|; it did not grow past
@@ -94,15 +97,28 @@ def enumerate_rb(G: FiniteGroup, cap: int = ENUMERATE_GUARANTEED) -> list[RBOper
 
     Completeness: let H be the graph of B, so pi1(H) = Im B,
     H meet (Gx1) = ker B~ x 1, pi2(H) = Im B~ and H meet (1xG) = 1 x ker B.
-    Its sections are kept (A0 is normal in A, C0 in C) and pass the three
-    tests: |A||C0| = |H| = |G|, A/A0 and C/C0 are isomorphic, and an x in
-    A0 meet C0 puts (x, x) in H meet D, so x = e.  N lies in H.  Each a_i
-    has partners c with (a_i, c) in H, and they form one coset c C0 (two of
-    them, c and c', put (e, c^-1 c') in H); as C0 is normal in C, T holds
-    exactly one of them, c_i.  With these choices every closure lies in H
-    (a closure in H that projects onto a_i already holds (a_i, c_i)), so
-    it neither grows past |G| nor meets D, and the last one, of order
-    >= |A||C0| = |H|, is H."""
+    Its sections are kept (A0 is normal in A, C0 in C) and pass the tests:
+    |A||C0| = |H| = |G|; A/A0 and C/C0 are isomorphic; an x in A0 meet C0
+    puts (x, x) in H meet D, so x = e; and (a) G = Im(B~) Im(B) = CA
+    (images asserts it), so by the product formula
+    |G| = |CA| = |C||A| / |A meet C|.  N lies in H.  Each a_i has partners
+    c with (a_i, c) in H, and they form one coset c C0 (two of them, c and
+    c', put (e, c^-1 c') in H); as C0 is normal in C, T holds exactly one
+    of them, c_i.  (b) The map A/A0 -> C/C0, a A0 -> c C0 for (a, c) in H,
+    is the isomorphism of Goursat's lemma, so a_i A0 and c_i C0 have the
+    same order, and c_i is tried.  With these choices every closure lies
+    in H (a closure in H that projects onto a_i already holds (a_i, c_i)),
+    so it neither grows past |G| nor meets D, and the last one, of order
+    >= |A||C0| = |H|, is H; (c) its second projection is C.
+
+    Each graph is kept exactly once.  A kept K has pi1(K) = A and, by (c),
+    pi2(K) = C, so K meets Gx1 in a group of order |K|/|C| = |A||C0|/|C|
+    = |A0| that contains A0 x 1, and 1xG in one of order |K|/|A| = |C0|
+    that contains 1 x C0: (A, A0, C, C0) are K's own sections, and K is
+    kept under no other pair.  Within the pair, two branches that first
+    differ at a_i, with c != c' from T, cannot both end in K: (a_i, c) and
+    (a_i, c') in K put (e, c^-1 c') in K meet (1xG) = 1 x C0, while T holds
+    one element of each coset of C0."""
     n = G.order()
     if n > cap:
         raise EnumerationCapExceeded(f"|G| = {n} exceeds enumeration cap {cap}")
@@ -121,9 +137,17 @@ def enumerate_rb(G: FiniteGroup, cap: int = ENUMERATE_GUARANTEED) -> list[RBOper
         ca, cb = ncols[pi1[y]], cols[pi2[y]]
         return [ca[pi1[x]] + cb[pi2[x]] for x in xs]
 
+    def coset_order(a, members):
+        """The order of a*A0 in A/A0, for A0 with the element set `members`."""
+        k, x = 1, a
+        while x not in members:
+            k, x = k + 1, table[x][a]
+        return k
+
     inv = G.inverses()
     subgroups = _subgroups(e, n, g_times)
-    # (|A|, |A0|) -> [(A, A0, mask of A0, transversal of A0 in A)]
+    # (|A|, |A0|) -> [(A, A0, mask of A, mask of A0, coset orders of A's
+    # generators, {coset order: the transversal of A0 in A with that order})]
     sections: dict[tuple[int, int], list] = {}
     for amask, A in subgroups:
         for a0mask, A0 in subgroups:
@@ -131,23 +155,25 @@ def enumerate_rb(G: FiniteGroup, cap: int = ENUMERATE_GUARANTEED) -> list[RBOper
                 table[table[inv[a]][t]][a] in A0.members for a in A.gens for t in A0.gens
             ):
                 continue
-            transversal, covered = [], set()
+            transversal, covered = {}, set()
             for a in A.elements:
                 if a not in covered:
-                    transversal.append(a)
+                    transversal.setdefault(coset_order(a, A0.members), []).append(a)
                     covered.update(g_times(A0.elements, a))
+            gen_orders = [coset_order(a, A0.members) for a in A.gens]
             key = (len(A.elements), len(A0.elements))
-            sections.setdefault(key, []).append((A, A0, a0mask, transversal))
+            sections.setdefault(key, []).append((A, A0, amask, a0mask, gen_orders, transversal))
 
     off_diagonal = frozenset(range(n * n)) - {i * n + i for i in range(n) if i != e}
     kernels: dict[tuple[int, int], Grower] = {}  # A0 x C0 by the masks of A0, C0
-    graphs = set()
+    graphs = []
     for (na, na0), lefts in sections.items():
         nc0 = n // na
-        rights = sections.get((nc0 * na // na0, nc0), ())
-        for A, A0, a0mask, _ in lefts:
-            for _, C0, c0mask, transversal in rights:
-                if a0mask & c0mask != 1 << e:
+        nc = nc0 * na // na0
+        rights = sections.get((nc, nc0), ())
+        for A, A0, amask, a0mask, gen_orders, _ in lefts:
+            for _, C0, cmask, c0mask, _, transversal in rights:
+                if a0mask & c0mask != 1 << e or na * nc != n * (amask & cmask).bit_count():
                     continue
                 N = kernels.get((a0mask, c0mask))
                 if N is None:
@@ -161,13 +187,14 @@ def enumerate_rb(G: FiniteGroup, cap: int = ENUMERATE_GUARANTEED) -> list[RBOper
                 while stack:
                     K, i = stack.pop()
                     if i == len(A.gens):
-                        graphs.add(frozenset(K.elements))
+                        if len({pi2[x] for x in K.elements}) == nc:
+                            graphs.append(K.elements)
                         continue
                     a = A.gens[i]
                     if any(pi1[x] == a for x in K.elements):
                         stack.append((K, i + 1))
                         continue
-                    for c in transversal:
+                    for c in transversal.get(gen_orders[i], ()):
                         grown = K.extended(a * n + c)
                         if grown is not None:
                             stack.append((grown, i + 1))
@@ -249,14 +276,37 @@ def equivalence_classes(G: FiniteGroup, ops: list[RBOperator]) -> list[list[RBOp
     (1,x)^-1 K (1,x) = d^-1 K d meets D in d^-1 (K meet D) d = {e}.  So when
     ops is the complete enumeration every orbit stays inside it, and an
     orbit that reaches a graph outside ops raises: the enumeration missed
-    an operator."""
+    an operator.
+
+    The orbits are grown from generator moves only: (phi, phi) for phi in
+    a generating set of Aut(G) (picked by one Grower pass over
+    automorphism_group(G), composing index tables), (id, alpha_x) for x in
+    G.generators, and tau.  All the moves generate a finite group Gamma
+    acting on the subgroups of GxG, and an orbit of a finite group is the
+    closure of one point under any generating set of it: s^-1 = s^(k-1)
+    for s of order k, so every element of Gamma is a positive word in the
+    generators.  These moves generate the same Gamma as all
+    |Aut(G)| + |G| + 1 moves: phi -> (phi, phi) is a homomorphism, so the
+    generators of Aut(G) give all pair automorphisms; and x -> alpha_x,
+    alpha_x(i) = x^-1 i x, is a homomorphism from G onto Inn(G) (alpha_x
+    then alpha_y is i -> (xy)^-1 i (xy) = alpha_xy(i)), so it maps G's
+    generators (which generate G, as G.mult_table checks) onto generators
+    of Inn(G), and (id, alpha_x) for them give every twist.  So the orbits,
+    the partition and the completeness check are those of all the moves."""
     n = G.order()
-    auts = automorphism_group(G)
+
+    def compose(phis, psi):
+        return [tuple(map(psi.__getitem__, phi)) for phi in phis]
+
+    aut = Grower(tuple(range(n)), times=compose)
+    for phi in automorphism_group(G):
+        if phi not in aut.members:
+            aut.add(phi)
     T, inv = G.mult_table(), G.inverses()
-    conj = [tuple(T[T[inv[x]][i]][x] for i in range(n)) for x in range(n)]  # x^-1 i x
+    conj = [tuple(T[T[inv[x]][i]][x] for i in range(n)) for x in map(G.index, G.generators)]
 
     moves: list[Callable[[frozenset], frozenset]] = []
-    for phi in auts:
+    for phi in aut.gens:
         moves.append(lambda P, phi=phi: frozenset((phi[a], phi[b]) for a, b in P))
     for c in conj:
         moves.append(lambda P, c=c: frozenset((a, c[b]) for a, b in P))

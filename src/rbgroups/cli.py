@@ -22,6 +22,7 @@ from .rbop import (
     ENUMERATE_GUARANTEED,
     RBOperator,
     descendent_group,
+    image_meet,
     images,
     is_splitting,
     kernel_invariant,
@@ -122,10 +123,10 @@ def _parse_split(spec: str, h_text: str, l_text: str) -> FactorizationWitness:
 def _operator_line(B: RBOperator) -> str:
     from .labels import iso_label
 
-    im = images(B)
+    R = image_meet(B)
     return (
         f"op: {' '.join(map(str, B.table))} | splitting="
-        f"{'yes' if im.R.order() == 1 else 'no'} R={iso_label(im.R)}"
+        f"{'yes' if R.order() == 1 else 'no'} R={iso_label(R)}"
     )
 
 

@@ -313,7 +313,7 @@ def images(B: RBOperator) -> OperatorImages:
     ker = _subgroup(G, {elems[g] for g, b in enumerate(Bt) if b == e}, "ker(B)")
     im_t = _subgroup(G, {elems[T[g][b]] for g, b in enumerate(Bt)}, "Im(B~)")
     ker_t = _subgroup(G, {elems[g] for g, j in enumerate(inv) if Bt[j] == g}, "ker(B~)")
-    R = _subgroup(G, im._element_set() & im_t._element_set(), "R")
+    R = image_meet(B)
 
     if not _normal_in(ker_t, im):
         raise InvalidOperator("ker(B~) is not normal in Im(B)")
@@ -328,6 +328,16 @@ def images(B: RBOperator) -> OperatorImages:
     if R.order() * ker.order() != im_t.order():
         raise InvalidOperator("|R| != |Im(B~):ker(B)|")
     return OperatorImages(im=im, ker=ker, im_tilde=im_t, ker_tilde=ker_t, R=R)
+
+
+def image_meet(B: RBOperator) -> FiniteGroup:
+    """R = Im(B) meet Im(B~) of a table operator, read off the table as in
+    images (Im(B) = {b}, Im(B~) = {g b} for b = B(g)) and made a group by
+    one grow() pass; images takes its R from here."""
+    G, Bt = B.group, B.table
+    T, elems = G.mult_table(), G.elements
+    im_t = {T[g][b] for g, b in enumerate(Bt)}
+    return _subgroup(G, {elems[b] for b in set(Bt) if b in im_t}, "R")
 
 
 def _subgroup(G: FiniteGroup, S: set, label: str) -> FiniteGroup:

@@ -1,8 +1,9 @@
 """Exhaustive test-side oracles for the shortcuts in rbgroups: the |S|^2
 closure test, normality on every element pair, the explicit product set
 of two subgroups, the operator graphs found by a subgroup search in
-G x G itself, the defining identity pair by pair on L x L, and the
-opposite product on S x S pair by pair."""
+G x G itself, the equivalence classes under every move, the defining
+identity pair by pair on L x L, and the opposite product on S x S pair by
+pair."""
 
 import itertools
 import math
@@ -123,6 +124,48 @@ def lattice_graph_masks(G):
     g_orders = [g.order() for g in G.elements]
     orders = [math.lcm(oa, ob) for oa in g_orders for ob in g_orders]
     return _subgroup_masks(cols, e * n + e, n, forbidden, orders)
+
+
+def all_moves_classes(G, ops):
+    """The partition of ops into orbits of their graphs under every move:
+    (phi, phi) for each of the |Aut(G)| automorphisms, (id, alpha_x) for
+    each of the |G| elements x, and the swap tau; the reference for
+    classify.equivalence_classes, which grows the orbits from generator
+    moves.  An orbit that reaches a graph outside ops raises, as there."""
+    from rbgroups.perm import automorphism_group
+    from rbgroups.rbop import graph
+
+    n = G.order()
+    T, inv = G.mult_table(), G.inverses()
+    conj = [tuple(T[T[inv[x]][i]][x] for i in range(n)) for x in range(n)]  # x^-1 i x
+    moves = [lambda P, phi=phi: frozenset((phi[a], phi[b]) for a, b in P)
+             for phi in automorphism_group(G)]
+    moves += [lambda P, c=c: frozenset((a, c[b]) for a, b in P) for c in conj]
+    moves.append(lambda P: frozenset((b, a) for a, b in P))
+
+    graphs = [graph(B) for B in ops]
+    index_of = {g: i for i, g in enumerate(graphs)}
+    assigned = [-1] * len(ops)
+    classes = []
+    for i in range(len(ops)):
+        if assigned[i] >= 0:
+            continue
+        orbit, seen, members = [graphs[i]], {graphs[i]}, []
+        while orbit:
+            P = orbit.pop()
+            j = index_of.get(P)
+            if j is None:
+                raise AssertionError("orbit reaches a graph outside the enumerated operators")
+            if assigned[j] < 0:
+                assigned[j] = len(classes)
+                members.append(j)
+            for mv in moves:
+                Q = mv(P)
+                if Q not in seen:
+                    seen.add(Q)
+                    orbit.append(Q)
+        classes.append([ops[j] for j in sorted(members)])
+    return classes
 
 
 def digit_sampler(n, points=None):

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from oracles import lattice_graph_masks
+from oracles import all_moves_classes, lattice_graph_masks
 from rbgroups import build, classify, families, rbop, transitive
 from rbgroups.labels import iso_label
 from rbgroups.perm import Grower, closure, small_generating_tuple
@@ -211,8 +211,9 @@ def test_section_search_matches_lattice_search(spec):
 
 
 def test_enumeration_takes_few_closures(monkeypatch):
-    """At most 10,000 Grower.add calls for D:24 (the subgroup search in
-    G x G made 241,805 closures)."""
+    """At most 2,000 Grower.add calls for D:24: the search makes 1,825.
+    Without the product-formula and coset-order prunes it made 3,998, and
+    the subgroup search in G x G made 241,805 closures."""
     calls = [0]
     add = Grower.add
 
@@ -222,7 +223,25 @@ def test_enumeration_takes_few_closures(monkeypatch):
 
     monkeypatch.setattr(Grower, "add", counted)
     assert len(classify.enumerate_rb(families.parse_group_spec("D:24").group)) == 288
-    assert calls[0] <= 10_000
+    assert calls[0] <= 2_000
+
+
+@pytest.mark.parametrize("spec,graphs", [("D:16", 136), ("S:4", 100), ("D:24", 288)])
+def test_each_graph_is_kept_once(monkeypatch, spec, graphs):
+    """enumerate_rb keeps a closure only under its own section pair, so
+    the closures it keeps are the graphs, with no repeats; from_graph is
+    called once per kept closure.  Before the three prunes, D:24 kept 821
+    closures for its 288 graphs."""
+    made = []
+    make = classify.from_graph
+
+    def counted(G, pairs):
+        made.append(pairs)
+        return make(G, pairs)
+
+    monkeypatch.setattr(classify, "from_graph", counted)
+    ops = classify.enumerate_rb(families.parse_group_spec(spec).group)
+    assert len(made) == len(set(made)) == len(ops) == graphs
 
 
 def test_a5_operators_all_split():
@@ -237,13 +256,14 @@ def test_a5_operators_all_split():
 
 @pytest.mark.slow
 def test_a6_operators_are_the_two_trivial_ones():
-    """Budget 50 s: twice the 25 s measured on a 2-core machine, whose
-    speed swings up to 2x.  A_6 has exactly 2 operators, g -> e and
-    g -> g^-1, both splitting, and 6 is not an admissible degree."""
+    """Budget 16 s: twice the 8 s measured on a 2-core machine, whose
+    speed swings up to 2x (26 s before the product-formula and coset-order
+    prunes).  A_6 has exactly 2 operators, g -> e and g -> g^-1, both
+    splitting, and 6 is not an admissible degree."""
     start = time.perf_counter()
     G = families.parse_group_spec("A:6").group
     ops = classify.enumerate_rb(G, cap=360)
-    assert time.perf_counter() - start < 50
+    assert time.perf_counter() - start < 16
     assert _by_graph(ops) == {rbop.trivial_e(G).table, rbop.trivial_inv(G).table}
     assert all(is_splitting(B) for B in ops)
     assert not transitive.admissible(6).admissible
@@ -294,6 +314,23 @@ def test_a4_class_structure():
     nonsplit = [c for c in nontrivial if not is_splitting(c[0])]
     assert len(split) == 1 and len(nonsplit) == 1
     assert iso_label(rbop.images(nonsplit[0][0]).R) == "Z3"
+
+
+@pytest.mark.parametrize("spec", list(PINNED) + [
+    "A:5", "D:32", pytest.param("D:48", marks=pytest.mark.slow),
+    pytest.param("S:5", marks=pytest.mark.slow),
+])
+def test_generator_moves_match_all_moves(spec):
+    """equivalence_classes, grown from generators of Aut(G) and Inn(G),
+    partitions the operators as the closure under all |Aut(G)| + |G| + 1
+    moves does, class by class and in the same order."""
+    G = families.parse_group_spec(spec).group
+    ops = classify.enumerate_rb(G, cap=G.order())
+
+    def tables(classes):
+        return [[B.table for B in cls] for cls in classes]
+
+    assert tables(classify.equivalence_classes(G, ops)) == tables(all_moves_classes(G, ops))
 
 
 @pytest.mark.parametrize("drop", range(8))

@@ -209,6 +209,31 @@ def test_classify_a5_is_pinned():
     assert run(["classify", "A:5", "--max-order", "60"]) == (0, CLASSIFY_A5)
 
 
+# sha256 of the stdout of classify with --max-order 120, recorded before
+# equivalence_classes grew its orbits from generator moves.
+CLASSIFY_DIGESTS = {
+    "D:48": "6eb428d552f55eb35ed07303a0074e321064dff88bf6deb3cee55450bb0e829e",
+    "S:5": "b98b8efe7b78ec113b7cb35606933a766b4cc4a64325e5a09b99649f4d057d50",
+}
+
+
+def test_classify_d48_is_pinned():
+    """About 0.8 s; it took 3.3 s with every automorphism and every
+    conjugation as a move."""
+    code, text = run(["classify", "D:48", "--max-order", "120"])
+    assert (code, _sha(text)) == (0, CLASSIFY_DIGESTS["D:48"])
+
+
+@pytest.mark.slow
+def test_classify_s5_is_pinned():
+    """Budget 10 s; about 0.9 s measured, 7 s with every automorphism and
+    every conjugation as a move."""
+    start = time.perf_counter()
+    code, text = run(["classify", "S:5", "--max-order", "120"])
+    assert time.perf_counter() - start < 10
+    assert (code, _sha(text)) == (0, CLASSIFY_DIGESTS["S:5"])
+
+
 def test_classify_d32_conforms():
     """--max-order is the one cap: classify reaches D32 (264 operators,
     10 classes), and every conformance flag is yes."""
