@@ -272,27 +272,25 @@ def equivalence_classes(G: FiniteGroup, ops: list[RBOperator]) -> list[list[RBOp
     only in e) to another one.  Each move is an automorphism of GxG, so
     |K| is kept; (phi, phi) and tau map D to itself; and (id, alpha_x) maps
     K to (1,x)^-1 K (1,x).  As |K||D| = |G|^2 and K meets D trivially,
-    GxG = K*D, so (1,x) = k*d with k in K, d in D, and
-    (1,x)^-1 K (1,x) = d^-1 K d meets D in d^-1 (K meet D) d = {e}.  So when
-    ops is the complete enumeration every orbit stays inside it, and an
-    orbit that reaches a graph outside ops raises: the enumeration missed
-    an operator.
+    GxG = K*D, so (1,x) = k*(y,y) with k in K, y in G, and
+    (1,x)^-1 K (1,x) = (y,y)^-1 K (y,y) = (alpha_y, alpha_y)(K).  That
+    graph meets D in (y,y)^-1 (K meet D) (y,y) = {e}, so when ops is the
+    complete enumeration every orbit stays inside it, and an orbit that
+    reaches a graph outside ops raises: the enumeration missed an
+    operator.  As Inn(G) <= Aut(G), a twist takes each graph where a pair
+    automorphism also takes it, so the twists add nothing to the orbits
+    and are not run.
 
     The orbits are grown from generator moves only: (phi, phi) for phi in
     a generating set of Aut(G) (picked by one Grower pass over
-    automorphism_group(G), composing index tables), (id, alpha_x) for x in
-    G.generators, and tau.  All the moves generate a finite group Gamma
-    acting on the subgroups of GxG, and an orbit of a finite group is the
-    closure of one point under any generating set of it: s^-1 = s^(k-1)
-    for s of order k, so every element of Gamma is a positive word in the
-    generators.  These moves generate the same Gamma as all
-    |Aut(G)| + |G| + 1 moves: phi -> (phi, phi) is a homomorphism, so the
-    generators of Aut(G) give all pair automorphisms; and x -> alpha_x,
-    alpha_x(i) = x^-1 i x, is a homomorphism from G onto Inn(G) (alpha_x
-    then alpha_y is i -> (xy)^-1 i (xy) = alpha_xy(i)), so it maps G's
-    generators (which generate G, as G.mult_table checks) onto generators
-    of Inn(G), and (id, alpha_x) for them give every twist.  So the orbits,
-    the partition and the completeness check are those of all the moves."""
+    automorphism_group(G), composing index tables), and tau.  These moves
+    generate a finite group Gamma acting on the subgroups of GxG, and an
+    orbit of a finite group is the closure of one point under any
+    generating set of it: s^-1 = s^(k-1) for s of order k, so every
+    element of Gamma is a positive word in the generators.  phi ->
+    (phi, phi) is a homomorphism, so the generators of Aut(G) give all
+    pair automorphisms.  So the orbits, the partition and the completeness
+    check are those of all |Aut(G)| + |G| + 1 moves."""
     n = G.order()
 
     def compose(phis, psi):
@@ -302,14 +300,9 @@ def equivalence_classes(G: FiniteGroup, ops: list[RBOperator]) -> list[list[RBOp
     for phi in automorphism_group(G):
         if phi not in aut.members:
             aut.add(phi)
-    T, inv = G.mult_table(), G.inverses()
-    conj = [tuple(T[T[inv[x]][i]][x] for i in range(n)) for x in map(G.index, G.generators)]
-
     moves: list[Callable[[frozenset], frozenset]] = []
     for phi in aut.gens:
         moves.append(lambda P, phi=phi: frozenset((phi[a], phi[b]) for a, b in P))
-    for c in conj:
-        moves.append(lambda P, c=c: frozenset((a, c[b]) for a, b in P))
     moves.append(lambda P: frozenset((b, a) for a, b in P))
 
     graphs = [graph(B) for B in ops]
@@ -411,8 +404,11 @@ def lemma3_shape(B: RBOperator) -> bool:
     with the companion restricting to a homomorphism onto R on Im(B).
     The companion's images are the same five groups as images(B) with
     the roles of B and B~ swapped, and its companion is B, since
-    B -> B~ is an involution."""
-    from .perm import exact_factorization, homomorphism_failure
+    B -> B~ is an involution.  G = ker*Im is exact iff |ker| |Im| = |G|
+    and ker meets Im in e alone, as |ker Im| = |ker| |Im| / |ker meet Im|
+    for the subgroups images(B) gives (perm.exact_factorization, without
+    its table and its subgroup tests)."""
+    from .perm import homomorphism_failure
 
     data = images(B)
     swapped = OperatorImages(
@@ -422,8 +418,8 @@ def lemma3_shape(B: RBOperator) -> bool:
     for Ct, im in ((tilde(B), data), (B, swapped)):  # C = B, then C = B~; Ct its companion
         if not im.R.is_abelian():
             continue
-        w = exact_factorization(B.group, im.ker, im.im)
-        if not w.exact:
+        exact = im.ker.order() * im.im.order() == B.group.order()
+        if not (exact and len(im.ker._element_set() & im.im._element_set()) == 1):
             continue
         rset = im.R._element_set()
         if all(Ct(y) in rset for y in im.im.elements) and (

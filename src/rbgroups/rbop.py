@@ -16,11 +16,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
 
 from .perm import (
+    _ID,
     MAX_DEGREE,
     FiniteGroup,
     Perm,
     PermError,
     _kept,
+    _new,
     grow,
 )
 
@@ -127,8 +129,8 @@ def trivial_inv(G: FiniteGroup) -> RBOperator:
 
 def check_pair(B: RBOperator, g: Perm, h: Perm) -> bool:
     """The defining identity B(g) B(h) = B(g o h) at the pair (g, h)."""
-    row = circ_row(B, g)
-    return row[0] * B(h) == B(circ(B, g, h, row))
+    gh = circ(B, g, h)  # first, for its PermError on a mismatched degree
+    return B(g) * B(h) == B(gh)
 
 
 @_kept
@@ -208,20 +210,26 @@ def bplus(B: RBOperator) -> Callable[[Perm], Perm]:
     return lambda g: g * B(g)
 
 
-def circ_row(B: RBOperator, g: Perm) -> tuple[Perm, Perm, Perm]:
-    """(B(g), g B(g), B(g)^-1): what g o h and the identity at (g, h) need
-    of g, the same for every h."""
-    bg = B(g)
-    return bg, g * bg, bg.inverse()
+def circ_kernel(B: RBOperator) -> Callable[[Perm, Perm], Perm]:
+    """(g, h) -> g o h = g B(g) h B(g)^-1, B bound once for loops of pairs
+    and evaluated at every pair.  With b = B(g), g b h is translate by
+    b + pad, then by h + pad (pad = _ID[n:]), and b^-1 the 256-byte table
+    bytes.maketrans(b, _ID[:n]).  PermError when g or h is not of degree n."""
+    n = B.group.degree
+    pad, ident, maketrans = _ID[n:], _ID[:n], bytes.maketrans
+
+    def kernel(g: Perm, h: Perm) -> Perm:
+        if len(g) != n or len(h) != n:
+            raise PermError(f"domain size mismatch: {len(g)}, {len(h)} vs {n}")
+        b = B(g)
+        return _new(Perm, g.translate(b + pad).translate(h + pad).translate(maketrans(b, ident)))
+
+    return kernel
 
 
-def circ(
-    B: RBOperator, g: Perm, h: Perm, row: Optional[tuple[Perm, Perm, Perm]] = None
-) -> Perm:
-    """The descendent product g o h = g B(g) h B(g)^-1; a caller that
-    already holds circ_row(B, g) passes it as row."""
-    _, gbg, bgi = row or circ_row(B, g)
-    return gbg * h * bgi
+def circ(B: RBOperator, g: Perm, h: Perm) -> Perm:
+    """The descendent product g o h = g B(g) h B(g)^-1."""
+    return circ_kernel(B)(g, h)
 
 
 def descendent_group(B: RBOperator) -> tuple[FiniteGroup, str]:

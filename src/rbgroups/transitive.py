@@ -13,8 +13,8 @@ from typing import Callable, Optional, Sequence
 from . import families
 from .build import ConstructionError, check_index2, index2_body
 from .gf import FiniteField, make_field, prime_factors, prime_power
-from .perm import ENUMERATION_CAP, FiniteGroup, Perm, _new
-from .rbop import DEFAULT_SAMPLES, DEFAULT_SEED, RBOperator, check_pair, circ, circ_row, verify
+from .perm import _ID, ENUMERATION_CAP, FiniteGroup, Perm, _new
+from .rbop import DEFAULT_SAMPLES, DEFAULT_SEED, RBOperator, circ_kernel, verify
 
 SUPPORTED_DEGREES = (9, 10, 49, 50)
 
@@ -456,14 +456,17 @@ def even_sampler(
     image tuple of q into that of tau q, tau = (a b), as
     (tau q)(p) = q(tau(p)) in the package's left-to-right product.  So
     later swaps multiply on the left, the pass is P_m ... P_2 P_1 with
-    P_1 the least significant chunk, and each chunk after the first
-    composes as acc -> P[c] acc = P[c].translate(acc + pad).  The
-    parities add up, and an odd total applies the fixed transposition
-    the same way.  The tables are built per call, not at import: at
-    k = 9 the chunks are 9*8*7 and 6*5*4*3*2, 1,224 entries."""
+    P_1 the least significant chunk, and acc -> P[c] acc is
+    P[c].translate(acc) + pad, which keeps acc padded to 256 bytes from
+    the first chunk's table, stored padded.  The last digit is what is
+    left of x, and the last table folds in the parities: entry 2 c + p
+    is s^(p xor parity(P[c])) P[c], s the fixed transposition, for p the
+    parity of the earlier chunks.  The tables are built per call, not at
+    import: at k = 9 the chunks are 9*8*7 and 6*5*4*3*2, 504 + 2 * 720
+    entries, and a draw is one randrange, one divmod and one translate."""
     pts = list(range(n)) if points is None else list(points)
     total = math.factorial(len(pts))
-    pad = bytes(range(n, 256))
+    pad = _ID[n:]
     swap = bytearray(range(n))  # the transposition of points[0], points[1]
     if len(pts) >= 2:
         swap[pts[0]], swap[pts[1]] = pts[1], pts[0]
@@ -489,19 +492,20 @@ def even_sampler(
             perms.append(bytes(imgs))
             parity.append(odd)
         chunks.append((radix, perms, parity))
-    # k <= 1: no steps, one chunk of radix 1 holding the identity
-    (radix1, perms1, parity1), *rest = chunks or [(1, [bytes(range(n))], [0])]
+    # one chunk (k <= 6) or none (k <= 1): the first is the identity
+    _, perms, parity = chunks.pop() if chunks else (1, [_ID[:n]], [0])
+    last = [swap.translate(P + pad) if p ^ o else P for P, o in zip(perms, parity) for p in (0, 1)]
+    (radix1, perms1, parity1), *rest = chunks or [(1, [_ID[:n]], [0])]
+    perms1 = [P + pad for P in perms1]
 
     def draw(rng: random.Random) -> Perm:
         x, c = divmod(rng.randrange(total), radix1)
         acc, odd = perms1[c], parity1[c]
         for radix, perms, parity in rest:
             x, c = divmod(x, radix)
-            acc = perms[c].translate(acc + pad)
+            acc = perms[c].translate(acc) + pad
             odd ^= parity[c]
-        if odd:
-            acc = swap.translate(acc + pad)
-        return _new(Perm, acc)
+        return _new(Perm, last[2 * x + odd].translate(acc))
 
     return draw
 
@@ -516,8 +520,11 @@ def verify_an_operator(
     seeded random pairs from A_n.
 
     Layer 2 is rbop.verify on B restricted to L, a table operator on L's
-    Cayley table: layer 1 has shown B(l) = l^-1 r^d(l), which lies in L,
-    and then g o h = g B(g) h B(g)^-1 lies in L for g, h in L, so the
+    Cayley table, and follows from layer 1; it runs as a check of it.
+    For g, h in L, a = d(g), b = d(h), layer 1 gives B(g) = g^-1 r^a in L,
+    with r an involution of S and d a homomorphism L -> Z2 (check_index2).
+    So g o h = g g^-1 r^a h r^-a g = r^a h r^a g lies in L with d = a + b,
+    as d(r) = 0, and B(g o h) = g^-1 r^a h^-1 r^a r^(a+b) = B(g) B(h): the
     restriction satisfies the identity exactly where B does on L x L.  An
     L of more than ENUMERATION_CAP elements (M(49), at n = 50) is refused
     with TransitiveError before any layer runs: its table would hold
@@ -563,12 +570,11 @@ def verify_an_operator(
     exhaustive = v.pairs
 
     # layer 3: seeded random pairs from the whole group
-    rng = random.Random(seed)
-    draw = even_sampler(B.group.degree)
+    rng, n = random.Random(seed), B.group.degree
+    draw, circ, pad = even_sampler(n), circ_kernel(B), _ID[n:]
     for i in range(sample_count):
-        g = draw(rng)
-        h = draw(rng)
-        if not check_pair(B, g, h):
+        g, h = draw(rng), draw(rng)
+        if B(g).translate(B(h) + pad) != B(circ(g, h)):
             return LayeredVerdict(
                 ok=False, layer=3,
                 detail=f"identity fails at sample {i}: ({g!r}, {h!r})",
@@ -611,11 +617,10 @@ def descendent_structure(
     the pairwise walk in canonical order.  s_pairs counts that walk's
     pairs: |S|^2 on a pass, i |S| + j + 1 at (S.elements[i], S.elements[j]).
 
-    The K-elements are drawn uniformly
-    from K = Alt(the points outside the distinguished ones) with
-    even_sampler, one rng.randrange call per element; l is a seeded
-    rng.choice from L, and circ_row(B, l) is kept for each l once drawn:
-    at most min(|L|, twist_samples) rows, never all of L up front."""
+    The K-elements are drawn uniformly from K = Alt(the points outside
+    the distinguished ones) with even_sampler, one rng.randrange call per
+    element, and l is a seeded rng.choice from L.  Both loops compare
+    image bytes of products from rbop.circ_kernel."""
     if k_samples < 0 or twist_samples < 0:
         raise TransitiveError(
             f"sample counts must be >= 0, got {k_samples} and {twist_samples}"
@@ -633,33 +638,23 @@ def descendent_structure(
             return DescendentReport(False, detail, i * len(selems) + j + 1, 0, 0)
     s_pairs = len(selems) ** 2
 
-    rng = random.Random(seed)
-    n = B.group.degree
-    random_k = even_sampler(
-        n, [i for i in range(n) if i not in st["distinguished"]]
-    )
+    rng, n = random.Random(seed), B.group.degree
+    random_k = even_sampler(n, [i for i in range(n) if i not in st["distinguished"]])
+    circ, pad = circ_kernel(B), _ID[n:]
 
     for i in range(k_samples):
         h1, h2 = random_k(rng), random_k(rng)
-        if circ(B, h1, h2) != h1 * h2:
+        if circ(h1, h2) != h1.translate(h2 + pad):
             return DescendentReport(
                 False, f"h o h' != h h' at sample {i}", s_pairs, i + 1, 0
             )
 
-    lelems = L.elements
-    rows = {}
+    lelems, rpad = L.elements, r + pad
     for i in range(twist_samples):
-        l = rng.choice(lelems)
-        h = random_k(rng)
-        h_tw = h if l in sset else r * h * r
-        if l not in rows:
-            rows[l] = circ_row(B, l)
-        if circ(B, l, h, rows[l]) != circ(B, h_tw, l):
+        l, h = rng.choice(lelems), random_k(rng)
+        h_tw = h if l in sset else _new(Perm, r.translate(h + pad).translate(rpad))
+        if circ(l, h) != circ(h_tw, l):
             return DescendentReport(
-                False,
-                f"l o h != h^(r^d) o l at sample {i}",
-                s_pairs,
-                k_samples,
-                i + 1,
+                False, f"l o h != h^(r^d) o l at sample {i}", s_pairs, k_samples, i + 1
             )
     return DescendentReport(True, "", s_pairs, k_samples, twist_samples)

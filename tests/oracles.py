@@ -2,11 +2,13 @@
 closure test, normality on every element pair, the explicit product set
 of two subgroups, the operator graphs found by a subgroup search in
 G x G itself, the equivalence classes under every move, the defining
-identity pair by pair on L x L, and the opposite product on S x S pair by
-pair."""
+identity pair by pair on L x L, the opposite product on S x S pair by
+pair, and the descendent product by Perm products, with the K and twist
+loops of transitive.descendent_structure built on it."""
 
 import itertools
 import math
+import random
 
 
 def pairwise_subgroup(S) -> bool:
@@ -196,35 +198,79 @@ def digit_sampler(n, points=None):
     return draw
 
 
+def circ_row(B, g):
+    """(B(g), g B(g), B(g)^-1): what g o h and the identity at (g, h) need
+    of g, the same for every h."""
+    bg = B(g)
+    return bg, g * bg, bg.inverse()
+
+
+def perm_circ(B, g, h, row=None):
+    """g o h = g B(g) h B(g)^-1 by Perm products; a caller that already
+    holds circ_row(B, g) passes it as row.  The reference for
+    rbop.circ_kernel, which works on image bytes."""
+    _, gbg, bgi = row or circ_row(B, g)
+    return gbg * h * bgi
+
+
+def perm_check_pair(B, g, h):
+    """The defining identity B(g) B(h) = B(g o h) by Perm products."""
+    row = circ_row(B, g)
+    return row[0] * B(h) == B(perm_circ(B, g, h, row))
+
+
 def pairwise_identity(B, elements):
-    """The defining identity of B by check_pair on every pair of
+    """The defining identity of B by perm_check_pair on every pair of
     `elements`, in order, stopping at the first failure: (the failing pair
     or None, pairs checked).  The reference for layer 2 of
     transitive.verify_an_operator, which is rbop.verify on L's table."""
-    from rbgroups.rbop import check_pair
-
     pairs = 0
     for g in elements:
         for h in elements:
             pairs += 1
-            if not check_pair(B, g, h):
+            if not perm_check_pair(B, g, h):
                 return (g, h), pairs
     return None, pairs
 
 
 def pairwise_opposite_product(B, S):
-    """s o s' = s' s checked by circ on every pair of S.elements, in
+    """s o s' = s' s checked by perm_circ on every pair of S.elements, in
     order, stopping at the first failure: (the failing pair or None, pairs
     checked).  The reference for the S x S check of
     transitive.descendent_structure, which tests s B(s) against the
     generators of S."""
-    from rbgroups.rbop import circ, circ_row
-
     pairs = 0
     for s1 in S.elements:
         row = circ_row(B, s1)
         for s2 in S.elements:
             pairs += 1
-            if circ(B, s1, s2, row) != s2 * s1:
+            if perm_circ(B, s1, s2, row) != s2 * s1:
                 return (s1, s2), pairs
     return None, pairs
+
+
+def perm_descendent_loops(B, k_samples, twist_samples, seed):
+    """The K loop and the twist loop of transitive.descendent_structure by
+    Perm products, drawing from one random.Random(seed) as it does, with
+    digit_sampler for the K-elements and circ_row kept for each l once
+    drawn: ("k", i) or ("twist", i) for the first failing sample i, or
+    None when both loops pass."""
+    st = B.structural
+    L, r, sset = st["im"], st["r"], set(st["ker_tilde"].elements)
+    n = B.group.degree
+    rng = random.Random(seed)
+    random_k = digit_sampler(n, [i for i in range(n) if i not in st["distinguished"]])
+    for i in range(k_samples):
+        h1, h2 = random_k(rng), random_k(rng)
+        if perm_circ(B, h1, h2) != h1 * h2:
+            return "k", i
+    rows = {}
+    for i in range(twist_samples):
+        l = rng.choice(L.elements)
+        h = random_k(rng)
+        h_tw = h if l in sset else r * h * r
+        if l not in rows:
+            rows[l] = circ_row(B, l)
+        if perm_circ(B, l, h, rows[l]) != perm_circ(B, h_tw, l):
+            return "twist", i
+    return None

@@ -321,9 +321,9 @@ def test_a4_class_structure():
     pytest.param("S:5", marks=pytest.mark.slow),
 ])
 def test_generator_moves_match_all_moves(spec):
-    """equivalence_classes, grown from generators of Aut(G) and Inn(G),
-    partitions the operators as the closure under all |Aut(G)| + |G| + 1
-    moves does, class by class and in the same order."""
+    """equivalence_classes, grown from generators of Aut(G) and the swap
+    alone, partitions the operators as the closure under all
+    |Aut(G)| + |G| + 1 moves does, class by class and in the same order."""
     G = families.parse_group_spec(spec).group
     ops = classify.enumerate_rb(G, cap=G.order())
 

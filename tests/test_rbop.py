@@ -1,8 +1,10 @@
 import dataclasses
+import random
 
 import pytest
 
 from invariants import assert_invariants
+from oracles import digit_sampler, perm_check_pair, perm_circ
 from rbgroups import build, families, rbop, serialize, transitive
 from rbgroups.classify import enumerate_rb
 from rbgroups.labels import iso_label
@@ -385,6 +387,71 @@ def test_circ_rows_are_the_descendent_product(name):
     G = B.group
     rows = list(rbop._circ_rows(G, B.table))
     assert rows == [[G.index(circ(B, g, h)) for h in G.elements] for g in G.elements]
+
+
+def _kernel_matches_the_perm_oracle(B, pairs):
+    """circ, check_pair and one bound circ_kernel against the products
+    and the identity by Perm products, pair by pair; the number of pairs
+    where the identity fails."""
+    kernel = rbop.circ_kernel(B)
+    fails = 0
+    for g, h in pairs:
+        gh = circ(B, g, h)
+        assert type(gh) is Perm and gh == kernel(g, h) == perm_circ(B, g, h)
+        ok = perm_check_pair(B, g, h)
+        assert check_pair(B, g, h) == ok
+        fails += not ok
+    return fails
+
+
+def _scrambled(B, seed):
+    """B with its table shuffled: not an operator, so the identity fails
+    at some pairs and holds at others."""
+    table = list(B.table)
+    random.Random(seed).shuffle(table)
+    return rbop.RBOperator(group=B.group, table=tuple(table))
+
+
+@pytest.mark.parametrize("spec", ["D:16", "A:4"])
+def test_circ_kernel_matches_perm_products_on_every_pair(spec):
+    """Every pair of G, on every operator of G and on a shuffled table."""
+    G = families.parse_group_spec(spec).group
+    pairs = [(g, h) for g in G.elements for h in G.elements]
+    ops = enumerate_rb(G)
+    assert all(_kernel_matches_the_perm_oracle(B, pairs) == 0 for B in ops)
+    assert _kernel_matches_the_perm_oracle(_scrambled(ops[-1], 1), pairs) > 0
+
+
+def test_circ_kernel_matches_perm_products_on_q60():
+    B = build.catalog_operator("q60")
+    pairs = [(g, h) for g in B.group.elements for h in B.group.elements]
+    assert _kernel_matches_the_perm_oracle(B, pairs) == 0
+    assert _kernel_matches_the_perm_oracle(_scrambled(B, 1), pairs) > 0
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_circ_kernel_matches_perm_products_on_an(n):
+    """2,000 seeded pairs of A_n, drawn by the per-digit decoder, on the
+    procedural operator and on it with B(g) r for g of order 7 (the pairs
+    where that breaks the identity are counted)."""
+    B = transitive.build_an_operator(n)
+    r = B.structural["r"]
+    bad = dataclasses.replace(B, proc=lambda g: B.proc(g) * r if g.order() == 7 else B.proc(g))
+    draw, rng = digit_sampler(n), random.Random(n)
+    pairs = [(draw(rng), draw(rng)) for _ in range(2000)]
+    assert _kernel_matches_the_perm_oracle(B, pairs) == 0
+    assert _kernel_matches_the_perm_oracle(bad, pairs) > 0
+
+
+def test_circ_kernel_refuses_a_mismatched_degree():
+    B = build.catalog_operator("s3")
+    g = B.group.elements[1]
+    for other in (Perm.identity(2), Perm.identity(4)):
+        for pair in ((g, other), (other, g)):
+            with pytest.raises(PermError, match="domain size mismatch"):
+                circ(B, *pair)
+            with pytest.raises(PermError, match="domain size mismatch"):
+                check_pair(B, *pair)
 
 
 def test_kept_results_do_not_change_the_operator():

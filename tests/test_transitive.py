@@ -10,7 +10,12 @@ import time
 import pytest
 
 from invariants import check_invariants_sampled
-from oracles import digit_sampler, pairwise_identity, pairwise_opposite_product
+from oracles import (
+    digit_sampler,
+    pairwise_identity,
+    pairwise_opposite_product,
+    perm_descendent_loops,
+)
 from rbgroups import build, families, rbop, serialize, transitive
 from rbgroups.gf import make_field, prime_power
 from rbgroups.perm import ENUMERATION_CAP, FiniteGroup, Grower, Perm
@@ -522,18 +527,22 @@ def test_layer3_names_the_sample_the_digit_decoder_predicts():
     assert v.detail == f"identity fails at sample {i}: ({g!r}, {h!r})"
 
 
-def test_twist_rows_are_computed_once_per_drawn_l(monkeypatch):
-    """circ_row(B, l) runs once for each distinct l of the twist loop, and
-    nowhere else (the S x S check takes s B(s) directly): at most
-    twist_samples rows."""
-    rows = []
-    monkeypatch.setattr(transitive, "circ_row", lambda B, g: rows.append(g) or rbop.circ_row(B, g))
+def test_twist_loop_names_the_sample_the_perm_product_loop_predicts():
+    """B'(l) = B(l) r at one element l of L outside S.  The S x S check
+    and the K loop never evaluate B' there, so only the twist loop can
+    fail, and it fails at the sample that the loop by Perm products, drawn
+    with the per-digit decoder, names first."""
     B = _an(9)
-    for twist_samples in (5, 2000):
-        rows.clear()
-        assert descendent_structure(B, k_samples=0, twist_samples=twist_samples).ok
-        assert len(rows) == len(set(rows)) <= min(twist_samples, 72)
-    assert len(rows) > 60  # 2,000 draws from |L| = 72 reach nearly all of L
+    st = B.structural
+    r, sset = st["r"], st["ker_tilde"]._element_set()
+    l0 = max(l for l in st["im"].elements if l not in sset)
+    bad = dataclasses.replace(B, proc=lambda g: B.proc(g) * r if g == l0 else B.proc(g))
+    assert perm_descendent_loops(B, 500, 2000, 7) is None
+    kind, i = perm_descendent_loops(bad, 500, 2000, 7)
+    rep = descendent_structure(bad, k_samples=500, twist_samples=2000, seed=7)
+    assert kind == "twist" and i > 0
+    assert (rep.ok, rep.s_pairs, rep.k_samples, rep.twist_samples) == (False, 36 * 36, 500, i + 1)
+    assert rep.detail == f"l o h != h^(r^d) o l at sample {i}"
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -546,13 +555,27 @@ def test_negative_sample_counts_raise(kwargs):
 
 
 def test_descendent_structure_takes_few_products(monkeypatch):
-    """At most 130,000 Perm products at the default 10,000 + 10,000 samples
-    (a K-element built as a word of 12 generators took 475,561)."""
+    """At most 1,410 Perm products, building the operator included, at the
+    default 10,000 + 10,000 samples: twice the 705 counted with both
+    sample loops on rbop.circ_kernel's bytes (100,715 by Perm products, and
+    475,561 with a K-element built as a word of 12 generators)."""
     from test_perm import _count_products
 
     calls = _count_products(monkeypatch)
     assert descendent_structure(build_an_operator(9)).ok
-    assert calls[0] <= 130_000
+    assert calls[0] <= 1_410
+
+
+def test_layer3_takes_few_products(monkeypatch):
+    """At most 1,700 Perm products, building the operator included, at
+    30,000 layer-3 samples: twice the 850 counted with layer 3 on
+    rbop.circ_kernel's bytes (120,850 by Perm products)."""
+    from test_perm import _count_products
+
+    calls = _count_products(monkeypatch)
+    v = verify_an_operator(build_an_operator(9), sample_count=30_000)
+    assert v.ok and v.pairs_sampled == 30_000
+    assert calls[0] <= 1_700
 
 
 def test_layer3_draws_one_rank_per_element(monkeypatch):
