@@ -17,7 +17,6 @@ from .rbop import (
     from_table,
     graph,
     images,
-    is_splitting,
     kernel_invariant,
     descendent_group,
     tilde,
@@ -364,14 +363,13 @@ def summarize(members: list[RBOperator]) -> ClassSummary:
     The operator is splitting iff R is trivial (see rbop.is_splitting)."""
     rep = members[0]
     im = images(rep)
-    _, dlabel = descendent_group(rep)
     return ClassSummary(
         representative=rep,
         size=len(members),
         splitting=im.R.order() == 1,
         r_label=iso_label(im.R),
         kernel_labels=kernel_invariant(rep),
-        descendent_label=dlabel,
+        descendent_label=descendent_group(rep)[1],
     )
 
 
@@ -422,9 +420,7 @@ def lemma3_shape(B: RBOperator) -> bool:
         if not (exact and len(im.ker._element_set() & im.im._element_set()) == 1):
             continue
         rset = im.R._element_set()
-        if all(Ct(y) in rset for y in im.im.elements) and (
-            homomorphism_failure(Ct, im.im) is None
-        ):
+        if all(Ct(y) in rset for y in im.im.elements) and homomorphism_failure(Ct, im.im) is None:
             return True
     return False
 
@@ -434,34 +430,38 @@ _QUATERNION = re.compile(r"Q(\d+)$")
 
 
 def classify(G: FiniteGroup, cap: int = ENUMERATE_GUARANTEED) -> ClassificationReport:
-    ops = enumerate_rb(G, cap=cap)
-    split_flags = [is_splitting(B) for B in ops]
-    classes = equivalence_classes(G, ops)
-    summaries = [summarize(members) for members in classes]
-    report = ClassificationReport(
-        group_label=G.label or f"G{G.order()}",
-        total=len(ops),
-        splitting=sum(split_flags),
-        non_splitting=len(ops) - sum(split_flags),
-        classes=summaries,
-    )
+    """The report on G, read off its class summaries: the splitting count
+    sums the sizes of the splitting classes, and the conformance flags are
+    decided on the representatives of the non-splitting classes.
 
-    nonsplit = [B for B, s in zip(ops, split_flags) if not s]
+    Each fact used is constant on a class, an orbit of the moves of
+    equivalence_classes.  A move (phi, phi) maps the graph of B to that of
+    B' = phi B phi^-1, with companion phi B~ phi^-1, so phi maps each
+    images subgroup of B onto that of B', keeping orders, meets, normality
+    and isomorphism types.  So B' splits iff B does, the two R have one
+    iso_label (it reads isomorphism invariants only), and each assertion
+    of images and test of lemma3_shape holds for B' iff for B (C~ phi =
+    phi C~ carries its homomorphism test).  The swap tau maps B to B~,
+    whose images are B's with B and B~ swapped and the same R: images
+    asserts the same facts of both, and lemma3_shape tests B and B~ both."""
+    ops = enumerate_rb(G, cap=cap)
+    summaries = [summarize(members) for members in equivalence_classes(G, ops)]
+    nonsplit = [c for c in summaries if not c.splitting]
+    splitting = sum(c.size for c in summaries if c.splitting)
+    report = ClassificationReport(
+        group_label=G.label or f"G{G.order()}", total=len(ops), splitting=splitting,
+        non_splitting=len(ops) - splitting, classes=summaries,
+    )
+    flags = report.conformance
     m = _DIHEDRAL.match(G.label or "")
-    if m:
-        n = int(m.group(1)) // 2
-        if n % 2:
-            report.conformance["dihedral-odd-no-nonsplitting"] = not nonsplit
-        else:
-            ok_r = all(iso_label(images(B).R) in ("Z2", "Z2xZ2") for B in nonsplit)
-            ok_shape = all(lemma3_shape(B) for B in nonsplit)
-            report.conformance["dihedral-even-R-small"] = ok_r
-            report.conformance["dihedral-even-shape"] = ok_shape
+    if m and int(m.group(1)) // 2 % 2:
+        flags["dihedral-odd-no-nonsplitting"] = not nonsplit
+    elif m:
+        flags["dihedral-even-R-small"] = all(c.r_label in ("Z2", "Z2xZ2") for c in nonsplit)
+        flags["dihedral-even-shape"] = all(lemma3_shape(c.representative) for c in nonsplit)
     m = _QUATERNION.match(G.label or "")
-    if m:
-        n = int(m.group(1)) // 4
-        if n % 2:
-            report.conformance["quaternion-odd-R-order-2"] = all(
-                images(B).R.order() == 2 for B in nonsplit
-            )
+    if m and int(m.group(1)) // 4 % 2:
+        flags["quaternion-odd-R-order-2"] = all(
+            images(c.representative).R.order() == 2 for c in nonsplit
+        )
     return report

@@ -3,8 +3,9 @@ closure test, normality on every element pair, the explicit product set
 of two subgroups, the operator graphs found by a subgroup search in
 G x G itself, the equivalence classes under every move, the defining
 identity pair by pair on L x L, the opposite product on S x S pair by
-pair, and the descendent product by Perm products, with the K and twist
-loops of transitive.descendent_structure built on it."""
+pair, the descendent product by Perm products, with the K and twist
+loops of transitive.descendent_structure built on it, and the classify
+totals and conformance flags computed operator by operator."""
 
 import itertools
 import math
@@ -274,3 +275,33 @@ def perm_descendent_loops(B, k_samples, twist_samples, seed):
         if perm_circ(B, l, h, rows[l]) != perm_circ(B, h_tw, l):
             return "twist", i
     return None
+
+
+def per_operator_report(G, ops):
+    """(total, splitting, non_splitting, conformance) of the classify
+    report on G, computed operator by operator: is_splitting on every
+    operator, and the iso_label and order of R and lemma3_shape on every
+    non-splitting one.  The reference for classify, which reads these
+    off one representative per equivalence class."""
+    import re
+
+    from rbgroups.classify import lemma3_shape
+    from rbgroups.labels import iso_label
+    from rbgroups.rbop import images, is_splitting
+
+    nonsplit = [B for B in ops if not is_splitting(B)]
+    conformance = {}
+    m = re.match(r"D(\d+)$", G.label or "")
+    if m and int(m.group(1)) // 2 % 2:
+        conformance["dihedral-odd-no-nonsplitting"] = not nonsplit
+    elif m:
+        conformance["dihedral-even-R-small"] = all(
+            iso_label(images(B).R) in ("Z2", "Z2xZ2") for B in nonsplit
+        )
+        conformance["dihedral-even-shape"] = all(lemma3_shape(B) for B in nonsplit)
+    m = re.match(r"Q(\d+)$", G.label or "")
+    if m and int(m.group(1)) // 4 % 2:
+        conformance["quaternion-odd-R-order-2"] = all(
+            images(B).R.order() == 2 for B in nonsplit
+        )
+    return len(ops), len(ops) - len(nonsplit), len(nonsplit), conformance

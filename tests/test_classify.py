@@ -4,9 +4,9 @@ import time
 
 import pytest
 
-from oracles import all_moves_classes, lattice_graph_masks
+from oracles import all_moves_classes, lattice_graph_masks, per_operator_report
 from rbgroups import build, classify, families, rbop, transitive
-from rbgroups.labels import iso_label
+from rbgroups.labels import direct_product, iso_label
 from rbgroups.perm import Grower, closure, small_generating_tuple
 from rbgroups.rbop import descendent_group, graph, is_splitting, tilde
 
@@ -289,16 +289,42 @@ def test_z2_operators():
     assert rbop.trivial_inv(G).table in keys
 
 
+# The groups on which the facts classify reads off one representative per
+# class are checked on every operator: A:4, the D and Q groups of PINNED,
+# and D:32.
+CLASS_FACT_SPECS = ["A:4"] + [s for s in PINNED if s[0] in "DQ"] + ["D:32"]
+
+
 def test_equivalence_preserves_invariants():
-    G = families.parse_group_spec("A:4").group
-    ops = classify.enumerate_rb(G)
-    classes = classify.equivalence_classes(G, ops)
-    for cls in classes:
-        flags = {is_splitting(B) for B in cls}
-        labels = {descendent_group(B)[1] for B in cls}
-        kinv = {rbop.kernel_invariant(B) for B in cls}
-        rlab = {iso_label(rbop.images(B).R) for B in cls}
-        assert len(flags) == len(labels) == len(kinv) == len(rlab) == 1
+    """Every fact classify reads off a class representative is the same on
+    every member of the class, on each group of CLASS_FACT_SPECS (about
+    1.8 s in all)."""
+    for spec in CLASS_FACT_SPECS:
+        G = families.parse_group_spec(spec).group
+        ops = classify.enumerate_rb(G, cap=G.order())
+        for cls in classify.equivalence_classes(G, ops):
+            facts = {
+                (
+                    is_splitting(B),
+                    descendent_group(B)[1],
+                    rbop.kernel_invariant(B),
+                    iso_label(rbop.images(B).R),
+                    rbop.images(B).R.order(),
+                    classify.lemma3_shape(B),
+                )
+                for B in cls
+            }
+            assert len(facts) == 1, spec
+
+
+@pytest.mark.parametrize("spec", CLASS_FACT_SPECS)
+def test_classify_matches_the_per_operator_report(spec):
+    """classify's totals and conformance flags, read off its classes, are
+    those computed on every operator."""
+    G = families.parse_group_spec(spec).group
+    report = classify.classify(G, cap=G.order())
+    expected = per_operator_report(G, classify.enumerate_rb(G, cap=G.order()))
+    assert (report.total, report.splitting, report.non_splitting, report.conformance) == expected
 
 
 def test_a4_class_structure():
@@ -373,12 +399,50 @@ def test_lemma3_shape_on_d16_example():
     assert classify.lemma3_shape(B)
 
 
-def test_classify_computes_images_once_per_operator(monkeypatch):
-    """classify computes images once per distinct operator table it
-    reports on.  The computation (images.__wrapped__, run only when B
-    has no kept images) is counted, not the calls to images.  With the
-    summary, kernel_invariant, the dihedral R check and lemma3_shape
-    each computing it, D:16 took 275 computations over these 105."""
+def _lemma3_shape_without_meet(B):
+    """lemma3_shape with its ker meet Im = {e} test left out, each branch
+    read off images(C) and tilde(C) for C = B and C = B~ directly, and the
+    homomorphism test made on every pair."""
+    for C in (B, tilde(B)):
+        im, Ct = rbop.images(C), tilde(C)
+        rset = set(im.R.elements)
+        if (
+            im.R.is_abelian()
+            and im.ker.order() * im.im.order() == B.group.order()
+            and all(Ct(y) in rset for y in im.im.elements)
+            and all(Ct(y * z) == Ct(y) * Ct(z) for y in im.im.elements for z in im.im.elements)
+        ):
+            return True
+    return False
+
+
+def test_lemma3_shape_meet_test_decides_on_z4_x_z4():
+    """On Z4 x Z4 the ker meet Im = {e} test of lemma3_shape decides: of
+    the 256 operators, lemma3_shape holds on 232, and on the other 24 it
+    fails only because ker meets Im in more than e in both branches."""
+    C4 = families.cyclic(4).group
+    G = direct_product(C4, C4)
+    ops = classify.enumerate_rb(G)
+    rest = [B for B in ops if not classify.lemma3_shape(B)]
+    assert (len(ops), len(ops) - len(rest)) == (256, 232)
+    assert all(_lemma3_shape_without_meet(B) for B in rest)
+    for B in rest:
+        for C in (B, tilde(B)):
+            im = rbop.images(C)
+            assert len(set(im.ker.elements) & set(im.im.elements)) > 1
+    example = (0, 2, 0, 2, 4, 6, 4, 6, 8, 10, 8, 10, 12, 14, 12, 14)
+    (B,) = [B for B in rest if B.table == example]
+    im = rbop.images(B)
+    assert (im.ker.order(), im.im.order()) == (2, 8)
+    assert set(im.ker.elements) <= set(im.im.elements)
+
+
+def test_classify_computes_images_once_per_class(monkeypatch):
+    """classify computes images on one table per equivalence class, its
+    representative's.  The computation (images.__wrapped__, run only when
+    B has no kept images) is counted, not the calls to images.  Reading
+    the dihedral R check and lemma3_shape on every non-splitting operator,
+    D:16 took 105 computations over these 10."""
     tables = []
     compute = rbop.images.__wrapped__
 
@@ -389,7 +453,26 @@ def test_classify_computes_images_once_per_operator(monkeypatch):
     monkeypatch.setattr(rbop.images, "__wrapped__", counted)
     report = classify.classify(families.parse_group_spec("D:16").group)
     assert all(report.conformance.values())
-    assert len(tables) == len(set(tables)) == 105
+    assert len(tables) == len(set(tables)) == len(report.classes) == 10
+    assert set(tables) == {c.representative.table for c in report.classes}
+
+
+def test_classify_tests_the_shape_once_per_nonsplitting_class(monkeypatch):
+    """classify runs lemma3_shape on the representative of each
+    non-splitting class alone; on every non-splitting operator, D:16
+    took 102 runs over these 7."""
+    tables = []
+    shape = classify.lemma3_shape
+
+    def counted(B):
+        tables.append(B.table)
+        return shape(B)
+
+    monkeypatch.setattr(classify, "lemma3_shape", counted)
+    report = classify.classify(families.parse_group_spec("D:16").group)
+    nonsplit = [c.representative.table for c in report.classes if not c.splitting]
+    assert report.conformance["dihedral-even-shape"]
+    assert tables == nonsplit and len(tables) == 7
 
 
 def test_classify_builds_each_companion_once(monkeypatch):

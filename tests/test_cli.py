@@ -209,29 +209,48 @@ def test_classify_a5_is_pinned():
     assert run(["classify", "A:5", "--max-order", "60"]) == (0, CLASSIFY_A5)
 
 
-# sha256 of the stdout of classify with --max-order 120, recorded before
-# equivalence_classes grew its orbits from generator moves.
+# sha256 of the stdout of classify.  D:48 and S:5 (--max-order 120) were
+# recorded before equivalence_classes grew its orbits from generator moves;
+# D:32 (--max-order 120) and the dihedral (n = 2..12) and quaternion
+# (n = 2..6) families before classify read its report off the classes.
 CLASSIFY_DIGESTS = {
     "D:48": "6eb428d552f55eb35ed07303a0074e321064dff88bf6deb3cee55450bb0e829e",
     "S:5": "b98b8efe7b78ec113b7cb35606933a766b4cc4a64325e5a09b99649f4d057d50",
+    "D:32": "4c6ddd0a694e40bbdd0d0db9ef52e2734a7da6a92d2babfbe318b4f9c3f97ab1",
+    "dihedral": "543413863bc9139afff9607cb0536cb342527811891c5f993690b2a3b069c416",
+    "quaternion": "afdc1bb8a9a666fb98ba9f5d6c35f61b49e7273a992b4573c624e7f8f663e6bc",
 }
 
 
 def test_classify_d48_is_pinned():
-    """About 0.8 s; it took 3.3 s with every automorphism and every
-    conjugation as a move."""
+    """About 0.5 s; it took 3.3 s with every automorphism and every
+    conjugation as a move, and 0.8 s with the conformance flags read on
+    every operator."""
     code, text = run(["classify", "D:48", "--max-order", "120"])
     assert (code, _sha(text)) == (0, CLASSIFY_DIGESTS["D:48"])
 
 
 @pytest.mark.slow
 def test_classify_s5_is_pinned():
-    """Budget 10 s; about 0.9 s measured, 7 s with every automorphism and
+    """Budget 10 s; 0.7 to 1.0 s measured, 7 s with every automorphism and
     every conjugation as a move."""
     start = time.perf_counter()
     code, text = run(["classify", "S:5", "--max-order", "120"])
     assert time.perf_counter() - start < 10
     assert (code, _sha(text)) == (0, CLASSIFY_DIGESTS["S:5"])
+
+
+def test_classify_d32_is_pinned():
+    code, text = run(["classify", "D:32", "--max-order", "120"])
+    assert (code, _sha(text)) == (0, CLASSIFY_DIGESTS["D:32"])
+
+
+@pytest.mark.parametrize("family, n_to", [("dihedral", 12), ("quaternion", 6)])
+def test_classify_family_is_pinned(family, n_to):
+    """Every conformance flag of the family, on n = 2..n_to: the dihedral
+    run covers the odd and the even flags on 11 groups."""
+    code, text = run(["classify", "--family", family, "--n-from", "2", "--n-to", str(n_to)])
+    assert (code, _sha(text)) == (0, CLASSIFY_DIGESTS[family])
 
 
 def test_classify_d32_conforms():
