@@ -14,7 +14,7 @@ from .perm import (
     exact_factorization,
     homomorphism_failure,
 )
-from .rbop import RBOperator, from_table, tilde
+from .rbop import RBOperator, from_table, images, tilde
 
 
 class ConstructionError(ValueError):
@@ -138,14 +138,44 @@ def index2_construction(
     t: Perm,
     r: Perm,
 ) -> RBOperator:
-    """The non-splitting twist B(k t^d y) = l^-1 r^d as a table operator,
-    after check_index2; the L-part comes from exact_factorization."""
-    w = exact_factorization(G, K, L)
+    """The non-splitting twist B(k t^d y) = l^-1 r^d as a table operator:
+    after check_index2, the construction of reconstruct with phi(l) =
+    r^d(l) onto R = <r>, whose companion is l -> l^-1 r^d(l) on L."""
     check_index2(G, K, K.__contains__, L, S, t, r)
-    image = index2_body(L, S, r)
-    return from_table(
-        G, {x: image[w.table[x][1]] for x in G.elements}, provenance="index2"
+    phi = {l: G.identity if l in S else r for l in L.elements}
+    R = L.subgroup([r], label="R")
+    return extend_over_factorization(
+        exact_factorization(G, K, L), tilde(from_homomorphism(L, phi, R))
     )
+
+
+def reconstruct(B: RBOperator) -> RBOperator | None:
+    """B rebuilt by the general construction, or None when it has no
+    such shape.  For C = B, then C = B~, with K = ker C, L = Im C and
+    R = Im C meet Im C~ read off images(B) (with the roles swapped for
+    B~), the construction is D = tilde(from_homomorphism(L, C~, R)) and
+    extend_over_factorization(G = K L, D): the operator k l -> D(l).  It
+    returns the result, or for C = B~ its companion, once that is
+    table-equal to C.
+
+    Proof that the result is C whenever no ConstructionError is raised:
+    D(l) = l^-1 C~(l^-1) = l^-1 l C(l) = C(l), and C(k l) = C(k o l)
+    = C(k) C(l) = C(l) for k in ker C.  The preconditions hold exactly when
+    G = ker C * Im C is exact (from orders and the meet), R is abelian and
+    C~ is a homomorphism from Im C into R.  The others hold for every
+    operator: R <= Im C, and Im D~ <= R <= Im C~ normalizes ker C (images
+    asserts it; D~ is the homomorphism, as tilde is an involution)."""
+    data = images(B)
+    for C, K, L in ((B, data.ker, data.im), (tilde(B), data.ker_tilde, data.im_tilde)):
+        try:
+            built = extend_over_factorization(
+                exact_factorization(B.group, K, L), tilde(from_homomorphism(L, tilde(C), data.R))
+            )
+        except ConstructionError:
+            continue
+        if built == C:
+            return built if C is B else tilde(built)
+    return None
 
 
 # -- catalog of named example operators ------------------------------------

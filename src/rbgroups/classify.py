@@ -11,7 +11,6 @@ from .labels import iso_label
 from .perm import FiniteGroup, Grower, PermError, automorphism_group
 from .rbop import (
     ENUMERATE_GUARANTEED,
-    OperatorImages,
     RBOperator,
     from_graph,
     from_table,
@@ -397,34 +396,6 @@ class ClassificationReport:
         return out
 
 
-def lemma3_shape(B: RBOperator) -> bool:
-    """Whether B (or its companion) factors as G = ker(B)*Im(B) exactly
-    with the companion restricting to a homomorphism onto R on Im(B).
-    The companion's images are the same five groups as images(B) with
-    the roles of B and B~ swapped, and its companion is B, since
-    B -> B~ is an involution.  G = ker*Im is exact iff |ker| |Im| = |G|
-    and ker meets Im in e alone, as |ker Im| = |ker| |Im| / |ker meet Im|
-    for the subgroups images(B) gives (perm.exact_factorization, without
-    its table and its subgroup tests)."""
-    from .perm import homomorphism_failure
-
-    data = images(B)
-    swapped = OperatorImages(
-        im=data.im_tilde, ker=data.ker_tilde,
-        im_tilde=data.im, ker_tilde=data.ker, R=data.R,
-    )
-    for Ct, im in ((tilde(B), data), (B, swapped)):  # C = B, then C = B~; Ct its companion
-        if not im.R.is_abelian():
-            continue
-        exact = im.ker.order() * im.im.order() == B.group.order()
-        if not (exact and len(im.ker._element_set() & im.im._element_set()) == 1):
-            continue
-        rset = im.R._element_set()
-        if all(Ct(y) in rset for y in im.im.elements) and homomorphism_failure(Ct, im.im) is None:
-            return True
-    return False
-
-
 _DIHEDRAL = re.compile(r"D(\d+)$")
 _QUATERNION = re.compile(r"Q(\d+)$")
 
@@ -440,10 +411,10 @@ def classify(G: FiniteGroup, cap: int = ENUMERATE_GUARANTEED) -> ClassificationR
     images subgroup of B onto that of B', keeping orders, meets, normality
     and isomorphism types.  So B' splits iff B does, the two R have one
     iso_label (it reads isomorphism invariants only), and each assertion
-    of images and test of lemma3_shape holds for B' iff for B (C~ phi =
-    phi C~ carries its homomorphism test).  The swap tau maps B to B~,
-    whose images are B's with B and B~ swapped and the same R: images
-    asserts the same facts of both, and lemma3_shape tests B and B~ both."""
+    of images and precondition of build.reconstruct holds for B' iff for
+    B (C~ phi = phi C~ carries its homomorphism test).  The swap tau maps
+    B to B~, whose images are B's with B and B~ swapped and the same R:
+    images asserts the same facts of both, and reconstruct tries both."""
     ops = enumerate_rb(G, cap=cap)
     summaries = [summarize(members) for members in equivalence_classes(G, ops)]
     nonsplit = [c for c in summaries if not c.splitting]
@@ -458,7 +429,9 @@ def classify(G: FiniteGroup, cap: int = ENUMERATE_GUARANTEED) -> ClassificationR
         flags["dihedral-odd-no-nonsplitting"] = not nonsplit
     elif m:
         flags["dihedral-even-R-small"] = all(c.r_label in ("Z2", "Z2xZ2") for c in nonsplit)
-        flags["dihedral-even-shape"] = all(lemma3_shape(c.representative) for c in nonsplit)
+        from .build import reconstruct
+
+        flags["dihedral-even-shape"] = all(reconstruct(c.representative) for c in nonsplit)
     m = _QUATERNION.match(G.label or "")
     if m and int(m.group(1)) // 4 % 2:
         flags["quaternion-odd-R-order-2"] = all(

@@ -129,8 +129,8 @@ def trivial_inv(G: FiniteGroup) -> RBOperator:
 
 def check_pair(B: RBOperator, g: Perm, h: Perm) -> bool:
     """The defining identity B(g) B(h) = B(g o h) at the pair (g, h)."""
-    gh = circ(B, g, h)  # first, for its PermError on a mismatched degree
-    return B(g) * B(h) == B(gh)
+    b, gh = circ_kernel(B)(g, h)  # first, for its PermError on a mismatched degree
+    return b * B(h) == B(gh)
 
 
 @_kept
@@ -184,25 +184,24 @@ def _circ_rows(G: FiniteGroup, Bt: Sequence[int]) -> Iterator[list[int]]:
 def tilde(B: RBOperator) -> RBOperator:
     """The companion operator g -> g^-1 B(g^-1); an involution.  On a
     table, with j the index of g^-1, that is T[j][B.table[j]].  The
-    companion is kept on B."""
+    companion is kept on B, and B on it, so tilde(tilde(B)) is B."""
+    provenance = f"tilde({B.provenance})"
     if B.table is not None:
-        G, Bt = B.group, B.table
+        G = B.group
         T = G.mult_table()
-        table = tuple(T[j][Bt[j]] for j in G.inverses())
-        return RBOperator(group=G, table=table, provenance=f"tilde({B.provenance})")
-    proc = B.proc
-    structural = {}
-    for a, b in (("ker", "ker_tilde"), ("im", "im_tilde"), ("R", "R")):
-        if b in B.structural:
-            structural[a] = B.structural[b]
-        if a in B.structural:
-            structural[b] = B.structural[a]
-    return RBOperator(
-        group=B.group,
-        proc=lambda g: g.inverse() * proc(g.inverse()),
-        provenance=f"tilde({B.provenance})",
-        structural=structural,
-    )
+        table = tuple(T[j][B.table[j]] for j in G.inverses())
+        C = RBOperator(group=G, table=table, provenance=provenance)
+    else:
+        proc = B.proc
+        swap = dict(ker="ker_tilde", ker_tilde="ker", im="im_tilde", im_tilde="im", R="R")
+        C = RBOperator(
+            group=B.group,
+            proc=lambda g: g.inverse() * proc(g.inverse()),
+            provenance=provenance,
+            structural={swap[k]: v for k, v in B.structural.items() if k in swap},
+        )
+    C._cache[tilde] = B
+    return C
 
 
 def bplus(B: RBOperator) -> Callable[[Perm], Perm]:
@@ -210,26 +209,27 @@ def bplus(B: RBOperator) -> Callable[[Perm], Perm]:
     return lambda g: g * B(g)
 
 
-def circ_kernel(B: RBOperator) -> Callable[[Perm, Perm], Perm]:
-    """(g, h) -> g o h = g B(g) h B(g)^-1, B bound once for loops of pairs
-    and evaluated at every pair.  With b = B(g), g b h is translate by
-    b + pad, then by h + pad (pad = _ID[n:]), and b^-1 the 256-byte table
+def circ_kernel(B: RBOperator) -> Callable[[Perm, Perm], tuple[Perm, Perm]]:
+    """(g, h) -> (B(g), g o h), g o h = g B(g) h B(g)^-1, B bound once for
+    loops of pairs and evaluated once per pair: the identity's left side
+    B(g) B(h) reuses b = B(g).  g b h is translate by b + pad, then by
+    h + pad (pad = _ID[n:]), and b^-1 the 256-byte table
     bytes.maketrans(b, _ID[:n]).  PermError when g or h is not of degree n."""
     n = B.group.degree
     pad, ident, maketrans = _ID[n:], _ID[:n], bytes.maketrans
 
-    def kernel(g: Perm, h: Perm) -> Perm:
+    def kernel(g: Perm, h: Perm) -> tuple[Perm, Perm]:
         if len(g) != n or len(h) != n:
             raise PermError(f"domain size mismatch: {len(g)}, {len(h)} vs {n}")
         b = B(g)
-        return _new(Perm, g.translate(b + pad).translate(h + pad).translate(maketrans(b, ident)))
+        return b, _new(Perm, g.translate(b + pad).translate(h + pad).translate(maketrans(b, ident)))
 
     return kernel
 
 
 def circ(B: RBOperator, g: Perm, h: Perm) -> Perm:
     """The descendent product g o h = g B(g) h B(g)^-1."""
-    return circ_kernel(B)(g, h)
+    return circ_kernel(B)(g, h)[1]
 
 
 def descendent_group(B: RBOperator) -> tuple[FiniteGroup, str]:

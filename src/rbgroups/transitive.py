@@ -247,11 +247,6 @@ class AdmissibilityVerdict:
     m: Optional[int] = None
     s: Optional[int] = None
 
-    def line(self) -> str:
-        if not self.admissible:
-            return f"admissible({self.n}): no"
-        return f"admissible({self.n}): yes case={self.case} q={self.q} m={self.m} s={self.s}"
-
 
 def _qm_decomposition(n: int) -> Optional[tuple[int, int]]:
     """A decomposition n = q^m meeting: q a prime power, every prime of m
@@ -574,7 +569,8 @@ def verify_an_operator(
     draw, circ, pad = even_sampler(n), circ_kernel(B), _ID[n:]
     for i in range(sample_count):
         g, h = draw(rng), draw(rng)
-        if B(g).translate(B(h) + pad) != B(circ(g, h)):
+        b, gh = circ(g, h)
+        if b.translate(B(h) + pad) != B(gh):
             return LayeredVerdict(
                 ok=False, layer=3,
                 detail=f"identity fails at sample {i}: ({g!r}, {h!r})",
@@ -644,7 +640,7 @@ def descendent_structure(
 
     for i in range(k_samples):
         h1, h2 = random_k(rng), random_k(rng)
-        if circ(h1, h2) != h1.translate(h2 + pad):
+        if circ(h1, h2)[1] != h1.translate(h2 + pad):
             return DescendentReport(
                 False, f"h o h' != h h' at sample {i}", s_pairs, i + 1, 0
             )
@@ -653,7 +649,7 @@ def descendent_structure(
     for i in range(twist_samples):
         l, h = rng.choice(lelems), random_k(rng)
         h_tw = h if l in sset else _new(Perm, r.translate(h + pad).translate(rpad))
-        if circ(l, h) != circ(h_tw, l):
+        if circ(l, h)[1] != circ(h_tw, l)[1]:
             return DescendentReport(
                 False, f"l o h != h^(r^d) o l at sample {i}", s_pairs, k_samples, i + 1
             )

@@ -4,8 +4,9 @@ of two subgroups, the operator graphs found by a subgroup search in
 G x G itself, the equivalence classes under every move, the defining
 identity pair by pair on L x L, the opposite product on S x S pair by
 pair, the descendent product by Perm products, with the K and twist
-loops of transitive.descendent_structure built on it, and the classify
-totals and conformance flags computed operator by operator."""
+loops of transitive.descendent_structure built on it, the classify
+totals and conformance flags computed operator by operator, and the
+shape test that build.reconstruct replaced."""
 
 import itertools
 import math
@@ -277,6 +278,29 @@ def perm_descendent_loops(B, k_samples, twist_samples, seed):
     return None
 
 
+def lemma3_shape(B) -> bool:
+    """Whether B (or its companion) factors as G = ker(B)*Im(B) exactly
+    with the companion restricting to a homomorphism onto R on Im(B),
+    tested by hand on images(B), with the roles of B and B~ swapped for
+    the companion.  G = ker*Im is exact iff |ker| |Im| = |G| and ker meets
+    Im in e alone.  The reference for build.reconstruct, which holds
+    exactly where this does."""
+    from rbgroups.perm import homomorphism_failure
+    from rbgroups.rbop import images, tilde
+
+    data = images(B)
+    for Ct, ker, im in ((tilde(B), data.ker, data.im), (B, data.ker_tilde, data.im_tilde)):
+        if not data.R.is_abelian():
+            continue
+        exact = ker.order() * im.order() == B.group.order()
+        if not (exact and len(set(ker.elements) & set(im.elements)) == 1):
+            continue
+        rset = set(data.R.elements)
+        if all(Ct(y) in rset for y in im.elements) and homomorphism_failure(Ct, im) is None:
+            return True
+    return False
+
+
 def per_operator_report(G, ops):
     """(total, splitting, non_splitting, conformance) of the classify
     report on G, computed operator by operator: is_splitting on every
@@ -285,7 +309,6 @@ def per_operator_report(G, ops):
     off one representative per equivalence class."""
     import re
 
-    from rbgroups.classify import lemma3_shape
     from rbgroups.labels import iso_label
     from rbgroups.rbop import images, is_splitting
 

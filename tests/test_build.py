@@ -99,6 +99,9 @@ def test_index2_construction_on_d16(name):
     assert 2 * S.order() == L.order() and r4 in S
     t = min(l for l in L.elements if l not in S)
     B = build.index2_construction(G, K, L, S, t, r4)
+    body = build.index2_body(L, S, r4)
+    w = exact_factorization(G, K, L)
+    assert all(B(x) == body[l] for x, (_, l) in w.table.items())
     assert verify(B).ok
     assert not is_splitting(B)
     assert images(B).R.order() == 2

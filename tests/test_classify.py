@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from oracles import all_moves_classes, lattice_graph_masks, per_operator_report
+from oracles import all_moves_classes, lattice_graph_masks, lemma3_shape, per_operator_report
 from rbgroups import build, classify, families, rbop, transitive
 from rbgroups.labels import direct_product, iso_label
 from rbgroups.perm import Grower, closure, small_generating_tuple
@@ -310,7 +310,7 @@ def test_equivalence_preserves_invariants():
                     rbop.kernel_invariant(B),
                     iso_label(rbop.images(B).R),
                     rbop.images(B).R.order(),
-                    classify.lemma3_shape(B),
+                    build.reconstruct(B) is not None,
                 )
                 for B in cls
             }
@@ -394,9 +394,10 @@ def test_classify_report_conformance_d8():
     assert all(report.conformance.values())
 
 
-def test_lemma3_shape_on_d16_example():
+def test_reconstruct_rebuilds_the_d16_example():
     B = build.catalog_operator("d16")
-    assert classify.lemma3_shape(B)
+    rebuilt = build.reconstruct(B)
+    assert lemma3_shape(B) and rebuilt == B and rebuilt is not B
 
 
 def _lemma3_shape_without_meet(B):
@@ -416,15 +417,18 @@ def _lemma3_shape_without_meet(B):
     return False
 
 
-def test_lemma3_shape_meet_test_decides_on_z4_x_z4():
-    """On Z4 x Z4 the ker meet Im = {e} test of lemma3_shape decides: of
-    the 256 operators, lemma3_shape holds on 232, and on the other 24 it
-    fails only because ker meets Im in more than e in both branches."""
+def test_reconstruct_needs_an_exact_factorization_on_z4_x_z4():
+    """On Z4 x Z4 the exactness of G = ker C * Im C decides: of the 256
+    operators, reconstruct rebuilds 232, and the other 24 fail only
+    because ker meets Im in more than e in both branches."""
     C4 = families.cyclic(4).group
     G = direct_product(C4, C4)
     ops = classify.enumerate_rb(G)
-    rest = [B for B in ops if not classify.lemma3_shape(B)]
+    rebuilt = [build.reconstruct(B) for B in ops]
+    rest = [B for B, C in zip(ops, rebuilt) if C is None]
     assert (len(ops), len(ops) - len(rest)) == (256, 232)
+    assert all(C is None or C == B for B, C in zip(ops, rebuilt))
+    assert [C is not None for C in rebuilt] == [lemma3_shape(B) for B in ops]
     assert all(_lemma3_shape_without_meet(B) for B in rest)
     for B in rest:
         for C in (B, tilde(B)):
@@ -435,6 +439,60 @@ def test_lemma3_shape_meet_test_decides_on_z4_x_z4():
     im = rbop.images(B)
     assert (im.ker.order(), im.im.order()) == (2, 8)
     assert set(im.ker.elements) <= set(im.im.elements)
+
+
+# The groups on which build.reconstruct is compared with the oracle shape
+# test: every operator of the D and Q groups of PINNED, A:4, S:4 and Z:8,
+# and the class representatives of D:32 and D:48.
+RECONSTRUCT_SPECS = [s for s in PINNED if s[0] in "DQ"] + ["A:4", "S:4", "Z:8", "D:32", "D:48"]
+
+
+@pytest.mark.parametrize("spec", RECONSTRUCT_SPECS)
+def test_reconstruct_matches_the_oracle_shape_test(spec):
+    """reconstruct(B) is table-equal to B exactly where the oracle
+    recognizer lemma3_shape holds, and None elsewhere.  Above order 24
+    only the class representatives are rebuilt; the shape is the same on
+    every member of a class (classify's docstring)."""
+    G = families.parse_group_spec(spec).group
+    ops = classify.enumerate_rb(G, cap=G.order())
+    if G.order() > classify.ENUMERATE_GUARANTEED:
+        ops = [cls[0] for cls in classify.equivalence_classes(G, ops)]
+    for B in ops:
+        C = build.reconstruct(B)
+        assert (C is not None) == lemma3_shape(B), B.table
+        assert C is None or C.table == B.table
+
+
+def test_reconstructions_are_not_only_the_index2_case():
+    """The rebuilt non-splitting operators have R = Z2 and Z2xZ2 on D8 and
+    R = Z3 on A4, so the index-2 construction (R = Z2) alone would not
+    cover them."""
+    labels = {}
+    for spec in ("D:8", "A:4"):
+        ops = classify.enumerate_rb(families.parse_group_spec(spec).group)
+        rebuilt = [build.reconstruct(B) for B in ops if not is_splitting(B)]
+        labels[spec] = {iso_label(rbop.images(C).R) for C in rebuilt}
+    assert labels == {"D:8": {"Z2", "Z2xZ2"}, "A:4": {"Z3"}}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("spec, classes, operators, r_labels", [
+    ("D:32", 7, 198, {"Z2", "Z2xZ2"}),
+    ("D:48", 14, 568, {"Z2", "Z2xZ2"}),
+    ("S:5", 4, 330, {"Z2"}),
+])
+def test_every_nonsplitting_operator_reconstructs(spec, classes, operators, r_labels):
+    """Every non-splitting operator, not only the class representatives,
+    is rebuilt by the general construction (S:5 about 3 s).  S5 lies
+    outside the paper's dihedral and alternating claims."""
+    G = families.parse_group_spec(spec).group
+    nonsplit = [B for B in classify.enumerate_rb(G, cap=G.order()) if not is_splitting(B)]
+    found = classify.equivalence_classes(G, nonsplit)
+    assert (len(found), len(nonsplit)) == (classes, operators)
+    assert {iso_label(rbop.images(B).R) for B in nonsplit} == r_labels
+    for B in nonsplit:
+        C = build.reconstruct(B)
+        assert C is not None and C.table == B.table
 
 
 def test_classify_computes_images_once_per_class(monkeypatch):
@@ -458,17 +516,17 @@ def test_classify_computes_images_once_per_class(monkeypatch):
 
 
 def test_classify_tests_the_shape_once_per_nonsplitting_class(monkeypatch):
-    """classify runs lemma3_shape on the representative of each
+    """classify runs build.reconstruct on the representative of each
     non-splitting class alone; on every non-splitting operator, D:16
     took 102 runs over these 7."""
     tables = []
-    shape = classify.lemma3_shape
+    shape = build.reconstruct
 
     def counted(B):
         tables.append(B.table)
         return shape(B)
 
-    monkeypatch.setattr(classify, "lemma3_shape", counted)
+    monkeypatch.setattr(build, "reconstruct", counted)
     report = classify.classify(families.parse_group_spec("D:16").group)
     nonsplit = [c.representative.table for c in report.classes if not c.splitting]
     assert report.conformance["dihedral-even-shape"]
@@ -476,29 +534,36 @@ def test_classify_tests_the_shape_once_per_nonsplitting_class(monkeypatch):
 
 
 def test_classify_builds_each_companion_once(monkeypatch):
-    """classify computes tilde at most once per operator, each time on a
-    different table; the computation (tilde.__wrapped__) is counted.  With
-    is_splitting, the equivalence-class check, images and lemma3_shape
-    each computing it, D:16 took 479 computations over its 136
-    operators."""
-    tables = []
-    compute = rbop.tilde.__wrapped__
+    """classify computes tilde at most once per enumerated operator, each
+    time on a different table; the computation (tilde.__wrapped__) on the
+    operators enumerate_rb returned is counted, not on those that
+    build.reconstruct builds.  With is_splitting, the equivalence-class
+    check, images and the shape test each computing it, D:16 took 479
+    computations over its 136 operators."""
+    tables, enumerated = [], []
+    compute, enumerate_rb = rbop.tilde.__wrapped__, classify.enumerate_rb
 
     def counted(B):
-        tables.append(B.table)
+        if any(B is A for A in enumerated):
+            tables.append(B.table)
         return compute(B)
 
+    def recorded(G, cap):
+        enumerated.extend(enumerate_rb(G, cap))
+        return enumerated
+
     monkeypatch.setattr(rbop.tilde, "__wrapped__", counted)
+    monkeypatch.setattr(classify, "enumerate_rb", recorded)
     G = families.parse_group_spec("D:16").group
     report = classify.classify(G)
-    assert report.total == 136 and all(report.conformance.values())
+    assert report.total == len(enumerated) == 136 and all(report.conformance.values())
     assert len(tables) == len(set(tables)) <= report.total
 
 
 @pytest.mark.parametrize("spec", ["S:3", "D:8", "Q:8", "D:12"])
 def test_companion_images_are_the_swapped_images(spec):
-    """lemma3_shape reads images(B~) off images(B) with the roles of B and
-    B~ swapped."""
+    """build.reconstruct reads images(B~) off images(B) with the roles of
+    B and B~ swapped."""
     def sets(d):
         return [set(X.elements) for X in (d.im, d.ker, d.im_tilde, d.ker_tilde, d.R)]
 

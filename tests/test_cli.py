@@ -127,7 +127,8 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
          {"transitive", "gf", "classify", "build", "labels", "families"}),
         (["descendent", "--n", "9"], {"transitive", "gf", "build"},
          {"classify", "serialize", "labels"}),
-        (["classify", "D:8"], {"classify"}, {"transitive", "gf", "serialize"}),
+        (["classify", "D:8"], {"classify", "build"}, {"transitive", "gf", "serialize"}),
+        (["classify", "D:6"], {"classify"}, {"build", "transitive", "gf", "serialize"}),
         (["sharply2", "--m", "1", "--q", "5", "--t", "1"], {"transitive", "gf"},
          {"classify", "serialize"}),
     ):
@@ -353,6 +354,29 @@ def test_readme_verify_output_is_pinned(command, tmp_path):
     path.write_text(text[: text.index("operator:")])
     code, out = run(["verify", str(path), "--verify-samples", "2000"])
     assert (code, _sha(out)) == (0, VERIFY_DIGESTS[command])
+
+
+# sha256 of the stdout of commands that no other tier-1 test pins, recorded
+# before the shape test became build.reconstruct: the op: line of every
+# operator of D16 and of A4, and the splitting operator of S3 = <(0 1 2)> *
+# <(0 1)> built by construct --split.
+CLI_DIGESTS = {
+    "enumerate D:16": "378439909c16ea27c903d2eaa550eafdde99b203e5cef01bfbced3ea54029505",
+    "enumerate A:4": "26ecb25e9d3810b6dde63e245832f5264a3321092cc364221cf57f9c8e45868b",
+    "construct --split S:3 1,2,0 1,0,2": "264eb48909ed0f324fa5fb1fb916060de7cf827bcfa1772843a57bc3dd3d0305",
+}
+
+
+@pytest.mark.parametrize("command", list(CLI_DIGESTS))
+def test_cli_output_is_pinned(command):
+    code, text = run(command.split())
+    assert (code, _sha(text)) == (0, CLI_DIGESTS[command])
+
+
+def test_construct_split_refuses_an_inexact_factorization(capsys):
+    """H = L = <(0 1)> does not factor S3: exit 1, nothing on stdout."""
+    assert run(["construct", "--split", "S:3", "1,0,2", "1,0,2"]) == (1, "")
+    assert capsys.readouterr().err == "error: factorization is not exact\n"
 
 
 @pytest.mark.slow

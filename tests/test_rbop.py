@@ -397,7 +397,7 @@ def _kernel_matches_the_perm_oracle(B, pairs):
     fails = 0
     for g, h in pairs:
         gh = circ(B, g, h)
-        assert type(gh) is Perm and gh == kernel(g, h) == perm_circ(B, g, h)
+        assert type(gh) is Perm and (B(g), gh) == kernel(g, h) and gh == perm_circ(B, g, h)
         ok = perm_check_pair(B, g, h)
         assert check_pair(B, g, h) == ok
         fails += not ok
@@ -467,6 +467,23 @@ def test_kept_results_do_not_change_the_operator():
     assert len(B._cache) == 3 and not twin._cache
     assert B == twin and (hash(B), serialize.format_operator(B), repr(B)) == before
     assert hash(B) == hash(twin)
+
+
+def test_companion_of_the_companion_is_the_operator(monkeypatch):
+    """tilde keeps B on its result, so tilde(tilde(B)) is B without a second
+    computation, on a table and on a procedural operator; the procedural
+    companion has B's structural subgroups with the roles swapped."""
+    A, d16 = transitive.build_an_operator(9), build.catalog_operator("d16")
+    calls = []
+    compute = rbop.tilde.__wrapped__
+    monkeypatch.setattr(rbop.tilde, "__wrapped__", lambda B: calls.append(B) or compute(B))
+    for B in (rbop.RBOperator(group=d16.group, table=d16.table), A):
+        assert tilde(tilde(B)) is B and calls == [B]
+        calls.clear()
+    st, swapped = A.structural, tilde(A).structural
+    assert [swapped[k] for k in ("ker", "im", "ker_tilde", "im_tilde", "R")] == [
+        st[k] for k in ("ker_tilde", "im_tilde", "ker", "im", "R")
+    ]
 
 
 def test_replace_starts_with_nothing_kept():

@@ -578,6 +578,27 @@ def test_layer3_takes_few_products(monkeypatch):
     assert calls[0] <= 1_700
 
 
+def test_layer3_evaluates_b_three_times_per_pair():
+    """Layer 3 evaluates B once each at g, h and g o h: circ_kernel hands
+    back the B(g) it used for g o h.  With proc wrapped by a counter,
+    1,000 more samples make 3,000 more calls (4,000 when B(g) was
+    evaluated again for the left side)."""
+    B = _an(9)
+    calls = [0]
+
+    def counted(g):
+        calls[0] += 1
+        return B.proc(g)
+
+    totals = []
+    for samples in (0, 1000):
+        calls[0] = 0
+        v = verify_an_operator(dataclasses.replace(B, proc=counted), sample_count=samples)
+        assert v.ok and v.pairs_sampled == samples
+        totals.append(calls[0])
+    assert totals[1] - totals[0] == 3 * 1000
+
+
 def test_layer3_draws_one_rank_per_element(monkeypatch):
     calls = [0]
     randrange = random.Random.randrange
