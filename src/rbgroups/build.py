@@ -167,10 +167,11 @@ def reconstruct(B: RBOperator) -> RBOperator | None:
     asserts it; D~ is the homomorphism, as tilde is an involution)."""
     data = images(B)
     for C, K, L in ((B, data.ker, data.im), (tilde(B), data.ker_tilde, data.im_tilde)):
+        w = exact_factorization(B.group, K, L)
+        if not w.exact:  # extend_over_factorization would refuse it
+            continue
         try:
-            built = extend_over_factorization(
-                exact_factorization(B.group, K, L), tilde(from_homomorphism(L, tilde(C), data.R))
-            )
+            built = extend_over_factorization(w, tilde(from_homomorphism(L, tilde(C), data.R)))
         except ConstructionError:
             continue
         if built == C:

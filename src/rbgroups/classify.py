@@ -4,8 +4,7 @@ classes under the graph action, and classification reports."""
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .labels import iso_label
 from .perm import FiniteGroup, Grower, PermError, automorphism_group
@@ -340,8 +339,7 @@ def equivalence_classes(G: FiniteGroup, ops: list[RBOperator]) -> list[list[RBOp
 # -- classification reports ------------------------------------------------
 
 
-@dataclass
-class ClassSummary:
+class ClassSummary(NamedTuple):
     representative: RBOperator
     size: int
     splitting: bool
@@ -372,14 +370,13 @@ def summarize(members: list[RBOperator]) -> ClassSummary:
     )
 
 
-@dataclass
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     group_label: str
     total: int
     splitting: int
     non_splitting: int
     classes: list[ClassSummary]
-    conformance: dict[str, bool] = field(default_factory=dict)
+    conformance: dict[str, bool]
 
     def lines(self) -> list[str]:
         out = [
@@ -419,11 +416,7 @@ def classify(G: FiniteGroup, cap: int = ENUMERATE_GUARANTEED) -> ClassificationR
     summaries = [summarize(members) for members in equivalence_classes(G, ops)]
     nonsplit = [c for c in summaries if not c.splitting]
     splitting = sum(c.size for c in summaries if c.splitting)
-    report = ClassificationReport(
-        group_label=G.label or f"G{G.order()}", total=len(ops), splitting=splitting,
-        non_splitting=len(ops) - splitting, classes=summaries,
-    )
-    flags = report.conformance
+    flags: dict[str, bool] = {}
     m = _DIHEDRAL.match(G.label or "")
     if m and int(m.group(1)) // 2 % 2:
         flags["dihedral-odd-no-nonsplitting"] = not nonsplit
@@ -437,4 +430,7 @@ def classify(G: FiniteGroup, cap: int = ENUMERATE_GUARANTEED) -> ClassificationR
         flags["quaternion-odd-R-order-2"] = all(
             images(c.representative).R.order() == 2 for c in nonsplit
         )
-    return report
+    return ClassificationReport(
+        group_label=G.label or f"G{G.order()}", total=len(ops), splitting=splitting,
+        non_splitting=len(ops) - splitting, classes=summaries, conformance=flags,
+    )

@@ -7,14 +7,12 @@ regular representation built from the r^i s^j normal form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .perm import ENUMERATION_CAP, FiniteGroup, Perm, PermError
 
 
-@dataclass(frozen=True)
-class BuiltGroup:
+class BuiltGroup(NamedTuple):
     group: FiniteGroup
     r: Optional[Perm] = None
     s: Optional[Perm] = None

@@ -10,8 +10,8 @@ smallest valid choices, making every field construction deterministic.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 
 class FieldError(ValueError):
@@ -104,8 +104,7 @@ def _is_irreducible(m: tuple[int, ...], p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FiniteField:
+class FiniteField(NamedTuple):
     """GF(p^k) with fixed modulus and primitive element.
 
     An element is its index in {0, ..., p^k - 1} (base-p coefficient

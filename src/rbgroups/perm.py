@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
-from typing import AbstractSet, Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import AbstractSet, Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 
 class PermError(ValueError):
@@ -275,21 +274,68 @@ def _kept(f: Callable) -> Callable:
     return kept
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+_set = object.__setattr__
+
+
+class _Frozen:
+    """Base of the slotted value classes FiniteGroup and rbop.RBOperator.
+    __init__ sets each slot once, through object.__setattr__; assignment
+    afterwards raises AttributeError.  The last slot is `_cache`, where
+    _kept keeps results: a fresh dict per instance, neither compared nor
+    shown by repr, so an object rebuilt from the constructor fields (as
+    copy and pickle do, through __reduce__) starts with nothing kept."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__[:-1])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__slots__[:-1])
+
+
+class FiniteGroup(_Frozen):
     """A finite permutation group.
 
     `elements` is the canonical sorted element tuple when the group has
     been enumerated, else None (generator-only handle; `known_order`
-    then carries the order if it is known by construction).
+    then carries the order if it is known by construction).  Equality
+    and hash are by the five constructor fields.
     """
 
-    degree: int
-    generators: tuple[Perm, ...]
-    elements: Optional[tuple[Perm, ...]] = None
-    label: str = ""
-    known_order: Optional[int] = None
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("degree", "generators", "elements", "label", "known_order", "_cache")
+
+    def __init__(
+        self,
+        degree: int,
+        generators: tuple[Perm, ...],
+        elements: Optional[tuple[Perm, ...]] = None,
+        label: str = "",
+        known_order: Optional[int] = None,
+    ):
+        _set(self, "degree", degree)
+        _set(self, "generators", generators)
+        _set(self, "elements", elements)
+        _set(self, "label", label)
+        _set(self, "known_order", known_order)
+        _set(self, "_cache", {})
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.degree, self.generators, self.elements, self.label, self.known_order) == (
+            other.degree, other.generators, other.elements, other.label, other.known_order
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.degree, self.generators, self.elements, self.label, self.known_order))
 
     @classmethod
     def from_generators(
@@ -567,8 +613,7 @@ def is_isomorphic(G: FiniteGroup, H: FiniteGroup) -> bool:
 # -- exact factorizations --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FactorizationWitness:
+class FactorizationWitness(NamedTuple):
     """G = HL with the decomposition table x -> (h, l) when exact."""
 
     group: FiniteGroup

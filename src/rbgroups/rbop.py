@@ -12,8 +12,7 @@ evaluation closure plus structural facts from their construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .perm import (
     _ID,
@@ -21,8 +20,10 @@ from .perm import (
     FiniteGroup,
     Perm,
     PermError,
+    _Frozen,
     _kept,
     _new,
+    _set,
     grow,
 )
 
@@ -38,8 +39,7 @@ class InvalidOperator(ValueError):
     """The defining identity or a structural consequence of it failed."""
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     ok: bool
     pairs: int
     witness: Optional[tuple] = None
@@ -49,29 +49,37 @@ class Verdict:
         return f"verify: {'pass' if self.ok else 'fail'} pairs={self.pairs} seed=-"
 
 
-@dataclass(frozen=True)
-class RBOperator:
+class RBOperator(_Frozen):
     """A Rota-Baxter operator on a finite group.
 
     Exactly one of `table` and `proc` (procedural body) is set.  A table
     operator lives on an enumerated group: table[i] is the index of
     B(elements[i]) in the canonical element order, as the op: line
     prints it.  `structural` carries construction-provided subgroup data
-    for procedural operators.  `images`, `tilde` and `verify` keep their
-    results in `_cache` (perm._kept); it is not an init field, so an
-    operator made by dataclasses.replace starts with none kept.
+    for procedural operators (a fresh dict when not given).  `images`,
+    `tilde` and `verify` keep their results in `_cache` (perm._kept); the
+    constructor does not take it, so an operator rebuilt by calling
+    RBOperator with B's fields starts with none kept.
     """
 
-    group: FiniteGroup
-    table: Optional[tuple[int, ...]] = None
-    proc: Optional[Callable[[Perm], Perm]] = None
-    provenance: str = ""
-    structural: dict = field(default_factory=dict, compare=False)
-    _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    __slots__ = ("group", "table", "proc", "provenance", "structural", "_cache")
 
-    def __post_init__(self):
-        if (self.table is None) == (self.proc is None):
+    def __init__(
+        self,
+        group: FiniteGroup,
+        table: Optional[tuple[int, ...]] = None,
+        proc: Optional[Callable[[Perm], Perm]] = None,
+        provenance: str = "",
+        structural: Optional[dict] = None,
+    ):
+        if (table is None) == (proc is None):
             raise PermError("operator needs exactly one of a table or a procedure")
+        _set(self, "group", group)
+        _set(self, "table", table)
+        _set(self, "proc", proc)
+        _set(self, "provenance", provenance)
+        _set(self, "structural", {} if structural is None else structural)
+        _set(self, "_cache", {})
 
     @property
     def is_table(self) -> bool:
@@ -283,8 +291,7 @@ def descendent_group(B: RBOperator) -> tuple[FiniteGroup, str]:
 # -- images, kernels, splitting --------------------------------------------
 
 
-@dataclass(frozen=True)
-class OperatorImages:
+class OperatorImages(NamedTuple):
     im: FiniteGroup
     ker: FiniteGroup
     im_tilde: FiniteGroup

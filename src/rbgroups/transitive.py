@@ -7,8 +7,7 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import families
 from .build import ConstructionError, check_index2, index2_body
@@ -30,8 +29,7 @@ class TransitiveError(ValueError):
 # -- sharply 2-transitive groups L(m, q, t) --------------------------------
 
 
-@dataclass
-class SharplyTransitiveGroup:
+class SharplyTransitiveGroup(NamedTuple):
     degree: int
     group: FiniteGroup
     transitivity_degree: int
@@ -116,24 +114,22 @@ def sharply2(m: int, q: int, t: int) -> SharplyTransitiveGroup:
     if b.inverse() * a * b != apow:
         raise TransitiveError("relation b^-1 a b = a^q fails")
 
-    st = SharplyTransitiveGroup(
-        degree=n,
-        group=L,
-        transitivity_degree=2,
-        n_part=L.subgroup([a, b], label=f"N({m},{q},{t})"),
-    )
+    n_part = L.subgroup([a, b], label=f"N({m},{q},{t})")
+    s1 = s2 = s3 = None
     if q % 4 == 3 and m % 4 == 2:
         for g in (a, b):
             if not g.is_even():
                 raise TransitiveError("generator is an odd permutation")
         f1 = _translation(F, 1)
-        st.s1 = L.subgroup([f1, a, b * b], label="FS1")
-        st.s2 = L.subgroup([f1, a * a, b], label="FS2")
-        st.s3 = L.subgroup([f1, a * a, a * b], label="FS3")
-        for i, S in enumerate((st.s1, st.s2, st.s3), start=1):
+        s1 = L.subgroup([f1, a, b * b], label="FS1")
+        s2 = L.subgroup([f1, a * a, b], label="FS2")
+        s3 = L.subgroup([f1, a * a, a * b], label="FS3")
+        for i, S in enumerate((s1, s2, s3), start=1):
             if 2 * S.order() != L.order():
                 raise TransitiveError(f"F.S{i} does not have index 2 in L")
-    return st
+    return SharplyTransitiveGroup(
+        degree=n, group=L, transitivity_degree=2, n_part=n_part, s1=s1, s2=s2, s3=s3
+    )
 
 
 # -- sharply 3-transitive groups M(q) --------------------------------------
@@ -238,8 +234,7 @@ def _doubles(psl: FiniteGroup, tau: Perm) -> bool:
 # -- admissible degrees ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AdmissibilityVerdict:
+class AdmissibilityVerdict(NamedTuple):
     n: int
     admissible: bool
     case: str  # "a", "b", or "none"
@@ -396,8 +391,7 @@ def _fixes(points: tuple[int, ...]) -> Callable[[Perm], bool]:
 # -- verification layers ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LayeredVerdict:
+class LayeredVerdict(NamedTuple):
     ok: bool
     layer: int  # 0 = all passed; else the first failing layer
     detail: str
@@ -585,8 +579,7 @@ def verify_an_operator(
 # -- descendent structure --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DescendentReport:
+class DescendentReport(NamedTuple):
     ok: bool
     detail: str
     s_pairs: int

@@ -5,12 +5,20 @@ G x G itself, the equivalence classes under every move, the defining
 identity pair by pair on L x L, the opposite product on S x S pair by
 pair, the descendent product by Perm products, with the K and twist
 loops of transitive.descendent_structure built on it, the classify
-totals and conformance flags computed operator by operator, and the
-shape test that build.reconstruct replaced."""
+totals and conformance flags computed operator by operator, the
+shape test that build.reconstruct replaced, and a copy of a group or
+operator rebuilt through its constructor."""
 
 import itertools
 import math
 import random
+
+
+def rebuilt(x, **changes):
+    """A new FiniteGroup or RBOperator from x's constructor fields, with
+    `changes` applied.  The fields are the slots before `_cache`, so the
+    copy starts with nothing kept."""
+    return type(x)(**{**{f: getattr(x, f) for f in type(x).__slots__[:-1]}, **changes})
 
 
 def pairwise_subgroup(S) -> bool:

@@ -1,10 +1,15 @@
-import dataclasses
 import hashlib
 import time
 
 import pytest
 
-from oracles import all_moves_classes, lattice_graph_masks, lemma3_shape, per_operator_report
+from oracles import (
+    all_moves_classes,
+    lattice_graph_masks,
+    lemma3_shape,
+    per_operator_report,
+    rebuilt,
+)
 from rbgroups import build, classify, families, rbop, transitive
 from rbgroups.labels import direct_product, iso_label
 from rbgroups.perm import Grower, closure, small_generating_tuple
@@ -143,7 +148,7 @@ def test_grown_mult_table_matches_pairwise_table(spec):
     if spec in PINNED:
         G = families.parse_group_spec(spec).group
     else:
-        G = dataclasses.replace(build.catalog_operator(spec).group)
+        G = rebuilt(build.catalog_operator(spec).group)
     assert G.mult_table() == _pairwise_table(G)
 
 
@@ -531,6 +536,27 @@ def test_classify_tests_the_shape_once_per_nonsplitting_class(monkeypatch):
     nonsplit = [c.representative.table for c in report.classes if not c.splitting]
     assert report.conformance["dihedral-even-shape"]
     assert tables == nonsplit and len(tables) == 7
+
+
+def test_reconstruct_tests_exactness_before_building(monkeypatch):
+    """On the 7 non-splitting class representatives of D:16, reconstruct
+    tries 12 branches: C = B, then C = B~ where that fails.  The 5 whose
+    K L is not exact make no from_homomorphism call, so it builds 7
+    homomorphism operators, one per representative (12 when the
+    homomorphism was built before exactness was tested)."""
+    G = families.parse_group_spec("D:16").group
+    ops = classify.enumerate_rb(G)
+    reps = [c[0] for c in classify.equivalence_classes(G, ops) if not is_splitting(c[0])]
+    exact, homs = [], []
+    factor, hom = build.exact_factorization, build.from_homomorphism
+    monkeypatch.setattr(
+        build, "exact_factorization", lambda *a: exact.append(factor(*a)) or exact[-1]
+    )
+    monkeypatch.setattr(build, "from_homomorphism", lambda *a: homs.append(a) or hom(*a))
+    results = [build.reconstruct(B) for B in reps]
+    assert all(C == B for B, C in zip(reps, results))
+    assert len(reps) == 7 and len(exact) == 12
+    assert sum(not w.exact for w in exact) == 5 and len(homs) == 7
 
 
 def test_classify_builds_each_companion_once(monkeypatch):

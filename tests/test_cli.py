@@ -136,6 +136,26 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
         assert loaded <= modules and not absent & modules, (argv, sorted(modules))
 
 
+def test_no_module_loads_dataclasses_or_inspect():
+    """A fresh interpreter that imports the CLI and every rbgroups module
+    holds neither dataclasses nor inspect (which dataclasses imports):
+    no command needs them, and loading them cost each job about 14 ms."""
+    names = sorted(
+        f.removesuffix(".py") for f in os.listdir(os.path.join(SRC, "rbgroups"))
+        if f.endswith(".py") and f != "__init__.py"
+    )
+    code = "import sys\nimport rbgroups.cli\n" + "".join(f"import rbgroups.{n}\n" for n in names)
+    code += "print(' '.join(sys.modules))\n"
+    pythonpath = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=pythonpath),
+        capture_output=True, text=True, check=True,
+    )
+    loaded = set(proc.stdout.split())
+    assert {f"rbgroups.{n}" for n in names} <= loaded and len(names) == 10
+    assert "dataclasses" not in loaded and "inspect" not in loaded
+
+
 def test_determinism():
     a = run(["enumerate", "D:8", "--up-to-equivalence"])
     b = run(["enumerate", "D:8", "--up-to-equivalence"])

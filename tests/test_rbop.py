@@ -1,10 +1,11 @@
-import dataclasses
+import copy
+import pickle
 import random
 
 import pytest
 
 from invariants import assert_invariants
-from oracles import digit_sampler, perm_check_pair, perm_circ
+from oracles import digit_sampler, perm_check_pair, perm_circ, rebuilt
 from rbgroups import build, families, rbop, serialize, transitive
 from rbgroups.classify import enumerate_rb
 from rbgroups.labels import iso_label
@@ -369,7 +370,7 @@ def test_table_checks_take_few_products(monkeypatch):
     G = B.group
 
     def fresh():
-        return rbop.RBOperator(group=dataclasses.replace(G), table=B.table)
+        return rbop.RBOperator(group=rebuilt(G), table=B.table)
 
     calls = _count_products(monkeypatch)
     assert verify(fresh()).ok
@@ -436,7 +437,7 @@ def test_circ_kernel_matches_perm_products_on_an(n):
     where that breaks the identity are counted)."""
     B = transitive.build_an_operator(n)
     r = B.structural["r"]
-    bad = dataclasses.replace(B, proc=lambda g: B.proc(g) * r if g.order() == 7 else B.proc(g))
+    bad = rebuilt(B, proc=lambda g: B.proc(g) * r if g.order() == 7 else B.proc(g))
     draw, rng = digit_sampler(n), random.Random(n)
     pairs = [(draw(rng), draw(rng)) for _ in range(2000)]
     assert _kernel_matches_the_perm_oracle(B, pairs) == 0
@@ -469,6 +470,51 @@ def test_kept_results_do_not_change_the_operator():
     assert hash(B) == hash(twin)
 
 
+def test_groups_operators_and_records_compare_by_value():
+    """A FiniteGroup equals and hashes as the tuple of its five constructor
+    fields; what it keeps is neither compared nor shared.  Table operators
+    are equal on an equal group and table, whatever their provenance, and
+    hash as (degree, table); a procedural operator equals itself alone.
+    Neither class takes an attribute assignment or deletion, and copy and
+    pickle rebuild both through the constructor, with nothing kept.  The
+    records compare and hash by value."""
+    G = s3()
+    H = FiniteGroup(degree=3, generators=G.generators, elements=G.elements, label="S3",
+                    known_order=6)
+    G.mult_table()
+    assert G == H and hash(G) == hash(H) == hash((3, G.generators, G.elements, "S3", 6))
+    assert G._cache and not H._cache and rebuilt(G)._cache is not rebuilt(G)._cache
+    assert G != rebuilt(G, label="") and G != rebuilt(G, known_order=None)
+    assert repr(H) == (
+        f"FiniteGroup(degree=3, generators={G.generators!r}, elements={G.elements!r},"
+        " label='S3', known_order=6)"
+    )
+    B = trivial_inv(G)
+    twin = rbop.RBOperator(group=H, table=B.table, provenance="other")
+    assert B == twin and hash(B) == hash(twin) == hash((3, B.table)) and B != trivial_e(G)
+    assert repr(B) == (
+        f"RBOperator(group={G!r}, table={B.table!r}, proc=None, provenance='B_inv',"
+        " structural={})"
+    )
+    P = rbop.RBOperator(group=G, proc=B)
+    assert P == P and P != rbop.RBOperator(group=G, proc=B) and hash(P) == id(P)
+    for table, proc in ((None, None), (B.table, B)):
+        with pytest.raises(PermError, match="exactly one"):
+            rbop.RBOperator(group=G, table=table, proc=proc)
+    for obj, attr in ((G, "label"), (G, "_cache"), (B, "table"), (B, "structural"), (B, "x")):
+        with pytest.raises(AttributeError):
+            setattr(obj, attr, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, attr)
+    assert verify(B) == verify(twin) == rbop.Verdict(ok=True, pairs=36)
+    assert verify(B) is not verify(twin) and hash(verify(B)) == hash(verify(twin))
+    for obj in (G, B):
+        for copied in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+            assert copied == obj and copied is not obj and obj._cache and not copied._cache
+    assert families.dihedral(4) == families.dihedral(4) != families.dihedral(5)
+    assert transitive.admissible(10) == transitive.admissible(10) != transitive.admissible(11)
+
+
 def test_companion_of_the_companion_is_the_operator(monkeypatch):
     """tilde keeps B on its result, so tilde(tilde(B)) is B without a second
     computation, on a table and on a procedural operator; the procedural
@@ -487,16 +533,16 @@ def test_companion_of_the_companion_is_the_operator(monkeypatch):
 
 
 def test_replace_starts_with_nothing_kept():
-    """dataclasses.replace makes an operator with none of B's kept images,
-    companion or verdict."""
+    """An operator rebuilt through the constructor from B's fields, some
+    changed, has none of B's kept images, companion or verdict."""
     B = build.catalog_operator("d16")
     assert verify(B).ok and images(B) and tilde(B)
-    bad = dataclasses.replace(B, table=(B.table[1],) + B.table[1:])
+    bad = rebuilt(B, table=(B.table[1],) + B.table[1:])
     assert not bad._cache and not verify(bad).ok
     A = transitive.build_an_operator(9)
     r = A.structural["r"]
     data, companion = images(A), tilde(A)
-    moved = dataclasses.replace(A, proc=lambda g: A.proc(g) * r)
+    moved = rebuilt(A, proc=lambda g: A.proc(g) * r)
     assert not moved._cache
     assert images(moved) is not data and tilde(moved) is not companion
     assert tilde(moved)(r) == r * moved(r) != companion(r)

@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import functools
 import hashlib
 import itertools
@@ -15,6 +14,7 @@ from oracles import (
     pairwise_identity,
     pairwise_opposite_product,
     perm_descendent_loops,
+    rebuilt,
 )
 from rbgroups import build, families, rbop, serialize, transitive
 from rbgroups.gf import make_field, prime_power
@@ -307,7 +307,7 @@ def _tampered(field):
         change = {"ker_tilde": FiniteGroup.from_elements([B.group.identity, st["r"]])}
     else:  # "K meets L": K taken as the stabilizer of one point only
         change = {"distinguished": (8,)}
-    return dataclasses.replace(B, structural={**st, **change})
+    return rebuilt(B, structural={**st, **change})
 
 
 @pytest.mark.parametrize("field,message", [
@@ -347,7 +347,7 @@ def test_layer2_names_the_pairwise_oracles_first_failure(monkeypatch):
     a, b = L.elements[5], L.elements[40]
     image[a], image[b] = image[b], image[a]
     monkeypatch.setattr(transitive, "index2_body", lambda *args: image)
-    bad = dataclasses.replace(B, proc=lambda x: image[x] if x in image else B.proc(x))
+    bad = rebuilt(B, proc=lambda x: image[x] if x in image else B.proc(x))
     pair, _ = pairwise_identity(bad, L.elements)
     assert pair is not None
     v = verify_an_operator(bad, sample_count=0)
@@ -360,7 +360,7 @@ def test_an_l_above_the_enumeration_cap_is_refused():
     layer 1 runs (check_index2 would fail on this L)."""
     B = _an(9)
     big = FiniteGroup.generator_only(9, B.structural["im"].generators, order=ENUMERATION_CAP + 1)
-    huge = dataclasses.replace(B, structural={**B.structural, "im": big})
+    huge = rebuilt(B, structural={**B.structural, "im": big})
     with pytest.raises(TransitiveError, match=f"[|]L[|] = {ENUMERATION_CAP + 1} exceeds "
                                               f"the enumeration cap {ENUMERATION_CAP}"):
         verify_an_operator(huge, sample_count=0)
@@ -475,7 +475,7 @@ def test_s_check_names_the_pairwise_oracles_first_failure(k):
     S = B.structural["ker_tilde"]
     s = S.elements[k]
     for y in (B.structural["r"], *S.generators):
-        bad = dataclasses.replace(B, proc=lambda g, y=y: s.inverse() * y if g == s else B.proc(g))
+        bad = rebuilt(B, proc=lambda g, y=y: s.inverse() * y if g == s else B.proc(g))
         (s1, s2), pairs = pairwise_opposite_product(bad, S)
         rep = descendent_structure(bad, k_samples=500, twist_samples=200)
         assert s1 == s and pairs > k * S.order() + 1
@@ -491,9 +491,7 @@ def test_descendent_catches_an_operator_corrupted_only_on_k():
     st = B.structural
     r, in_k = st["r"], transitive._fixes(st["distinguished"])
     assert all(g.order() != 7 for g in st["im"].elements)
-    bad = dataclasses.replace(
-        B, proc=lambda g: r if in_k(g) and g.order() == 7 else B.proc(g)
-    )
+    bad = rebuilt(B, proc=lambda g: r if in_k(g) and g.order() == 7 else B.proc(g))
     rep = descendent_structure(bad, k_samples=500, twist_samples=200, seed=7)
     assert not rep.ok
     rng = random.Random(7)
@@ -512,9 +510,7 @@ def test_layer3_names_the_sample_the_digit_decoder_predicts():
     per-digit decoder, at which the identity fails."""
     B = _an(9)
     r = B.structural["r"]
-    bad = dataclasses.replace(
-        B, proc=lambda g: B.proc(g) * r if g.order() == 7 else B.proc(g)
-    )
+    bad = rebuilt(B, proc=lambda g: B.proc(g) * r if g.order() == 7 else B.proc(g))
     v = verify_an_operator(bad, sample_count=2000, seed=7)
     rng = random.Random(7)
     draw = digit_sampler(9)
@@ -536,7 +532,7 @@ def test_twist_loop_names_the_sample_the_perm_product_loop_predicts():
     st = B.structural
     r, sset = st["r"], st["ker_tilde"]._element_set()
     l0 = max(l for l in st["im"].elements if l not in sset)
-    bad = dataclasses.replace(B, proc=lambda g: B.proc(g) * r if g == l0 else B.proc(g))
+    bad = rebuilt(B, proc=lambda g: B.proc(g) * r if g == l0 else B.proc(g))
     assert perm_descendent_loops(B, 500, 2000, 7) is None
     kind, i = perm_descendent_loops(bad, 500, 2000, 7)
     rep = descendent_structure(bad, k_samples=500, twist_samples=2000, seed=7)
@@ -593,7 +589,7 @@ def test_layer3_evaluates_b_three_times_per_pair():
     totals = []
     for samples in (0, 1000):
         calls[0] = 0
-        v = verify_an_operator(dataclasses.replace(B, proc=counted), sample_count=samples)
+        v = verify_an_operator(rebuilt(B, proc=counted), sample_count=samples)
         assert v.ok and v.pairs_sampled == samples
         totals.append(calls[0])
     assert totals[1] - totals[0] == 3 * 1000
