@@ -130,25 +130,6 @@ def index2_body(L: FiniteGroup, S: FiniteGroup, r: Perm) -> dict[Perm, Perm]:
     return {l: l.inverse() if l in sset else l.inverse() * r for l in L.elements}
 
 
-def index2_construction(
-    G: FiniteGroup,
-    K: FiniteGroup,
-    L: FiniteGroup,
-    S: FiniteGroup,
-    t: Perm,
-    r: Perm,
-) -> RBOperator:
-    """The non-splitting twist B(k t^d y) = l^-1 r^d as a table operator:
-    after check_index2, the construction of reconstruct with phi(l) =
-    r^d(l) onto R = <r>, whose companion is l -> l^-1 r^d(l) on L."""
-    check_index2(G, K, K.__contains__, L, S, t, r)
-    phi = {l: G.identity if l in S else r for l in L.elements}
-    R = L.subgroup([r], label="R")
-    return extend_over_factorization(
-        exact_factorization(G, K, L), tilde(from_homomorphism(L, phi, R))
-    )
-
-
 def reconstruct(B: RBOperator) -> RBOperator | None:
     """B rebuilt by the general construction, or None when it has no
     such shape.  For C = B, then C = B~, with K = ker C, L = Im C and

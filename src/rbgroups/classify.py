@@ -4,7 +4,7 @@ classes under the graph action, and classification reports."""
 from __future__ import annotations
 
 import re
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 from .labels import iso_label
 from .perm import FiniteGroup, Grower, PermError, automorphism_group
@@ -12,15 +12,12 @@ from .rbop import (
     ENUMERATE_GUARANTEED,
     RBOperator,
     from_graph,
-    from_table,
     graph,
     images,
     kernel_invariant,
     descendent_group,
     tilde,
 )
-
-ORACLE_CAP = 10
 
 
 class EnumerationCapExceeded(PermError):
@@ -199,63 +196,6 @@ def enumerate_rb(G: FiniteGroup, cap: int = ENUMERATE_GUARANTEED) -> list[RBOper
     return [from_graph(G, frozenset(pairs)) for pairs in sorted(
         sorted(divmod(p, n) for p in H) for H in graphs
     )]
-
-
-def oracle_enumerate(G: FiniteGroup) -> list[RBOperator]:
-    """Independent brute-force enumeration: depth-first assignment of the
-    operator table with incremental constraint propagation of the axiom."""
-    n = G.order()
-    if n > ORACLE_CAP:
-        raise EnumerationCapExceeded(f"|G| = {n} exceeds oracle cap {ORACLE_CAP}")
-    table = G.mult_table()
-    inv = [0] * n
-    e = G.index(G.identity)
-    for i in range(n):
-        for j in range(n):
-            if table[i][j] == e:
-                inv[i] = j
-    results: list[dict[int, int]] = []
-
-    def propagate(assign: dict[int, int]) -> Optional[dict[int, int]]:
-        assign = dict(assign)
-        changed = True
-        while changed:
-            changed = False
-            known = list(assign.items())
-            for g, bg in known:
-                for h, bh in known:
-                    # B(g)B(h) = B(g B(g) h B(g)^-1)
-                    arg = table[table[table[g][bg]][h]][inv[bg]]
-                    val = table[bg][bh]
-                    if arg in assign:
-                        if assign[arg] != val:
-                            return None
-                    else:
-                        assign[arg] = val
-                        changed = True
-        return assign
-
-    def search(assign: dict[int, int]) -> None:
-        if len(assign) == n:
-            results.append(assign)
-            return
-        g = min(i for i in range(n) if i not in assign)
-        for v in range(n):
-            trial = dict(assign)
-            trial[g] = v
-            full = propagate(trial)
-            if full is not None:
-                search(full)
-
-    base = propagate({e: e})
-    assert base is not None
-    search(base)
-    ops = []
-    for assign in results:
-        imgs = {G.elements[g]: G.elements[v] for g, v in assign.items()}
-        ops.append(from_table(G, imgs, provenance="oracle"))
-    ops.sort(key=lambda B: sorted(graph(B)))
-    return ops
 
 
 # -- equivalence under the graph action ------------------------------------

@@ -47,8 +47,6 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     p = _Parser(prog="rbgroups", description=__doc__)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted and ignored: every command runs serially")
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("construct", help="build a catalog or derived operator")

@@ -107,23 +107,6 @@ class Perm(bytes):
             k += 1
         return k
 
-    def cycles(self) -> list[tuple[int, ...]]:
-        """Nontrivial cycles, each starting at its least point."""
-        seen = [False] * len(self)
-        out = []
-        for i in range(len(self)):
-            if seen[i] or self[i] == i:
-                seen[i] = True
-                continue
-            cyc = []
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                cyc.append(j)
-                j = self[j]
-            out.append(tuple(cyc))
-        return out
-
     def __repr__(self) -> str:
         return f"Perm{tuple(self)}"
 
@@ -506,11 +489,6 @@ class FiniteGroup(_Frozen):
         them."""
         S, T = self._grow(S)
         return T is not None and all(t.conj(g) in S for t in T for g in self.generators)
-
-    def center(self) -> "FiniteGroup":
-        gens = self.generators
-        central = [z for z in self.elements if all(z * g == g * z for g in gens)]
-        return FiniteGroup.from_elements(central, label=f"Z({self.label})")
 
 
 # -- homomorphism extension and automorphisms ------------------------------

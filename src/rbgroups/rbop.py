@@ -212,11 +212,6 @@ def tilde(B: RBOperator) -> RBOperator:
     return C
 
 
-def bplus(B: RBOperator) -> Callable[[Perm], Perm]:
-    """The plain map g -> g B(g) (not itself a Rota-Baxter operator)."""
-    return lambda g: g * B(g)
-
-
 def circ_kernel(B: RBOperator) -> Callable[[Perm, Perm], tuple[Perm, Perm]]:
     """(g, h) -> (B(g), g o h), g o h = g B(g) h B(g)^-1, B bound once for
     loops of pairs and evaluated once per pair: the identity's left side

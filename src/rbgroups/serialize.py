@@ -1,33 +1,27 @@
-"""Line-oriented text formats for permutations, groups, and operators.
+"""Line-oriented text formats for groups and operators.
 
-One permutation per line ("perm: 1 0 2", space-separated 0-based images);
-group blocks list "domain: n" and "gen: ..." lines; operator blocks append
-"op: ..." (image indices into the canonical element list) or "proc: ..."
-(construction descriptor).  Round-trips are bit-exact.
+A group block lists "domain: n", optional "label: ..." and "order: ..."
+lines and "gen: ..." lines (space-separated 0-based images).  An operator
+block appends "op: ..." (image indices into the canonical element list),
+or a "proc: ..." construction descriptor followed by the "distinguished:",
+"r:" and "t:" lines of the build, which parse_operator checks against a
+fresh build.  Round-trips are bit-exact.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from .perm import FiniteGroup, Perm, PermError
+from .perm import FiniteGroup, Perm
 from .rbop import RBOperator
+
+
+# the lines after "proc:", checked against a fresh build on parsing
+_BUILD_LINES = ("distinguished", "r", "t")
 
 
 class FormatError(ValueError):
     pass
-
-
-def format_perm(p: Perm) -> str:
-    return "perm: " + " ".join(str(i) for i in p)
-
-
-def parse_perm(line: str) -> Perm:
-    body = _expect(line, "perm")
-    try:
-        return Perm.checked(int(tok) for tok in body.split())
-    except (ValueError, PermError) as exc:
-        raise FormatError(f"bad permutation line {line!r}: {exc}") from None
 
 
 def _expect(line: str, key: str) -> str:
@@ -35,6 +29,14 @@ def _expect(line: str, key: str) -> str:
     if not line.startswith(prefix):
         raise FormatError(f"expected {prefix!r}, got {line!r}")
     return line[len(prefix) :].strip()
+
+
+def _ints(line: str, key: str) -> tuple[int, ...]:
+    """The space-separated integers of a `key:` line."""
+    try:
+        return tuple(int(tok) for tok in _expect(line, key).split())
+    except ValueError:
+        raise FormatError(f"bad token in {line!r}") from None
 
 
 def format_group(G: FiniteGroup) -> str:
@@ -62,7 +64,7 @@ def parse_group(text: str | list[str]) -> FiniteGroup:
         elif line.startswith("order:"):
             order = int(_expect(line, "order"))
         elif line.startswith("gen:"):
-            imgs = [int(tok) for tok in _expect(line, "gen").split()]
+            imgs = _ints(line, "gen")
             if len(imgs) != degree:
                 raise FormatError(f"generator degree {len(imgs)} != domain {degree}")
             gens.append(Perm.checked(imgs))
@@ -82,9 +84,8 @@ def format_operator(B: RBOperator) -> str:
     else:
         st = B.structural
         out += f"proc: an n={B.group.degree} case={st['case']} variant={st['variant']}\n"
-        out += "distinguished: " + " ".join(str(i) for i in st["distinguished"]) + "\n"
-        out += "r: " + " ".join(str(i) for i in st["r"]) + "\n"
-        out += "t: " + " ".join(str(i) for i in st["t"]) + "\n"
+        for key in _BUILD_LINES:
+            out += f"{key}: " + " ".join(map(str, st[key])) + "\n"
     return out
 
 
@@ -101,7 +102,7 @@ def parse_operator(text: str | list[str]) -> RBOperator:
         if not G.enumerated:
             raise FormatError("table operator needs an enumerated group")
         n = G.order()
-        table = tuple(int(tok) for tok in _expect(head, "op").split())
+        table = _ints(head, "op")
         if len(table) != n:
             raise FormatError(f"op line has {len(table)} entries, need {n}")
         if not all(0 <= i < n for i in table):
@@ -119,18 +120,11 @@ def parse_operator(text: str | list[str]) -> RBOperator:
     B = build_an_operator(n, variant)
     st = B.structural
     for line in lines[split + 1 :]:
-        if line.startswith("distinguished:"):
-            got = tuple(int(t) for t in _expect(line, "distinguished").split())
-            if got != tuple(st["distinguished"]):
-                raise FormatError("distinguished points do not match the build")
-        elif line.startswith("r:"):
-            if parse_perm("perm: " + _expect(line, "r")) != st["r"]:
-                raise FormatError("involution r does not match the build")
-        elif line.startswith("t:"):
-            if parse_perm("perm: " + _expect(line, "t")) != st["t"]:
-                raise FormatError("coset representative t does not match the build")
-        else:
+        key = line.split(":", 1)[0]
+        if key not in _BUILD_LINES:
             raise FormatError(f"unexpected operator line {line!r}")
+        if _ints(line, key) != tuple(st[key]):
+            raise FormatError(f"{key}: does not match the build")
     return B
 
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 import random
 
 from rbgroups import rbop
-from rbgroups.perm import FiniteGroup, Perm
-from rbgroups.rbop import RBOperator, bplus, circ, tilde, verify
+from rbgroups.perm import Perm
+from rbgroups.rbop import RBOperator, circ, tilde
 from rbgroups.transitive import DEFAULT_SEED
 
 EXHAUSTIVE_MAX_ORDER = 200
@@ -22,7 +22,8 @@ def _prop5(B: RBOperator, a: Perm, kmax: int) -> bool:
     B_+(a)^k B(a)^-k.  Each side is built one factor at a time from k = 0
     outwards, so the cost is linear in kmax."""
     ident = B.group.identity
-    ba, bpa = B(a), bplus(B)(a)
+    ba = B(a)
+    bpa = a * ba  # B_+(a)
     a_bar = ba.inverse() * a.inverse() * ba  # descendent inverse of a
     # k >= 0 steps by (a, B_+(a), B(a)^-1); k <= 0 by (a_bar, B_+(a)^-1, B(a))
     for step, left, right in ((a, bpa, ba.inverse()), (a_bar, bpa.inverse(), ba)):
@@ -49,7 +50,6 @@ def check_invariants(B: RBOperator) -> list[tuple[str, bool]]:
 
     results = []
     Bt = tilde(B)
-    Bp = bplus(B)
 
     results.append(("eq2", all(rbop.check_pair(B, g, h) for g, h in pairs)))
     results.append((
@@ -62,7 +62,7 @@ def check_invariants(B: RBOperator) -> list[tuple[str, bool]]:
         all(B(g * h) == B(h) for g in ker for h in singles),
     ))
     # B B_+ = B_+ B as maps: B(g B(g)) = B(g) B(B(g))
-    results.append(("prop4", all(B(Bp(g)) == Bp(B(g)) for g in singles)))
+    results.append(("prop4", all(B(g * B(g)) == B(g) * B(B(g)) for g in singles)))
     kmax = min(n, 24)
     results.append(("prop5", all(_prop5(B, a, kmax) for a in singles)))
 
@@ -82,10 +82,10 @@ def check_invariants(B: RBOperator) -> list[tuple[str, bool]]:
         matches = False
     results.append(("prop7", split == matches))
 
-    center = G.center()
+    center = [z for z in elems if all(z * g == g * z for g in G.generators)]
     results.append((
         "lemma2b",
-        all(c.order() % B(c).order() == 0 for c in center.elements),
+        all(c.order() % B(c).order() == 0 for c in center),
     ))
     results.append(("tilde_involution", tilde(Bt).table == B.table))
     results.append(("prop6d_eq8", True))  # asserted inside images(); raising = failure

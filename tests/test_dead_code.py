@@ -1,24 +1,27 @@
-"""Guard against dead code in the package, by static reading only.
+"""Guard against dead code in the package.
 
-A module of src/rbgroups may not import a name it never uses, and every
-module-level name X defined in a module M must be live.  X is live when
-a top-level statement of M that defines no name reads it, when another
-module or a test refers to it as M.X or imports it from M (so every name
+Only the package counts as a caller: a name that only tests reach belongs
+in the tests.  A module of src/rbgroups may not import a name it never
+uses.  A module-level name X of a module M is live when a top-level
+statement of M that defines no name reads it, when a module of the
+package refers to it as M.X or imports it from M (so every name
 rbgroups/__init__.py re-exports is live), or when the definition of a
-live name of M reads it.
+live name of M reads it.  A method of a class of the package is live when
+the package reads it as an attribute, when it is a dunder, or when it
+overrides an attribute of a class in its MRO (argparse.ArgumentParser.error,
+say).  All of this is read from the source, except the MRO.
 """
 
 import ast
+import importlib
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "rbgroups"
 
 
-def _trees(*dirs):
-    for d in dirs:
-        for path in sorted(d.rglob("*.py")):
-            yield path, ast.parse(path.read_text(), filename=str(path))
+def _trees():
+    return {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in sorted(PACKAGE.glob("*.py"))}
 
 
 def _loaded_names(tree):
@@ -44,11 +47,11 @@ def _defined(stmt):
                 yield t.id
 
 
-def _external_references(modules):
-    """(module, name) for every M.X attribute read, rbgroups.M.X included,
-    and every name imported from a module M of the package."""
+def _package_references(trees):
+    """(module, name) for every M.X attribute read in the package,
+    rbgroups.M.X included, and every name imported from a module M."""
     out = set()
-    for _, tree in _trees(ROOT / "src", ROOT / "tests"):
+    for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module:
                 if node.level == 1 or node.module.startswith("rbgroups."):
@@ -59,15 +62,15 @@ def _external_references(modules):
                 if isinstance(value, ast.Attribute) and isinstance(value.value, ast.Name):
                     if value.value.id == "rbgroups":
                         out.add((value.attr, node.attr))
-                elif isinstance(value, ast.Name) and value.id in modules:
+                elif isinstance(value, ast.Name) and value.id in trees:
                     out.add((value.id, node.attr))
     return out
 
 
 def test_no_unused_imports():
     unused = []
-    for path, tree in _trees(PACKAGE):
-        if path.name == "__init__.py":  # it imports to re-export
+    for module, tree in _trees().items():
+        if module == "__init__":  # it imports to re-export
             continue
         used = _loaded_names(tree)
         for node in ast.walk(tree):
@@ -77,13 +80,32 @@ def test_no_unused_imports():
                 for alias in node.names:
                     name = (alias.asname or alias.name).split(".")[0]
                     if name not in used:
-                        unused.append(f"{path.name}: {name}")
+                        unused.append(f"{module}.py: {name}")
     assert not unused, unused
 
 
+def test_every_method_is_referenced():
+    trees = _trees()
+    read = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store)
+    }
+    dead = []
+    for module, tree in trees.items():
+        for cls in (s for s in tree.body if isinstance(s, ast.ClassDef)):
+            bases = getattr(importlib.import_module(f"rbgroups.{module}"), cls.name).__mro__[1:]
+            keep = read.union(*map(dir, bases))
+            for m in (s for s in cls.body if isinstance(s, ast.FunctionDef)):
+                if m.name not in keep and not m.name[:2] == m.name[-2:] == "__":
+                    dead.append(f"{module}.py: {cls.name}.{m.name}")
+    assert not dead, dead
+
+
 def test_every_module_level_name_is_referenced():
-    trees = {path.stem: tree for path, tree in _trees(PACKAGE)}
-    external = _external_references(set(trees))
+    trees = _trees()
+    external = _package_references(trees)
     dead = []
     for module, tree in trees.items():
         uses = {}  # defined name -> names its definition reads

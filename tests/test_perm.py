@@ -159,7 +159,6 @@ def test_bytes_kernel_matches_tuple_reference(triple):
     assert tuple(p.conj(q)) == _ref_mul(_ref_mul(_ref_inverse(b), a), b)
     assert p.is_identity() == (a == tuple(range(len(a))))
     assert (p * p.inverse()).is_identity()
-    assert p.cycles() == _ref_cycles(a)
     ref_order = math.lcm(*(len(cyc) for cyc in _ref_cycles(a)))
     if ref_order <= 5000:  # order() takes ref_order - 1 products
         assert p.order() == ref_order
@@ -193,7 +192,6 @@ def _bounded_order_perms(draw):
 @given(_bounded_order_perms())
 def test_order_matches_cycle_lengths(a):
     p = Perm(a)
-    assert p.cycles() == _ref_cycles(a)
     assert p.order() == math.lcm(*(len(cyc) for cyc in _ref_cycles(a)))
 
 

@@ -1,26 +1,15 @@
+import io
+
 import pytest
 
-from rbgroups import build, families, serialize, transitive
-from rbgroups.perm import Perm
+from rbgroups import build, cli, families, transitive
 from rbgroups.serialize import (
     FormatError,
     format_group,
     format_operator,
-    format_perm,
     parse_group,
     parse_operator,
-    parse_perm,
 )
-
-
-def test_perm_roundtrip():
-    p = Perm.from_cycles(5, [(0, 3), (1, 4, 2)])
-    assert parse_perm(format_perm(p)) == p
-
-
-def test_perm_parse_rejects_non_bijection():
-    with pytest.raises(FormatError):
-        parse_perm("perm: 0 0 1")
 
 
 def test_group_roundtrip():
@@ -64,3 +53,27 @@ def test_procedural_operator_roundtrip():
 def test_parse_operator_rejects_garbage():
     with pytest.raises(FormatError):
         parse_operator("not a real block")
+
+
+# (old, new): one line of the build-an --n 9 dump broken, or a line added
+TAMPERED = {
+    "r": ("r: 3 5 4", "r: 5 3 4"),  # another permutation
+    "t": ("t: 0 4", "t: x 4"),
+    "distinguished": ("distinguished: 7 8", "distinguished: 8 7"),
+    "unknown": ("t: ", "extra: 1\nt: "),
+}
+
+
+@pytest.mark.parametrize("case", TAMPERED)
+def test_tampered_proc_dump_is_refused(case, tmp_path):
+    """parse_operator raises FormatError and verify on the file exits 1."""
+    out = io.StringIO()
+    assert cli.main(["build-an", "--n", "9", "--dump"], out=out) == 0
+    old, new = TAMPERED[case]
+    assert old in out.getvalue()
+    text = out.getvalue().split("operator:")[0].replace(old, new)
+    with pytest.raises(FormatError):
+        parse_operator(text)
+    path = tmp_path / "an9.op"
+    path.write_text(text)
+    assert cli.main(["verify", str(path)], out=io.StringIO()) == 1
