@@ -1,6 +1,6 @@
-"""Operator constructions: splitting operators from exact factorizations,
-homomorphisms into abelian subgroups, extensions over factorizations,
-the index-2 twist, and a catalog of named example operators."""
+"""Operator constructions: the general construction over an exact
+factorization with a homomorphism into an abelian subgroup, the index-2
+twist, and a catalog of named example operators."""
 
 from __future__ import annotations
 
@@ -14,66 +14,62 @@ from .perm import (
     exact_factorization,
     homomorphism_failure,
 )
-from .rbop import RBOperator, from_table, images, tilde
+from .rbop import RBOperator, images, tilde
 
 
 class ConstructionError(ValueError):
     """A named precondition of a builder failed."""
 
 
-def from_factorization(w: FactorizationWitness) -> RBOperator:
-    """The splitting operator B(hl) = l^-1 of an exact factorization."""
+def construction(
+    w: FactorizationWitness,
+    phi: Callable[[Perm], Perm],
+    R: FiniteGroup,
+    provenance: str = "construction",
+) -> RBOperator:
+    """The operator B(k l) = l^-1 phi(l^-1) on the group of an exact
+    factorization w: G = K L, for a homomorphism phi: L -> R into an
+    abelian subgroup R of L whose image normalizes K; phi = e gives the
+    splitting operator k l -> l^-1.  ConstructionError names the first
+    precondition that fails: w is exact; R is abelian and lies in L; phi is
+    a homomorphism on L (perm.homomorphism_failure); phi(s) lies in R and
+    normalizes K for each generator s of L, checked on K's generators
+    (conjugation is an automorphism, and the phi(s) generate phi(L)).
+
+    Nothing verifies the result: the preconditions prove the identity.
+    With x = k l, y = k' l' and B(x) = l^-1 phi(l)^-1,
+
+        x o y = x B(x) y B(x)^-1 = k (phi(l)^-1 k' phi(l)) m,
+        m = phi(l)^-1 l' phi(l) l,
+
+    where the middle factor lies in K (phi(l) normalizes K) and m in L
+    (phi(l) lies in R <= L), so m is the L-part of x o y.  The four
+    factors of phi(m) lie in the abelian R, so phi(m) = phi(l') phi(l), and
+    B(x o y) = m^-1 phi(m)^-1 = l^-1 phi(l)^-1 l'^-1 phi(l')^-1 = B(x) B(y).
+    """
     if not w.exact:
         raise ConstructionError("factorization is not exact")
-    G = w.group
-    images = {x: hl[1].inverse() for x, hl in w.table.items()}
-    return from_table(
-        G, images, provenance=f"split[{w.left.label or 'H'}*{w.right.label or 'L'}]"
-    )
-
-
-def from_homomorphism(
-    G: FiniteGroup,
-    phi: dict[Perm, Perm] | Callable[[Perm], Perm],
-    A: FiniteGroup,
-) -> RBOperator:
-    """A homomorphism G -> A with A an abelian subgroup of G is an
-    operator.  Both the homomorphism property (on generators, see
-    perm.homomorphism_failure) and abelianness are checked."""
-    if not A.is_abelian():
-        raise ConstructionError("target subgroup is not abelian")
-    if not G.is_subgroup(set(A.elements)):
-        raise ConstructionError("target is not a subgroup of G")
-    get = phi.__getitem__ if isinstance(phi, dict) else phi
-    table = {g: get(g) for g in G.elements}
-    aset = set(A.elements)
-    for g, v in table.items():
-        if v not in aset:
-            raise ConstructionError(f"phi({g!r}) = {v!r} lies outside the target")
-    bad = homomorphism_failure(table.__getitem__, G)
+    G, K, L = w.group, w.left, w.right
+    if not R.is_abelian():
+        raise ConstructionError("R is not abelian")
+    rset = R._element_set()
+    if not rset <= L._element_set():
+        raise ConstructionError("R does not lie in L")
+    on_l = {l: phi(l) for l in L.elements}
+    bad = homomorphism_failure(on_l.__getitem__, L)
     if bad is not None:
         raise ConstructionError(f"phi is not a homomorphism at ({bad[0]!r}, {bad[1]!r})")
-    return from_table(G, table, provenance="homomorphism")
-
-
-def extend_over_factorization(w: FactorizationWitness, C: RBOperator) -> RBOperator:
-    """B(hl) = C(l) over an exact G = HL, valid when Im(C~) normalizes H.
-    That is checked on H.generators, as in check_index2."""
-    if not w.exact:
-        raise ConstructionError("factorization is not exact")
-    if C.group.elements != w.right.elements:
-        raise ConstructionError("C is not an operator on the right factor")
-    Ct = tilde(C)
-    im_ct = {Ct(l) for l in w.right.elements}
-    hset = set(w.left.elements)
-    for z in im_ct:
-        for h in w.left.generators:
-            if h.conj(z) not in hset:
-                raise ConstructionError(
-                    f"Im(C~) does not normalize H: conjugating {h!r} by {z!r} leaves H"
-                )
-    images = {x: C(hl[1]) for x, hl in w.table.items()}
-    return from_table(w.group, images, provenance=f"extend[{C.provenance}]")
+    kset = K._element_set()
+    for s in L.generators:
+        z = on_l[s]
+        if z not in rset:
+            raise ConstructionError(f"phi({s!r}) = {z!r} lies outside R")
+        for k in K.generators:
+            if k.conj(z) not in kset:
+                raise ConstructionError(f"phi({s!r}) does not normalize K at {k!r}")
+    image = {l: G.index(l.inverse() * z.inverse()) for l, z in on_l.items()}
+    table = tuple(image[w.table[x][1]] for x in G.elements)
+    return RBOperator(group=G, table=table, provenance=provenance)
 
 
 def check_index2(
@@ -134,25 +130,23 @@ def reconstruct(B: RBOperator) -> RBOperator | None:
     """B rebuilt by the general construction, or None when it has no
     such shape.  For C = B, then C = B~, with K = ker C, L = Im C and
     R = Im C meet Im C~ read off images(B) (with the roles swapped for
-    B~), the construction is D = tilde(from_homomorphism(L, C~, R)) and
-    extend_over_factorization(G = K L, D): the operator k l -> D(l).  It
-    returns the result, or for C = B~ its companion, once that is
-    table-equal to C.
+    B~), it builds construction(G = K L, C~, R) and returns it, or for
+    C = B~ its companion, once that is table-equal to C.
 
     Proof that the result is C whenever no ConstructionError is raised:
-    D(l) = l^-1 C~(l^-1) = l^-1 l C(l) = C(l), and C(k l) = C(k o l)
-    = C(k) C(l) = C(l) for k in ker C.  The preconditions hold exactly when
-    G = ker C * Im C is exact (from orders and the meet), R is abelian and
-    C~ is a homomorphism from Im C into R.  The others hold for every
-    operator: R <= Im C, and Im D~ <= R <= Im C~ normalizes ker C (images
-    asserts it; D~ is the homomorphism, as tilde is an involution)."""
+    it maps k l to l^-1 C~(l^-1) = l^-1 l C(l) = C(l), and C(k l) =
+    C(k o l) = C(k) C(l) = C(l) for k in ker C.  The preconditions hold
+    exactly when G = ker C * Im C is exact (from orders and the meet), R
+    is abelian and C~ is a homomorphism from Im C into R.  The others hold
+    for every operator: R <= Im C, and C~(Im C) <= R <= Im C~ normalizes
+    ker C (images asserts it)."""
     data = images(B)
     for C, K, L in ((B, data.ker, data.im), (tilde(B), data.ker_tilde, data.im_tilde)):
         w = exact_factorization(B.group, K, L)
-        if not w.exact:  # extend_over_factorization would refuse it
+        if not w.exact:  # construction would refuse it
             continue
         try:
-            built = extend_over_factorization(w, tilde(from_homomorphism(L, tilde(C), data.R)))
+            built = construction(w, tilde(C), data.R)
         except ConstructionError:
             continue
         if built == C:
@@ -161,111 +155,118 @@ def reconstruct(B: RBOperator) -> RBOperator | None:
 
 
 # -- catalog of named example operators ------------------------------------
+#
+# Each example is the general construction on an exact G = K L, or its
+# companion; the provenance is what construct's operator: line prints.
+
+
+def _split(G: FiniteGroup, K: FiniteGroup, L: FiniteGroup) -> RBOperator:
+    """The splitting operator k l -> l^-1: the construction with phi = e."""
+    e = G.identity
+    w = exact_factorization(G, K, L)
+    return construction(w, lambda l: e, L.subgroup([e]), f"split[{K.label}*{L.label}]")
 
 
 def _s3_operator() -> RBOperator:
     G = families.symmetric(3).group
-    H = G.subgroup([Perm.from_cycles(3, [(0, 1, 2)])], label="Z3")
-    L = G.subgroup([Perm.from_cycles(3, [(1, 2)])], label="Z2")
-    return from_factorization(exact_factorization(G, H, L))
+    K = G.subgroup([Perm.from_cycles(3, [(0, 1, 2)])], label="Z3")
+    return _split(G, K, G.subgroup([Perm.from_cycles(3, [(1, 2)])], label="Z2"))
+
+
+def _a4() -> tuple[FiniteGroup, FiniteGroup, FiniteGroup]:
+    """A4 with its subgroups Z3 = <(1 2 3)> and V4."""
+    G = families.alternating(4).group
+    V = [Perm.from_cycles(4, [(0, 1), (2, 3)]), Perm.from_cycles(4, [(0, 2), (1, 3)])]
+    return G, G.subgroup([Perm.from_cycles(4, [(1, 2, 3)])], label="Z3"), G.subgroup(V, label="V4")
 
 
 def _a4_b1() -> RBOperator:
-    G = families.alternating(4).group
-    H = G.subgroup([Perm.from_cycles(4, [(1, 2, 3)])], label="Z3")
-    V = G.subgroup(
-        [Perm.from_cycles(4, [(0, 1), (2, 3)]), Perm.from_cycles(4, [(0, 2), (1, 3)])],
-        label="V4",
-    )
-    return from_factorization(exact_factorization(G, H, V))
+    return _split(*_a4())
 
 
 def _a4_b2() -> RBOperator:
-    """The retraction of A4 = V4 . <(1 2 3)> onto the 3-cycle part."""
-    G = families.alternating(4).group
-    z = Perm.from_cycles(4, [(1, 2, 3)])
-    A = G.subgroup([z], label="Z3")
-    V = {e for e in G.elements if e.order() in (1, 2)}
-    phi = {}
-    for v in V:
-        for a in A.elements:
-            phi[v * a] = a
-    return from_homomorphism(G, phi, A)
+    """The retraction v a -> a of A4 = V4 . <(1 2 3)> onto the 3-cycle
+    part: phi = id on L = <(1 2 3)>, as a^-1 a^-1 = a in Z3."""
+    G, L, V = _a4()
+    return construction(exact_factorization(G, V, L), lambda l: l, L, "homomorphism")
 
 
-def _pow(p: Perm, e: int, G: FiniteGroup) -> Perm:
-    out = G.identity
-    step = p if e >= 0 else p.inverse()
-    for _ in range(abs(e)):
-        out = out * step
+def _pow(p: Perm, e: int) -> Perm:
+    """p^e for e >= 1."""
+    out = p
+    for _ in range(e - 1):
+        out = out * p
     return out
 
 
-def _klein_operator(G: FiniteGroup, r: Perm, s: Perm, n: int) -> RBOperator:
-    """The companion of the order-4-image homomorphism on G = <r, s> = D_2n
-    (n even >= 4): r^2k -> e, r^2k+1 -> r^(n/2) s, r^2k s -> r^(n/2),
-    r^2k+1 s -> s."""
-    rh = _pow(r, n // 2, G)
-    table = {}
+def _klein_homomorphism(
+    G: FiniteGroup, r: Perm, s: Perm, n: int
+) -> tuple[dict[Perm, Perm], FiniteGroup]:
+    """The homomorphism of G = <r, s> = D_2n (n even >= 4) onto a Klein
+    four-subgroup, r^2k -> e, r^2k+1 -> r^(n/2) s, r^2k s -> r^(n/2),
+    r^2k+1 s -> s, and that subgroup."""
+    rh = _pow(r, n // 2)
+    phi = {}
     x = G.identity
     for i in range(n):
-        table[x] = G.identity if i % 2 == 0 else rh * s
-        table[x * s] = rh if i % 2 == 0 else s
+        phi[x] = G.identity if i % 2 == 0 else rh * s
+        phi[x * s] = rh if i % 2 == 0 else s
         x = x * r
-    A = G.subgroup(sorted(set(table.values())), label="Z2xZ2")
-    return tilde(from_homomorphism(G, table, A))
+    return phi, G.subgroup(sorted(set(phi.values())), label="Z2xZ2")
 
 
 def d2n_klein(n: int) -> RBOperator:
     """The invertible operator on D_2n whose companion is the homomorphism
-    onto a Klein four-subgroup; n even, n >= 4."""
+    onto a Klein four-subgroup; n even, n >= 4.  It is the construction on
+    D_2n = 1 * D_2n, l -> l^-1 phi(l^-1)."""
     if n < 4 or n % 2:
         raise ConstructionError("the Klein-image operator needs even n >= 4")
     built = families.dihedral(n)
-    return _klein_operator(built.group, built.r, built.s, n)
+    G = built.group
+    phi, A = _klein_homomorphism(G, built.r, built.s, n)
+    w = exact_factorization(G, G.subgroup([G.identity]), G)
+    return construction(w, phi.__getitem__, A, "tilde(homomorphism)")
 
 
 def _d16_operator() -> RBOperator:
-    """Index-2-shaped operator on D16 built compositionally: extend the
-    companion of the L-homomorphism over D16 = {e, s} * L, then flip."""
+    """Index-2-shaped operator on D16: the companion of the construction
+    on D16 = <s> * <r^2, rs> with phi onto <r^4> whose kernel is
+    <r^4, rs>."""
     built = families.dihedral(8)
     G, r, s = built.group, built.r, built.s
-    H = G.subgroup([s], label="Z2")
-    lelems = [G.identity, _pow(r, 2, G), _pow(r, 4, G), _pow(r, 6, G),
-              r * s, _pow(r, 3, G) * s, _pow(r, 5, G) * s, _pow(r, 7, G) * s]
-    L = G.subgroup(lelems, label="L")
-    r4 = _pow(r, 4, G)
-    A = L.subgroup([r4], label="Z2")
-    kerC = set(L.subgroup([r4, r * s], label="kerC").elements)
-    phi = {l: (G.identity if l in kerC else r4) for l in L.elements}
-    C = from_homomorphism(L, phi, A)
-    Ct = tilde(C)
-    D = extend_over_factorization(exact_factorization(G, H, L), Ct)
-    return tilde(D)
+    r4 = _pow(r, 4)
+    K = G.subgroup([s], label="Z2")
+    L = G.subgroup([_pow(r, 2), r * s], label="L")
+    ker = L.subgroup([r4, r * s])
+    phi = {l: (G.identity if l in ker else r4) for l in L.elements}
+    w = exact_factorization(G, K, L)
+    return tilde(construction(w, phi.__getitem__, L.subgroup([r4]), "extend[tilde(homomorphism)]"))
 
 
 def _d60_operator() -> RBOperator:
+    """The construction on D60 = <r^10> * <r^3, s> with the Klein-image
+    homomorphism of L ~= D20."""
     built = families.dihedral(30)
     G, r, s = built.group, built.r, built.s
-    H = G.subgroup([_pow(r, 10, G)], label="Z3")
-    L = G.subgroup([_pow(r, 3, G), s], label="D20")
-    # the Klein-image operator on L ~= D20, generated by r^3 and s
-    C = _klein_operator(L, _pow(r, 3, G), s, 10)
-    return extend_over_factorization(exact_factorization(G, H, L), C)
+    K = G.subgroup([_pow(r, 10)], label="Z3")
+    L = G.subgroup([_pow(r, 3), s], label="D20")
+    phi, A = _klein_homomorphism(L, _pow(r, 3), s, 10)
+    w = exact_factorization(G, K, L)
+    return construction(w, phi.__getitem__, A, "extend[tilde(homomorphism)]")
 
 
 def _q60_operator() -> RBOperator:
+    """The construction on Q60 = <r^10> * <r^3, s> with phi onto <r^15>
+    whose kernel is <r^3>."""
     built = families.generalized_quaternion(15)
     G, r, s = built.group, built.r, built.s
-    H = G.subgroup([_pow(r, 10, G)], label="Z3")
-    L = G.subgroup([_pow(r, 3, G), s], label="Q20")
-    r15 = _pow(r, 15, G)
-    A = L.subgroup([r15], label="Z2")
-    r3set = set(L.subgroup([_pow(r, 3, G)], label="Z10").elements)
-    phi = {l: (r15 if l not in r3set else G.identity) for l in L.elements}
-    Ct = from_homomorphism(L, phi, A)
-    C = tilde(Ct)
-    return extend_over_factorization(exact_factorization(G, H, L), C)
+    K = G.subgroup([_pow(r, 10)], label="Z3")
+    L = G.subgroup([_pow(r, 3), s], label="Q20")
+    r15 = _pow(r, 15)
+    ker = L.subgroup([_pow(r, 3)])
+    phi = {l: (G.identity if l in ker else r15) for l in L.elements}
+    w = exact_factorization(G, K, L)
+    return construction(w, phi.__getitem__, L.subgroup([r15]), "extend[tilde(homomorphism)]")
 
 
 _CATALOG: dict[str, Callable[[], RBOperator]] = {

@@ -136,7 +136,9 @@ def _cmd_construct(args, out) -> int:
     if args.example:
         B = build.catalog_operator(args.example)
     else:
-        B = build.from_factorization(_parse_split(*args.split))
+        w = _parse_split(*args.split)
+        e = w.group.identity
+        B = build.construction(w, lambda l: e, w.right.subgroup([e]), "split[H*L]")
     v = verify(B)
     if args.dump:
         from . import serialize

@@ -15,7 +15,7 @@ from . import families
 from .perm import FiniteGroup, Grower, Perm, _kept, closure, is_isomorphic
 
 
-def direct_product(A: FiniteGroup, B: FiniteGroup, label: str = "") -> FiniteGroup:
+def direct_product(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
     """A x B acting on the disjoint union of the two domains."""
     dA, dB = A.degree, B.degree
     gens = []
@@ -23,7 +23,7 @@ def direct_product(A: FiniteGroup, B: FiniteGroup, label: str = "") -> FiniteGro
         gens.append(Perm(tuple(g) + tuple(dA + i for i in range(dB))))
     for g in B.generators:
         gens.append(Perm(tuple(range(dA)) + tuple(dA + v for v in g)))
-    return FiniteGroup.from_generators(gens, cap=A.order() * B.order(), label=label)
+    return FiniteGroup.from_generators(gens, cap=A.order() * B.order())
 
 
 def _semidihedral16() -> FiniteGroup:
@@ -127,8 +127,8 @@ def _recognize_large(G: FiniteGroup) -> str | None:
     # 59; every group of order < 60 is solvable, and a solvable perfect
     # group is trivial.  So G is simple, and A5 is the only simple group
     # of order 60.
-    if order in (60, 360, 2520, 181440, 1814400) and _is_perfect(G):
-        return {60: "A5", 360: "PSL(2,9)", 2520: "A7", 181440: "A9", 1814400: "A10"}[order]
+    if order in (60, 360, 2520) and _is_perfect(G):
+        return {60: "A5", 360: "PSL(2,9)", 2520: "A7"}[order]
     return None
 
 

@@ -4,20 +4,18 @@ A group block lists "domain: n", optional "label: ..." and "order: ..."
 lines and "gen: ..." lines (space-separated 0-based images).  An operator
 block appends "op: ..." (image indices into the canonical element list),
 or a "proc: ..." construction descriptor followed by the "distinguished:",
-"r:" and "t:" lines of the build, which parse_operator checks against a
-fresh build.  Round-trips are bit-exact.
+"r:" and "t:" lines of the build; parse_operator rebuilds a proc: operator
+and checks the whole block against format_operator of the build.
+Round-trips are bit-exact.
 """
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from typing import Iterator
 
 from .perm import FiniteGroup, Perm
 from .rbop import RBOperator
-
-
-# the lines after "proc:", checked against a fresh build on parsing
-_BUILD_LINES = ("distinguished", "r", "t")
 
 
 class FormatError(ValueError):
@@ -84,7 +82,7 @@ def format_operator(B: RBOperator) -> str:
     else:
         st = B.structural
         out += f"proc: an n={B.group.degree} case={st['case']} variant={st['variant']}\n"
-        for key in _BUILD_LINES:
+        for key in ("distinguished", "r", "t"):
             out += f"{key}: " + " ".join(map(str, st[key])) + "\n"
     return out
 
@@ -96,9 +94,9 @@ def parse_operator(text: str | list[str]) -> RBOperator:
     )
     if split is None:
         raise FormatError("operator block has no op: or proc: line")
-    G = parse_group(lines[:split])
     head = lines[split]
     if head.startswith("op:"):
+        G = parse_group(lines[:split])
         if not G.enumerated:
             raise FormatError("table operator needs an enumerated group")
         n = G.order()
@@ -113,18 +111,13 @@ def parse_operator(text: str | list[str]) -> RBOperator:
     )
     if not {"n", "variant"} <= fields.keys():
         raise FormatError(f"proc line needs n= and variant=, got {head!r}")
-    n = int(fields["n"])
-    variant = fields["variant"]
     from .transitive import build_an_operator
 
-    B = build_an_operator(n, variant)
-    st = B.structural
-    for line in lines[split + 1 :]:
-        key = line.split(":", 1)[0]
-        if key not in _BUILD_LINES:
-            raise FormatError(f"unexpected operator line {line!r}")
-        if _ints(line, key) != tuple(st[key]):
-            raise FormatError(f"{key}: does not match the build")
+    B = build_an_operator(int(fields["n"]), fields["variant"])
+    built = _lines(format_operator(B))
+    for i, (line, want) in enumerate(zip_longest(lines, built, fillvalue="")):
+        if line != want:
+            raise FormatError(f"line {i + 1}, {line!r}, does not match the build's {want!r}")
     return B
 
 

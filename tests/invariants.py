@@ -77,7 +77,8 @@ def check_invariants(B: RBOperator) -> list[tuple[str, bool]]:
 
     try:
         w = perm.exact_factorization(G, data.ker, data.ker_tilde)
-        matches = build.from_factorization(w).table == B.table
+        e = G.identity
+        matches = build.construction(w, lambda l: e, w.right.subgroup([e])).table == B.table
     except (perm.PermError, build.ConstructionError):
         matches = False
     results.append(("prop7", split == matches))

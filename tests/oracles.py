@@ -16,7 +16,7 @@ import math
 import random
 import re
 
-from rbgroups.build import check_index2, extend_over_factorization, from_homomorphism
+from rbgroups.build import check_index2, construction
 from rbgroups.classify import EnumerationCapExceeded
 from rbgroups.labels import iso_label
 from rbgroups.perm import Perm, automorphism_group, exact_factorization, homomorphism_failure
@@ -394,12 +394,9 @@ def oracle_enumerate(G):
 
 
 def index2_construction(G, K, L, S, t, r):
-    """The non-splitting twist B(k t^d y) = l^-1 r^d as a table operator:
-    after check_index2, the construction of build.reconstruct with phi(l) =
-    r^d(l) onto R = <r>, whose companion is l -> l^-1 r^d(l) on L."""
+    """The non-splitting twist B(k l) = l^-1 r^d(l) as a table operator:
+    after check_index2, build.construction over G = K L with phi(l) =
+    r^d(l) onto R = <r>."""
     check_index2(G, K, K.__contains__, L, S, t, r)
     phi = {l: G.identity if l in S else r for l in L.elements}
-    R = L.subgroup([r], label="R")
-    return extend_over_factorization(
-        exact_factorization(G, K, L), tilde(from_homomorphism(L, phi, R))
-    )
+    return construction(exact_factorization(G, K, L), phi.__getitem__, L.subgroup([r]))

@@ -8,11 +8,19 @@ from rbgroups.perm import Perm, exact_factorization
 from rbgroups.rbop import descendent_group, images, is_splitting, kernel_invariant, verify
 
 
+def _splitting(w):
+    """The construction with phi = e on w: G = K L."""
+    e = w.group.identity
+    return build.construction(w, lambda l: e, w.right.subgroup([e]))
+
+
 def test_from_factorization_splitting():
+    """With phi = e the construction is the splitting operator k l -> l^-1,
+    with kernel K and companion kernel L."""
     G = families.parse_group_spec("S:3").group
     H = G.subgroup([Perm.from_cycles(3, [(0, 1, 2)])])
     L = G.subgroup([Perm.from_cycles(3, [(0, 1)])])
-    B = build.from_factorization(exact_factorization(G, H, L))
+    B = _splitting(exact_factorization(G, H, L))
     assert verify(B).ok and is_splitting(B)
     d = images(B)
     assert set(d.ker.elements) == set(H.elements)
@@ -22,8 +30,8 @@ def test_from_factorization_splitting():
 def test_from_factorization_rejects_inexact():
     G = families.parse_group_spec("S:3").group
     L = G.subgroup([Perm.from_cycles(3, [(0, 1)])])
-    with pytest.raises(ConstructionError):
-        build.from_factorization(exact_factorization(G, L, L))
+    with pytest.raises(ConstructionError, match="^factorization is not exact$"):
+        _splitting(exact_factorization(G, L, L))
 
 
 def test_from_homomorphism_retraction_on_a4():
@@ -37,9 +45,11 @@ def test_from_homomorphism_retraction_on_a4():
 
 
 def test_from_homomorphism_rejects_nonabelian_target():
+    """phi = id into R = G on G = 1 * S3: R is not abelian."""
     G = families.parse_group_spec("S:3").group
-    with pytest.raises(ConstructionError):
-        build.from_homomorphism(G, {g: g for g in G.elements}, G)
+    w = exact_factorization(G, G.subgroup([G.identity]), G)
+    with pytest.raises(ConstructionError, match="R is not abelian"):
+        build.construction(w, lambda g: g, G)
 
 
 def test_d2n_klein_family():
@@ -141,20 +151,22 @@ def test_property_suite_on_catalog():
 
 
 def test_from_homomorphism_checks_every_pair_through_generators():
-    """All 64 maps S3 -> <(0 1)>: exactly the two homomorphisms (trivial and
-    sign) are accepted, as the check on every pair says."""
+    """All 64 maps phi: S3 -> <(0 1)> on G = 1 * S3: exactly the two
+    homomorphisms (trivial and sign) are accepted, as the check on every
+    pair says, and each operator built verifies."""
     import itertools
 
     G = families.parse_group_spec("S:3").group
     A = G.subgroup([Perm.from_cycles(3, [(0, 1)])])
+    w = exact_factorization(G, G.subgroup([G.identity]), G)
     accepted = 0
     for values in itertools.product(A.elements, repeat=G.order()):
         phi = dict(zip(G.elements, values))
         hom = all(phi[g * h] == phi[g] * phi[h] for g in G.elements for h in G.elements)
         try:
-            build.from_homomorphism(G, phi, A)
+            B = build.construction(w, phi.__getitem__, A)
             accepted += 1
-            assert hom
+            assert hom and verify(B).ok
         except ConstructionError:
             assert not hom
     assert accepted == 2
@@ -168,8 +180,10 @@ def test_from_homomorphism_checks_every_pair_through_generators():
     ("S:4", [[(0, 1)], [(0, 1, 2)]], [[(0, 1), (2, 3)], [(0, 2), (1, 3)]], {True, False}),
 ])
 def test_extend_over_factorization_normality_matches_exhaustive(spec, h_gens, l_gens, expected):
-    """Each operator C on L extends iff Im(C~) normalizes H element by element
-    (H normal in G in the middle two cases)."""
+    """For each operator C on the abelian L, phi = C~ is a homomorphism
+    into R = L, and the construction over G = H L (which maps h l to C(l))
+    succeeds iff Im(C~) normalizes H element by element (H normal in G in
+    the middle two cases); each operator it builds verifies."""
     from oracles import normal_in
     from rbgroups.classify import enumerate_rb
 
@@ -177,14 +191,16 @@ def test_extend_over_factorization_normality_matches_exhaustive(spec, h_gens, l_
     n = G.degree
     H = G.subgroup([Perm.from_cycles(n, c) for c in h_gens])
     L = G.subgroup([Perm.from_cycles(n, c) for c in l_gens])
+    assert L.is_abelian()
     w = exact_factorization(G, H, L)
     outcomes = set()
     for C in enumerate_rb(L):
         Ct = rbop.tilde(C)
         normalizes = normal_in(H.elements, {Ct(l) for l in L.elements})
         try:
-            B = build.extend_over_factorization(w, C)
+            B = build.construction(w, Ct, L)
             assert normalizes and verify(B).ok
+            assert all(B(x) == C(l) for x, (_, l) in w.table.items())
         except ConstructionError:
             assert not normalizes
         outcomes.add(normalizes)

@@ -540,25 +540,42 @@ def test_classify_tests_the_shape_once_per_nonsplitting_class(monkeypatch):
     assert tables == nonsplit and len(tables) == 7
 
 
+def _d16_nonsplitting_representatives():
+    G = families.parse_group_spec("D:16").group
+    ops = classify.enumerate_rb(G)
+    return [c[0] for c in classify.equivalence_classes(G, ops) if not is_splitting(c[0])]
+
+
 def test_reconstruct_tests_exactness_before_building(monkeypatch):
     """On the 7 non-splitting class representatives of D:16, reconstruct
     tries 12 branches: C = B, then C = B~ where that fails.  The 5 whose
-    K L is not exact make no from_homomorphism call, so it builds 7
-    homomorphism operators, one per representative (12 when the
-    homomorphism was built before exactness was tested)."""
-    G = families.parse_group_spec("D:16").group
-    ops = classify.enumerate_rb(G)
-    reps = [c[0] for c in classify.equivalence_classes(G, ops) if not is_splitting(c[0])]
-    exact, homs = [], []
-    factor, hom = build.exact_factorization, build.from_homomorphism
+    K L is not exact make no construction call, so it builds 7 operators,
+    one per representative (12 when the homomorphism operator was built
+    before exactness was tested)."""
+    reps = _d16_nonsplitting_representatives()
+    exact, built = [], []
+    factor, construction = build.exact_factorization, build.construction
     monkeypatch.setattr(
         build, "exact_factorization", lambda *a: exact.append(factor(*a)) or exact[-1]
     )
-    monkeypatch.setattr(build, "from_homomorphism", lambda *a: homs.append(a) or hom(*a))
+    monkeypatch.setattr(build, "construction", lambda *a: built.append(a) or construction(*a))
     results = [build.reconstruct(B) for B in reps]
     assert all(C == B for B, C in zip(reps, results))
     assert len(reps) == 7 and len(exact) == 12
-    assert sum(not w.exact for w in exact) == 5 and len(homs) == 7
+    assert sum(not w.exact for w in exact) == 5 and len(built) == 7
+
+
+def test_reconstruct_does_not_verify(monkeypatch):
+    """reconstruct rebuilds D:16's 7 non-splitting class representatives
+    without computing verify: build.construction proves the identity, and
+    the table comparison with C is the check.  Verifying every operator
+    it built took 14 computations over 3,008 pairs."""
+    reps = _d16_nonsplitting_representatives()
+    computed = []
+    compute = rbop.verify.__wrapped__
+    monkeypatch.setattr(rbop.verify, "__wrapped__", lambda B: computed.append(B) or compute(B))
+    assert all(build.reconstruct(B) == B for B in reps)
+    assert len(reps) == 7 and computed == []
 
 
 def test_classify_builds_each_companion_once(monkeypatch):

@@ -374,11 +374,19 @@ def test_readme_verify_output_is_pinned(command, tmp_path):
 # sha256 of the stdout of commands that no other tier-1 test pins, recorded
 # before the shape test became build.reconstruct: the op: line of every
 # operator of D16 and of A4, and the splitting operator of S3 = <(0 1 2)> *
-# <(0 1)> built by construct --split.
+# <(0 1)> built by construct --split.  The catalog dumps, recorded before
+# the catalog was built by build.construction, pin each example's table and
+# its operator: provenance line.
 CLI_DIGESTS = {
     "enumerate D:16": "378439909c16ea27c903d2eaa550eafdde99b203e5cef01bfbced3ea54029505",
     "enumerate A:4": "26ecb25e9d3810b6dde63e245832f5264a3321092cc364221cf57f9c8e45868b",
     "construct --split S:3 1,2,0 1,0,2": "264eb48909ed0f324fa5fb1fb916060de7cf827bcfa1772843a57bc3dd3d0305",
+    "construct --example s3 --dump": "3ceb9d3c3a9ed884187d56f693d108a30d37a63fd39c021d0a351b11c812672f",
+    "construct --example a4_b1 --dump": "8e42a5aa47f69271dd806d2e5e2659959ca6a3833434e698e5a03f359ffa2578",
+    "construct --example a4_b2 --dump": "4e3bb30dc3ee1b308d285f6323700eafcab6ea77039b4c14813fdb030167f01e",
+    "construct --example d16 --dump": "5c94c00878e39f77e6a2d2b576d902deb0ca2f68ffa90870dcd4fac72be6731d",
+    "construct --example d60 --dump": "960fd21708e06321c3fec9e594d9c1e567b002e6062e69250bcb93fae986bccf",
+    "construct --example d2n_klein(8) --dump": "2c1660febc73afa24872be8113e356e1d7f8736885fd79c9b756e30277558741",
 }
 
 
@@ -442,10 +450,10 @@ def test_descendent_n_output_is_pinned(n, s_pairs):
 
 
 def test_construct_verifies_its_operator_once(monkeypatch):
-    """construct --example q60 computes verify once per operator: the
-    check in from_table keeps its verdict on the operator, and the
-    verify: line reads it.  The build checks two operators, the
-    homomorphism operator on Q20 and the q60 operator itself."""
+    """construct --example q60 computes verify once, for its verify:
+    line: build.construction proves the identity, so building the
+    operator verifies nothing (it verified the homomorphism operator on
+    Q20 and the q60 operator when the catalog went through from_table)."""
     from rbgroups import rbop
 
     verified = []
@@ -458,4 +466,4 @@ def test_construct_verifies_its_operator_once(monkeypatch):
     monkeypatch.setattr(rbop.verify, "__wrapped__", counted)
     code, text = run(["construct", "--example", "q60"])
     assert code == 0 and text.endswith("verify: pass pairs=3600 seed=-\n")
-    assert sorted(map(len, verified)) == [20, 60]
+    assert sorted(map(len, verified)) == [60]

@@ -1,5 +1,9 @@
-from rbgroups import families, transitive
-from rbgroups.labels import _is_perfect, iso_label
+import time
+
+import pytest
+
+from rbgroups import families, gf, transitive
+from rbgroups.labels import _is_perfect, direct_product, iso_label
 from rbgroups.perm import FiniteGroup, Perm
 
 
@@ -57,3 +61,32 @@ def test_each_group_has_its_invariant_computed_once(monkeypatch):
         assert {id(G) for G in computed} == {id(G) for G in refs + groups}
     finally:
         labels._reference_catalog.cache_clear()
+
+
+def _psl28() -> FiniteGroup:
+    """PSL(2,8) on the projective line over GF(8), points 0..7 the field
+    elements and 8 the point at infinity, generated by x -> x + 1,
+    x -> w x and x -> 1/x."""
+    F = gf.make_field(2, 3)
+    inf = F.size
+
+    def on_line(f):
+        return Perm(tuple(f(x) for x in range(F.size)) + (inf,))
+
+    flip = [inf] + [F.inv(x) for x in range(1, F.size)] + [0]
+    return FiniteGroup.from_generators(
+        [on_line(lambda x: F.add(x, 1)), on_line(lambda x: F.mul(F.w, x)), Perm(tuple(flip))]
+    )
+
+
+@pytest.mark.slow
+def test_perfect_order_is_not_a_name():
+    """PSL(2,8) x A6 is perfect of order 181,440 = |A9| and is not A9, so
+    it gets the invariant string.  Budget 30 s; about 5 s."""
+    start = time.perf_counter()
+    psl = _psl28()
+    assert psl.order() == 504 and _is_perfect(psl)
+    G = direct_product(psl, families.alternating(6).group)
+    assert G.order() == 181440 and _is_perfect(G)
+    assert iso_label(G).startswith("G[order=181440,abelian=False,spectrum=")
+    assert time.perf_counter() - start < 30

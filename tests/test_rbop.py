@@ -9,7 +9,7 @@ from oracles import digit_sampler, perm_check_pair, perm_circ, rebuilt
 from rbgroups import build, families, rbop, serialize, transitive
 from rbgroups.classify import enumerate_rb
 from rbgroups.labels import iso_label
-from rbgroups.perm import FiniteGroup, Perm, PermError
+from rbgroups.perm import FiniteGroup, Perm, PermError, exact_factorization
 from rbgroups.rbop import (
     InvalidOperator,
     check_pair,
@@ -173,17 +173,18 @@ def test_property_suite_on_s3_operators():
 
 def test_a4_descendent_products_by_hand():
     # A4 = V4 . <c>: the catalog retraction B(v c^k) = c^k is non-splitting
-    # with descendent A4; the inverse retraction B(v c^k) = c^-k is splitting
-    # with descendent Z6xZ2.
+    # with descendent A4; the inverse retraction B(v c^k) = c^-k, the
+    # splitting operator of that factorization, has descendent Z6xZ2.
     B = build.catalog_operator("a4_b2")
     G = B.group
     c = Perm.from_cycles(4, [(1, 2, 3)])
     cp = [G.identity, c, c * c]
     V = [g for g in G.elements if g.order() in (1, 2)]
     assert len(V) == 4
-    Binv = build.from_homomorphism(
-        G, {v * cp[k]: cp[-k % 3] for v in V for k in range(3)}, G.subgroup([c])
-    )
+    w = exact_factorization(G, G.subgroup(V), G.subgroup([c]))
+    Binv = build.construction(w, lambda l: G.identity, G.subgroup([G.identity]))
+    assert verify(Binv).ok
+    assert all(Binv(v * cp[k]) == cp[-k % 3] for v in V for k in range(3))
     for v in V:
         for k in range(3):
             assert B(v * cp[k]) == cp[k]

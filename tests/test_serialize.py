@@ -55,23 +55,33 @@ def test_parse_operator_rejects_garbage():
         parse_operator("not a real block")
 
 
-# (old, new): one line of the build-an --n 9 dump broken, or a line added
+# (old, new): one line of the build-an --n 9 dump broken, or a line added;
+# every line of the block is checked against the build
 TAMPERED = {
     "r": ("r: 3 5 4", "r: 5 3 4"),  # another permutation
     "t": ("t: 0 4", "t: x 4"),
     "distinguished": ("distinguished: 7 8", "distinguished: 8 7"),
     "unknown": ("t: ", "extra: 1\nt: "),
+    "gen": ("gen: 1 2 0 3", "gen: 2 0 1 3"),  # another 3-cycle
+    "order": ("order: 181440", "order: 7"),
+    "case": ("case=a", "case=zz"),
+    "proc": ("proc: an", "proc: xx"),
 }
 
 
-@pytest.mark.parametrize("case", TAMPERED)
-def test_tampered_proc_dump_is_refused(case, tmp_path):
-    """parse_operator raises FormatError and verify on the file exits 1."""
+@pytest.fixture(scope="module")
+def an9_dump():
     out = io.StringIO()
     assert cli.main(["build-an", "--n", "9", "--dump"], out=out) == 0
+    return out.getvalue().split("operator:")[0]
+
+
+@pytest.mark.parametrize("case", TAMPERED)
+def test_tampered_proc_dump_is_refused(case, an9_dump, tmp_path):
+    """parse_operator raises FormatError and verify on the file exits 1."""
     old, new = TAMPERED[case]
-    assert old in out.getvalue()
-    text = out.getvalue().split("operator:")[0].replace(old, new)
+    assert old in an9_dump
+    text = an9_dump.replace(old, new)
     with pytest.raises(FormatError):
         parse_operator(text)
     path = tmp_path / "an9.op"
