@@ -1,6 +1,7 @@
 """Operator constructions: the general construction over an exact
-factorization with a homomorphism into an abelian subgroup, the index-2
-twist, and a catalog of named example operators."""
+factorization with a homomorphism into an abelian subgroup, which builds
+table and procedural operators alike, and a catalog of named example
+operators."""
 
 from __future__ import annotations
 
@@ -31,13 +32,16 @@ def construction(
     factorization w: G = K L, for a homomorphism phi: L -> R into an
     abelian subgroup R of L whose image normalizes K; phi = e gives the
     splitting operator k l -> l^-1.  ConstructionError names the first
-    precondition that fails: w is exact; R is abelian and lies in L; phi is
-    a homomorphism on L (perm.homomorphism_failure); phi(s) lies in R and
-    normalizes K for each generator s of L, checked on K's generators
-    (conjugation is an automorphism, and the phi(s) generate phi(L)).
+    precondition that fails: w is exact (w.exact); R is abelian and lies
+    in L; phi is a homomorphism on L (perm.homomorphism_failure); phi(s)
+    lies in R and normalizes K for each generator s of L, checked on K's
+    generators (conjugation is an automorphism, and the phi(s) generate
+    phi(L)), with x in K iff w.part(x) = w.part(e).
 
-    Nothing verifies the result: the preconditions prove the identity.
-    With x = k l, y = k' l' and B(x) = l^-1 phi(l)^-1,
+    B(x) is the image (phi(l) l)^-1 of the l with w.part(l) = w.part(x):
+    a table operator when G is enumerated, else a procedure that looks up
+    w.part(x).  Nothing verifies the result: the preconditions prove the
+    identity.  With x = k l, y = k' l' and B(x) = l^-1 phi(l)^-1,
 
         x o y = x B(x) y B(x)^-1 = k (phi(l)^-1 k' phi(l)) m,
         m = phi(l)^-1 l' phi(l) l,
@@ -49,7 +53,7 @@ def construction(
     """
     if not w.exact:
         raise ConstructionError("factorization is not exact")
-    G, K, L = w.group, w.left, w.right
+    G, K, L, part = w.group, w.left, w.right, w.part
     if not R.is_abelian():
         raise ConstructionError("R is not abelian")
     rset = R._element_set()
@@ -59,71 +63,20 @@ def construction(
     bad = homomorphism_failure(on_l.__getitem__, L)
     if bad is not None:
         raise ConstructionError(f"phi is not a homomorphism at ({bad[0]!r}, {bad[1]!r})")
-    kset = K._element_set()
+    coset_k = part(G.identity)
     for s in L.generators:
         z = on_l[s]
         if z not in rset:
             raise ConstructionError(f"phi({s!r}) = {z!r} lies outside R")
         for k in K.generators:
-            if k.conj(z) not in kset:
+            if part(k.conj(z)) != coset_k:
                 raise ConstructionError(f"phi({s!r}) does not normalize K at {k!r}")
-    image = {l: G.index(l.inverse() * z.inverse()) for l, z in on_l.items()}
-    table = tuple(image[w.table[x][1]] for x in G.elements)
+    body = {part(l): (z * l).inverse() for l, z in on_l.items()}
+    if not G.enumerated:
+        return RBOperator(group=G, proc=lambda x: body[part(x)], provenance=provenance)
+    index = {p: G.index(b) for p, b in body.items()}
+    table = tuple(index[part(x)] for x in G.elements)
     return RBOperator(group=G, table=table, provenance=provenance)
-
-
-def check_index2(
-    G: FiniteGroup,
-    K: FiniteGroup,
-    in_k: Callable[[Perm], bool],
-    L: FiniteGroup,
-    S: FiniteGroup,
-    t: Perm,
-    r: Perm,
-) -> None:
-    """Raise ConstructionError naming the first failed precondition of the
-    index-2 construction over G = K * L; `in_k` is the membership test for K.
-
-    - G = K * L is exact: |K| |L| = |G| and K meets L trivially (as
-      |K L| = |K| |L| / |K meet L|).
-    - S is a subgroup of index 2 in L, and t lies in L outside S.  This is
-      all that d, the S-coset indicator on L, needs: a subgroup of index 2
-      is normal (its one other left coset and its one other right coset are
-      both L - S), so d is the quotient map L -> L/S = Z2, a homomorphism.
-      As r^2 = e, l -> r^d(l) is then a homomorphism L -> <r>.
-      tests/test_transitive.py checks d on all of L x L for n = 9 and 10.
-    - r is an involution of S (an involution outside S degenerates to the
-      splitting operator of G = <K, r> * S).
-    - <r> normalizes K, checked on K.generators: conjugation by r is an
-      automorphism, so r K r^-1 is generated by the conjugates of those
-      generators and lies in K when they do; <r> = {e, r}.
-    """
-    if K.order() * L.order() != G.order():
-        raise ConstructionError("G = K*L is not exact: |K| |L| != |G|")
-    for l in L.elements:
-        if in_k(l) and not l.is_identity():
-            raise ConstructionError(f"G = K*L is not exact: K meets L at {l!r}")
-    if 2 * S.order() != L.order():
-        raise ConstructionError("S does not have index 2 in L")
-    sset, lset = S._element_set(), L._element_set()
-    if not (sset <= lset and L.is_subgroup(sset)):
-        raise ConstructionError("S is not a subgroup of L")
-    if t not in lset or t in sset:
-        raise ConstructionError("t must lie in L outside S")
-    if r.is_identity() or not (r * r).is_identity():
-        raise ConstructionError("r is not an involution")
-    if r not in sset:
-        raise ConstructionError("r must lie in S")
-    for k in K.generators:
-        if not in_k(k.conj(r)):
-            raise ConstructionError(f"<r> does not normalize K at {k!r}")
-
-
-def index2_body(L: FiniteGroup, S: FiniteGroup, r: Perm) -> dict[Perm, Perm]:
-    """The |L| images l -> l^-1 r^d(l) of the index-2 operator, d(l) = 0 on
-    S and 1 off S: the operator maps x = k l to the image of its L-part l."""
-    sset = S._element_set()
-    return {l: l.inverse() if l in sset else l.inverse() * r for l in L.elements}
 
 
 def reconstruct(B: RBOperator) -> RBOperator | None:

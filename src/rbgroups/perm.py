@@ -505,15 +505,23 @@ def homomorphism_failure(
     f: Callable[[Perm], Perm], H: FiniteGroup
 ) -> Optional[tuple[Perm, Perm]]:
     """The first (y, s), y in H and s among H.generators, with
-    f(y s) != f(y) f(s); None when f is a homomorphism on H.
+    f(y s) != f(y) f(s); None when f is a homomorphism on H.  f(y) f(s)
+    is multiplied once for each distinct (f(y), s), and y s is one
+    translate by s padded to 256 bytes.
 
     Checking generators is enough: every z in H is a positive word
     s1...sk in them, so by induction on k, f(y z) = f(y) f(s1)...f(sk);
     with y = e, where f(s) = f(e) f(s) gives f(e) = e, that reads
     f(z) = f(s1)...f(sk), so f(y z) = f(y) f(z)."""
+    pad = _ID[H.degree :]
+    gens = [(s, s + pad, f(s), {}) for s in H.generators]
     for y in H.elements:
-        for s in H.generators:
-            if f(y * s) != f(y) * f(s):
+        fy = f(y)
+        for s, padded, fs, products in gens:
+            p = products.get(fy)
+            if p is None:
+                p = products[fy] = fy * fs
+            if f(_new(Perm, y.translate(padded))) != p:
                 return y, s
     return None
 
@@ -592,29 +600,40 @@ def is_isomorphic(G: FiniteGroup, H: FiniteGroup) -> bool:
 
 
 class FactorizationWitness(NamedTuple):
-    """G = HL with the decomposition table x -> (h, l) when exact."""
+    """G = H L, with part naming the right coset H x of each x of H L:
+    part(h x) = part(x) for h in H, and part(x) = part(y) only when
+    H x = H y."""
 
     group: FiniteGroup
     left: FiniteGroup
     right: FiniteGroup
-    exact: bool
-    table: Optional[dict[Perm, tuple[Perm, Perm]]] = None
+    part: Callable[[Perm], Any]
+
+    @property
+    def exact(self) -> bool:
+        """Whether G = H L is exact: |H| |L| = |G| and part tells the
+        elements of L apart.  l1, l2 in L share a coset iff l1 l2^-1 lies
+        in H meet L, so the second holds iff H meets L in e alone, and
+        then |H L| = |H| |L| = |G|."""
+        L = self.right
+        return (
+            self.left.order() * L.order() == self.group.order()
+            and len(set(map(self.part, L.elements))) == L.order()
+        )
 
 
 def exact_factorization(
     G: FiniteGroup, H: FiniteGroup, L: FiniteGroup
 ) -> FactorizationWitness:
-    """Check G = H * L with trivial intersection; build x -> (h, l) table."""
+    """The witness for G = H L, for subgroups H and L of the enumerated G.
+    part(x) is the last l of L.elements with x in H l, read off
+    G.mult_table(): those l are the elements of L in the coset H x, so
+    part names the cosets; when G = H L is exact, part(h l) = l."""
     for S in (H, L):
         if not G.is_subgroup(S.elements):
             raise PermError(f"{S.label or 'factor'} is not a subgroup of G")
-    inter = set(H.elements) & set(L.elements)
-    exact = (H.order() * L.order() == G.order()) and inter == {G.identity}
-    table = None
-    if exact:
-        table = {}
-        for h in H.elements:
-            for l in L.elements:
-                table[h * l] = (h, l)
-        assert len(table) == G.order()
-    return FactorizationWitness(group=G, left=H, right=L, exact=exact, table=table)
+    T, elems = G.mult_table(), G.elements
+    rows = [T[G.index(h)] for h in H.elements]
+    cols = [(l, G.index(l)) for l in L.elements]
+    part = {elems[row[j]]: l for l, j in cols for row in rows}
+    return FactorizationWitness(group=G, left=H, right=L, part=part.__getitem__)

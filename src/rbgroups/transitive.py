@@ -10,12 +10,16 @@ import random
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import families
-from .build import ConstructionError, check_index2, index2_body
+from .build import ConstructionError, construction
 from .gf import FiniteField, make_field, prime_factors, prime_power
-from .perm import _ID, ENUMERATION_CAP, FiniteGroup, Perm, _new
+from .perm import _ID, ENUMERATION_CAP, FactorizationWitness, FiniteGroup, Perm, _new
 from .rbop import DEFAULT_SAMPLES, DEFAULT_SEED, RBOperator, circ_kernel, verify
 
 SUPPORTED_DEGREES = (9, 10, 49, 50)
+
+# Seeded samples of descendent_structure's K loop and twist loop.
+DESCENDENT_K_SAMPLES = 10_000
+DESCENDENT_TWIST_SAMPLES = 10_000
 
 # Largest radix product of one chunk of Fisher-Yates steps in even_sampler:
 # the size of that chunk's decode table.
@@ -306,17 +310,16 @@ def build_an_operator(n: int, variant: str = "default") -> RBOperator:
     (case b) point indices.  sharply3 builds M(q) on the A_n numbering
     with (0, 1, infinity) on those three points, so past the choice of
     L, S and the distinguished points both cases run the same code.  r is
-    the least involution of S = ker(B~) stabilizing the distinguished set.
-    K is the pointwise stabilizer of the distinguished points;
-    build.check_index2 checks the construction and build.index2_body
-    gives the image of each l in L, as for table operators.
+    the least involution of S = ker(B~) stabilizing the distinguished set,
+    and t the least element of L outside S.  B is build.construction over
+    A_n = K L, K the pointwise stabilizer of the distinguished points,
+    with phi(l) = r^d(l) onto R = {e, r} (_twist).
 
-    One lookup evaluates B.  With key = the images of the distinguished
-    points, x = k l has key(x) = key(l), as x(i) = l(k(i)) = l(i) there.
-    key is injective on L: key(l1) = key(l2) puts l1 l2^-1 in L fixing
-    every distinguished point, that is in K meet L, which check_index2
-    found trivial.  So the images re-keyed by key(l) give
-    B(x) = image[key(x)]."""
+    One lookup evaluates B: the construction's part is key = the images
+    of the distinguished points, and it names the right cosets of K:
+    key(k x) = key(x), as (k x)(i) = x(k(i)) = x(i) there, and key(x) =
+    key(y) puts x y^-1 in A_n fixing every distinguished point, that is in
+    K, so K x = K y."""
     if variant not in VARIANTS:
         raise TransitiveError(f"variant must be one of {VARIANTS}")
     v = admissible(n)
@@ -351,9 +354,8 @@ def build_an_operator(n: int, variant: str = "default") -> RBOperator:
     kpoints = [i for i in range(n) if i not in distinguished]
     K = families.alternating_on_points(n, kpoints)
     G = families.alternating(n).group
-    check_index2(G, K, _fixes(distinguished), L, S, t, r)
-    key = operator.itemgetter(*distinguished)
-    image = {key(l): b for l, b in index2_body(L, S, r).items()}
+    R = FiniteGroup.from_elements([G.identity, r], label="R")
+    B = _twist(G, K, L, S, R, distinguished)
 
     im_tilde = FiniteGroup.generator_only(
         n,
@@ -361,7 +363,6 @@ def build_an_operator(n: int, variant: str = "default") -> RBOperator:
         order=2 * K.order(),
         label="Im(B~)",
     )
-    R = FiniteGroup.from_elements([G.identity, r], label="R")
     structural = {
         "ker": K,
         "im": L,
@@ -376,16 +377,22 @@ def build_an_operator(n: int, variant: str = "default") -> RBOperator:
     }
     return RBOperator(
         group=G,
-        proc=lambda x: image[key(x)],
+        proc=B.proc,
         provenance=f"an[{n},{variant}]",
         structural=structural,
     )
 
 
-def _fixes(points: tuple[int, ...]) -> Callable[[Perm], bool]:
-    """Membership test for K = Alt(the other points): the even
-    permutations that fix every distinguished point."""
-    return lambda x: all(x[i] == i for i in points)
+def _twist(
+    G: FiniteGroup, K: FiniteGroup, L: FiniteGroup, S: FiniteGroup, R: FiniteGroup, points: tuple
+) -> RBOperator:
+    """build.construction over G = K L, the right cosets of K named by the
+    images of the distinguished `points`, with phi(l) = r^d(l) onto
+    R = {e, r} (r an involution), d the S-coset indicator on L (0 on S,
+    1 off S)."""
+    (e, r), sset = R.elements, S._element_set()
+    w = FactorizationWitness(G, K, L, operator.itemgetter(*points))
+    return construction(w, lambda l: e if l in sset else r, R)
 
 
 # -- verification layers ---------------------------------------------------
@@ -504,15 +511,21 @@ def verify_an_operator(
     sample_count: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
 ) -> LayeredVerdict:
-    """Three layers: the preconditions of the construction (check_index2)
-    and agreement with its body on L, the defining identity on L x L, and
-    seeded random pairs from A_n.
+    """Three layers: the structure of the construction and agreement with
+    its body on L, the defining identity on L x L, and seeded random pairs
+    from A_n.
+
+    Layer 1 checks the index-2 facts the dump records (t in L outside S,
+    r an involution in S), then rebuilds B by build.construction, which
+    names the first of its preconditions that fails, and compares the two
+    on L.  With r an involution, phi = r^d is a homomorphism iff d, the
+    S-coset indicator, is one L -> Z2, with kernel S of index 2.
 
     Layer 2 is rbop.verify on B restricted to L, a table operator on L's
     Cayley table, and follows from layer 1; it runs as a check of it.
     For g, h in L, a = d(g), b = d(h), layer 1 gives B(g) = g^-1 r^a in L,
-    with r an involution of S and d a homomorphism L -> Z2 (check_index2).
-    So g o h = g g^-1 r^a h r^-a g = r^a h r^a g lies in L with d = a + b,
+    with r an involution of S and d a homomorphism L -> Z2.  So
+    g o h = g g^-1 r^a h r^-a g = r^a h r^a g lies in L with d = a + b,
     as d(r) = 0, and B(g o h) = g^-1 r^a h^-1 r^a r^(a+b) = B(g) B(h): the
     restriction satisfies the identity exactly where B does on L x L.  An
     L of more than ENUMERATION_CAP elements (M(49), at n = 50) is refused
@@ -542,14 +555,20 @@ def verify_an_operator(
             pairs_exhaustive=0, pairs_sampled=0, seed=seed,
         )
 
-    # layer 1: structure; an element of L is its own L-part
+    # layer 1: the index-2 facts, then the construction
+    if t not in L or t in S:
+        return fail(1, "t must lie in L outside S")
+    if r.is_identity() or not (r * r).is_identity():
+        return fail(1, "r is not an involution")
+    if r not in S:
+        return fail(1, "r must lie in S")
     try:
-        check_index2(B.group, K, _fixes(st["distinguished"]), L, S, t, r)
+        R = FiniteGroup.from_elements([B.group.identity, r])
+        C = _twist(B.group, K, L, S, R, st["distinguished"])
     except ConstructionError as exc:
         return fail(1, str(exc))
-    image = index2_body(L, S, r)
     for l in L.elements:
-        if B(l) != image[l]:
+        if B(l) != C(l):
             return fail(1, f"B(l) != l^-1 r^d(l) at {l!r}")
 
     # layer 2: the identity on L x L, as B restricted to L
@@ -587,12 +606,7 @@ class DescendentReport(NamedTuple):
     twist_samples: int
 
 
-def descendent_structure(
-    B: RBOperator,
-    k_samples: int = 10_000,
-    twist_samples: int = 10_000,
-    seed: int = DEFAULT_SEED,
-) -> DescendentReport:
+def descendent_structure(B: RBOperator, seed: int = DEFAULT_SEED) -> DescendentReport:
     """The product g o h = g B(g) h B(g)^-1 restricted to the parts of the
     construction: opposite product on S, plain product on K, and the
     twisted commutation l o h = h^(r^d) o l across parts.
@@ -606,14 +620,12 @@ def descendent_structure(
     the pairwise walk in canonical order.  s_pairs counts that walk's
     pairs: |S|^2 on a pass, i |S| + j + 1 at (S.elements[i], S.elements[j]).
 
-    The K-elements are drawn uniformly from K = Alt(the points outside
-    the distinguished ones) with even_sampler, one rng.randrange call per
-    element, and l is a seeded rng.choice from L.  Both loops compare
+    The K loop takes DESCENDENT_K_SAMPLES pairs and the twist loop
+    DESCENDENT_TWIST_SAMPLES.  The K-elements are drawn uniformly from
+    K = Alt(the points outside the distinguished ones) with even_sampler,
+    one rng.randrange call per element, and l is a seeded rng.choice from
+    L.  Both loops compare
     image bytes of products from rbop.circ_kernel."""
-    if k_samples < 0 or twist_samples < 0:
-        raise TransitiveError(
-            f"sample counts must be >= 0, got {k_samples} and {twist_samples}"
-        )
     st = B.structural
     S, r, L = st["ker_tilde"], st["r"], st["im"]
     sset = S._element_set()
@@ -631,7 +643,7 @@ def descendent_structure(
     random_k = even_sampler(n, [i for i in range(n) if i not in st["distinguished"]])
     circ, pad = circ_kernel(B), _ID[n:]
 
-    for i in range(k_samples):
+    for i in range(DESCENDENT_K_SAMPLES):
         h1, h2 = random_k(rng), random_k(rng)
         if circ(h1, h2)[1] != h1.translate(h2 + pad):
             return DescendentReport(
@@ -639,11 +651,10 @@ def descendent_structure(
             )
 
     lelems, rpad = L.elements, r + pad
-    for i in range(twist_samples):
+    for i in range(DESCENDENT_TWIST_SAMPLES):
         l, h = rng.choice(lelems), random_k(rng)
         h_tw = h if l in sset else _new(Perm, r.translate(h + pad).translate(rpad))
         if circ(l, h)[1] != circ(h_tw, l)[1]:
-            return DescendentReport(
-                False, f"l o h != h^(r^d) o l at sample {i}", s_pairs, k_samples, i + 1
-            )
-    return DescendentReport(True, "", s_pairs, k_samples, twist_samples)
+            detail = f"l o h != h^(r^d) o l at sample {i}"
+            return DescendentReport(False, detail, s_pairs, DESCENDENT_K_SAMPLES, i + 1)
+    return DescendentReport(True, "", s_pairs, DESCENDENT_K_SAMPLES, DESCENDENT_TWIST_SAMPLES)

@@ -9,17 +9,23 @@ totals and conformance flags computed operator by operator, the
 shape test that build.reconstruct replaced, a copy of a group or
 operator rebuilt through its constructor, every operator on a group of
 order at most ORACLE_CAP by backtracking over its table, and the index-2
-twist as a table operator."""
+twist's body and the twist as a table operator."""
 
 import itertools
 import math
 import random
 import re
 
-from rbgroups.build import check_index2, construction
+from rbgroups.build import construction
 from rbgroups.classify import EnumerationCapExceeded
 from rbgroups.labels import iso_label
-from rbgroups.perm import Perm, automorphism_group, exact_factorization, homomorphism_failure
+from rbgroups.perm import (
+    FiniteGroup,
+    Perm,
+    automorphism_group,
+    exact_factorization,
+    homomorphism_failure,
+)
 from rbgroups.rbop import from_table, graph, images, is_splitting, tilde
 
 ORACLE_CAP = 10
@@ -393,10 +399,17 @@ def oracle_enumerate(G):
     return ops
 
 
-def index2_construction(G, K, L, S, t, r):
-    """The non-splitting twist B(k l) = l^-1 r^d(l) as a table operator:
-    after check_index2, build.construction over G = K L with phi(l) =
-    r^d(l) onto R = <r>."""
-    check_index2(G, K, K.__contains__, L, S, t, r)
+def index2_body(L, S, r):
+    """The reference body of the index-2 twist: l -> l^-1 r^d(l) on L,
+    with d(l) = 0 on S and 1 off S."""
+    sset = set(S.elements)
+    return {l: l.inverse() if l in sset else l.inverse() * r for l in L.elements}
+
+
+def index2_construction(G, K, L, S, r):
+    """The index-2 twist B(k l) = l^-1 r^d(l) as a table operator:
+    build.construction over G = K L with phi(l) = r^d(l) onto
+    R = {e, r}."""
     phi = {l: G.identity if l in S else r for l in L.elements}
-    return construction(exact_factorization(G, K, L), phi.__getitem__, L.subgroup([r]))
+    R = FiniteGroup.from_elements([G.identity, r])
+    return construction(exact_factorization(G, K, L), phi.__getitem__, R)

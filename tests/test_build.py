@@ -1,7 +1,7 @@
 import pytest
 
 from invariants import assert_invariants
-from oracles import index2_construction
+from oracles import index2_body, index2_construction
 from rbgroups import build, classify, families, rbop
 from rbgroups.build import ConstructionError
 from rbgroups.perm import Perm, exact_factorization
@@ -71,19 +71,19 @@ def test_d16_example_values():
 
 
 def test_index2_rejects_r_outside_s():
-    # Q12 = <a> . <b> with a of order 3: taking r = b^2 (the central
-    # involution, outside S = <b^2> complement) must be rejected by the
-    # membership check r in S.
+    # Q12 = <a> . <b> with a of order 3: r = the generator of order 6 lies
+    # outside S = <b^2>, and outside L = <b> too, so R = {e, r} does not
+    # lie in L and the construction refuses it.
     built = families.generalized_quaternion(3)
     G = built.group
     a = built.r * built.r  # order 3
     K = G.subgroup([a], label="K")
     L = G.subgroup([built.s], label="L")  # Z4
     S = G.subgroup([built.s * built.s], label="S")  # Z2 inside L
-    t = built.s
     bad_r = built.r  # not an involution and not in S
-    with pytest.raises(ConstructionError):
-        index2_construction(G, K, L, S, t, bad_r)
+    assert bad_r not in S and bad_r not in L
+    with pytest.raises(ConstructionError, match="^R does not lie in L$"):
+        index2_construction(G, K, L, S, bad_r)
 
 
 def _d16_index2_data():
@@ -108,11 +108,9 @@ def test_index2_construction_on_d16(name):
     G, K, L, subgroups, r4 = _d16_index2_data()
     S = subgroups[name]
     assert 2 * S.order() == L.order() and r4 in S
-    t = min(l for l in L.elements if l not in S)
-    B = index2_construction(G, K, L, S, t, r4)
-    body = build.index2_body(L, S, r4)
-    w = exact_factorization(G, K, L)
-    assert all(B(x) == body[l] for x, (_, l) in w.table.items())
+    B = index2_construction(G, K, L, S, r4)
+    body = index2_body(L, S, r4)
+    assert all(B(k * l) == body[l] for k in K.elements for l in L.elements)
     assert verify(B).ok
     assert not is_splitting(B)
     assert images(B).R.order() == 2
@@ -200,7 +198,7 @@ def test_extend_over_factorization_normality_matches_exhaustive(spec, h_gens, l_
         try:
             B = build.construction(w, Ct, L)
             assert normalizes and verify(B).ok
-            assert all(B(x) == C(l) for x, (_, l) in w.table.items())
+            assert all(B(h * l) == C(l) for h in H.elements for l in L.elements)
         except ConstructionError:
             assert not normalizes
         outcomes.add(normalizes)

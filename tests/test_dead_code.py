@@ -9,11 +9,17 @@ rbgroups/__init__.py re-exports is live), or when the definition of a
 live name of M reads it.  A method of a class of the package is live when
 the package reads it as an attribute, when it is a dunder, or when it
 overrides an attribute of a class in its MRO (argparse.ArgumentParser.error,
-say).  All of this is read from the source, except the MRO.
+say).  An optional parameter of a package function is live when a
+package call passes it, by keyword or by position (a call of a class
+counts for its __init__), when its function (or class) is re-exported by
+__init__, or when its function is cli.main: a default that no caller
+overrides is a constant.  All of this is read from the source, except
+the MRO.
 """
 
 import ast
 import importlib
+import math
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -125,4 +131,62 @@ def test_every_module_level_name_is_referenced():
                     live.add(x)
                     todo.append(x)
         dead += [f"{module}.py: {x}" for x in uses if x not in live]
+    assert not dead, dead
+
+
+def _optional_parameters(func, method):
+    """(position, name) of each parameter of `func` that has a default, a
+    keyword-only one at position None.  Positions count the arguments a
+    call passes, so a method's self (or a classmethod's cls) is skipped."""
+    a = func.args
+    positional = a.posonlyargs + a.args
+    static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in func.decorator_list)
+    skip = 1 if method and not static else 0
+    first = len(positional) - len(a.defaults)
+    for i, arg in enumerate(positional[first:], first):
+        yield i - skip, arg.arg
+    for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+        if default is not None:
+            yield None, arg.arg
+
+
+def _passed(trees):
+    """Called name or attribute -> [most positional arguments, keyword
+    names] over the package's calls.  A call with *args passes every
+    position (most = inf), and one with **kwargs every keyword (None)."""
+    out = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = getattr(node.func, "id", None) or node.func.attr
+                seen = out.setdefault(name, [0, set()])
+                starred = any(isinstance(x, ast.Starred) for x in node.args)
+                seen[0] = max(seen[0], math.inf if starred else len(node.args))
+                seen[1] |= {k.arg for k in node.keywords}
+    return out
+
+
+def test_every_optional_parameter_is_passed():
+    trees = _trees()
+    exported = {
+        alias.name
+        for node in ast.walk(trees["__init__"])
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    passed = _passed(trees)
+    dead = []
+    for module, tree in trees.items():
+        functions = [(None, s) for s in tree.body if isinstance(s, ast.FunctionDef)]
+        for cls in (s for s in tree.body if isinstance(s, ast.ClassDef)):
+            functions += [(cls.name, s) for s in cls.body if isinstance(s, ast.FunctionDef)]
+        for cls, func in functions:
+            if (cls or func.name) in exported or (module, func.name) == ("cli", "main"):
+                continue
+            name = cls if func.name == "__init__" else func.name
+            most, keywords = passed.get(name, (0, set()))
+            for position, param in _optional_parameters(func, cls is not None):
+                by_position = position is not None and position < most
+                if not (by_position or param in keywords or None in keywords):
+                    dead.append(f"{module}.py: {name}({param})")
     assert not dead, dead

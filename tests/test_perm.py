@@ -75,9 +75,9 @@ def test_exact_factorization_s3():
     L = s3.subgroup([Perm.from_cycles(3, [(0, 1)])])
     w = exact_factorization(s3, H, L)
     assert w.exact
-    for x in s3.elements:
-        h, l = w.table[x]
-        assert h * l == x and h in H and l in L
+    for h in H.elements:
+        for l in L.elements:
+            assert w.part(h * l) == l
 
 
 def test_inexact_factorization_flagged():
@@ -86,6 +86,32 @@ def test_inexact_factorization_flagged():
     H = s3.subgroup([Perm.from_cycles(3, [(0, 1)])])
     w = exact_factorization(s3, H, H)
     assert not w.exact
+
+
+@pytest.mark.parametrize("spec", ["A:4", "S:4", "D:16"])
+def test_exact_factorization_matches_brute_force(spec):
+    """On every pair (H, L) of subgroups (each generated by two elements,
+    as every subgroup of these groups is), the witness is exact iff
+    |H| |L| = |G| and H meets L in e alone, and then part(h l) = l."""
+    from rbgroups.families import parse_group_spec
+
+    G = parse_group_spec(spec).group
+    subgroups = {}
+    for a in G.elements:
+        for b in G.elements:
+            H = G.subgroup([a, b])
+            subgroups.setdefault(H.elements, H)
+    exact = 0
+    for H in subgroups.values():
+        for L in subgroups.values():
+            w = exact_factorization(G, H, L)
+            meet = set(H.elements) & set(L.elements)
+            brute = H.order() * L.order() == G.order() and meet == {G.identity}
+            assert w.exact == brute, (H.elements, L.elements)
+            if brute:
+                exact += 1
+                assert all(w.part(h * l) == l for h in H.elements for l in L.elements)
+    assert exact > 2  # beyond G = 1 G and G = G 1
 
 
 def test_isomorphism_testing():

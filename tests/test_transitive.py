@@ -11,12 +11,13 @@ import pytest
 from invariants import check_invariants_sampled
 from oracles import (
     digit_sampler,
+    index2_body,
     pairwise_identity,
     pairwise_opposite_product,
     perm_descendent_loops,
     rebuilt,
 )
-from rbgroups import build, families, rbop, serialize, transitive
+from rbgroups import families, rbop, serialize, transitive
 from rbgroups.gf import make_field, prime_power
 from rbgroups.perm import ENUMERATION_CAP, FiniteGroup, Grower, Perm
 from rbgroups.labels import iso_label
@@ -203,7 +204,7 @@ def test_a9_variants_are_valid():
 
 def test_a9_descendent_identities():
     B = build_an_operator(9)
-    rep = descendent_structure(B, k_samples=500, twist_samples=200, seed=7)
+    rep = descendent_structure(B, seed=7)
     assert rep.ok, rep.detail
 
 
@@ -233,14 +234,31 @@ def _an(n, variant="default"):
 
 @pytest.mark.parametrize("n,variant", [(9, "S1"), (9, "S2"), (9, "S3"), (10, "default")])
 def test_coset_indicator_is_a_homomorphism(n, variant):
-    """Exhaustive oracle for the shortcut in build.check_index2: the
-    S-coset indicator d on L satisfies d(l1 l2) = d(l1) + d(l2) mod 2."""
+    """Exhaustive oracle for the homomorphism check of build.construction
+    on L's generators: the S-coset indicator d on L satisfies
+    d(l1 l2) = d(l1) + d(l2) mod 2 on all of L x L."""
     st = _an(n, variant).structural
     L, sset = st["im"], st["ker_tilde"]._element_set()
     d = {l: 0 if l in sset else 1 for l in L.elements}
     for l1 in L.elements:
         for l2 in L.elements:
             assert d[l1 * l2] == (d[l1] + d[l2]) % 2, (l1, l2)
+
+
+@pytest.mark.parametrize("n,variant", [(9, "S1"), (9, "S2"), (9, "S3"), (9, "default"), (10, "default")])
+def test_an_body_matches_the_reference_on_cosets(n, variant):
+    """build.construction's body is the reference l -> l^-1 r^d(l) on all
+    of L, and B is constant on the right cosets K l: B(k l) = B(l) for
+    seeded k in K."""
+    B = _an(n, variant)
+    st = B.structural
+    L, body = st["im"], index2_body(st["im"], st["ker_tilde"], st["r"])
+    assert all(B(l) == body[l] for l in L.elements)
+    rng = random.Random(7)
+    random_k = digit_sampler(n, [i for i in range(n) if i not in st["distinguished"]])
+    for _ in range(2000):
+        k, l = random_k(rng), rng.choice(L.elements)
+        assert B(k * l) == body[l], (k, l)
 
 
 @pytest.mark.parametrize("n,variant", [(9, "S1"), (10, "default")])
@@ -314,10 +332,10 @@ def _tampered(field):
     ("t in S", "t must lie in L outside S"),
     ("r not an involution", "r is not an involution"),
     ("r not in S", "r must lie in S"),
-    ("<r> does not normalize K", "<r> does not normalize K"),
-    ("S not a subgroup", "S is not a subgroup of L"),
-    ("S not of index 2", "S does not have index 2 in L"),
-    ("K meets L", "K meets L"),
+    ("<r> does not normalize K", "does not normalize K at"),
+    ("S not a subgroup", "phi is not a homomorphism at"),
+    ("S not of index 2", "phi is not a homomorphism at"),
+    ("K meets L", "factorization is not exact"),
 ])
 def test_layer1_names_the_broken_precondition(field, message):
     v = verify_an_operator(_tampered(field), sample_count=10, seed=7)
@@ -338,16 +356,16 @@ def test_layer2_matches_the_pairwise_oracle(n, variant):
 
 
 def test_layer2_names_the_pairwise_oracles_first_failure(monkeypatch):
-    """Two images of the body swapped on L, in B and in the body layer 1
-    compares it with: layer 1 passes, and layer 2 fails at the first pair
+    """Two images of the body swapped on L, in B and in the operator layer
+    1 compares it with: layer 1 passes, and layer 2 fails at the first pair
     of L x L, in canonical order, at which the identity fails."""
     B = _an(9)
     L, S, r = (B.structural[k] for k in ("im", "ker_tilde", "r"))
-    image = build.index2_body(L, S, r)
+    image = index2_body(L, S, r)
     a, b = L.elements[5], L.elements[40]
     image[a], image[b] = image[b], image[a]
-    monkeypatch.setattr(transitive, "index2_body", lambda *args: image)
     bad = rebuilt(B, proc=lambda x: image[x] if x in image else B.proc(x))
+    monkeypatch.setattr(transitive, "construction", lambda *args: bad)
     pair, _ = pairwise_identity(bad, L.elements)
     assert pair is not None
     v = verify_an_operator(bad, sample_count=0)
@@ -357,7 +375,7 @@ def test_layer2_names_the_pairwise_oracles_first_failure(monkeypatch):
 
 def test_an_l_above_the_enumeration_cap_is_refused():
     """An L too large for its Cayley table is refused by name, before
-    layer 1 runs (check_index2 would fail on this L)."""
+    layer 1 runs (the construction would fail on this L)."""
     B = _an(9)
     big = FiniteGroup.generator_only(9, B.structural["im"].generators, order=ENUMERATION_CAP + 1)
     huge = rebuilt(B, structural={**B.structural, "im": big})
@@ -434,8 +452,9 @@ def test_even_sampler_matches_the_digit_decoder_on_every_rank(points):
 
 def test_descendent_k_samples_lie_in_k(monkeypatch):
     """Every K-sample is even and fixes the distinguished points, and the
-    samples are not one element over and over: 1,200 uniform draws from
-    |K| = 2,520 give about 955 distinct elements."""
+    samples are not one element over and over: 30,000 uniform draws from
+    |K| = 2,520 leave about 2,520 e^(-30000/2520) = 0.017 elements
+    undrawn, and seed 7 draws all of K."""
     drawn = []
     sampler = transitive.even_sampler
 
@@ -450,17 +469,17 @@ def test_descendent_k_samples_lie_in_k(monkeypatch):
 
     monkeypatch.setattr(transitive, "even_sampler", recording)
     B = _an(9)
-    assert descendent_structure(B, k_samples=500, twist_samples=200, seed=7).ok
-    assert len(drawn) == 2 * 500 + 200
+    assert descendent_structure(B, seed=7).ok
+    assert len(drawn) == 2 * transitive.DESCENDENT_K_SAMPLES + transitive.DESCENDENT_TWIST_SAMPLES
     assert all(p.is_even() and p[7] == 7 and p[8] == 8 for p in drawn)
-    assert len(set(drawn)) > 800
+    assert len(set(drawn)) == 2520
 
 
 @pytest.mark.parametrize("n,variant", [(9, "S1"), (9, "S2"), (9, "S3"), (9, "default"), (10, "default")])
 def test_s_check_matches_the_pairwise_oracle(n, variant):
     B = _an(n, variant)
     S = B.structural["ker_tilde"]
-    rep = descendent_structure(B, k_samples=0, twist_samples=0)
+    rep = descendent_structure(B)
     assert pairwise_opposite_product(B, S) == (None, S.order() ** 2)
     assert (rep.ok, rep.s_pairs) == (True, S.order() ** 2)
 
@@ -477,7 +496,7 @@ def test_s_check_names_the_pairwise_oracles_first_failure(k):
     for y in (B.structural["r"], *S.generators):
         bad = rebuilt(B, proc=lambda g, y=y: s.inverse() * y if g == s else B.proc(g))
         (s1, s2), pairs = pairwise_opposite_product(bad, S)
-        rep = descendent_structure(bad, k_samples=500, twist_samples=200)
+        rep = descendent_structure(bad)
         assert s1 == s and pairs > k * S.order() + 1
         assert (rep.ok, rep.s_pairs, rep.k_samples, rep.twist_samples) == (False, pairs, 0, 0)
         assert rep.detail == f"s o s' != s' s at ({s1!r}, {s2!r})"
@@ -489,14 +508,19 @@ def test_descendent_catches_an_operator_corrupted_only_on_k():
     sample is the first pair (h, h') with h of order 7 and r h' r != h'."""
     B = _an(9)
     st = B.structural
-    r, in_k = st["r"], transitive._fixes(st["distinguished"])
+    r, points = st["r"], st["distinguished"]
     assert all(g.order() != 7 for g in st["im"].elements)
-    bad = rebuilt(B, proc=lambda g: r if in_k(g) and g.order() == 7 else B.proc(g))
-    rep = descendent_structure(bad, k_samples=500, twist_samples=200, seed=7)
+
+    def corrupted(g):
+        in_k = all(g[i] == i for i in points)
+        return r if in_k and g.order() == 7 else B.proc(g)
+
+    bad = rebuilt(B, proc=corrupted)
+    rep = descendent_structure(bad, seed=7)
     assert not rep.ok
     rng = random.Random(7)
     draw = digit_sampler(9, range(7))
-    for i in range(500):
+    for i in range(transitive.DESCENDENT_K_SAMPLES):
         h1, h2 = draw(rng), draw(rng)
         if h1.order() == 7 and r * h2 * r != h2:
             break
@@ -533,21 +557,19 @@ def test_twist_loop_names_the_sample_the_perm_product_loop_predicts():
     r, sset = st["r"], st["ker_tilde"]._element_set()
     l0 = max(l for l in st["im"].elements if l not in sset)
     bad = rebuilt(B, proc=lambda g: B.proc(g) * r if g == l0 else B.proc(g))
-    assert perm_descendent_loops(B, 500, 2000, 7) is None
-    kind, i = perm_descendent_loops(bad, 500, 2000, 7)
-    rep = descendent_structure(bad, k_samples=500, twist_samples=2000, seed=7)
+    counts = transitive.DESCENDENT_K_SAMPLES, transitive.DESCENDENT_TWIST_SAMPLES
+    assert perm_descendent_loops(B, *counts, 7) is None
+    kind, i = perm_descendent_loops(bad, *counts, 7)
+    rep = descendent_structure(bad, seed=7)
     assert kind == "twist" and i > 0
-    assert (rep.ok, rep.s_pairs, rep.k_samples, rep.twist_samples) == (False, 36 * 36, 500, i + 1)
+    assert (rep.ok, rep.s_pairs, rep.k_samples, rep.twist_samples) == (False, 36 * 36, counts[0], i + 1)
     assert rep.detail == f"l o h != h^(r^d) o l at sample {i}"
 
 
-@pytest.mark.parametrize("kwargs", [
-    {"sample_count": -1}, {"k_samples": -1}, {"twist_samples": -5},
-])
+@pytest.mark.parametrize("kwargs", [{"sample_count": -1}])
 def test_negative_sample_counts_raise(kwargs):
-    check = verify_an_operator if "sample_count" in kwargs else descendent_structure
     with pytest.raises(TransitiveError, match="must be >= 0"):
-        check(_an(9), **kwargs)
+        verify_an_operator(_an(9), **kwargs)
 
 
 def test_descendent_structure_takes_few_products(monkeypatch):
