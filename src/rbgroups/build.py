@@ -13,6 +13,7 @@ from .perm import (
     FiniteGroup,
     Perm,
     exact_factorization,
+    extend_homomorphism,
     homomorphism_failure,
 )
 from .rbop import RBOperator, images, tilde
@@ -152,72 +153,58 @@ def _pow(p: Perm, e: int) -> Perm:
     return out
 
 
-def _klein_homomorphism(
-    G: FiniteGroup, r: Perm, s: Perm, n: int
-) -> tuple[dict[Perm, Perm], FiniteGroup]:
-    """The homomorphism of G = <r, s> = D_2n (n even >= 4) onto a Klein
-    four-subgroup, r^2k -> e, r^2k+1 -> r^(n/2) s, r^2k s -> r^(n/2),
-    r^2k+1 s -> s, and that subgroup."""
-    rh = _pow(r, n // 2)
-    phi = {}
-    x = G.identity
-    for i in range(n):
-        phi[x] = G.identity if i % 2 == 0 else rh * s
-        phi[x * s] = rh if i % 2 == 0 else s
-        x = x * r
-    return phi, G.subgroup(sorted(set(phi.values())), label="Z2xZ2")
-
-
 def d2n_klein(n: int) -> RBOperator:
     """The invertible operator on D_2n whose companion is the homomorphism
-    onto a Klein four-subgroup; n even, n >= 4.  It is the construction on
+    r -> r^(n/2) s, s -> r^(n/2) onto the Klein four-subgroup
+    <r^(n/2), s>; n even, n >= 4.  It is the construction on
     D_2n = 1 * D_2n, l -> l^-1 phi(l^-1)."""
     if n < 4 or n % 2:
         raise ConstructionError("the Klein-image operator needs even n >= 4")
     built = families.dihedral(n)
-    G = built.group
-    phi, A = _klein_homomorphism(G, built.r, built.s, n)
+    G, r, s = built.group, built.r, built.s
+    rh = _pow(r, n // 2)
+    A = G.subgroup([rh, s], label="Z2xZ2")
+    phi = extend_homomorphism(G, (r, s), (rh * s, rh), A)
     w = exact_factorization(G, G.subgroup([G.identity]), G)
     return construction(w, phi.__getitem__, A, "tilde(homomorphism)")
 
 
 def _d16_operator() -> RBOperator:
     """Index-2-shaped operator on D16: the companion of the construction
-    on D16 = <s> * <r^2, rs> with phi onto <r^4> whose kernel is
-    <r^4, rs>."""
+    on D16 = <s> * <r^2, rs> with phi: r^2 -> r^4, rs -> e onto <r^4>."""
     built = families.dihedral(8)
     G, r, s = built.group, built.r, built.s
-    r4 = _pow(r, 4)
+    r2, r4 = _pow(r, 2), _pow(r, 4)
     K = G.subgroup([s], label="Z2")
-    L = G.subgroup([_pow(r, 2), r * s], label="L")
-    ker = L.subgroup([r4, r * s])
-    phi = {l: (G.identity if l in ker else r4) for l in L.elements}
+    L = G.subgroup([r2, r * s], label="L")
+    phi = extend_homomorphism(L, (r2, r * s), (r4, G.identity), L)
     w = exact_factorization(G, K, L)
     return tilde(construction(w, phi.__getitem__, L.subgroup([r4]), "extend[tilde(homomorphism)]"))
 
 
 def _d60_operator() -> RBOperator:
     """The construction on D60 = <r^10> * <r^3, s> with the Klein-image
-    homomorphism of L ~= D20."""
+    homomorphism r^3 -> r^15 s, s -> r^15 of L ~= D20."""
     built = families.dihedral(30)
     G, r, s = built.group, built.r, built.s
+    r3, r15 = _pow(r, 3), _pow(r, 15)
     K = G.subgroup([_pow(r, 10)], label="Z3")
-    L = G.subgroup([_pow(r, 3), s], label="D20")
-    phi, A = _klein_homomorphism(L, _pow(r, 3), s, 10)
+    L = G.subgroup([r3, s], label="D20")
+    A = L.subgroup([r15, s], label="Z2xZ2")
+    phi = extend_homomorphism(L, (r3, s), (r15 * s, r15), A)
     w = exact_factorization(G, K, L)
     return construction(w, phi.__getitem__, A, "extend[tilde(homomorphism)]")
 
 
 def _q60_operator() -> RBOperator:
-    """The construction on Q60 = <r^10> * <r^3, s> with phi onto <r^15>
-    whose kernel is <r^3>."""
+    """The construction on Q60 = <r^10> * <r^3, s> with phi: r^3 -> e,
+    s -> r^15 onto <r^15>."""
     built = families.generalized_quaternion(15)
     G, r, s = built.group, built.r, built.s
+    r3, r15 = _pow(r, 3), _pow(r, 15)
     K = G.subgroup([_pow(r, 10)], label="Z3")
-    L = G.subgroup([_pow(r, 3), s], label="Q20")
-    r15 = _pow(r, 15)
-    ker = L.subgroup([_pow(r, 3)])
-    phi = {l: (G.identity if l in ker else r15) for l in L.elements}
+    L = G.subgroup([r3, s], label="Q20")
+    phi = extend_homomorphism(L, (r3, s), (G.identity, r15), L)
     w = exact_factorization(G, K, L)
     return construction(w, phi.__getitem__, L.subgroup([r15]), "extend[tilde(homomorphism)]")
 

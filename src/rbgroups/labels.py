@@ -106,27 +106,58 @@ def _fallback_label(G: FiniteGroup) -> str:
     return f"G[order={order},abelian={abelian},spectrum={spec}]"
 
 
+def _normal_sylow3(G: FiniteGroup) -> bool:
+    """Whether the elements of order 1 or 3 of G, |G| = 36 or 72, form a
+    normal subgroup E of order 9, read off the spectrum: there are 9 of
+    them and no element has order 9.
+
+    |G|_3 = 9, so with no element of order 9 every Sylow 3-subgroup is
+    Z3xZ3.  Two different Sylow 3-subgroups meet in at most 3 elements,
+    so together they would have at least 15 elements of order 1 or 3.
+    So exactly 9 such elements means there is one Sylow 3-subgroup; it is
+    normal, and it is E.  Conversely, a normal E of order 9 is the only
+    Sylow 3-subgroup, so it holds every element of 3-power order, and
+    none has order 9."""
+    spectrum = dict(invariant_tuple(G)[2])
+    return spectrum[1] + spectrum.get(3, 0) == 9 and 9 not in spectrum
+
+
 def _recognize_large(G: FiniteGroup) -> str | None:
     order = G.order()
-    if order in (36, 72) and not G.is_abelian():
+    if order in (36, 72) and not G.is_abelian() and _normal_sylow3(G):
         # (Z3xZ3)-by-2-group shapes from the sharply 2-transitive world
-        E = [e for e in G.elements if 3 % e.order() == 0]
-        if len(E) == 9 and G.is_normal(E):
-            if order == 36 and any(e.order() == 4 for e in G.elements):
-                return "(Z3xZ3):Z4"
-            if order == 72:
-                fours = [e for e in G.elements if e.order() == 4]
-                for x in fours:
-                    for y in fours:
-                        if x != y and x * x == y * y:
-                            Q = closure([x, y], cap=order)
-                            if len(Q) == 8 and sorted(p.order() for p in Q) == [1, 2, 4, 4, 4, 4, 4, 4]:
-                                return "(Z3xZ3):Q8"
+        if order == 36 and 4 in dict(invariant_tuple(G)[2]):
+            return "(Z3xZ3):Z4"
+        if order == 72:
+            fours = [e for e in G.elements if e.order() == 4]
+            for x in fours:
+                for y in fours:
+                    if x != y and x * x == y * y:
+                        Q = closure([x, y], cap=order)
+                        if len(Q) == 8 and sorted(p.order() for p in Q) == [1, 2, 4, 4, 4, 4, 4, 4]:
+                            return "(Z3xZ3):Q8"
     # A perfect group G of order 60 is A5.  A proper nontrivial normal
     # subgroup N would give a perfect quotient G/N of order between 2 and
     # 59; every group of order < 60 is solvable, and a solvable perfect
     # group is trivial.  So G is simple, and A5 is the only simple group
     # of order 60.
+    # A perfect G of order 360 is PSL(2,9) = A6, and of order 2520 is A7.
+    # Take a maximal normal subgroup M.  G/M is simple and perfect, so
+    # non-abelian simple of order dividing |G|: A5 or A6 for 360, and
+    # A5, PSL(2,7), A6, PSL(2,8) or A7 for 2520 (PSL(2,11), PSL(2,13)
+    # and PSL(2,17) are the others below 2520, and their orders do not
+    # divide it).  So |M| is 6 or 1 for 360, and 42, 15, 7, 5 or 1 for
+    # 2520.  Let Z be M, or for |M| = 42 the Sylow 7-subgroup of M, which
+    # is normal in M by Sylow's theorem, so characteristic in M and normal
+    # in G.  A nontrivial Z has order 6, 7, 5 or 15, so Aut(Z) is solvable
+    # (Z2 or S3, Z6, Z4, Z2xZ4), and the image of the perfect G in it is
+    # trivial: G centralizes Z, and Z is central and abelian.  For a
+    # perfect G, a central Z is a quotient of the Schur multiplier of
+    # G/Z: Z2 for A5 (|Z| = 6 in 360) and PSL(2,7) (|Z| = 15), Z6 for A6
+    # (|Z| = 7, and for |M| = 42 G/Z is perfect of order 360, so A6 by
+    # the first case), 1 for PSL(2,8) (|Z| = 5).  No |Z| divides its
+    # multiplier, so M = 1 and G is simple; A6 and A7 are the only simple
+    # groups of orders 360 and 2520.
     if order in (60, 360, 2520) and _is_perfect(G):
         return {60: "A5", 360: "PSL(2,9)", 2520: "A7"}[order]
     return None
@@ -139,7 +170,7 @@ def _is_perfect(G: FiniteGroup) -> bool:
     normal and contains them.  N is grown from those commutators; each
     element that joins its generators queues its conjugates by the
     generators of G, so at the end every generator of N has its conjugates
-    in N, and N is normal (as in FiniteGroup.is_normal)."""
+    in N, and N is normal (as in rbop._normal_in)."""
     gens = G.generators
     N = Grower(G.identity)
     queue = [a.inverse() * b.inverse() * a * b for a in gens for b in gens]

@@ -287,10 +287,14 @@ class _Frozen:
 class FiniteGroup(_Frozen):
     """A finite permutation group.
 
-    `elements` is the canonical sorted element tuple when the group has
-    been enumerated, else None (generator-only handle; `known_order`
-    then carries the order if it is known by construction).  Equality
-    and hash are by the five constructor fields.
+    Its elements form a group: from_generators and subgroup close the
+    generators, and from_elements refuses a set that is not a subgroup
+    (unless it is given generators, which it trusts to generate the
+    set).  `elements` is the canonical sorted element tuple when the
+    group has been enumerated, else None (generator-only handle;
+    `known_order` then carries the order if it is known by
+    construction).  Equality and hash are by the five constructor
+    fields.
     """
 
     __slots__ = ("degree", "generators", "elements", "label", "known_order", "_cache")
@@ -344,16 +348,17 @@ class FiniteGroup(_Frozen):
         label: str = "",
     ) -> "FiniteGroup":
         """The group on a set of elements.  Without `generators`, grow()
-        picks them from the canonical order; a set that is not a subgroup
-        keeps every element as a generator."""
+        picks them from the canonical order and PermError is raised when
+        the set is not a subgroup; given `generators` are trusted to
+        generate the set."""
         elems = tuple(sorted(Perm(e) for e in set(elements)))
-        if generators is not None:
-            gens = tuple(generators)
-        else:
-            gens = grow(elems, Perm.identity(len(elems[0])), frozenset(elems)) or elems
+        if generators is None:
+            generators = elems and grow(elems, Perm.identity(len(elems[0])), frozenset(elems))
+            if not generators:
+                raise PermError(f"{label or 'the set'} is not a subgroup")
         return cls(
             degree=len(elems[0]),
-            generators=gens,
+            generators=tuple(generators),
             elements=elems,
             label=label,
             known_order=len(elems),
@@ -469,26 +474,6 @@ class FiniteGroup(_Frozen):
             if g not in self:
                 raise PermError(f"{g!r} is not an element of {self.label or 'G'}")
         return FiniteGroup.from_generators(generators, cap=self.order(), label=label)
-
-    def _grow(self, S: Iterable[Perm]) -> tuple[set, Optional[tuple[Perm, ...]]]:
-        S = set(S)
-        if not S <= self._element_set():
-            raise PermError("S is not a subset of the group")
-        return S, grow(sorted(S), self.identity, S)
-
-    def is_subgroup(self, S: Iterable[Perm]) -> bool:
-        """Whether S is a subgroup: e is in S and grow() stays inside S
-        (see grow for the proof)."""
-        return self._grow(S)[1] is not None
-
-    def is_normal(self, S: Iterable[Perm]) -> bool:
-        """Whether S is a normal subgroup, checked on generators: for g in
-        G, conjugation by g is an automorphism, so g^-1 <T> g is generated
-        by the conjugates of T and lies in S = <T> when they do; and if
-        that holds for each generator of G it holds for every product of
-        them."""
-        S, T = self._grow(S)
-        return T is not None and all(t.conj(g) in S for t in T for g in self.generators)
 
 
 # -- homomorphism extension and automorphisms ------------------------------
@@ -626,11 +611,13 @@ def exact_factorization(
     G: FiniteGroup, H: FiniteGroup, L: FiniteGroup
 ) -> FactorizationWitness:
     """The witness for G = H L, for subgroups H and L of the enumerated G.
-    part(x) is the last l of L.elements with x in H l, read off
-    G.mult_table(): those l are the elements of L in the coset H x, so
-    part names the cosets; when G = H L is exact, part(h l) = l."""
+    H and L are groups (see FiniteGroup), so each is a subgroup of G once
+    its elements lie in G.  part(x) is the last l of L.elements with x in
+    H l, read off G.mult_table(): those l are the elements of L in the
+    coset H x, so part names the cosets; when G = H L is exact,
+    part(h l) = l."""
     for S in (H, L):
-        if not G.is_subgroup(S.elements):
+        if not S._element_set() <= G._element_set():
             raise PermError(f"{S.label or 'factor'} is not a subgroup of G")
     T, elems = G.mult_table(), G.elements
     rows = [T[G.index(h)] for h in H.elements]

@@ -24,7 +24,6 @@ from .perm import (
     _kept,
     _new,
     _set,
-    grow,
 )
 
 # Defaults shared with the command line, kept here so that parsing it loads
@@ -299,10 +298,11 @@ def images(B: RBOperator) -> OperatorImages:
     """The five structural subgroups, with the consequences of the
     defining identity asserted (normality, factorization, index identity).
 
-    Each set is made a group by one grow() pass, which also tests that it
-    is a subgroup.  G = Im(B~) Im(B) is checked by the product formula
-    |XY| = |X| |Y| / |X meet Y| for subgroups X, Y, with X meet Y = R:
-    XY is a subset of G, so XY = G iff |Im(B~)| |Im(B)| = |G| |R|.
+    Each set is made a group by FiniteGroup.from_elements, whose one
+    grow() pass also tests that it is a subgroup.  G = Im(B~) Im(B) is
+    checked by the product formula |XY| = |X| |Y| / |X meet Y| for
+    subgroups X, Y, with X meet Y = R: XY is a subset of G, so XY = G iff
+    |Im(B~)| |Im(B)| = |G| |R|.
     The companion's sets are read off B: B~(g) = g^-1 B(g^-1), so
     Im(B~) = {x B(x)} (x = g^-1) and B~(g) = e iff B(g^-1) = g.  On the
     table, with T = G.mult_table() and inv = G.inverses(), these are
@@ -319,10 +319,10 @@ def images(B: RBOperator) -> OperatorImages:
     elems, Bt = G.elements, B.table
     T, inv = G.mult_table(), G.inverses()
     e = G.index(G.identity)
-    im = _subgroup(G, {elems[b] for b in set(Bt)}, "Im(B)")
-    ker = _subgroup(G, {elems[g] for g, b in enumerate(Bt) if b == e}, "ker(B)")
-    im_t = _subgroup(G, {elems[T[g][b]] for g, b in enumerate(Bt)}, "Im(B~)")
-    ker_t = _subgroup(G, {elems[g] for g, j in enumerate(inv) if Bt[j] == g}, "ker(B~)")
+    im = _subgroup({elems[b] for b in set(Bt)}, "Im(B)")
+    ker = _subgroup({elems[g] for g, b in enumerate(Bt) if b == e}, "ker(B)")
+    im_t = _subgroup({elems[T[g][b]] for g, b in enumerate(Bt)}, "Im(B~)")
+    ker_t = _subgroup({elems[g] for g, j in enumerate(inv) if Bt[j] == g}, "ker(B~)")
     R = image_meet(B)
 
     if not _normal_in(ker_t, im):
@@ -342,26 +342,28 @@ def images(B: RBOperator) -> OperatorImages:
 
 def image_meet(B: RBOperator) -> FiniteGroup:
     """R = Im(B) meet Im(B~) of a table operator, read off the table as in
-    images (Im(B) = {b}, Im(B~) = {g b} for b = B(g)) and made a group by
-    one grow() pass; images takes its R from here."""
+    images (Im(B) = {b}, Im(B~) = {g b} for b = B(g)) and made a group as
+    there; images takes its R from here."""
     G, Bt = B.group, B.table
     T, elems = G.mult_table(), G.elements
     im_t = {T[g][b] for g, b in enumerate(Bt)}
-    return _subgroup(G, {elems[b] for b in set(Bt) if b in im_t}, "R")
+    return _subgroup({elems[b] for b in set(Bt) if b in im_t}, "R")
 
 
-def _subgroup(G: FiniteGroup, S: set, label: str) -> FiniteGroup:
-    """S as a group with the generators grow() picks; InvalidOperator
-    when S is not a subgroup."""
-    elems = sorted(S)
-    gens = grow(elems, G.identity, S)
-    if gens is None:
-        raise InvalidOperator(f"{label} is not a subgroup")
-    return FiniteGroup.from_elements(elems, generators=gens, label=label)
+def _subgroup(S: set, label: str) -> FiniteGroup:
+    """S as a group (FiniteGroup.from_elements); InvalidOperator when S
+    is not a subgroup."""
+    try:
+        return FiniteGroup.from_elements(S, label=label)
+    except PermError as exc:
+        raise InvalidOperator(str(exc)) from None
 
 
 def _normal_in(S: FiniteGroup, T: FiniteGroup) -> bool:
-    """S normal in T, checked on generators of both (as FiniteGroup.is_normal)."""
+    """S normal in T, checked on generators of both: for t in T,
+    conjugation by t is an automorphism, so t^-1 S t is generated by the
+    conjugates of S's generators and lies in S when they do; and if that
+    holds for each generator of T it holds for every product of them."""
     selems = S._element_set()
     return all(s.conj(t) in selems for s in S.generators for t in T.generators)
 

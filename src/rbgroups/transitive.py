@@ -36,7 +36,6 @@ class TransitiveError(ValueError):
 class SharplyTransitiveGroup(NamedTuple):
     degree: int
     group: FiniteGroup
-    transitivity_degree: int
     n_part: Optional[FiniteGroup] = None  # <a, b>
     s1: Optional[FiniteGroup] = None  # F.<a, b^2>, index 2 in L
     s2: Optional[FiniteGroup] = None  # F.<a^2, b>
@@ -52,24 +51,23 @@ def _scale(F: FiniteField, c: int) -> Perm:
     return Perm(F.mul(c, x) for x in range(F.size))
 
 
-def transporter_table(L: FiniteGroup, points: tuple[int, ...]) -> dict[tuple, Perm]:
-    """The images of the distinct `points` under l, read by
-    operator.itemgetter(*points) -> the unique l with those images.
-    Total iff L is sharply k-transitive, k = len(points): it then has one
-    key for each of the n!/(n-k)! ordered k-tuples of distinct points."""
+def check_sharpness(L: FiniteGroup, points: tuple[int, ...]) -> None:
+    """TransitiveError unless L is sharply k-transitive, k = len(points):
+    each ordered k-tuple of distinct points is the image of the distinct
+    `points` (read by operator.itemgetter(*points)) under exactly one l,
+    that is, the images are distinct and there are n!/(n-k)! of them."""
     if len(set(points)) != len(points):
         raise TransitiveError("a transporter table needs distinct points")
     key = operator.itemgetter(*points)
-    table: dict[tuple, Perm] = {}
+    seen = set()
     for l in L.elements:
         k = key(l)
-        if k in table:
+        if k in seen:
             raise TransitiveError(f"two transporters for {k}: sharpness fails")
-        table[k] = l
+        seen.add(k)
     need = math.perm(L.degree, len(points))
-    if len(table) != need:
-        raise TransitiveError(f"transporter table covers {len(table)} of {need} tuples")
-    return table
+    if len(seen) != need:
+        raise TransitiveError(f"transporter table covers {len(seen)} of {need} tuples")
 
 
 def sharply2(m: int, q: int, t: int) -> SharplyTransitiveGroup:
@@ -110,7 +108,7 @@ def sharply2(m: int, q: int, t: int) -> SharplyTransitiveGroup:
         raise TransitiveError(
             f"|L| = {L.order()}, expected n(n-1) = {n*(n-1)}: field defect"
         )
-    transporter_table(L, (0, 1))  # sharpness
+    check_sharpness(L, (0, 1))
     # Frobenius twist relation b^-1 a b = a^q
     apow = L.identity
     for _ in range(q):
@@ -131,9 +129,7 @@ def sharply2(m: int, q: int, t: int) -> SharplyTransitiveGroup:
         for i, S in enumerate((s1, s2, s3), start=1):
             if 2 * S.order() != L.order():
                 raise TransitiveError(f"F.S{i} does not have index 2 in L")
-    return SharplyTransitiveGroup(
-        degree=n, group=L, transitivity_degree=2, n_part=n_part, s1=s1, s2=s2, s3=s3
-    )
+    return SharplyTransitiveGroup(degree=n, group=L, n_part=n_part, s1=s1, s2=s2, s3=s3)
 
 
 # -- sharply 3-transitive groups M(q) --------------------------------------
@@ -214,11 +210,11 @@ def sharply3(q: int) -> SharplyTransitiveGroup:
             label=f"M({q})",
         )
         try:
-            transporter_table(L, (n - 3, n - 2, n - 1))  # sharpness
+            check_sharpness(L, (n - 3, n - 2, n - 1))
         except TransitiveError as exc:
             failures.append(f"{name}: {exc}")
             continue
-        return SharplyTransitiveGroup(degree=n, group=L, transitivity_degree=3, psl=psl)
+        return SharplyTransitiveGroup(degree=n, group=L, psl=psl)
     raise TransitiveError(
         "no twisting candidate validates: " + "; ".join(failures)
     )
@@ -239,7 +235,6 @@ def _doubles(psl: FiniteGroup, tau: Perm) -> bool:
 
 
 class AdmissibilityVerdict(NamedTuple):
-    n: int
     admissible: bool
     case: str  # "a", "b", or "none"
     q: Optional[int] = None
@@ -274,12 +269,12 @@ def admissible(n: int) -> AdmissibilityVerdict:
     if qa is not None:
         q, m = qa
         s = 3 if n in (49, 529) else (1 if n == 9 else 2)
-        return AdmissibilityVerdict(n=n, admissible=True, case="a", q=q, m=m, s=s)
+        return AdmissibilityVerdict(admissible=True, case="a", q=q, m=m, s=s)
     qb = _qm_decomposition(n - 1)
     if qb is not None:
         q, m = qb
-        return AdmissibilityVerdict(n=n, admissible=True, case="b", q=q, m=m, s=1)
-    return AdmissibilityVerdict(n=n, admissible=False, case="none")
+        return AdmissibilityVerdict(admissible=True, case="b", q=q, m=m, s=1)
+    return AdmissibilityVerdict(admissible=False, case="none")
 
 
 # -- the procedural operators on A_n ---------------------------------------
@@ -287,19 +282,12 @@ def admissible(n: int) -> AdmissibilityVerdict:
 VARIANTS = ("S1", "S2", "S3", "default")
 
 
-def _involutions_stabilizing(
-    S: FiniteGroup, points: tuple[int, ...]
-) -> list[Perm]:
+def _involution_stabilizing(S: FiniteGroup, points: tuple[int, ...]) -> Optional[Perm]:
+    """The least involution of S that maps `points` onto themselves (the
+    first in the sorted S.elements), or None."""
     pset = set(points)
-    out = [
-        g
-        for g in S.elements
-        if not g.is_identity()
-        and (g * g).is_identity()
-        and {g[x] for x in pset} == pset
-    ]
-    out.sort()
-    return out
+    involutions = (g for g in S.elements if not g.is_identity() and (g * g).is_identity())
+    return next((g for g in involutions if {g[x] for x in pset} == pset), None)
 
 
 def build_an_operator(n: int, variant: str = "default") -> RBOperator:
@@ -343,12 +331,9 @@ def build_an_operator(n: int, variant: str = "default") -> RBOperator:
     L = st.group
 
     sset = S._element_set()
-    rs = _involutions_stabilizing(S, distinguished)
-    if not rs:
-        raise TransitiveError(
-            "no involution of S stabilizes the distinguished points"
-        )
-    r = rs[0]
+    r = _involution_stabilizing(S, distinguished)
+    if r is None:
+        raise TransitiveError("no involution of S stabilizes the distinguished points")
     t = min(g for g in L.elements if g not in sset)
 
     kpoints = [i for i in range(n) if i not in distinguished]

@@ -20,7 +20,6 @@ from rbgroups.build import construction
 from rbgroups.classify import EnumerationCapExceeded
 from rbgroups.labels import iso_label
 from rbgroups.perm import (
-    FiniteGroup,
     Perm,
     automorphism_group,
     exact_factorization,
@@ -409,7 +408,7 @@ def index2_body(L, S, r):
 def index2_construction(G, K, L, S, r):
     """The index-2 twist B(k l) = l^-1 r^d(l) as a table operator:
     build.construction over G = K L with phi(l) = r^d(l) onto
-    R = {e, r}."""
+    R = <r>, which is {e, r} for an involution r."""
     phi = {l: G.identity if l in S else r for l in L.elements}
-    R = FiniteGroup.from_elements([G.identity, r])
+    R = G.subgroup([r])
     return construction(exact_factorization(G, K, L), phi.__getitem__, R)

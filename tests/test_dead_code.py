@@ -13,8 +13,10 @@ say).  An optional parameter of a package function is live when a
 package call passes it, by keyword or by position (a call of a class
 counts for its __init__), when its function (or class) is re-exported by
 __init__, or when its function is cli.main: a default that no caller
-overrides is a constant.  All of this is read from the source, except
-the MRO.
+overrides is a constant.  A field of a NamedTuple of the package is live
+when package code reads an attribute of that name on any object other
+than argparse's `args` (the parsed options share names with fields).
+All of this is read from the source, except the MRO.
 """
 
 import ast
@@ -106,6 +108,25 @@ def test_every_method_is_referenced():
             for m in (s for s in cls.body if isinstance(s, ast.FunctionDef)):
                 if m.name not in keep and not m.name[:2] == m.name[-2:] == "__":
                     dead.append(f"{module}.py: {cls.name}.{m.name}")
+    assert not dead, dead
+
+
+def test_every_record_field_is_read():
+    trees = _trees()
+    read = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and not isinstance(node.ctx, ast.Store)
+        and not (isinstance(node.value, ast.Name) and node.value.id == "args")
+    }
+    dead = []
+    for module, tree in trees.items():
+        for cls in (s for s in tree.body if isinstance(s, ast.ClassDef)):
+            if any(isinstance(b, ast.Name) and b.id == "NamedTuple" for b in cls.bases):
+                fields = [s.target.id for s in cls.body if isinstance(s, ast.AnnAssign)]
+                dead += [f"{module}.py: {cls.name}.{f}" for f in fields if f not in read]
     assert not dead, dead
 
 

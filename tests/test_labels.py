@@ -90,3 +90,36 @@ def test_perfect_order_is_not_a_name():
     assert G.order() == 181440 and _is_perfect(G)
     assert iso_label(G).startswith("G[order=181440,abelian=False,spectrum=")
     assert time.perf_counter() - start < 30
+
+
+def _groups_of_order_36_and_72():
+    c, d, q = families.cyclic, families.dihedral, families.generalized_quaternion
+    s3, a4 = families.symmetric(3).group, families.alternating(4).group
+    sg = transitive.sharply2(2, 3, 1)
+    x = direct_product
+    return {
+        "D36": d(18).group, "D72": d(36).group, "Q36": q(9).group, "Q72": q(18).group,
+        "L(2,3,1)": sg.group, "FS1": sg.s1, "FS2": sg.s2, "FS3": sg.s3,
+        "S3xS3": x(s3, s3), "A4xZ3": x(a4, c(3).group), "Z3xQ12": x(c(3).group, q(3).group),
+        "S3xZ6": x(s3, c(6).group), "Z9xQ8": x(c(9).group, q(2).group),
+        "Z3xZ3xQ8": x(x(c(3).group, c(3).group), q(2).group), "S3xA4": x(s3, a4),
+        "S3xS3xZ2": x(x(s3, s3), c(2).group), "A4xZ6": x(a4, c(6).group),
+        "S4xZ3": x(families.symmetric(4).group, c(3).group), "Z9xD8": x(c(9).group, d(4).group),
+    }
+
+
+def test_normal_sylow3_reads_the_spectrum():
+    """The spectrum test agrees with growing the elements of order 1 or 3
+    and testing them for normality by every element of G, on 19 groups of
+    order 36 and 72 where both answers occur."""
+    from oracles import exhaustive_normal
+
+    from rbgroups.labels import _normal_sylow3
+
+    verdicts = {}
+    for name, G in _groups_of_order_36_and_72().items():
+        assert G.order() in (36, 72) and not G.is_abelian(), name
+        E = [e for e in G.elements if 3 % e.order() == 0]
+        verdicts[name] = len(E) == 9 and exhaustive_normal(G, E)
+        assert _normal_sylow3(G) == verdicts[name], name
+    assert sum(verdicts.values()) == 9 and len(verdicts) == 19

@@ -14,6 +14,7 @@ from rbgroups.perm import (
     exact_factorization,
     is_isomorphic,
 )
+from rbgroups.rbop import _normal_in
 
 
 def test_composition_is_left_to_right():
@@ -62,10 +63,10 @@ def test_group_basics():
 def test_subgroup_and_normality():
     s3 = FiniteGroup.from_generators([Perm.from_cycles(3, [(0, 1, 2)]), Perm.from_cycles(3, [(0, 1)])]
     )
-    rot = s3.subgroup([Perm.from_cycles(3, [(0, 1, 2)])])
-    ref = s3.subgroup([Perm.from_cycles(3, [(0, 1)])])
-    assert s3.is_normal(rot.elements)
-    assert not s3.is_normal(ref.elements)
+    rot = FiniteGroup.from_elements(s3.subgroup([Perm.from_cycles(3, [(0, 1, 2)])]).elements)
+    ref = FiniteGroup.from_elements(s3.subgroup([Perm.from_cycles(3, [(0, 1)])]).elements)
+    assert _normal_in(rot, s3)
+    assert not _normal_in(ref, s3)
 
 
 def test_exact_factorization_s3():
@@ -234,25 +235,53 @@ def test_subgroup_tests_match_pairwise_oracles(spec):
     subgroups = 0
     for S in subsets_with_identity(G):
         is_sub = pairwise_subgroup(S)
-        assert G.is_subgroup(S) == is_sub
-        assert G.is_normal(S) == exhaustive_normal(G, S)
         T = grow(sorted(S), G.identity, S)
         assert (T is not None) == is_sub
-        H = FiniteGroup.from_elements(S)
         if is_sub:
             subgroups += 1
+            H = FiniteGroup.from_elements(S)
             assert closure(T) == H.elements and H.generators == T
+            assert _normal_in(H, G) == exhaustive_normal(G, S)
         else:
-            assert H.generators == H.elements
+            assert not exhaustive_normal(G, S)
+            with pytest.raises(PermError, match="is not a subgroup"):
+                FiniteGroup.from_elements(S)
     assert subgroups == {"S:3": 6, "D:8": 10}[spec]
 
 
 def test_is_subgroup_needs_the_identity():
     G = FiniteGroup.from_generators([Perm.from_cycles(3, [(0, 1, 2)])])
-    assert not G.is_subgroup(set(G.elements) - {G.identity})
-    assert not G.is_subgroup(set())
-    with pytest.raises(PermError):
-        G.is_subgroup({Perm.from_cycles(3, [(0, 1)])})
+    S = set(G.elements) - {G.identity}
+    assert grow(sorted(S), G.identity, S) is None
+    assert grow([], G.identity, set()) is None
+    for S in (S, {Perm.from_cycles(3, [(0, 1)])}, set()):
+        with pytest.raises(PermError, match="R is not a subgroup"):
+            FiniteGroup.from_elements(S, label="R")
+
+
+def test_from_elements_refuses_a_non_subgroup():
+    """{e, (0 1), (0 2)} of S3 is closed under inverses but not products."""
+    S = [Perm.identity(3), Perm.from_cycles(3, [(0, 1)]), Perm.from_cycles(3, [(0, 2)])]
+    with pytest.raises(PermError, match="the set is not a subgroup"):
+        FiniteGroup.from_elements(S)
+    trusted = FiniteGroup.from_elements(S, generators=S[1:])
+    assert trusted.order() == 3
+
+
+def test_exact_factorization_runs_no_grow(monkeypatch):
+    """Its factors are groups already, so it tests only that they lie in G."""
+    from rbgroups import perm
+
+    s3 = FiniteGroup.from_generators([Perm.from_cycles(3, [(0, 1, 2)]), Perm.from_cycles(3, [(0, 1)])])
+    H = s3.subgroup([Perm.from_cycles(3, [(0, 1, 2)])])
+    L = s3.subgroup([Perm.from_cycles(3, [(0, 1)])])
+    calls = []
+    monkeypatch.setattr(perm, "grow", lambda *a: calls.append(a) or grow(*a))
+    assert exact_factorization(s3, H, L).exact
+    assert calls == []
+    outside = FiniteGroup.from_generators([Perm.from_cycles(3, [(0, 1)])], label="Z2")
+    with pytest.raises(PermError, match="Z2 is not a subgroup of G"):
+        exact_factorization(FiniteGroup.from_generators([Perm.from_cycles(3, [(0, 1, 2)])]), H, outside)
 
 
 def _count_products(monkeypatch):
@@ -274,7 +303,7 @@ def test_subgroup_tests_take_linear_products(monkeypatch):
     A7 = families.alternating(7).group
     psl = transitive.sharply3(9).psl
     calls = _count_products(monkeypatch)
-    assert A7.is_subgroup(A7.elements)
+    assert grow(A7.elements, A7.identity, A7._element_set()) is not None
     assert calls[0] <= 8 * 2520
     calls[0] = 0
     H = FiniteGroup.from_elements(psl.elements)

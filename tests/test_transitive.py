@@ -19,7 +19,7 @@ from oracles import (
 )
 from rbgroups import families, rbop, serialize, transitive
 from rbgroups.gf import make_field, prime_power
-from rbgroups.perm import ENUMERATION_CAP, FiniteGroup, Grower, Perm
+from rbgroups.perm import ENUMERATION_CAP, FiniteGroup, Grower, Perm, closure
 from rbgroups.labels import iso_label
 from rbgroups.transitive import (
     TransitiveError,
@@ -67,7 +67,7 @@ def test_admissible_matches_brute_force_fixture():
 def test_sharply2_gf9():
     sg = sharply2(2, 3, 1)
     assert sg.group.order() == 72
-    assert sg.transitivity_degree == 2
+    assert len({g[:2] for g in sg.group.elements}) == 72  # sharply 2-transitive
     assert all(g.is_even() for g in sg.group.elements)
     assert iso_label(sg.n_part) == "Q8"
 
@@ -85,14 +85,15 @@ def test_sharply2_index2_subgroups():
     sg = sharply2(2, 3, 1)
     for S in (sg.s1, sg.s2, sg.s3):
         assert S.order() == 36
-        assert sg.group.is_subgroup(set(S.elements))
+        assert S._element_set() < sg.group._element_set()
+        assert closure(S.generators) == S.elements
     assert iso_label(sg.s1) == "(Z3xZ3):Z4"
 
 
 def test_sharply3_gf9():
     sg = sharply3(9)
     assert sg.group.order() == 720
-    assert sg.transitivity_degree == 3
+    assert len({g[7:] for g in sg.group.elements}) == 720  # sharply 3-transitive
     assert sg.psl.order() == 360
     assert all(g.is_even() for g in sg.group.generators)
 
@@ -159,16 +160,17 @@ def test_twist_screen_matches_closure_oracle_q49():
     _check_twist_screen(49)
 
 
-def test_transporter_table_rejects_two_transporters():
+def test_sharpness_check_rejects_two_transporters():
     S4 = families.symmetric(4).group
     with pytest.raises(TransitiveError, match="two transporters"):
-        transitive.transporter_table(S4, (0, 1))
+        transitive.check_sharpness(S4, (0, 1))
 
 
-def test_transporter_table_rejects_too_few_keys():
+def test_sharpness_check_rejects_too_few_keys():
     """PSL2(9) moves no triple twice but reaches only 360 of 720."""
     with pytest.raises(TransitiveError, match="covers 360 of 720"):
-        transitive.transporter_table(sharply3(9).psl, (7, 8, 9))
+        transitive.check_sharpness(sharply3(9).psl, (7, 8, 9))
+    assert transitive.check_sharpness(sharply3(9).group, (7, 8, 9)) is None
 
 
 def test_sharply3_rejects_odd_exponent():
@@ -319,8 +321,8 @@ def _tampered(field):
         L, t, r = st["im"], st["t"], st["r"]
         s0 = next(g for g in S.elements if g not in (B.group.identity, r))
         t1 = next(g for g in L.elements if g not in S and g != t)
-        swapped = [g for g in S.elements if g != s0] + [t1]
-        change = {"ker_tilde": FiniteGroup.from_elements(swapped)}
+        swapped = tuple(sorted([g for g in S.elements if g != s0] + [t1]))
+        change = {"ker_tilde": FiniteGroup(9, swapped, swapped)}  # no group: the raw constructor
     elif field == "S not of index 2":
         change = {"ker_tilde": FiniteGroup.from_elements([B.group.identity, st["r"]])}
     else:  # "K meets L": K taken as the stabilizer of one point only
