@@ -129,7 +129,8 @@ def _recognize_large(G: FiniteGroup) -> str | None:
         if order == 36 and 4 in dict(invariant_tuple(G)[2]):
             return "(Z3xZ3):Z4"
         if order == 72:
-            fours = [e for e in G.elements if e.order() == 4]
+            orders = G.order_table()
+            fours = [e for e in G.elements if orders[e] == 4]
             for x in fours:
                 for y in fours:
                     if x != y and x * x == y * y:
@@ -204,6 +205,6 @@ def iso_label(G: FiniteGroup) -> str:
     if special is not None:
         return special
     # cyclic groups of any size
-    if G.is_abelian() and any(e.order() == order for e in G.elements):
+    if G.is_abelian() and order in G.order_table().values():
         return f"Z{order}"
     return _fallback_label(G)

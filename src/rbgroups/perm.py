@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from typing import AbstractSet, Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 
@@ -463,9 +464,40 @@ class FiniteGroup(_Frozen):
         gens = self.generators
         return all(a * b == b * a for a in gens for b in gens)
 
+    @_kept
+    def order_table(self) -> dict[Perm, int]:
+        """The order of each element, from one walk per cyclic subgroup.
+
+        Each element g not yet in the table is walked through <g>:
+        g, g^2, ..., g^m = e, which takes m - 1 products, where m is the
+        first exponent with g^m = e.  Then m is the order of g, and each
+        power g^j (1 <= j <= m) gets order m / gcd(j, m).
+
+        Proof: (g^j)^k = e iff m divides jk, iff m / gcd(j, m) divides
+        k, since m / gcd(j, m) and j / gcd(j, m) are coprime; so the
+        least such k > 0 is m / gcd(j, m).  Every element is covered: the
+        walk visits each element in canonical order, and one that is not
+        yet in the table is walked itself, which enters it (as g^1).  An
+        element entered twice gets the same, correct, order both times.
+        The table takes ord(g) - 1 products for each walked g, where
+        Perm.order on every element takes ord(x) - 1 for every x."""
+        orders: dict[Perm, int] = {}
+        e = self.identity
+        for g in self.elements:
+            if g in orders:
+                continue
+            powers, p = [g], g
+            while p != e:
+                p = p * g
+                powers.append(p)
+            m = len(powers)
+            for j, x in enumerate(powers, start=1):
+                orders[x] = m // math.gcd(j, m)
+        return orders
+
     def element_orders(self) -> tuple[int, ...]:
         """Sorted multiset of element orders."""
-        return tuple(sorted(e.order() for e in self.elements))
+        return tuple(sorted(self.order_table().values()))
 
     # -- subgroup machinery ------------------------------------------------
 
@@ -482,7 +514,8 @@ class FiniteGroup(_Frozen):
 def small_generating_tuple(G: FiniteGroup) -> tuple[Perm, ...]:
     """A short generating tuple: grow() over the elements by decreasing
     order, ties broken by the canonical order."""
-    best = sorted(G.elements, key=lambda e: (-e.order(), e))
+    orders = G.order_table()
+    best = sorted(G.elements, key=lambda e: (-orders[e], e))
     return grow(best, G.identity, G._element_set())
 
 
@@ -549,9 +582,11 @@ def _isomorphisms(G: FiniteGroup, H: FiniteGroup) -> Iterator[dict[Perm, Perm]]:
     homomorphism is yielded."""
     gens = small_generating_tuple(G)
     by_order: dict[int, list[Perm]] = {}
+    h_orders = H.order_table()
     for e in H.elements:
-        by_order.setdefault(e.order(), []).append(e)
-    candidates = [by_order.get(g.order(), []) for g in gens]
+        by_order.setdefault(h_orders[e], []).append(e)
+    g_orders = G.order_table()
+    candidates = [by_order.get(g_orders[g], []) for g in gens]
     for images in itertools.product(*candidates):
         mapping = extend_homomorphism(G, gens, images, H)
         if mapping is None or len(mapping) != G.order():

@@ -213,17 +213,19 @@ def tilde(B: RBOperator) -> RBOperator:
 
 def circ_kernel(B: RBOperator) -> Callable[[Perm, Perm], tuple[Perm, Perm]]:
     """(g, h) -> (B(g), g o h), g o h = g B(g) h B(g)^-1, B bound once for
-    loops of pairs and evaluated once per pair: the identity's left side
+    loops of pairs (its procedure, called directly, or B itself for a
+    table operator) and evaluated once per pair: the identity's left side
     B(g) B(h) reuses b = B(g).  g b h is translate by b + pad, then by
     h + pad (pad = _ID[n:]), and b^-1 the 256-byte table
     bytes.maketrans(b, _ID[:n]).  PermError when g or h is not of degree n."""
     n = B.group.degree
     pad, ident, maketrans = _ID[n:], _ID[:n], bytes.maketrans
+    f = B.proc or B
 
     def kernel(g: Perm, h: Perm) -> tuple[Perm, Perm]:
         if len(g) != n or len(h) != n:
             raise PermError(f"domain size mismatch: {len(g)}, {len(h)} vs {n}")
-        b = B(g)
+        b = f(g)
         return b, _new(Perm, g.translate(b + pad).translate(h + pad).translate(maketrans(b, ident)))
 
     return kernel

@@ -518,7 +518,8 @@ def verify_an_operator(
     |L|^2 entries.
 
     Layer 3 draws g and h uniformly from A_n with even_sampler, one
-    rng.randrange call per element.  The verdict line prints only the
+    rng.randrange call per element, and evaluates B once each at g, h and
+    g o h, calling B's procedure directly as rbop.circ_kernel does.  The verdict line prints only the
     pair counts and the seed; a failing verdict's detail names the
     sample index and the pair."""
     if sample_count < 0:
@@ -564,11 +565,11 @@ def verify_an_operator(
 
     # layer 3: seeded random pairs from the whole group
     rng, n = random.Random(seed), B.group.degree
-    draw, circ, pad = even_sampler(n), circ_kernel(B), _ID[n:]
+    draw, circ, pad, f = even_sampler(n), circ_kernel(B), _ID[n:], B.proc or B
     for i in range(sample_count):
         g, h = draw(rng), draw(rng)
         b, gh = circ(g, h)
-        if b.translate(B(h) + pad) != B(gh):
+        if b.translate(f(h) + pad) != f(gh):
             return LayeredVerdict(
                 ok=False, layer=3,
                 detail=f"identity fails at sample {i}: ({g!r}, {h!r})",

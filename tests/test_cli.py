@@ -390,10 +390,26 @@ CLI_DIGESTS = {
 }
 
 
+# sha256 of the stdout of the perfbench an jobs, recorded before element
+# orders came from one order table per group.  sharply2's FS1-FS3 labels
+# are invariant strings built from the element-order spectrum.
+AN_DIGESTS = {
+    "sharply2 --m 2 --q 7 --t 1": "6876ee78b0147f3e86887380bdc73c37edf815110d9c3bb820c89bb5503bc78d",
+    "--seed 5 build-an --n 9 --variant S1 --verify-samples 30000": "44465735894a17e040e3ae09f9ec4e3383920883b097bc8cedf462de85fd8b80",
+    "descendent --n 9": "6b309969a41e17e08d75960fedfaae3e81d0ad2cc974d15fca92064f74527e18",
+}
+
+
 @pytest.mark.parametrize("command", list(CLI_DIGESTS))
 def test_cli_output_is_pinned(command):
     code, text = run(command.split())
     assert (code, _sha(text)) == (0, CLI_DIGESTS[command])
+
+
+@pytest.mark.parametrize("command", list(AN_DIGESTS))
+def test_an_output_is_pinned(command):
+    code, text = run(command.split())
+    assert (code, _sha(text)) == (0, AN_DIGESTS[command])
 
 
 def test_construct_split_refuses_an_inexact_factorization(capsys):

@@ -15,6 +15,7 @@ from rbgroups.perm import (
     is_isomorphic,
 )
 from rbgroups.rbop import _normal_in
+from test_classify import PINNED
 
 
 def test_composition_is_left_to_right():
@@ -309,3 +310,46 @@ def test_subgroup_tests_take_linear_products(monkeypatch):
     H = FiniteGroup.from_elements(psl.elements)
     assert calls[0] <= 8 * 360
     assert closure(H.generators) == psl.elements
+
+
+# -- the order table against the lcm of cycle lengths ----------------------
+
+
+def _assert_orders_match_cycles(G):
+    table = G.order_table()
+    assert table.keys() == set(G.elements)
+    for g in G.elements:
+        assert table[g] == math.lcm(*(len(cyc) for cyc in _ref_cycles(tuple(g))))
+    assert G.element_orders() == tuple(sorted(table.values()))
+
+
+@pytest.mark.parametrize("spec", list(PINNED))
+def test_order_table_matches_cycle_lengths(spec):
+    from rbgroups import families
+
+    _assert_orders_match_cycles(families.parse_group_spec(spec).group)
+
+
+def test_order_table_matches_cycle_lengths_on_the_an_groups():
+    """L(2,7,1), its N and FS1-FS3 (the groups sharply2 --m 2 --q 7 --t 1
+    labels), and the descendent group of d2n_klein(72)."""
+    from rbgroups import build, rbop, transitive
+
+    st = transitive.sharply2(2, 7, 1)
+    for G in (st.group, st.n_part, st.s1, st.s2, st.s3):
+        _assert_orders_match_cycles(G)
+    _assert_orders_match_cycles(rbop.descendent_group(build.catalog_operator("d2n_klein(72)"))[0])
+
+
+def test_order_table_takes_one_walk_per_cyclic_subgroup(monkeypatch):
+    """Each FS_i of L(2,7,1) gets its table in at most 2|S| = 2,352
+    products; taking each element's order by Perm.order takes the sum of
+    the element orders, 9,549 to 15,037 products there."""
+    from rbgroups import transitive
+
+    st = transitive.sharply2(2, 7, 1)
+    calls = _count_products(monkeypatch)
+    for S in (st.s1, st.s2, st.s3):
+        calls[0] = 0
+        S.order_table()
+        assert calls[0] <= 2 * S.order()

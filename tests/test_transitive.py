@@ -575,10 +575,14 @@ def test_negative_sample_counts_raise(kwargs):
 
 
 def test_descendent_structure_takes_few_products(monkeypatch):
-    """At most 1,410 Perm products, building the operator included, at the
-    default 10,000 + 10,000 samples: twice the 705 counted with both
-    sample loops on rbop.circ_kernel's bytes (100,715 by Perm products, and
-    475,561 with a K-element built as a word of 12 generators)."""
+    """At most 1,410 Perm.__mul__ calls, building the operator included,
+    at the default 10,000 + 10,000 samples: twice the 705 counted with
+    both sample loops on rbop.circ_kernel's bytes (100,715 by Perm
+    products, and 475,561 with a K-element built as a word of 12
+    generators).  Only Perm.__mul__ is counted: the raw bytes.translate
+    work of rbop.circ_kernel, even_sampler and
+    perm.homomorphism_failure is not, so this bounds Perm products, not
+    all permutation work."""
     from test_perm import _count_products
 
     calls = _count_products(monkeypatch)
@@ -587,9 +591,12 @@ def test_descendent_structure_takes_few_products(monkeypatch):
 
 
 def test_layer3_takes_few_products(monkeypatch):
-    """At most 1,700 Perm products, building the operator included, at
-    30,000 layer-3 samples: twice the 850 counted with layer 3 on
-    rbop.circ_kernel's bytes (120,850 by Perm products)."""
+    """At most 1,700 Perm.__mul__ calls, building the operator included,
+    at 30,000 layer-3 samples: twice the 850 counted with layer 3 on
+    rbop.circ_kernel's bytes (120,850 by Perm products).  Only
+    Perm.__mul__ is counted: the raw bytes.translate work of
+    rbop.circ_kernel, even_sampler and perm.homomorphism_failure is not,
+    so this bounds Perm products, not all permutation work."""
     from test_perm import _count_products
 
     calls = _count_products(monkeypatch)
@@ -617,6 +624,39 @@ def test_layer3_evaluates_b_three_times_per_pair():
         assert v.ok and v.pairs_sampled == samples
         totals.append(calls[0])
     assert totals[1] - totals[0] == 3 * 1000
+
+
+def test_descendent_structure_evaluates_b_once_per_element_used():
+    """descendent_structure evaluates B once per element of S (for
+    s B(s)), once per K pair (B(h) in h o h') and twice per twist pair
+    (l o h and h^(r^d) o l): |S| + DESCENDENT_K_SAMPLES +
+    2 DESCENDENT_TWIST_SAMPLES calls of a counted procedure, 30,036 at
+    n = 9."""
+    B = _an(9)
+    calls = [0]
+
+    def counted(g):
+        calls[0] += 1
+        return B.proc(g)
+
+    assert descendent_structure(rebuilt(B, proc=counted)).ok
+    S = B.structural["ker_tilde"]
+    expected = (
+        S.order() + transitive.DESCENDENT_K_SAMPLES + 2 * transitive.DESCENDENT_TWIST_SAMPLES
+    )
+    assert calls[0] == expected == 30_036
+
+
+def test_sharply2_takes_few_products(monkeypatch):
+    """sharply2 --m 2 --q 7 --t 1 makes at most 13,000 Perm products,
+    labels included: 12,062 with one order table per group, 37,886 when
+    each element order was taken by Perm.order."""
+    from test_cli import run
+    from test_perm import _count_products
+
+    calls = _count_products(monkeypatch)
+    assert run(["sharply2", "--m", "2", "--q", "7", "--t", "1"])[0] == 0
+    assert calls[0] <= 13_000
 
 
 def test_layer3_draws_one_rank_per_element(monkeypatch):
