@@ -136,7 +136,8 @@ def trivial_inv(G: FiniteGroup) -> RBOperator:
 
 def check_pair(B: RBOperator, g: Perm, h: Perm) -> bool:
     """The defining identity B(g) B(h) = B(g o h) at the pair (g, h)."""
-    b, gh = circ_kernel(B)(g, h)  # first, for its PermError on a mismatched degree
+    _check_degree(B, g, h)
+    b, gh = circ_kernel(B)(g, h)
     return b * B(h) == B(gh)
 
 
@@ -217,22 +218,34 @@ def circ_kernel(B: RBOperator) -> Callable[[Perm, Perm], tuple[Perm, Perm]]:
     table operator) and evaluated once per pair: the identity's left side
     B(g) B(h) reuses b = B(g).  g b h is translate by b + pad, then by
     h + pad (pad = _ID[n:]), and b^-1 the 256-byte table
-    bytes.maketrans(b, _ID[:n]).  PermError when g or h is not of degree n."""
+    bytes.maketrans(b, _ID[:n]).
+
+    The kernel does not test the degrees of g and h: a caller passes
+    perms of degree n.  circ and check_pair, which take perms from their
+    callers, test them first (_check_degree, PermError on a mismatch); the
+    sampled loops of transitive pass only sampler draws, elements of L
+    and products of these, all of degree n."""
     n = B.group.degree
     pad, ident, maketrans = _ID[n:], _ID[:n], bytes.maketrans
     f = B.proc or B
 
     def kernel(g: Perm, h: Perm) -> tuple[Perm, Perm]:
-        if len(g) != n or len(h) != n:
-            raise PermError(f"domain size mismatch: {len(g)}, {len(h)} vs {n}")
         b = f(g)
         return b, _new(Perm, g.translate(b + pad).translate(h + pad).translate(maketrans(b, ident)))
 
     return kernel
 
 
+def _check_degree(B: RBOperator, g: Perm, h: Perm) -> None:
+    """PermError unless g and h both have the degree of B's group."""
+    n = B.group.degree
+    if len(g) != n or len(h) != n:
+        raise PermError(f"domain size mismatch: {len(g)}, {len(h)} vs {n}")
+
+
 def circ(B: RBOperator, g: Perm, h: Perm) -> Perm:
     """The descendent product g o h = g B(g) h B(g)^-1."""
+    _check_degree(B, g, h)
     return circ_kernel(B)(g, h)[1]
 
 

@@ -7,7 +7,8 @@ from __future__ import annotations
 import math
 import operator
 import random
-from typing import Callable, NamedTuple, Optional, Sequence
+from itertools import repeat
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from . import families
 from .build import ConstructionError, construction
@@ -399,12 +400,33 @@ class LayeredVerdict(NamedTuple):
         )
 
 
+def ranks(rng: random.Random, total: int) -> Iterator[int]:
+    """The ranks rng.randrange(total) gives, total >= 1, one per item taken,
+    drawn as CPython's Random._randbelow_with_getrandbits draws them:
+    getrandbits(k), k = total.bit_length(), until the value is below
+    total.  So the ranks are the same and rng is left in the same state;
+    rng.choice(seq) is seq[rank] with total = len(seq).  The iterator reads
+    no value ahead, so draws interleaved with it on one rng keep their
+    order."""
+    return filter(total.__gt__, map(rng.getrandbits, repeat(total.bit_length())))
+
+
+def _transposition(n: int, a: int, b: int) -> bytes:
+    """Image bytes of the transposition (a b) on n points; the identity
+    when a = b."""
+    imgs = bytearray(_ID[:n])
+    imgs[a], imgs[b] = b, a
+    return bytes(imgs)
+
+
 def even_sampler(
     n: int, points: Optional[Sequence[int]] = None
 ) -> Callable[[random.Random], Perm]:
     """A sampler draw(rng) -> Perm of uniform even permutations of
     `points` (default: all n points) fixing every other point, each from
-    one rng.randrange(k!) call, k = len(points).
+    one rank x in [0, k!), k = len(points), drawn by rng.getrandbits as
+    ranks(rng, k!) draws it: the x of rng.randrange(k!), leaving rng in the
+    same state.
 
     The rank x is read as mixed-radix digits, least significant first:
     x = d_{k-1} + k (d_{k-2} + (k-1) (d_{k-3} + ...)) with 0 <= d_i <= i.
@@ -436,22 +458,25 @@ def even_sampler(
     their number.  Swapping the images at positions a and b turns the
     image tuple of q into that of tau q, tau = (a b), as
     (tau q)(p) = q(tau(p)) in the package's left-to-right product.  So
-    later swaps multiply on the left, the pass is P_m ... P_2 P_1 with
-    P_1 the least significant chunk, and acc -> P[c] acc is
+    later swaps multiply on the left.  A chunk's table is built step by
+    step from [identity]: with R' the radix product of the steps before
+    step i, entry c + R' j of the next table is tau_j P[c], tau_j =
+    (points[i] points[j]), that is tau_j.translate(P[c] + pad), and its
+    parity flips when j != i.  The pass is P_m ... P_2 P_1 with P_1 the
+    least significant chunk, and acc -> P[c] acc is
     P[c].translate(acc) + pad, which keeps acc padded to 256 bytes from
     the first chunk's table, stored padded.  The last digit is what is
     left of x, and the last table folds in the parities: entry 2 c + p
     is s^(p xor parity(P[c])) P[c], s the fixed transposition, for p the
     parity of the earlier chunks.  The tables are built per call, not at
     import: at k = 9 the chunks are 9*8*7 and 6*5*4*3*2, 504 + 2 * 720
-    entries, and a draw is one randrange, one divmod and one translate."""
+    entries, and a draw is one getrandbits loop, one divmod and one
+    translate."""
     pts = list(range(n)) if points is None else list(points)
     total = math.factorial(len(pts))
+    bits = total.bit_length()
     pad = _ID[n:]
-    swap = bytearray(range(n))  # the transposition of points[0], points[1]
-    if len(pts) >= 2:
-        swap[pts[0]], swap[pts[1]] = pts[1], pts[0]
-    swap = bytes(swap)
+    swap = _transposition(n, pts[0], pts[1]) if len(pts) >= 2 else _ID[:n]
 
     chunks = []  # (R, P, parity) for each chunk, least significant first
     steps = [(i + 1, pts[i]) for i in range(len(pts) - 1, 0, -1)]
@@ -461,17 +486,12 @@ def even_sampler(
             radix *= steps[size][0]
             size += 1
         chunk, steps = steps[:size], steps[size:]
-        perms, parity = [], []
-        for c in range(radix):
-            imgs, odd = bytearray(range(n)), 0
-            for step_radix, a in chunk:
-                c, j = divmod(c, step_radix)
-                b = pts[j]
-                if a != b:
-                    imgs[a], imgs[b] = imgs[b], imgs[a]
-                    odd ^= 1
-            perms.append(bytes(imgs))
-            parity.append(odd)
+        perms, parity = [_ID[:n]], [0]
+        for step_radix, a in chunk:
+            taus = [_transposition(n, a, b) for b in pts[:step_radix]]
+            padded = [P + pad for P in perms]
+            perms = [tau.translate(P) for tau in taus for P in padded]
+            parity = [o ^ (a != b) for b in pts[:step_radix] for o in parity]
         chunks.append((radix, perms, parity))
     # one chunk (k <= 6) or none (k <= 1): the first is the identity
     _, perms, parity = chunks.pop() if chunks else (1, [_ID[:n]], [0])
@@ -480,7 +500,10 @@ def even_sampler(
     perms1 = [P + pad for P in perms1]
 
     def draw(rng: random.Random) -> Perm:
-        x, c = divmod(rng.randrange(total), radix1)
+        x = rng.getrandbits(bits)  # the loop of ranks(rng, total), inline
+        while x >= total:
+            x = rng.getrandbits(bits)
+        x, c = divmod(x, radix1)
         acc, odd = perms1[c], parity1[c]
         for radix, perms, parity in rest:
             x, c = divmod(x, radix)
@@ -504,7 +527,8 @@ def verify_an_operator(
     r an involution in S), then rebuilds B by build.construction, which
     names the first of its preconditions that fails, and compares the two
     on L.  With r an involution, phi = r^d is a homomorphism iff d, the
-    S-coset indicator, is one L -> Z2, with kernel S of index 2.
+    S-coset indicator, is one L -> Z2, with kernel S of index 2.  B is
+    evaluated once on each element of L, and layer 2 reuses those images.
 
     Layer 2 is rbop.verify on B restricted to L, a table operator on L's
     Cayley table, and follows from layer 1; it runs as a check of it.
@@ -517,11 +541,13 @@ def verify_an_operator(
     with TransitiveError before any layer runs: its table would hold
     |L|^2 entries.
 
-    Layer 3 draws g and h uniformly from A_n with even_sampler, one
-    rng.randrange call per element, and evaluates B once each at g, h and
-    g o h, calling B's procedure directly as rbop.circ_kernel does.  The verdict line prints only the
-    pair counts and the seed; a failing verdict's detail names the
-    sample index and the pair."""
+    Layer 3 draws g and h uniformly from A_n with even_sampler, one rank
+    per element from rng.getrandbits (the ranks of rng.randrange(n!), see
+    ranks), and evaluates B once each at g, h and g o h, calling B's
+    procedure directly as rbop.circ_kernel does.  The draws are perms of
+    degree n, so the kernel's pairs need no degree check.  The verdict
+    line prints only the pair counts and the seed; a failing verdict's
+    detail names the sample index and the pair."""
     if sample_count < 0:
         raise TransitiveError(f"sample count must be >= 0, got {sample_count}")
     st = B.structural
@@ -553,12 +579,13 @@ def verify_an_operator(
         C = _twist(B.group, K, L, S, R, st["distinguished"])
     except ConstructionError as exc:
         return fail(1, str(exc))
-    for l in L.elements:
-        if B(l) != C(l):
+    images = list(map(B, L.elements))
+    for l, b in zip(L.elements, images):
+        if b != C(l):
             return fail(1, f"B(l) != l^-1 r^d(l) at {l!r}")
 
     # layer 2: the identity on L x L, as B restricted to L
-    v = verify(RBOperator(group=L, table=tuple(L.index(B(l)) for l in L.elements)))
+    v = verify(RBOperator(group=L, table=tuple(map(L.index, images))))
     if not v.ok:
         return fail(2, "identity fails at L-pair ({!r}, {!r})".format(*v.witness))
     exhaustive = v.pairs
@@ -609,9 +636,11 @@ def descendent_structure(B: RBOperator, seed: int = DEFAULT_SEED) -> DescendentR
     The K loop takes DESCENDENT_K_SAMPLES pairs and the twist loop
     DESCENDENT_TWIST_SAMPLES.  The K-elements are drawn uniformly from
     K = Alt(the points outside the distinguished ones) with even_sampler,
-    one rng.randrange call per element, and l is a seeded rng.choice from
-    L.  Both loops compare
-    image bytes of products from rbop.circ_kernel."""
+    one rank per element from rng.getrandbits, and l is L.elements[j]
+    for a rank j from ranks(rng, |L|), the l that rng.choice(L.elements)
+    gives.  Both loops compare image bytes of products from
+    rbop.circ_kernel, on sampler draws, elements of L and products of
+    these, all of degree n, so the kernel's pairs need no degree check."""
     st = B.structural
     S, r, L = st["ker_tilde"], st["r"], st["im"]
     sset = S._element_set()
@@ -637,8 +666,11 @@ def descendent_structure(B: RBOperator, seed: int = DEFAULT_SEED) -> DescendentR
             )
 
     lelems, rpad = L.elements, r + pad
-    for i in range(DESCENDENT_TWIST_SAMPLES):
-        l, h = rng.choice(lelems), random_k(rng)
+    drawn_l = map(lelems.__getitem__, ranks(rng, len(lelems)))
+    # zip takes l before the body draws h, the order of the seeded stream,
+    # and stops on the range without drawing an l past the last sample
+    for i, l in zip(range(DESCENDENT_TWIST_SAMPLES), drawn_l):
+        h = random_k(rng)
         h_tw = h if l in sset else _new(Perm, r.translate(h + pad).translate(rpad))
         if circ(l, h)[1] != circ(h_tw, l)[1]:
             detail = f"l o h != h^(r^d) o l at sample {i}"

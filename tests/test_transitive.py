@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import random
+import sys
 import time
 
 import pytest
@@ -387,7 +388,10 @@ def test_an_l_above_the_enumeration_cap_is_refused():
 
 
 class _Ranks:
-    """A stub rng whose randrange(N) returns 0, 1, ..., N-1 in turn."""
+    """A stub rng whose randrange(N) returns 0, 1, ..., N-1 in turn, and
+    whose getrandbits(k) returns 0, 1, 2, ... in turn, so a sampler that
+    draws ranks below N < 2^k by getrandbits takes each of 0, ..., N-1
+    once, as with randrange."""
 
     def __init__(self):
         self.next = 0
@@ -396,6 +400,9 @@ class _Ranks:
         assert self.next < total
         self.next += 1
         return self.next - 1
+
+    def getrandbits(self, k):
+        return self.randrange(1 << k)
 
 
 def _even_perms(n, points):
@@ -568,6 +575,23 @@ def test_twist_loop_names_the_sample_the_perm_product_loop_predicts():
     assert rep.detail == f"l o h != h^(r^d) o l at sample {i}"
 
 
+def test_twist_loop_draws_l_before_h_on_several_seeds():
+    """The operator of the test above on seeds 1 to 4: the twist loop
+    names the oracle's failing sample on each.  At seed 7 a loop that drew
+    h before l would name the same sample, 21; at seeds 2 and 3 it names
+    3 and 142 where the oracle names 59 and 138."""
+    B = _an(9)
+    st = B.structural
+    r, sset = st["r"], st["ker_tilde"]._element_set()
+    l0 = max(l for l in st["im"].elements if l not in sset)
+    bad = rebuilt(B, proc=lambda g: B.proc(g) * r if g == l0 else B.proc(g))
+    counts = transitive.DESCENDENT_K_SAMPLES, transitive.DESCENDENT_TWIST_SAMPLES
+    for seed in (1, 2, 3, 4):
+        kind, i = perm_descendent_loops(bad, *counts, seed)
+        rep = descendent_structure(bad, seed=seed)
+        assert kind == "twist" and rep.twist_samples == i + 1, seed
+
+
 @pytest.mark.parametrize("kwargs", [{"sample_count": -1}])
 def test_negative_sample_counts_raise(kwargs):
     with pytest.raises(TransitiveError, match="must be >= 0"):
@@ -626,6 +650,22 @@ def test_layer3_evaluates_b_three_times_per_pair():
     assert totals[1] - totals[0] == 3 * 1000
 
 
+def test_verify_evaluates_b_once_on_each_element_of_l():
+    """Layer 1 hands its images B(l) to layer 2's table, so a verify with
+    0 samples calls a counted procedure |L| = 72 times at n = 9 (144 when
+    layer 2 evaluated B on L again)."""
+    B = _an(9)
+    calls = [0]
+
+    def counted(g):
+        calls[0] += 1
+        return B.proc(g)
+
+    v = verify_an_operator(rebuilt(B, proc=counted), sample_count=0)
+    assert v.ok and v.pairs_exhaustive == 72 * 72
+    assert calls[0] == B.structural["im"].order() == 72
+
+
 def test_descendent_structure_evaluates_b_once_per_element_used():
     """descendent_structure evaluates B once per element of S (for
     s B(s)), once per K pair (B(h) in h o h') and twice per twist pair
@@ -660,17 +700,74 @@ def test_sharply2_takes_few_products(monkeypatch):
 
 
 def test_layer3_draws_one_rank_per_element(monkeypatch):
+    """Layer 3 with 1,000 samples makes exactly as many getrandbits calls
+    as 2,000 randrange(9!) calls on Random(7): one rank per element, each
+    drawn as randrange draws it (more than 2,000 calls, as a value of 19
+    bits is 9! or more with probability about 0.31 and is drawn again)."""
+    B = _an(9)
     calls = [0]
-    randrange = random.Random.randrange
+    getrandbits = random.Random.getrandbits
 
-    def counted(self, *args):
+    def counted(self, k):
         calls[0] += 1
-        return randrange(self, *args)
+        return getrandbits(self, k)
 
-    monkeypatch.setattr(random.Random, "randrange", counted)
-    v = verify_an_operator(_an(9), sample_count=1000, seed=7)
+    monkeypatch.setattr(random.Random, "getrandbits", counted)
+    rng = random.Random(7)
+    for _ in range(2 * 1000):
+        rng.randrange(math.factorial(9))
+    expected, calls[0] = calls[0], 0
+    v = verify_an_operator(B, sample_count=1000, seed=7)
     assert v.ok and v.pairs_sampled == 1000
-    assert calls[0] == 2 * 1000
+    assert calls[0] == expected > 2 * 1000
+
+
+@pytest.mark.parametrize(
+    "total",
+    [1, 2, 72] + [math.factorial(k) for k in (6, 7, 9, 47, 49)],
+    ids=["1", "2", "72", "6!", "7!", "9!", "47!", "49!"],
+)
+def test_rank_stream_is_randrange(total):
+    """transitive.ranks gives the values of randrange(N) and of
+    choice(range(N)) (where len(range(N)) fits a machine int) and leaves
+    the rng in the same state, also with other draws interleaved.  It
+    repeats the loop of CPython's Random._randbelow_with_getrandbits, so
+    a CPython that draws randrange otherwise fails here."""
+    for seed in (1, 7, 2024):
+        r1, r2, r3 = (random.Random(seed) for _ in range(3))
+        got = list(itertools.islice(transitive.ranks(r1, total), 200))
+        assert got == [r2.randrange(total) for _ in range(200)], (total, seed)
+        assert r1.getstate() == r2.getstate(), (total, seed)
+        if total <= sys.maxsize:
+            assert got == [r3.choice(range(total)) for _ in range(200)], (total, seed)
+            assert r1.getstate() == r3.getstate(), (total, seed)
+        stream = transitive.ranks(r1, total)
+        mixed = [(next(stream), r1.random()) for _ in range(50)]
+        assert mixed == [(r2.randrange(total), r2.random()) for _ in range(50)], (total, seed)
+        assert r1.getstate() == r2.getstate(), (total, seed)
+
+
+@pytest.mark.parametrize("k", [1, 2, 6, 7, 9, 47, 49])
+def test_even_sampler_leaves_the_rng_as_randrange_does(k):
+    """200 draws on k points leave the rng as 200 randrange(k!) calls do."""
+    draw = transitive.even_sampler(k)
+    r1, r2 = random.Random(k), random.Random(k)
+    for _ in range(200):
+        draw(r1)
+        r2.randrange(math.factorial(k))
+    assert r1.getstate() == r2.getstate()
+
+
+@pytest.mark.slow
+def test_even_sampler_draws_at_n50_within_budget():
+    """200,000 draws of even permutations of 50 points (32 chunk tables
+    per draw), table building included, within 10 s; about 2.9 s
+    measured.  The sampler must not get slower at high degree."""
+    start = time.perf_counter()
+    draw, rng = transitive.even_sampler(50), random.Random(50)
+    for _ in range(200_000):
+        draw(rng)
+    assert time.perf_counter() - start < 10
 
 
 @pytest.mark.slow
