@@ -145,6 +145,13 @@ def _a4_b2() -> RBOperator:
     return construction(exact_factorization(G, V, L), lambda l: l, L, "homomorphism")
 
 
+def _homomorphism(L: FiniteGroup, gens: tuple, images: tuple, A: FiniteGroup) -> Callable:
+    """gens -> images extended to L -> A (perm.extend_homomorphism), as
+    the map on elements that construction takes."""
+    f = extend_homomorphism(L, [L.index(g) for g in gens], [A.index(t) for t in images], A)
+    return lambda l: A.elements[f[L.index(l)]]
+
+
 def _pow(p: Perm, e: int) -> Perm:
     """p^e for e >= 1."""
     out = p
@@ -164,9 +171,9 @@ def d2n_klein(n: int) -> RBOperator:
     G, r, s = built.group, built.r, built.s
     rh = _pow(r, n // 2)
     A = G.subgroup([rh, s], label="Z2xZ2")
-    phi = extend_homomorphism(G, (r, s), (rh * s, rh), A)
+    phi = _homomorphism(G, (r, s), (rh * s, rh), A)
     w = exact_factorization(G, G.subgroup([G.identity]), G)
-    return construction(w, phi.__getitem__, A, "tilde(homomorphism)")
+    return construction(w, phi, A, "tilde(homomorphism)")
 
 
 def _d16_operator() -> RBOperator:
@@ -177,9 +184,9 @@ def _d16_operator() -> RBOperator:
     r2, r4 = _pow(r, 2), _pow(r, 4)
     K = G.subgroup([s], label="Z2")
     L = G.subgroup([r2, r * s], label="L")
-    phi = extend_homomorphism(L, (r2, r * s), (r4, G.identity), L)
+    phi = _homomorphism(L, (r2, r * s), (r4, G.identity), L)
     w = exact_factorization(G, K, L)
-    return tilde(construction(w, phi.__getitem__, L.subgroup([r4]), "extend[tilde(homomorphism)]"))
+    return tilde(construction(w, phi, L.subgroup([r4]), "extend[tilde(homomorphism)]"))
 
 
 def _d60_operator() -> RBOperator:
@@ -191,9 +198,9 @@ def _d60_operator() -> RBOperator:
     K = G.subgroup([_pow(r, 10)], label="Z3")
     L = G.subgroup([r3, s], label="D20")
     A = L.subgroup([r15, s], label="Z2xZ2")
-    phi = extend_homomorphism(L, (r3, s), (r15 * s, r15), A)
+    phi = _homomorphism(L, (r3, s), (r15 * s, r15), A)
     w = exact_factorization(G, K, L)
-    return construction(w, phi.__getitem__, A, "extend[tilde(homomorphism)]")
+    return construction(w, phi, A, "extend[tilde(homomorphism)]")
 
 
 def _q60_operator() -> RBOperator:
@@ -204,9 +211,9 @@ def _q60_operator() -> RBOperator:
     r3, r15 = _pow(r, 3), _pow(r, 15)
     K = G.subgroup([_pow(r, 10)], label="Z3")
     L = G.subgroup([r3, s], label="Q20")
-    phi = extend_homomorphism(L, (r3, s), (G.identity, r15), L)
+    phi = _homomorphism(L, (r3, s), (G.identity, r15), L)
     w = exact_factorization(G, K, L)
-    return construction(w, phi.__getitem__, L.subgroup([r15]), "extend[tilde(homomorphism)]")
+    return construction(w, phi, L.subgroup([r15]), "extend[tilde(homomorphism)]")
 
 
 _CATALOG: dict[str, Callable[[], RBOperator]] = {

@@ -172,9 +172,6 @@ class FiniteField(NamedTuple):
             raise FieldError("inverse of zero")
         return self.pow(x, self.size - 2)
 
-    def frobenius(self, x: int) -> int:
-        return self.pow(x, self.p)
-
     def element_order(self, x: int) -> int:
         if x == 0:
             raise FieldError("order of zero undefined")

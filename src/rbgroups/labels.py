@@ -1,18 +1,20 @@
-"""Isomorphism labels for small groups.
+"""Isomorphism labels for small groups; every name has a proof.
 
-Named labels are guaranteed for order <= 16 via a reference catalog
-(order + abelian flag + element-order spectrum, with a brute-force
-isomorphism search as tie-breaker).  A few larger groups that show up
-as structural invariants get targeted recognitions; everything else
-falls back to a deterministic invariant-tuple string.
+The reference catalog lists every group of order <= 16, where a unique
+match of the invariant tuple names G and perm.is_isomorphic tells apart
+references that share it, and two affine groups of order 36 and 72,
+whose names G gets only when is_isomorphic proves them.  A5, PSL(2,9)
+and A7 are the perfect groups of their orders.  Everything else falls
+back to a deterministic invariant string, which is not a type.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Callable
 
 from . import families
-from .perm import FiniteGroup, Grower, Perm, _kept, closure, is_isomorphic
+from .perm import FiniteGroup, Grower, Perm, _kept, is_isomorphic
 
 
 def direct_product(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
@@ -26,27 +28,45 @@ def direct_product(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
     return FiniteGroup.from_generators(gens, cap=A.order() * B.order())
 
 
-def _semidihedral16() -> FiniteGroup:
-    r = Perm(tuple((i + 1) % 8 for i in range(8)))
-    s = Perm(tuple(3 * i % 8 for i in range(8)))
-    return FiniteGroup.from_generators([r, s], cap=16, label="SD16")
+def _z8_semi_z2(k: int) -> FiniteGroup:
+    """Z8 : Z2 on Z8, by x -> x + 1 and x -> k x (SD16 for k = 3, M16 for 5)."""
+    r, s = Perm((i + 1) % 8 for i in range(8)), Perm(k * i % 8 for i in range(8))
+    return FiniteGroup.from_generators([r, s], cap=16)
 
 
-def _modular16() -> FiniteGroup:
-    r = Perm(tuple((i + 1) % 8 for i in range(8)))
-    s = Perm(tuple(5 * i % 8 for i in range(8)))
-    return FiniteGroup.from_generators([r, s], cap=16, label="M16")
+def _regular(mult: Callable[[int, int], int], gens: list[int]) -> FiniteGroup:
+    """The group on 0..15 with product mult, generated by gens, in its
+    right regular representation x -> x g."""
+    return FiniteGroup.from_generators([Perm(mult(x, g) for x in range(16)) for g in gens], cap=16)
 
 
-def _z4_semi_z4() -> FiniteGroup:
-    # <a, b | a^4 = b^4 = e, a^b = a^-1>, regular representation
-    def mult(x: int, y: int) -> int:
-        i, j = x % 4, x // 4
-        k, l = y % 4, y // 4
-        return (i + (k if j % 2 == 0 else -k)) % 4 + 4 * ((j + l) % 4)
+def _z4_semi_z4(x: int, y: int) -> int:
+    """<a, b | a^4 = b^4 = e, a^b = a^-1>, a^i b^j at i + 4 j."""
+    i, j, k, l = x % 4, x // 4, y % 4, y // 4
+    return (i + (-k if j % 2 else k)) % 4 + 4 * ((j + l) % 4)
 
-    gens = [Perm(mult(x, 1) for x in range(16)), Perm(mult(x, 4) for x in range(16))]
-    return FiniteGroup.from_generators(gens, cap=16, label="Z4:Z4")
+
+def _klein_semi_z4(x: int, y: int) -> int:
+    """(Z2 x Z2) : <c>, c of order 4 swapping the factors; (u, v) c^j at
+    u + 2 v + 4 j."""
+    i, j, k, l = x % 4, x // 4, y % 4, y // 4
+    if j % 2:
+        k = (k & 1) << 1 | k >> 1
+    return (i ^ k) + 4 * ((j + l) % 4)
+
+
+def _pauli(x: int, y: int) -> int:
+    """Z4 o D8, the Pauli group: i^k X^a Z^b at k + 4 a + 8 b; Z X = -X Z."""
+    k, a, b, l, c, d = x % 4, x // 4 % 2, x // 8, y % 4, y // 4 % 2, y // 8
+    return (k + l + 2 * b * c) % 4 + 4 * (a ^ c) + 8 * (b ^ d)
+
+
+def _affine9(*linear: Callable[[int, int], tuple[int, int]]) -> FiniteGroup:
+    """The affine maps of GF(3)^2, (x, y) at point x + 3 y, with linear
+    parts generated by `linear`."""
+    maps = [lambda x, y: (x + 1, y), lambda x, y: (x, y + 1), *linear]
+    perms = [Perm(a % 3 + b % 3 * 3 for a, b in (f(p % 3, p // 3) for p in range(9))) for f in maps]
+    return FiniteGroup.from_generators(perms, cap=72)
 
 
 @lru_cache(maxsize=1)
@@ -77,13 +97,17 @@ def _reference_catalog() -> dict[int, list[tuple[str, FiniteGroup]]]:
         ("Q12", q(3).group),
         ("Q16", q(4).group),
         ("A4", families.alternating(4).group),
-        ("SD16", _semidihedral16()),
-        ("M16", _modular16()),
+        ("SD16", _z8_semi_z2(3)),
+        ("M16", _z8_semi_z2(5)),
         ("D8xZ2", direct_product(d(4).group, c(2).group)),
         ("Q8xZ2", direct_product(q(2).group, c(2).group)),
-        ("Z4:Z4", _z4_semi_z4()),
+        ("Z4:Z4", _regular(_z4_semi_z4, [1, 4])),
+        ("(Z2xZ2):Z4", _regular(_klein_semi_z4, [1, 4])),
+        ("Z4oD8", _regular(_pauli, [1, 4, 8])),
+        # fixed-point-free on GF(3)^2: Z4 = <J>, Q8 = <J, K>
+        ("(Z3xZ3):Z4", _affine9(lambda x, y: (-y, x))),
+        ("(Z3xZ3):Q8", _affine9(lambda x, y: (-y, x), lambda x, y: (x + y, x - y))),
     ]
-    # duplicates by isomorphism type keep the first label (Z6xZ2 aliases Z2xZ6)
     by_order: dict[int, list[tuple[str, FiniteGroup]]] = {}
     for label, G in refs:
         by_order.setdefault(G.order(), []).append((label, G))
@@ -106,37 +130,37 @@ def _fallback_label(G: FiniteGroup) -> str:
     return f"G[order={order},abelian={abelian},spectrum={spec}]"
 
 
-def _normal_sylow3(G: FiniteGroup) -> bool:
-    """Whether the elements of order 1 or 3 of G, |G| = 36 or 72, form a
-    normal subgroup E of order 9, read off the spectrum: there are 9 of
-    them and no element has order 9.
+def _is_perfect(G: FiniteGroup) -> bool:
+    """Whether [G, G] = G.  [G, G] is the normal closure N of the
+    commutators of the generators: G/N is generated by commuting images,
+    so it is abelian and [G, G] lies in N; N lies in [G, G], which is
+    normal and contains them.  N is grown from those commutators; each
+    element that joins its generators queues its conjugates by the
+    generators of G, so at the end every generator of N has its conjugates
+    in N, and N is normal (as in rbop._normal_in)."""
+    gens = G.generators
+    N = Grower(G.identity)
+    queue = [a.inverse() * b.inverse() * a * b for a in gens for b in gens]
+    for x in queue:
+        if x not in N.members:
+            N.add(x)
+            queue += [x.conj(g) for g in gens]
+    return len(N.elements) == G.order()
 
-    |G|_3 = 9, so with no element of order 9 every Sylow 3-subgroup is
-    Z3xZ3.  Two different Sylow 3-subgroups meet in at most 3 elements,
-    so together they would have at least 15 elements of order 1 or 3.
-    So exactly 9 such elements means there is one Sylow 3-subgroup; it is
-    normal, and it is E.  Conversely, a normal E of order 9 is the only
-    Sylow 3-subgroup, so it holds every element of 3-power order, and
-    none has order 9."""
-    spectrum = dict(invariant_tuple(G)[2])
-    return spectrum[1] + spectrum.get(3, 0) == 9 and 9 not in spectrum
 
-
-def _recognize_large(G: FiniteGroup) -> str | None:
+def iso_label(G: FiniteGroup) -> str:
+    """Isomorphism label: a catalog name, a perfect or cyclic group's
+    name, or else a deterministic invariant-tuple string."""
+    if not G.enumerated:
+        return G.label or f"G[order={G.known_order}]"
     order = G.order()
-    if order in (36, 72) and not G.is_abelian() and _normal_sylow3(G):
-        # (Z3xZ3)-by-2-group shapes from the sharply 2-transitive world
-        if order == 36 and 4 in dict(invariant_tuple(G)[2]):
-            return "(Z3xZ3):Z4"
-        if order == 72:
-            orders = G.order_table()
-            fours = [e for e in G.elements if orders[e] == 4]
-            for x in fours:
-                for y in fours:
-                    if x != y and x * x == y * y:
-                        Q = closure([x, y], cap=order)
-                        if len(Q) == 8 and sorted(p.order() for p in Q) == [1, 2, 4, 4, 4, 4, 4, 4]:
-                            return "(Z3xZ3):Q8"
+    refs = _reference_catalog().get(order, [])
+    matches = [(label, R) for label, R in refs if invariant_tuple(R) == invariant_tuple(G)]
+    if order <= 16 and len(matches) == 1:  # the catalog lists every group of this order
+        return matches[0][0]
+    for label, R in matches:
+        if is_isomorphic(G, R):
+            return label
     # A perfect group G of order 60 is A5.  A proper nontrivial normal
     # subgroup N would give a perfect quotient G/N of order between 2 and
     # 59; every group of order < 60 is solvable, and a solvable perfect
@@ -161,49 +185,6 @@ def _recognize_large(G: FiniteGroup) -> str | None:
     # groups of orders 360 and 2520.
     if order in (60, 360, 2520) and _is_perfect(G):
         return {60: "A5", 360: "PSL(2,9)", 2520: "A7"}[order]
-    return None
-
-
-def _is_perfect(G: FiniteGroup) -> bool:
-    """Whether [G, G] = G.  [G, G] is the normal closure N of the
-    commutators of the generators: G/N is generated by commuting images,
-    so it is abelian and [G, G] lies in N; N lies in [G, G], which is
-    normal and contains them.  N is grown from those commutators; each
-    element that joins its generators queues its conjugates by the
-    generators of G, so at the end every generator of N has its conjugates
-    in N, and N is normal (as in rbop._normal_in)."""
-    gens = G.generators
-    N = Grower(G.identity)
-    queue = [a.inverse() * b.inverse() * a * b for a in gens for b in gens]
-    for x in queue:
-        if x not in N.members:
-            N.add(x)
-            queue += [x.conj(g) for g in gens]
-    return len(N.elements) == G.order()
-
-
-def iso_label(G: FiniteGroup) -> str:
-    """Isomorphism label: a name for order <= 16 (plus a few targeted
-    recognitions), otherwise a deterministic invariant-tuple string."""
-    if not G.enumerated:
-        return G.label or f"G[order={G.known_order}]"
-    order = G.order()
-    if order <= 16:
-        inv = invariant_tuple(G)
-        matches = [
-            (label, R)
-            for label, R in _reference_catalog().get(order, [])
-            if invariant_tuple(R) == inv
-        ]
-        if len(matches) == 1:
-            return matches[0][0]
-        for label, R in matches:
-            if is_isomorphic(G, R):
-                return label
-        return _fallback_label(G)
-    special = _recognize_large(G)
-    if special is not None:
-        return special
     # cyclic groups of any size
     if G.is_abelian() and order in G.order_table().values():
         return f"Z{order}"

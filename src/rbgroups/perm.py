@@ -9,6 +9,9 @@ A permutation is stored as the bytes of its image tuple, so its degree is
 at most ``MAX_DEGREE`` = 256.  Byte order equals tuple order, products and
 inverses are single ``bytes.translate``/``bytes.maketrans`` calls, and
 CPython caches a bytes object's hash.
+
+A homomorphism G -> H is an index table f read off the two Cayley
+tables: element i of G goes to element f[i] of H.
 """
 
 from __future__ import annotations
@@ -546,69 +549,77 @@ def homomorphism_failure(
 
 def extend_homomorphism(
     G: FiniteGroup,
-    gens: Sequence[Perm],
-    images: Sequence[Perm],
+    gens: Sequence[int],
+    images: Sequence[int],
     H: FiniteGroup,
-) -> Optional[dict[Perm, Perm]]:
-    """Extend gens -> images to a homomorphism G -> H, or None on conflict.
+) -> Optional[list[int]]:
+    """The homomorphism G -> H sending G.elements[gens[i]] to
+    H.elements[images[i]], as an index table f, or None when there is
+    none; the gens must generate G.  A breadth-first walk of G's Cayley
+    graph from e, with f(e) = e, sets f(x s) = f(x) t on each edge
+    x -> x s (t the image of s), read off the two Cayley tables, and
+    returns None when an element already set gets another value.
 
-    Works by closing the partial map under products; total on G when the
-    gens generate G.
-    """
-    mapping: dict[Perm, Perm] = {G.identity: H.identity}
-    frontier = [G.identity]
+    Proof: the walk reaches every element (each is a positive word in the
+    gens) and checks each edge, so f(x s) = f(x) f(s) for all x and gens
+    s, and by induction on the length of z, f(x z) = f(x) f(z).  A
+    homomorphism extending gens -> images satisfies the same edge
+    equations from f(e) = e, so it is f; a conflict means there is none."""
+    TG, TH = G.mult_table(), H.mult_table()
+    e = G.index(G.identity)
+    f: list = [None] * len(TG)
+    f[e] = H.index(H.identity)
     pairs = list(zip(gens, images))
+    frontier = [e]
     while frontier:
-        new = []
+        fresh = []
         for x in frontier:
-            fx = mapping[x]
-            for g, fg in pairs:
-                y = x * g
-                fy = fx * fg
-                old = mapping.get(y)
+            row, image_row = TG[x], TH[f[x]]
+            for s, t in pairs:
+                y, fy = row[s], image_row[t]
+                old = f[y]
                 if old is None:
-                    mapping[y] = fy
-                    new.append(y)
+                    f[y] = fy
+                    fresh.append(y)
                 elif old != fy:
                     return None
-        frontier = new
-    return mapping
+        frontier = fresh
+    return f
 
 
-def _isomorphisms(G: FiniteGroup, H: FiniteGroup) -> Iterator[dict[Perm, Perm]]:
-    """Every isomorphism G -> H, as a map on elements: the images of a
-    small generating tuple of G are searched among the elements of H of
-    the same orders, and each choice that extends to a bijective
-    homomorphism is yielded."""
-    gens = small_generating_tuple(G)
-    by_order: dict[int, list[Perm]] = {}
+def _isomorphisms(G: FiniteGroup, H: FiniteGroup) -> Iterator[tuple[int, ...]]:
+    """Every isomorphism G -> H, as an index table: the images of a small
+    generating tuple of G are searched among the elements of H of the
+    same orders, and each choice that extends to a bijective
+    homomorphism is yielded.  A homomorphism is fixed by the images of
+    the generators, so none is yielded twice."""
+    gens = [G.index(g) for g in small_generating_tuple(G)]
+    by_order: dict[int, list[int]] = {}
     h_orders = H.order_table()
-    for e in H.elements:
-        by_order.setdefault(h_orders[e], []).append(e)
+    for i, x in enumerate(H.elements):
+        by_order.setdefault(h_orders[x], []).append(i)
     g_orders = G.order_table()
-    candidates = [by_order.get(g_orders[g], []) for g in gens]
+    candidates = [by_order.get(g_orders[G.elements[g]], []) for g in gens]
+    n = G.order()
     for images in itertools.product(*candidates):
-        mapping = extend_homomorphism(G, gens, images, H)
-        if mapping is None or len(mapping) != G.order():
-            continue
-        if len(set(mapping.values())) == G.order():
-            yield mapping
+        f = extend_homomorphism(G, gens, images, H)
+        if f is not None and len(set(f)) == n:
+            yield tuple(f)
 
 
 def automorphism_group(G: FiniteGroup) -> list[tuple[int, ...]]:
-    """All automorphisms of G as element-index tables.
+    """All automorphisms of G as element-index tables, sorted.
 
     Each entry `phi` satisfies elements[phi[i]] = image of elements[i].
     """
     if not G.enumerated:
         raise PermError("automorphism search needs an enumerated group")
-    return sorted(
-        {tuple(G.index(m[e]) for e in G.elements) for m in _isomorphisms(G, G)}
-    )
+    return sorted(_isomorphisms(G, G))
 
 
 def is_isomorphic(G: FiniteGroup, H: FiniteGroup) -> bool:
-    """Brute-force isomorphism test via generator-image search."""
+    """Whether G and H are isomorphic: equal orders and element-order
+    multisets, then the generator-image search of _isomorphisms."""
     if G.order() != H.order():
         return False
     if G.element_orders() != H.element_orders():

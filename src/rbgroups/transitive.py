@@ -91,13 +91,8 @@ def sharply2(m: int, q: int, t: int) -> SharplyTransitiveGroup:
     n = F.size
     w = F.w
 
-    def frob_q(x: int) -> int:
-        for _ in range(j):
-            x = F.frobenius(x)
-        return x
-
     a = _scale(F, F.pow(w, m))
-    b = Perm(F.mul(F.pow(w, t), frob_q(x)) for x in range(n))
+    b = Perm(F.mul(F.pow(w, t), F.pow(x, q)) for x in range(n))
     # translations by an additive basis of GF(p^(j m))
     basis = [_translation(F, p**i) for i in range(j * m)]
     L = FiniteGroup.from_generators(
@@ -190,14 +185,9 @@ def sharply3(q: int) -> SharplyTransitiveGroup:
     if psl.order() != psl_order:
         raise TransitiveError(f"|PSL2({q})| = {psl.order()}, expected {psl_order}")
 
-    def semi(x: int) -> int:
-        for _ in range(e):
-            x = F.frobenius(x)
-        return x
-
     failures = []
     for c in range(1, q):
-        tau = proj([F.mul(c, semi(x)) for x in range(q)])
+        tau = proj([F.mul(c, F.pow(x, p**e)) for x in range(q)])
         name = f"c={F.format_element(c)}"
         if not all(g.is_even() for g in psl_gens + [tau]):
             failures.append(f"{name}: odd generator")

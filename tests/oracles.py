@@ -24,6 +24,7 @@ from rbgroups.perm import (
     automorphism_group,
     exact_factorization,
     homomorphism_failure,
+    small_generating_tuple,
 )
 from rbgroups.rbop import from_table, graph, images, is_splitting, tilde
 
@@ -412,3 +413,52 @@ def index2_construction(G, K, L, S, r):
     phi = {l: G.identity if l in S else r for l in L.elements}
     R = G.subgroup([r])
     return construction(exact_factorization(G, K, L), phi.__getitem__, R)
+
+
+def dict_homomorphism(G, gens, images, H):
+    """gens -> images extended to a homomorphism G -> H as a dict on
+    elements, or None on conflict, by closing the partial map under
+    products: two Perm products per Cayley edge."""
+    mapping = {G.identity: H.identity}
+    frontier = [G.identity]
+    pairs = list(zip(gens, images))
+    while frontier:
+        new = []
+        for x in frontier:
+            fx = mapping[x]
+            for g, fg in pairs:
+                y, fy = x * g, fx * fg
+                old = mapping.get(y)
+                if old is None:
+                    mapping[y] = fy
+                    new.append(y)
+                elif old != fy:
+                    return None
+        frontier = new
+    return mapping
+
+
+def dict_isomorphisms(G, H):
+    """Every isomorphism G -> H as a dict on elements: the images of
+    small_generating_tuple(G) range over the elements of H of the same
+    orders (Perm.order per element), each extended by dict_homomorphism."""
+    gens = small_generating_tuple(G)
+    candidates = [[h for h in H.elements if h.order() == g.order()] for g in gens]
+    for images in itertools.product(*candidates):
+        mapping = dict_homomorphism(G, gens, images, H)
+        if mapping is not None and len(mapping) == G.order() == len(set(mapping.values())):
+            yield mapping
+
+
+def dict_automorphism_tables(G):
+    """Aut(G) as the set of element-index tables of dict_isomorphisms(G, G)."""
+    return {tuple(G.index(m[e]) for e in G.elements) for m in dict_isomorphisms(G, G)}
+
+
+def dict_is_isomorphic(G, H):
+    """Equal orders and sorted element orders, then dict_isomorphisms."""
+    if G.order() != H.order():
+        return False
+    if sorted(g.order() for g in G.elements) != sorted(h.order() for h in H.elements):
+        return False
+    return next(dict_isomorphisms(G, H), None) is not None

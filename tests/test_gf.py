@@ -34,12 +34,16 @@ def test_extension_field_gf9():
 
 def test_frobenius_is_additive_and_multiplicative():
     F = make_field(3, 2)
+
+    def frobenius(x):
+        return F.pow(x, F.p)
+
     for x in range(9):
         for y in range(9):
-            assert F.frobenius(F.add(x, y)) == F.add(F.frobenius(x), F.frobenius(y))
-            assert F.frobenius(F.mul(x, y)) == F.mul(F.frobenius(x), F.frobenius(y))
+            assert frobenius(F.add(x, y)) == F.add(frobenius(x), frobenius(y))
+            assert frobenius(F.mul(x, y)) == F.mul(frobenius(x), frobenius(y))
     # x^p fixes exactly the prime subfield
-    fixed = [x for x in range(9) if F.frobenius(x) == x]
+    fixed = [x for x in range(9) if frobenius(x) == x]
     assert len(fixed) == 3
 
 

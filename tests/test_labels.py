@@ -4,7 +4,7 @@ import pytest
 
 from rbgroups import families, gf, transitive
 from rbgroups.labels import _is_perfect, direct_product, iso_label
-from rbgroups.perm import FiniteGroup, Perm
+from rbgroups.perm import FiniteGroup, Perm, is_isomorphic
 
 
 def test_is_perfect_takes_the_normal_closure():
@@ -108,18 +108,87 @@ def _groups_of_order_36_and_72():
     }
 
 
-def test_normal_sylow3_reads_the_spectrum():
-    """The spectrum test agrees with growing the elements of order 1 or 3
-    and testing them for normality by every element of G, on 19 groups of
-    order 36 and 72 where both answers occur."""
+def test_shape_names_are_proved():
+    """On 19 groups of order 36 and 72, nine of them with a normal Sylow
+    3-subgroup, exactly FS1, FS2 and FS3 are (Z3xZ3):Z4 and exactly
+    L(2,3,1) is (Z3xZ3):Q8.  Z3xQ12 and Z3xZ3xQ8 also have a normal Z3xZ3
+    and elements of order 4, and Z3xZ3xQ8 a Q8, yet they are not those
+    groups, so they keep their invariant strings."""
     from oracles import exhaustive_normal
 
-    from rbgroups.labels import _normal_sylow3
+    groups = _groups_of_order_36_and_72()
+    threes = {n: [e for e in G.elements if 3 % e.order() == 0] for n, G in groups.items()}
+    normal = [n for n, G in groups.items() if len(threes[n]) == 9 and exhaustive_normal(G, threes[n])]
+    assert len(groups) == 19 and len(normal) == 9
+    assert all(G.order() in (36, 72) and not G.is_abelian() for G in groups.values())
+    names = {name: iso_label(G) for name, G in groups.items()}
+    assert sorted(n for n, label in names.items() if label == "(Z3xZ3):Z4") == ["FS1", "FS2", "FS3"]
+    assert [n for n, label in names.items() if label == "(Z3xZ3):Q8"] == ["L(2,3,1)"]
+    assert names["Z3xQ12"] == "G[order=36,abelian=False,spectrum=1:1,2:1,3:8,4:6,6:8,12:12]"
+    assert names["Z3xZ3xQ8"] == "G[order=72,abelian=False,spectrum=1:1,2:1,3:8,4:6,6:8,12:48]"
 
-    verdicts = {}
-    for name, G in _groups_of_order_36_and_72().items():
-        assert G.order() in (36, 72) and not G.is_abelian(), name
-        E = [e for e in G.elements if 3 % e.order() == 0]
-        verdicts[name] = len(E) == 9 and exhaustive_normal(G, E)
-        assert _normal_sylow3(G) == verdicts[name], name
-    assert sum(verdicts.values()) == 9 and len(verdicts) == 19
+
+def test_order_16_catalog_is_complete():
+    """The catalog's 14 groups of order 16 are pairwise non-isomorphic, so
+    they are all 14 groups of that order, and each is named by its own
+    entry.  (Z2xZ2):Z4 and Z4oD8 share their invariant tuple; each is also
+    named when built another way: Z4oD8 as Q8 in its right regular
+    representation with left multiplication by an element of order 4,
+    and (Z2xZ2):Z4 on 8 points, c swapping the factors on 0..3 and
+    cycling 4..7."""
+    from rbgroups import labels
+
+    refs = labels._reference_catalog()[16]
+    assert len(refs) == 14
+    for i, (name, R) in enumerate(refs):
+        assert iso_label(R) == name
+        assert not any(is_isomorphic(R, S) for _, S in refs[i + 1 :]), name
+    Q = families.generalized_quaternion(2).group
+    T, a = Q.mult_table(), Q.index(Q.generators[0])
+    right = [Perm(T[x][Q.index(g)] for x in range(8)) for g in Q.generators]
+    pauli = FiniteGroup.from_generators(right + [Perm(T[a][x] for x in range(8))])
+    flip, swap = Perm([1, 0, 3, 2, 4, 5, 6, 7]), Perm([0, 2, 1, 3, 5, 6, 7, 4])
+    klein_z4 = FiniteGroup.from_generators([flip, swap])
+    assert labels.invariant_tuple(pauli) == labels.invariant_tuple(klein_z4)
+    assert (iso_label(pauli), iso_label(klein_z4)) == ("Z4oD8", "(Z2xZ2):Z4")
+
+
+def test_is_isomorphic_agrees_with_the_dict_search():
+    """is_isomorphic on Cayley tables agrees with the search by Perm
+    products on element dicts on every pair of the order-16 catalog and of
+    the 19 groups of order 36 and 72."""
+    from oracles import dict_is_isomorphic
+
+    from rbgroups import labels
+
+    order16 = [R for _, R in labels._reference_catalog()[16]]
+    for groups in (order16, list(_groups_of_order_36_and_72().values())):
+        for i, G in enumerate(groups):
+            for H in groups[i:]:
+                assert is_isomorphic(G, H) == dict_is_isomorphic(G, H)
+
+
+def test_a_name_is_an_isomorphism_type():
+    """Two groups with the same name that is not an invariant string are
+    isomorphic: over the catalog, the 19 groups of order 36 and 72, and
+    the five images groups and the descendent group of every operator on
+    the PINNED groups (each group compared with the first of its name)."""
+    from test_classify import PINNED
+
+    from rbgroups import labels
+    from rbgroups.classify import enumerate_rb
+    from rbgroups.rbop import descendent_group, images
+
+    groups = [R for refs in labels._reference_catalog().values() for _, R in refs]
+    groups += _groups_of_order_36_and_72().values()
+    for spec in PINNED:
+        for B in enumerate_rb(families.parse_group_spec(spec).group):
+            groups += [*images(B), descendent_group(B)[0]]
+    first, seen = {}, set()
+    for G in groups:
+        name = iso_label(G)
+        if name.startswith("G[") or (G.degree, G.elements) in seen:
+            continue
+        seen.add((G.degree, G.elements))
+        assert is_isomorphic(G, first.setdefault(name, G)), name
+    assert len(first) > 40

@@ -9,6 +9,7 @@ from rbgroups.perm import (
     FiniteGroup,
     Perm,
     PermError,
+    automorphism_group,
     closure,
     grow,
     exact_factorization,
@@ -124,6 +125,35 @@ def test_isomorphism_testing():
     )
     assert is_isomorphic(z6, z6b)
     assert not is_isomorphic(z6, s3)
+
+
+@pytest.mark.parametrize("spec", list(PINNED) + ["A:5"])
+def test_automorphism_group_matches_dict_search(spec):
+    """The Cayley-table search finds the same automorphisms as the search
+    by Perm products on element dicts, sorted and each once."""
+    from oracles import dict_automorphism_tables
+
+    from rbgroups.families import parse_group_spec
+
+    G = parse_group_spec(spec).group
+    auts = automorphism_group(G)
+    assert auts == sorted(dict_automorphism_tables(G))
+
+
+@pytest.mark.slow
+def test_automorphism_group_of_d256_within_budget():
+    """Aut(D_256) has 128 phi(128) = 8,192 elements.  Budget 5 s; about
+    1 s on a 2-core host."""
+    import time
+
+    from rbgroups.families import parse_group_spec
+
+    G = parse_group_spec("D:256").group
+    start = time.perf_counter()
+    auts = automorphism_group(G)
+    elapsed = time.perf_counter() - start
+    assert len(set(auts)) == 8192 and all(len(set(f)) == 256 for f in auts)
+    assert elapsed < 5, elapsed
 
 
 def test_degree_above_256_raises_perm_error():

@@ -123,7 +123,7 @@ def _check_twist_screen(q):
 
     def semi(x):
         for _ in range(k // 2):
-            x = F.frobenius(x)
+            x = F.pow(x, F.p)
         return x
 
     gens = [
