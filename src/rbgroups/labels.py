@@ -69,49 +69,57 @@ def _affine9(*linear: Callable[[int, int], tuple[int, int]]) -> FiniteGroup:
     return FiniteGroup.from_generators(perms, cap=72)
 
 
-@lru_cache(maxsize=1)
-def _reference_catalog() -> dict[int, list[tuple[str, FiniteGroup]]]:
-    refs: list[tuple[str, FiniteGroup]] = []
-    for n in range(1, 17):
-        refs.append((f"Z{n}", families.cyclic(n).group))
-    c = families.cyclic
-    d = families.dihedral
-    q = families.generalized_quaternion
-    refs += [
-        ("Z2xZ2", families.klein().group),
-        ("Z2xZ4", direct_product(c(2).group, c(4).group)),
-        ("Z2xZ2xZ2", direct_product(c(2).group, families.klein().group)),
-        ("Z3xZ3", direct_product(c(3).group, c(3).group)),
-        ("Z6xZ2", direct_product(c(6).group, c(2).group)),
-        ("Z2xZ8", direct_product(c(2).group, c(8).group)),
-        ("Z4xZ4", direct_product(c(4).group, c(4).group)),
-        ("Z2xZ2xZ4", direct_product(families.klein().group, c(4).group)),
-        ("Z2xZ2xZ2xZ2", direct_product(families.klein().group, families.klein().group)),
-        ("S3", d(3).group),
-        ("D8", d(4).group),
-        ("D10", d(5).group),
-        ("D12", d(6).group),
-        ("D14", d(7).group),
-        ("D16", d(8).group),
-        ("Q8", q(2).group),
-        ("Q12", q(3).group),
-        ("Q16", q(4).group),
-        ("A4", families.alternating(4).group),
-        ("SD16", _z8_semi_z2(3)),
-        ("M16", _z8_semi_z2(5)),
-        ("D8xZ2", direct_product(d(4).group, c(2).group)),
-        ("Q8xZ2", direct_product(q(2).group, c(2).group)),
-        ("Z4:Z4", _regular(_z4_semi_z4, [1, 4])),
-        ("(Z2xZ2):Z4", _regular(_klein_semi_z4, [1, 4])),
-        ("Z4oD8", _regular(_pauli, [1, 4, 8])),
-        # fixed-point-free on GF(3)^2: Z4 = <J>, Q8 = <J, K>
-        ("(Z3xZ3):Z4", _affine9(lambda x, y: (-y, x))),
-        ("(Z3xZ3):Q8", _affine9(lambda x, y: (-y, x), lambda x, y: (x + y, x - y))),
-    ]
-    by_order: dict[int, list[tuple[str, FiniteGroup]]] = {}
-    for label, G in refs:
-        by_order.setdefault(G.order(), []).append((label, G))
-    return by_order
+def _cyclic(n: int) -> FiniteGroup:
+    return families.cyclic(n).group
+
+
+# The references of each order past Zn, in the order iso_label tries
+# them; each is built only when a group of its order is labelled.
+_CATALOG: dict[int, tuple[tuple[str, Callable[[], FiniteGroup]], ...]] = {
+    4: (("Z2xZ2", lambda: families.klein().group),),
+    6: (("S3", lambda: families.dihedral(3).group),),
+    8: (
+        ("Z2xZ4", lambda: direct_product(_cyclic(2), _cyclic(4))),
+        ("Z2xZ2xZ2", lambda: direct_product(_cyclic(2), families.klein().group)),
+        ("D8", lambda: families.dihedral(4).group),
+        ("Q8", lambda: families.generalized_quaternion(2).group),
+    ),
+    9: (("Z3xZ3", lambda: direct_product(_cyclic(3), _cyclic(3))),),
+    10: (("D10", lambda: families.dihedral(5).group),),
+    12: (
+        ("Z6xZ2", lambda: direct_product(_cyclic(6), _cyclic(2))),
+        ("D12", lambda: families.dihedral(6).group),
+        ("Q12", lambda: families.generalized_quaternion(3).group),
+        ("A4", lambda: families.alternating(4).group),
+    ),
+    14: (("D14", lambda: families.dihedral(7).group),),
+    16: (
+        ("Z2xZ8", lambda: direct_product(_cyclic(2), _cyclic(8))),
+        ("Z4xZ4", lambda: direct_product(_cyclic(4), _cyclic(4))),
+        ("Z2xZ2xZ4", lambda: direct_product(families.klein().group, _cyclic(4))),
+        ("Z2xZ2xZ2xZ2", lambda: direct_product(families.klein().group, families.klein().group)),
+        ("D16", lambda: families.dihedral(8).group),
+        ("Q16", lambda: families.generalized_quaternion(4).group),
+        ("SD16", lambda: _z8_semi_z2(3)),
+        ("M16", lambda: _z8_semi_z2(5)),
+        ("D8xZ2", lambda: direct_product(families.dihedral(4).group, _cyclic(2))),
+        ("Q8xZ2", lambda: direct_product(families.generalized_quaternion(2).group, _cyclic(2))),
+        ("Z4:Z4", lambda: _regular(_z4_semi_z4, [1, 4])),
+        ("(Z2xZ2):Z4", lambda: _regular(_klein_semi_z4, [1, 4])),
+        ("Z4oD8", lambda: _regular(_pauli, [1, 4, 8])),
+    ),
+    # fixed-point-free on GF(3)^2: Z4 = <J>, Q8 = <J, K>
+    36: (("(Z3xZ3):Z4", lambda: _affine9(lambda x, y: (-y, x))),),
+    72: (("(Z3xZ3):Q8", lambda: _affine9(lambda x, y: (-y, x), lambda x, y: (x + y, x - y))),),
+}
+
+
+@lru_cache(maxsize=None)
+def _references(order: int) -> list[tuple[str, FiniteGroup]]:
+    """The catalog's references of one order, built on the first call for
+    that order: Zn first for n <= 16, then _CATALOG's."""
+    refs = [(f"Z{order}", _cyclic(order))] if order <= 16 else []
+    return refs + [(label, build()) for label, build in _CATALOG.get(order, ())]
 
 
 @_kept
@@ -154,7 +162,7 @@ def iso_label(G: FiniteGroup) -> str:
     if not G.enumerated:
         return G.label or f"G[order={G.known_order}]"
     order = G.order()
-    refs = _reference_catalog().get(order, [])
+    refs = _references(order)
     matches = [(label, R) for label, R in refs if invariant_tuple(R) == invariant_tuple(G)]
     if order <= 16 and len(matches) == 1:  # the catalog lists every group of this order
         return matches[0][0]

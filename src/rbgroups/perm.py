@@ -516,10 +516,23 @@ class FiniteGroup(_Frozen):
 
 def small_generating_tuple(G: FiniteGroup) -> tuple[Perm, ...]:
     """A short generating tuple: grow() over the elements by decreasing
-    order, ties broken by the canonical order."""
+    order, ties broken by the canonical order.  Where that takes three or
+    more elements, the first pair (a, x) that generates G, a the first of
+    them and x walked in the same order, if there is one: _isomorphisms
+    tries every image of the same order for each generator, so one fewer
+    generator divides its candidate tuples by the images of the one
+    dropped (144 for the third element of order 5 in A6)."""
     orders = G.order_table()
     best = sorted(G.elements, key=lambda e: (-orders[e], e))
-    return grow(best, G.identity, G._element_set())
+    inside = G._element_set()
+    gens = grow(best, G.identity, inside)
+    if len(gens) >= 3:
+        a = Grower(G.identity, inside)
+        a.add(gens[0])
+        for x in best:
+            if x not in a.members and len(a.extended(x).elements) == len(inside):
+                return gens[0], x
+    return gens
 
 
 def homomorphism_failure(

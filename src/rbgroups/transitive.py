@@ -4,11 +4,15 @@ on large alternating groups built from them."""
 
 from __future__ import annotations
 
+import marshal
 import math
 import operator
+import os
 import random
-from itertools import repeat
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+import signal
+import threading
+from itertools import islice, repeat
+from typing import BinaryIO, Callable, Iterator, NamedTuple, Optional, Sequence
 
 from . import families
 from .build import ConstructionError, construction
@@ -21,6 +25,10 @@ SUPPORTED_DEGREES = (9, 10, 49, 50)
 # Seeded samples of descendent_structure's K loop and twist loop.
 DESCENDENT_K_SAMPLES = 10_000
 DESCENDENT_TWIST_SAMPLES = 10_000
+
+# Fewest samples in one range of a sampled check run across CPUs: a check
+# of fewer than twice this many samples runs as one in-process loop.
+RANGE_MIN_SAMPLES = 5_000
 
 # Largest radix product of one chunk of Fisher-Yates steps in even_sampler:
 # the size of that chunk's decode table.
@@ -504,6 +512,121 @@ def even_sampler(
     return draw
 
 
+# -- sample ranges ---------------------------------------------------------
+
+# (count, run) of one sampled loop: run(a, b) runs its samples a <= i < b
+# and returns the first failing sample's record (marshal-able), or None.
+_SampledLoop = tuple[int, Callable[[int, int], Optional[tuple]]]
+
+
+def _skip(iterator: Iterator, count: int) -> None:
+    """Take `count` items from `iterator`, and no more."""
+    next(islice(iterator, count, count), None)
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _range_count(samples: int) -> int:
+    """The number of ranges a check of `samples` samples is cut into: one
+    per usable CPU, each of at least RANGE_MIN_SAMPLES samples.  One
+    without os.fork, or while this process runs other threads: a forked
+    child has only the thread that forked, and a lock another thread held
+    would stay held in it."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return max(1, min(_usable_cpus(), samples // RANGE_MIN_SAMPLES))
+
+
+def _fork(task: Callable[[], list]) -> tuple[int, BinaryIO]:
+    """(pid, pipe) of a child made by os.fork that runs task() and writes
+    marshal.dumps of its result to the pipe, or nothing when task raises.
+    The child ends with os._exit, so it never returns into its caller's
+    frames nor flushes buffers the parent still holds.  os.fork, not a
+    spawned interpreter: B's procedure is a closure, which a fresh import
+    cannot rebuild."""
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(r)
+            with open(w, "wb") as out:
+                out.write(marshal.dumps(task()))
+        finally:
+            os._exit(0)
+    os.close(w)
+    return pid, open(r, "rb")
+
+
+def _first_failure(loops: Sequence[_SampledLoop]) -> Optional[tuple]:
+    """The failure the serial run of `loops` finds, each loop over all its
+    samples and one loop after another, stopping at the first failure;
+    None when every sample passes.  Each run(a, b) starts from its own rng,
+    brought to where the serial run's stands before sample a, so it gives
+    the same result wherever it runs (the callers prove it).
+
+    Each loop's samples are cut into p contiguous ranges j = 0 .. p-1,
+    p = _range_count(all samples of all loops).  Range j of every loop
+    runs, loop by loop, in one process and stops at its first failure:
+    j = 0 in this process, each other j in a child made by _fork, which
+    sends back the list of its loops' results.  The results are then read
+    in the serial order, loop by loop and, within a loop, range by range;
+    the first failure read is the serial run's, as a loop's ranges cover
+    its samples in order and each run names the first failure of its
+    range.  A list cut short by a failure is never read past it, as that
+    failure ends the walk first.  A child that sent nothing (its run
+    raised, or it died) has its range re-run here when the walk reaches
+    it, and an exception of this process's own range is raised there, so
+    an exception B's procedure raises surfaces with its own type where the
+    serial run would raise it.  Every child is reaped before this returns;
+    those still running when the walk ends early, or when an exception or
+    an interrupt leaves it, are killed first."""
+    parts = _range_count(sum(count for count, _ in loops))
+    bounds = [[count * j // parts for j in range(parts + 1)] for count, _ in loops]
+
+    def run_range(j: int, out: list) -> list:
+        for (_, run), b in zip(loops, bounds):
+            out.append(run(b[j], b[j + 1]))
+            if out[-1] is not None:
+                break
+        return out
+
+    children: dict[int, tuple[int, BinaryIO]] = {}  # range -> (pid, pipe), until reaped
+    try:
+        for j in range(1, parts):
+            children[j] = _fork(lambda j=j: run_range(j, []))
+        outcomes, error = [[]], None
+        try:
+            run_range(0, outcomes[0])
+        except Exception as exc:  # raised where the walk reaches it
+            error = exc
+        for l, ((_, run), b) in enumerate(zip(loops, bounds)):
+            for j in range(parts):
+                if j == len(outcomes):
+                    pid, pipe = children[j]
+                    with pipe:
+                        data = pipe.read()
+                    os.waitpid(pid, 0)
+                    del children[j]
+                    outcomes.append(marshal.loads(data) if data else [])
+                if l < len(outcomes[j]):
+                    failure = outcomes[j][l]
+                elif j == 0:
+                    raise error
+                else:
+                    failure = run(b[j], b[j + 1])
+                if failure is not None:
+                    return failure
+        return None
+    finally:
+        for pid, pipe in children.values():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def verify_an_operator(
     B: RBOperator,
     sample_count: int = DEFAULT_SAMPLES,
@@ -537,7 +660,16 @@ def verify_an_operator(
     procedure directly as rbop.circ_kernel does.  The draws are perms of
     degree n, so the kernel's pairs need no degree check.  The verdict
     line prints only the pair counts and the seed; a failing verdict's
-    detail names the sample index and the pair."""
+    detail names the sample index and the pair.
+
+    Layer 3 runs as contiguous sample ranges, one per usable CPU
+    (_first_failure).  A range from sample a starts from Random(seed) and
+    first takes, through ranks(rng, n!), the 2a ranks the serial loop draws
+    before sample a.  Each draw takes exactly one rank, by the loop ranks
+    runs, and ranks reads no value ahead, so the rng then stands where the
+    serial loop's stands before sample a: the range evaluates B on exactly
+    the serial loop's pairs, and the verdict, the first failing sample, is
+    the same whatever the number of ranges."""
     if sample_count < 0:
         raise TransitiveError(f"sample count must be >= 0, got {sample_count}")
     st = B.structural
@@ -581,17 +713,24 @@ def verify_an_operator(
     exhaustive = v.pairs
 
     # layer 3: seeded random pairs from the whole group
-    rng, n = random.Random(seed), B.group.degree
+    n = B.group.degree
     draw, circ, pad, f = even_sampler(n), circ_kernel(B), _ID[n:], B.proc or B
-    for i in range(sample_count):
-        g, h = draw(rng), draw(rng)
-        b, gh = circ(g, h)
-        if b.translate(f(h) + pad) != f(gh):
-            return LayeredVerdict(
-                ok=False, layer=3,
-                detail=f"identity fails at sample {i}: ({g!r}, {h!r})",
-                pairs_exhaustive=exhaustive, pairs_sampled=i + 1, seed=seed,
-            )
+    total = math.factorial(n)
+
+    def samples(start: int, stop: int) -> Optional[tuple]:
+        rng = random.Random(seed)
+        _skip(ranks(rng, total), 2 * start)
+        for i in range(start, stop):
+            g, h = draw(rng), draw(rng)
+            b, gh = circ(g, h)
+            if b.translate(f(h) + pad) != f(gh):
+                detail = f"identity fails at sample {i}: ({g!r}, {h!r})"
+                return (False, 3, detail, exhaustive, i + 1, seed)
+        return None
+
+    failure = _first_failure([(sample_count, samples)])
+    if failure is not None:
+        return LayeredVerdict(*failure)
     return LayeredVerdict(
         ok=True, layer=0, detail="",
         pairs_exhaustive=exhaustive, pairs_sampled=sample_count, seed=seed,
@@ -630,7 +769,18 @@ def descendent_structure(B: RBOperator, seed: int = DEFAULT_SEED) -> DescendentR
     for a rank j from ranks(rng, |L|), the l that rng.choice(L.elements)
     gives.  Both loops compare image bytes of products from
     rbop.circ_kernel, on sampler draws, elements of L and products of
-    these, all of degree n, so the kernel's pairs need no degree check."""
+    these, all of degree n, so the kernel's pairs need no degree check.
+
+    Both loops run as contiguous sample ranges, one per usable CPU
+    (_first_failure).  Each range starts from Random(seed) and first
+    takes, through ranks, the ranks the serial loops draw before it: a K
+    range from sample a the 2a K-ranks of the samples before a; a twist
+    range from sample a the 2 DESCENDENT_K_SAMPLES K-ranks of the K loop,
+    then one L-rank and one K-rank, in that order, for each twist sample
+    before a.  Each draw takes exactly one rank and ranks reads no value
+    ahead, so each range starts where the serial loops stand and draws
+    their pairs, and the report is the failure with the smallest (loop,
+    index), the serial loops' first, whatever the number of ranges."""
     st = B.structural
     S, r, L = st["ker_tilde"], st["r"], st["im"]
     sset = S._element_set()
@@ -644,25 +794,40 @@ def descendent_structure(B: RBOperator, seed: int = DEFAULT_SEED) -> DescendentR
             return DescendentReport(False, detail, i * len(selems) + j + 1, 0, 0)
     s_pairs = len(selems) ** 2
 
-    rng, n = random.Random(seed), B.group.degree
-    random_k = even_sampler(n, [i for i in range(n) if i not in st["distinguished"]])
+    n = B.group.degree
+    kpoints = [i for i in range(n) if i not in st["distinguished"]]
+    random_k, k_total = even_sampler(n, kpoints), math.factorial(len(kpoints))
     circ, pad = circ_kernel(B), _ID[n:]
-
-    for i in range(DESCENDENT_K_SAMPLES):
-        h1, h2 = random_k(rng), random_k(rng)
-        if circ(h1, h2)[1] != h1.translate(h2 + pad):
-            return DescendentReport(
-                False, f"h o h' != h h' at sample {i}", s_pairs, i + 1, 0
-            )
-
     lelems, rpad = L.elements, r + pad
-    drawn_l = map(lelems.__getitem__, ranks(rng, len(lelems)))
-    # zip takes l before the body draws h, the order of the seeded stream,
-    # and stops on the range without drawing an l past the last sample
-    for i, l in zip(range(DESCENDENT_TWIST_SAMPLES), drawn_l):
-        h = random_k(rng)
-        h_tw = h if l in sset else _new(Perm, r.translate(h + pad).translate(rpad))
-        if circ(l, h)[1] != circ(h_tw, l)[1]:
-            detail = f"l o h != h^(r^d) o l at sample {i}"
-            return DescendentReport(False, detail, s_pairs, DESCENDENT_K_SAMPLES, i + 1)
+
+    def k_samples(start: int, stop: int) -> Optional[tuple]:
+        rng = random.Random(seed)
+        _skip(ranks(rng, k_total), 2 * start)
+        for i in range(start, stop):
+            h1, h2 = random_k(rng), random_k(rng)
+            if circ(h1, h2)[1] != h1.translate(h2 + pad):
+                return (False, f"h o h' != h h' at sample {i}", s_pairs, i + 1, 0)
+        return None
+
+    def twist_samples(start: int, stop: int) -> Optional[tuple]:
+        rng = random.Random(seed)
+        k_ranks = ranks(rng, k_total)
+        _skip(k_ranks, 2 * DESCENDENT_K_SAMPLES)
+        l_ranks = ranks(rng, len(lelems))
+        _skip(zip(l_ranks, k_ranks), start)  # an L-rank, then a K-rank
+        drawn_l = map(lelems.__getitem__, l_ranks)
+        # zip takes l before the body draws h, the order of the seeded
+        # stream, and stops on the range without drawing an l past it
+        for i, l in zip(range(start, stop), drawn_l):
+            h = random_k(rng)
+            h_tw = h if l in sset else _new(Perm, r.translate(h + pad).translate(rpad))
+            if circ(l, h)[1] != circ(h_tw, l)[1]:
+                detail = f"l o h != h^(r^d) o l at sample {i}"
+                return (False, detail, s_pairs, DESCENDENT_K_SAMPLES, i + 1)
+        return None
+
+    loops = [(DESCENDENT_K_SAMPLES, k_samples), (DESCENDENT_TWIST_SAMPLES, twist_samples)]
+    failure = _first_failure(loops)
+    if failure is not None:
+        return DescendentReport(*failure)
     return DescendentReport(True, "", s_pairs, DESCENDENT_K_SAMPLES, DESCENDENT_TWIST_SAMPLES)

@@ -14,7 +14,7 @@ from oracles import (
 )
 from rbgroups import build, classify, families, rbop, transitive
 from rbgroups.labels import direct_product, iso_label
-from rbgroups.perm import Grower, closure, small_generating_tuple
+from rbgroups.perm import Grower, closure, grow, small_generating_tuple
 from rbgroups.rbop import descendent_group, graph, is_splitting, tilde
 
 
@@ -135,6 +135,31 @@ def test_small_generating_tuple_is_pinned(spec):
     gens = small_generating_tuple(G)
     assert tuple(G.index(g) for g in gens) == SMALL_GENERATING_TUPLES[spec]
     assert closure(gens) == G.elements
+
+
+@pytest.mark.parametrize("spec", list(PINNED) + ["A:5", "S:5", "D:48"])
+def test_small_generating_tuple_is_greedy_up_to_two(spec):
+    """Where grow() over the elements by decreasing order takes at most two
+    elements, as on each of these groups, its tuple is kept."""
+    G = families.parse_group_spec(spec).group
+    orders = G.order_table()
+    greedy = grow(sorted(G.elements, key=lambda e: (-orders[e], e)), G.identity, G._element_set())
+    assert len(greedy) <= 2
+    assert small_generating_tuple(G) == greedy
+
+
+def test_small_generating_tuple_takes_a_pair_past_two():
+    """Greedy takes three elements of order 5 on A6; the first pair from
+    the first of them that generates A6 is taken instead.  Z2 x Z2 x Z2
+    has no generating pair and keeps greedy's three elements."""
+    from rbgroups.labels import direct_product
+
+    a6 = families.parse_group_spec("A:6").group
+    a, x = small_generating_tuple(a6)
+    assert a.order() == 5 and closure([a, x]) == a6.elements
+    klein = families.klein().group
+    z2cubed = direct_product(families.cyclic(2).group, klein)
+    assert len(small_generating_tuple(z2cubed)) == 3
 
 
 def _pairwise_table(G):

@@ -49,18 +49,43 @@ def test_each_group_has_its_invariant_computed_once(monkeypatch):
         computed.append(G)
         return compute(G)
 
-    labels._reference_catalog.cache_clear()
+    labels._references.cache_clear()
     monkeypatch.setattr(labels.invariant_tuple, "__wrapped__", counted)
     try:
         groups = [families.parse_group_spec(s).group for s in ("D:8", "Q:8", "Z:8", "D:16", "Q:16")]
         first = [iso_label(G) for G in groups]
         assert first == ["D8", "Q8", "Z8", "D16", "Q16"]
-        refs = [R for order in (8, 16) for _, R in labels._reference_catalog()[order]]
+        refs = [R for order in (8, 16) for _, R in labels._references(order)]
         assert [iso_label(G) for G in groups] == first
         assert len(computed) == len({id(G) for G in computed}) == len(refs) + len(groups)
         assert {id(G) for G in computed} == {id(G) for G in refs + groups}
     finally:
-        labels._reference_catalog.cache_clear()
+        labels._references.cache_clear()
+
+
+def test_labelling_builds_only_the_references_of_its_order(monkeypatch):
+    """Labelling A5 (order 60, no reference) builds no reference;
+    labelling D8 builds Z8 and the four other references of order 8 only,
+    with the cyclic factors of the products.  The catalog is rebuilt, with
+    each builder and each cyclic group recorded."""
+    from rbgroups import labels
+
+    built, cyclic = [], labels._cyclic
+
+    def counted(label, build):
+        return lambda: built.append(label) or build()
+
+    monkeypatch.setattr(labels, "_cyclic", lambda n: built.append(f"Z{n}") or cyclic(n))
+    catalog = {o: tuple((x, counted(x, b)) for x, b in refs) for o, refs in labels._CATALOG.items()}
+    monkeypatch.setattr(labels, "_CATALOG", catalog)
+    labels._references.cache_clear()
+    try:
+        a5, d8 = families.alternating(5).group, families.dihedral(4).group
+        assert (iso_label(a5), built) == ("A5", [])
+        assert iso_label(d8) == "D8"
+        assert built == ["Z8", "Z2xZ4", "Z2", "Z4", "Z2xZ2xZ2", "Z2", "D8", "Q8"]
+    finally:
+        labels._references.cache_clear()
 
 
 def _psl28() -> FiniteGroup:
@@ -138,7 +163,7 @@ def test_order_16_catalog_is_complete():
     cycling 4..7."""
     from rbgroups import labels
 
-    refs = labels._reference_catalog()[16]
+    refs = labels._references(16)
     assert len(refs) == 14
     for i, (name, R) in enumerate(refs):
         assert iso_label(R) == name
@@ -161,7 +186,7 @@ def test_is_isomorphic_agrees_with_the_dict_search():
 
     from rbgroups import labels
 
-    order16 = [R for _, R in labels._reference_catalog()[16]]
+    order16 = [R for _, R in labels._references(16)]
     for groups in (order16, list(_groups_of_order_36_and_72().values())):
         for i, G in enumerate(groups):
             for H in groups[i:]:
@@ -179,7 +204,8 @@ def test_a_name_is_an_isomorphism_type():
     from rbgroups.classify import enumerate_rb
     from rbgroups.rbop import descendent_group, images
 
-    groups = [R for refs in labels._reference_catalog().values() for _, R in refs]
+    orders = sorted({*range(1, 17), *labels._CATALOG})
+    groups = [R for order in orders for _, R in labels._references(order)]
     groups += _groups_of_order_36_and_72().values()
     for spec in PINNED:
         for B in enumerate_rb(families.parse_group_spec(spec).group):

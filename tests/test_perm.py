@@ -156,6 +156,24 @@ def test_automorphism_group_of_d256_within_budget():
     assert elapsed < 5, elapsed
 
 
+@pytest.mark.slow
+def test_automorphism_group_of_a6_within_budget():
+    """Aut(A6) = PGammaL(2,9) has 1,440 elements.  A6 is generated by a
+    pair, so the search tries at most 144^2 image pairs, against 144^3
+    triples for greedy's three elements of order 5.  Budget 10 s; about
+    0.6 s on a 2-core host (30.6 s with the triple)."""
+    import time
+
+    from rbgroups.families import parse_group_spec
+
+    G = parse_group_spec("A:6").group
+    start = time.perf_counter()
+    auts = automorphism_group(G)
+    elapsed = time.perf_counter() - start
+    assert len(set(auts)) == 1440 and all(len(set(f)) == 360 for f in auts)
+    assert elapsed < 10, elapsed
+
+
 def test_degree_above_256_raises_perm_error():
     from rbgroups import families
     from rbgroups.cli import main

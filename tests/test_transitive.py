@@ -3,6 +3,7 @@ import functools
 import hashlib
 import itertools
 import math
+import os
 import random
 import sys
 import time
@@ -288,16 +289,21 @@ def _dump_digest(n):
     return hashlib.sha256(dump.encode()).hexdigest()
 
 
-def test_build_an_10_dump_is_pinned():
-    assert _dump_digest(10) == AN_DUMP_DIGESTS[10]
+def test_build_an_10_dump_is_pinned(monkeypatch):
+    """The same dump with the sampled loops in one range and in two."""
+    for cpus in (1, 2):
+        monkeypatch.setattr(transitive, "_usable_cpus", lambda: cpus)
+        assert _dump_digest(10) == AN_DUMP_DIGESTS[10]
 
 
 @pytest.mark.slow
-def test_build_an_50_dump_is_pinned():
-    """Budget 60 s."""
-    start = time.perf_counter()
-    assert _dump_digest(50) == AN_DUMP_DIGESTS[50]
-    assert time.perf_counter() - start < 60
+def test_build_an_50_dump_is_pinned(monkeypatch):
+    """Budget 60 s for each of one range and two."""
+    for cpus in (1, 2):
+        monkeypatch.setattr(transitive, "_usable_cpus", lambda: cpus)
+        start = time.perf_counter()
+        assert _dump_digest(50) == AN_DUMP_DIGESTS[50]
+        assert time.perf_counter() - start < 60
 
 
 def _tampered(field):
@@ -463,7 +469,9 @@ def test_descendent_k_samples_lie_in_k(monkeypatch):
     """Every K-sample is even and fixes the distinguished points, and the
     samples are not one element over and over: 30,000 uniform draws from
     |K| = 2,520 leave about 2,520 e^(-30000/2520) = 0.017 elements
-    undrawn, and seed 7 draws all of K."""
+    undrawn, and seed 7 draws all of K.  In one range, so that every draw
+    is made in this process."""
+    monkeypatch.setattr(transitive, "_usable_cpus", lambda: 1)
     drawn = []
     sampler = transitive.even_sampler
 
@@ -606,9 +614,11 @@ def test_descendent_structure_takes_few_products(monkeypatch):
     generators).  Only Perm.__mul__ is counted: the raw bytes.translate
     work of rbop.circ_kernel, even_sampler and
     perm.homomorphism_failure is not, so this bounds Perm products, not
-    all permutation work."""
+    all permutation work.  In one range, so that every product is made in
+    this process."""
     from test_perm import _count_products
 
+    monkeypatch.setattr(transitive, "_usable_cpus", lambda: 1)
     calls = _count_products(monkeypatch)
     assert descendent_structure(build_an_operator(9)).ok
     assert calls[0] <= 1_410
@@ -620,9 +630,11 @@ def test_layer3_takes_few_products(monkeypatch):
     rbop.circ_kernel's bytes (120,850 by Perm products).  Only
     Perm.__mul__ is counted: the raw bytes.translate work of
     rbop.circ_kernel, even_sampler and perm.homomorphism_failure is not,
-    so this bounds Perm products, not all permutation work."""
+    so this bounds Perm products, not all permutation work.  In one range,
+    so that every product is made in this process."""
     from test_perm import _count_products
 
+    monkeypatch.setattr(transitive, "_usable_cpus", lambda: 1)
     calls = _count_products(monkeypatch)
     v = verify_an_operator(build_an_operator(9), sample_count=30_000)
     assert v.ok and v.pairs_sampled == 30_000
@@ -666,12 +678,13 @@ def test_verify_evaluates_b_once_on_each_element_of_l():
     assert calls[0] == B.structural["im"].order() == 72
 
 
-def test_descendent_structure_evaluates_b_once_per_element_used():
+def test_descendent_structure_evaluates_b_once_per_element_used(monkeypatch):
     """descendent_structure evaluates B once per element of S (for
     s B(s)), once per K pair (B(h) in h o h') and twice per twist pair
     (l o h and h^(r^d) o l): |S| + DESCENDENT_K_SAMPLES +
     2 DESCENDENT_TWIST_SAMPLES calls of a counted procedure, 30,036 at
-    n = 9."""
+    n = 9.  In one range, so that every call is made in this process."""
+    monkeypatch.setattr(transitive, "_usable_cpus", lambda: 1)
     B = _an(9)
     calls = [0]
 
@@ -720,6 +733,173 @@ def test_layer3_draws_one_rank_per_element(monkeypatch):
     v = verify_an_operator(B, sample_count=1000, seed=7)
     assert v.ok and v.pairs_sampled == 1000
     assert calls[0] == expected > 2 * 1000
+
+
+def _one_and_two_ranges(monkeypatch, check):
+    """[check() with the sampled loops in one range, the same in two
+    ranges], two whatever the CPUs of this host; after each, no child
+    process is left.  The two-range run forks one child."""
+    forks, fork = [], transitive._fork
+
+    def counted(task):
+        forks.append(task)
+        return fork(task)
+
+    monkeypatch.setattr(transitive, "_fork", counted)
+    out = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(transitive, "_usable_cpus", lambda: cpus)
+        del forks[:]
+        out.append(check())
+        assert len(forks) == cpus - 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    return out
+
+
+def _changed_at(B, x, value):
+    """B with B(x) replaced by value(B(x))."""
+    return rebuilt(B, proc=lambda g: value(B.proc(g)) if g == x else B.proc(g))
+
+
+def _layer3_g(sample, seed=4):
+    """The g layer 3 draws at `sample` on `seed`."""
+    rng, draw = random.Random(seed), transitive.even_sampler(9)
+    for _ in range(sample + 1):
+        g, h = draw(rng), draw(rng)
+    return g
+
+
+@pytest.mark.parametrize("sample,fails_at", [(0, 0), (14_999, 282), (15_000, 15_000), (29_999, 29_999)])
+def test_layer3_verdict_is_the_same_in_two_ranges(monkeypatch, sample, fails_at):
+    """B(g) r in place of B(g) at the g drawn at one sample of seed 4:
+    the verdict of 30,000 samples in two ranges of 15,000 is the one-range
+    verdict.  The failures lie in both ranges, each at the first pair that
+    evaluates B at g (for the g of sample 14,999, at sample 282)."""
+    B = _an(9, "S1")
+    r = B.structural["r"]
+    bad = _changed_at(B, _layer3_g(sample), lambda b: b * r)
+    one, two = _one_and_two_ranges(
+        monkeypatch, lambda: verify_an_operator(bad, sample_count=30_000, seed=4)
+    )
+    assert one == two
+    assert (one.ok, one.layer, one.pairs_sampled) == (False, 3, fails_at + 1)
+
+
+def test_descendent_report_is_the_same_in_two_ranges(monkeypatch):
+    """B(x) = r at one x in K, where B(x) = e.  The K loop evaluates B at
+    the first element h of its pairs only, the twist loop at l and
+    h^(r^d) only, and neither at an element of K before; so the report
+    fails where B is first evaluated at x: in the K loop when r h' r != h',
+    in the twist loop when r l r != l.  x is the h of the last K sample
+    that draws a new h (9,939 on seed 4), and the h^(r^d) of the first and
+    the last twist sample that evaluates B at an element for the first
+    time, with r l r != l (36 and 6,689).  The report of two ranges, 5,000
+    samples of each loop each, is the one-range report and names that
+    sample, in the first or the second range."""
+    B = _an(9, "S1")
+    st = B.structural
+    L, r, sset = st["im"], st["r"], st["ker_tilde"]._element_set()
+    rng, draw = random.Random(4), digit_sampler(9, range(7))
+    k_pairs = [(draw(rng), draw(rng)) for _ in range(transitive.DESCENDENT_K_SAMPLES)]
+    first = {}
+    for i, (h, _) in enumerate(k_pairs):
+        first.setdefault(h, i)
+    i_k = max(first.values())
+    twist = []
+    for i in range(transitive.DESCENDENT_TWIST_SAMPLES):
+        l, h = rng.choice(L.elements), draw(rng)
+        x = h if l in sset else r * h * r
+        if x not in first:
+            first[x] = i
+            if r * l * r != l:
+                twist.append((i, x))
+    h1, h2 = k_pairs[i_k]
+    assert r * h2 * r != h2
+    cases = [(i_k, h1, "h o h' != h h'"), *[(i, x, "l o h != h^(r^d) o l") for i, x in (twist[0], twist[-1])]]
+    assert [i for i, _, _ in cases] == [9_939, 36, 6_689]
+    for i, x, message in cases:
+        bad = _changed_at(B, x, lambda b: r)
+        one, two = _one_and_two_ranges(monkeypatch, lambda: descendent_structure(bad, seed=4))
+        assert one == two
+        assert not one.ok and one.detail == f"{message} at sample {i}"
+
+
+def test_ranges_call_b_where_the_serial_loops_do(monkeypatch, tmp_path):
+    """Each range calls B's procedure at exactly the serial loops'
+    elements, in their order.  The procedure appends its process and the
+    element to a file.  In one range every call is made in this process.
+    In two, this process makes the calls before the sampled loops and
+    those of the first half of each loop, and the child those of the
+    second halves: for verify, 72 on L, then 3 per sample of 30,000; for
+    descendent_structure, 36 on S, then 1 per K sample and 2 per twist
+    sample, 10,000 of each."""
+    B = _an(9)
+    path = tmp_path / "calls"
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def proc(g):
+        os.write(fd, b"%d %s\n" % (os.getpid(), g.hex().encode()))
+        return B.proc(g)
+
+    logged = rebuilt(B, proc=proc)
+
+    def calls(check, cpus):
+        """(this process's calls, the other processes' calls)."""
+        monkeypatch.setattr(transitive, "_usable_cpus", lambda: cpus)
+        os.truncate(path, 0)
+        assert check().ok
+        by_pid = collections.defaultdict(list)
+        for line in path.read_text().splitlines():
+            pid, g = line.split()
+            by_pid[int(pid)].append(g)
+        mine = by_pid.pop(os.getpid())
+        return mine, [g for rest in by_pid.values() for g in rest]
+
+    try:
+        check = functools.partial(verify_an_operator, logged, sample_count=30_000, seed=4)
+        one, none = calls(check, 1)
+        cut = 72 + 3 * 15_000
+        assert (len(one), none) == (72 + 3 * 30_000, [])
+        assert calls(check, 2) == (one[:cut], one[cut:])
+
+        check = functools.partial(descendent_structure, logged, seed=4)
+        one, none = calls(check, 1)
+        s, k = 36, 36 + 10_000
+        assert (len(one), none) == (k + 2 * 10_000, [])
+        mine, child = calls(check, 2)
+        assert mine == one[: s + 5_000] + one[k : k + 10_000]
+        assert child == one[s + 5_000 : k] + one[k + 10_000 :]
+    finally:
+        os.close(fd)
+
+
+def test_ranges_raise_what_b_raises_and_leave_no_child(monkeypatch):
+    """A procedure that raises ValueError at the g of layer-3 sample
+    29,999 (seed 4), first evaluated there, in the second of two ranges:
+    the two-range verify re-runs that range in this process and raises
+    ValueError, as the one-range verify does.  An interrupt in this
+    process's range, at the g of sample 0, kills and reaps the child.
+    Both runs evaluate B in this process as often as the serial loop does
+    before it raises: 72 times on L, then three times per earlier sample
+    and once at g."""
+    B = _an(9, "S1")
+    for sample, exc in ((29_999, ValueError), (0, KeyboardInterrupt)):
+        g, calls = _layer3_g(sample), [0]
+
+        def proc(x):
+            calls[0] += 1
+            if x == g:
+                raise exc(f"B at sample {sample}")
+            return B.proc(x)
+
+        def check():
+            calls[0] = 0
+            with pytest.raises(exc, match=f"B at sample {sample}"):
+                verify_an_operator(rebuilt(B, proc=proc), sample_count=30_000, seed=4)
+            return calls[0]
+
+        assert _one_and_two_ranges(monkeypatch, check) == [72 + 3 * sample + 1] * 2
 
 
 @pytest.mark.parametrize(
