@@ -26,9 +26,14 @@ SUPPORTED_DEGREES = (9, 10, 49, 50)
 DESCENDENT_K_SAMPLES = 10_000
 DESCENDENT_TWIST_SAMPLES = 10_000
 
-# Fewest samples in one range of a sampled check run across CPUs: a check
-# of fewer than twice this many samples runs as one in-process loop.
-RANGE_MIN_SAMPLES = 5_000
+# Sample ranges of one sampled check run across CPUs (_range_count).  Two
+# ranges pay from about 2,000 samples at n = 9 (a child costs about 2.5 ms
+# to fork, hear from and reap, a sample 5 us) and about 500 at n = 49, so
+# a check splits from 2 RANGE_MIN_SAMPLES = 3,000 samples.  RANGE_MAX is
+# the most ranges whose wall time and memory were measured; a child at
+# n = 50 holds about 39 MB of its own.  The figures are in BENCH_28.json.
+RANGE_MIN_SAMPLES = 1_500
+RANGE_MAX = 2
 
 # Largest radix product of one chunk of Fisher-Yates steps in even_sampler:
 # the size of that chunk's decode table.
@@ -531,13 +536,13 @@ def _usable_cpus() -> int:
 
 def _range_count(samples: int) -> int:
     """The number of ranges a check of `samples` samples is cut into: one
-    per usable CPU, each of at least RANGE_MIN_SAMPLES samples.  One
-    without os.fork, or while this process runs other threads: a forked
-    child has only the thread that forked, and a lock another thread held
-    would stay held in it."""
+    per usable CPU, at most RANGE_MAX, each of at least RANGE_MIN_SAMPLES
+    samples.  One without os.fork, or while this process runs other
+    threads: a forked child has only the thread that forked, and a lock
+    another thread held would stay held in it."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
-    return max(1, min(_usable_cpus(), samples // RANGE_MIN_SAMPLES))
+    return max(1, min(_usable_cpus(), RANGE_MAX, samples // RANGE_MIN_SAMPLES))
 
 
 def _fork(task: Callable[[], list]) -> tuple[int, BinaryIO]:
@@ -546,9 +551,15 @@ def _fork(task: Callable[[], list]) -> tuple[int, BinaryIO]:
     The child ends with os._exit, so it never returns into its caller's
     frames nor flushes buffers the parent still holds.  os.fork, not a
     spawned interpreter: B's procedure is a closure, which a fresh import
-    cannot rebuild."""
+    cannot rebuild.  OSError when os.pipe or os.fork fails (no process id
+    or memory left), with no descriptor left open."""
     r, w = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
     if pid == 0:
         try:
             os.close(r)
@@ -558,6 +569,14 @@ def _fork(task: Callable[[], list]) -> tuple[int, BinaryIO]:
             os._exit(0)
     os.close(w)
     return pid, open(r, "rb")
+
+
+def _reap(pid: int, pipe: BinaryIO) -> None:
+    """Close the pipe of a child made by _fork, kill the child, which ends
+    it at once if it still runs, and reap it."""
+    pipe.close()
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
 
 
 def _first_failure(loops: Sequence[_SampledLoop]) -> Optional[tuple]:
@@ -578,11 +597,14 @@ def _first_failure(loops: Sequence[_SampledLoop]) -> Optional[tuple]:
     range.  A list cut short by a failure is never read past it, as that
     failure ends the walk first.  A child that sent nothing (its run
     raised, or it died) has its range re-run here when the walk reaches
-    it, and an exception of this process's own range is raised there, so
-    an exception B's procedure raises surfaces with its own type where the
-    serial run would raise it.  Every child is reaped before this returns;
-    those still running when the walk ends early, or when an exception or
-    an interrupt leaves it, are killed first."""
+    it, and so has each range from the first that _fork could not make a
+    child for (OSError: no process id or memory left).  An exception of
+    this process's own range is raised where the walk reaches it, so an
+    exception B's procedure raises surfaces with its own type where the
+    serial run would raise it.  Every child is reaped before this returns,
+    and killed first, as it may still run when the walk ends early or an
+    exception or an interrupt leaves it.  A child leaves `children` before
+    it is reaped, so none is signalled or waited for twice."""
     parts = _range_count(sum(count for count, _ in loops))
     bounds = [[count * j // parts for j in range(parts + 1)] for count, _ in loops]
 
@@ -596,7 +618,10 @@ def _first_failure(loops: Sequence[_SampledLoop]) -> Optional[tuple]:
     children: dict[int, tuple[int, BinaryIO]] = {}  # range -> (pid, pipe), until reaped
     try:
         for j in range(1, parts):
-            children[j] = _fork(lambda j=j: run_range(j, []))
+            try:
+                children[j] = _fork(lambda j=j: run_range(j, []))
+            except OSError:  # no child for this range nor the later ones
+                break
         outcomes, error = [[]], None
         try:
             run_range(0, outcomes[0])
@@ -605,11 +630,13 @@ def _first_failure(loops: Sequence[_SampledLoop]) -> Optional[tuple]:
         for l, ((_, run), b) in enumerate(zip(loops, bounds)):
             for j in range(parts):
                 if j == len(outcomes):
-                    pid, pipe = children[j]
-                    with pipe:
-                        data = pipe.read()
-                    os.waitpid(pid, 0)
-                    del children[j]
+                    data = b""
+                    if j in children:
+                        pid, pipe = children.pop(j)
+                        try:
+                            data = pipe.read()
+                        finally:
+                            _reap(pid, pipe)
                     outcomes.append(marshal.loads(data) if data else [])
                 if l < len(outcomes[j]):
                     failure = outcomes[j][l]
@@ -622,9 +649,7 @@ def _first_failure(loops: Sequence[_SampledLoop]) -> Optional[tuple]:
         return None
     finally:
         for pid, pipe in children.values():
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+            _reap(pid, pipe)
 
 
 def verify_an_operator(
@@ -662,14 +687,14 @@ def verify_an_operator(
     line prints only the pair counts and the seed; a failing verdict's
     detail names the sample index and the pair.
 
-    Layer 3 runs as contiguous sample ranges, one per usable CPU
-    (_first_failure).  A range from sample a starts from Random(seed) and
-    first takes, through ranks(rng, n!), the 2a ranks the serial loop draws
-    before sample a.  Each draw takes exactly one rank, by the loop ranks
-    runs, and ranks reads no value ahead, so the rng then stands where the
-    serial loop's stands before sample a: the range evaluates B on exactly
-    the serial loop's pairs, and the verdict, the first failing sample, is
-    the same whatever the number of ranges."""
+    Layer 3 runs as contiguous sample ranges, one per usable CPU up to
+    RANGE_MAX (_first_failure).  A range from sample a starts from
+    Random(seed) and first takes, through ranks(rng, n!), the 2a ranks the
+    serial loop draws before sample a.  Each draw takes exactly one rank,
+    by the loop ranks runs, and ranks reads no value ahead, so the rng
+    then stands where the serial loop's stands before sample a: the range
+    evaluates B on exactly the serial loop's pairs, and the verdict, the
+    first failing sample, is the same whatever the number of ranges."""
     if sample_count < 0:
         raise TransitiveError(f"sample count must be >= 0, got {sample_count}")
     st = B.structural
@@ -771,10 +796,10 @@ def descendent_structure(B: RBOperator, seed: int = DEFAULT_SEED) -> DescendentR
     rbop.circ_kernel, on sampler draws, elements of L and products of
     these, all of degree n, so the kernel's pairs need no degree check.
 
-    Both loops run as contiguous sample ranges, one per usable CPU
-    (_first_failure).  Each range starts from Random(seed) and first
-    takes, through ranks, the ranks the serial loops draw before it: a K
-    range from sample a the 2a K-ranks of the samples before a; a twist
+    Both loops run as contiguous sample ranges, one per usable CPU up to
+    RANGE_MAX (_first_failure).  Each range starts from Random(seed) and
+    first takes, through ranks, the ranks the serial loops draw before it:
+    a K range from sample a the 2a K-ranks of the samples before a; a twist
     range from sample a the 2 DESCENDENT_K_SAMPLES K-ranks of the K loop,
     then one L-rank and one K-rank, in that order, for each twist sample
     before a.  Each draw takes exactly one rank and ranks reads no value

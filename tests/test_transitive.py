@@ -1,4 +1,5 @@
 import collections
+import errno
 import functools
 import hashlib
 import itertools
@@ -900,6 +901,79 @@ def test_ranges_raise_what_b_raises_and_leave_no_child(monkeypatch):
             return calls[0]
 
         assert _one_and_two_ranges(monkeypatch, check) == [72 + 3 * sample + 1] * 2
+
+
+def _three_ranges(monkeypatch):
+    """Sampled loops of 3,000 samples or more in three ranges."""
+    monkeypatch.setattr(transitive, "RANGE_MAX", 3)
+    monkeypatch.setattr(transitive, "_usable_cpus", lambda: 3)
+
+
+@pytest.mark.parametrize("made", [0, 1])
+@pytest.mark.parametrize("fails", ["pipe", "fork"])
+def test_ranges_without_a_child_run_in_process(monkeypatch, fails, made):
+    """os.pipe or os.fork raises OSError (EAGAIN, as when no process id
+    is left) after `made` children of three ranges: the ranges with no
+    child run in this process, and the verdicts of a pass and of a failure
+    in the last range are the one-range verdicts.  No end of a pipe stays
+    open and no child is left."""
+    B = _an(9, "S1")
+    bad = _changed_at(B, _layer3_g(29_999), lambda b: b * B.structural["r"])
+    checks = [functools.partial(verify_an_operator, x, sample_count=30_000, seed=4) for x in (B, bad)]
+    monkeypatch.setattr(transitive, "_usable_cpus", lambda: 1)
+    expected = [check() for check in checks]
+    assert [(v.ok, v.pairs_sampled) for v in expected] == [(True, 30_000), (False, 30_000)]
+
+    real, calls, fds = {"pipe": os.pipe, "fork": os.fork}, collections.Counter(), []
+
+    def failing(name):
+        def call():
+            calls[name] += 1
+            if name == fails and calls[name] > made:
+                raise OSError(errno.EAGAIN, f"no {name}")
+            out = real[name]()
+            if name == "pipe":
+                fds.extend(out)
+            return out
+
+        return call
+
+    _three_ranges(monkeypatch)
+    for name in real:
+        monkeypatch.setattr(os, name, failing(name))
+    for check, verdict in zip(checks, expected):
+        calls.clear()
+        assert check() == verdict
+        assert calls[fails] == made + 1
+        for fd in fds:
+            with pytest.raises(OSError):
+                os.fstat(fd)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+def test_an_interrupt_after_a_reap_reaps_the_other_child(monkeypatch):
+    """A KeyboardInterrupt that lands just after this process reaps the
+    first of the two children of three ranges is what the check raises,
+    and the other child is killed and reaped: a child leaves the walk's
+    table before it is reaped, so none is signalled or waited for twice."""
+    B = _an(9)
+    _three_ranges(monkeypatch)
+    real, waited = os.waitpid, []
+
+    def waitpid(pid, options):
+        out = real(pid, options)
+        waited.append(pid)
+        if len(waited) == 1:
+            raise KeyboardInterrupt
+        return out
+
+    monkeypatch.setattr(os, "waitpid", waitpid)
+    with pytest.raises(KeyboardInterrupt):
+        verify_an_operator(B, sample_count=30_000, seed=4)
+    assert len(set(waited)) == len(waited) == 2
+    with pytest.raises(ChildProcessError):
+        real(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize(
