@@ -138,7 +138,7 @@ def check_pair(B: RBOperator, g: Perm, h: Perm) -> bool:
     """The defining identity B(g) B(h) = B(g o h) at the pair (g, h)."""
     _check_degree(B, g, h)
     b, gh = circ_kernel(B)(g, h)
-    return b * B(h) == B(gh)
+    return b * B(h) == B(_new(Perm, gh))
 
 
 @_kept
@@ -212,13 +212,18 @@ def tilde(B: RBOperator) -> RBOperator:
     return C
 
 
-def circ_kernel(B: RBOperator) -> Callable[[Perm, Perm], tuple[Perm, Perm]]:
+def circ_kernel(B: RBOperator) -> Callable[[Perm, Perm], tuple[Perm, bytes]]:
     """(g, h) -> (B(g), g o h), g o h = g B(g) h B(g)^-1, B bound once for
     loops of pairs (its procedure, called directly, or B itself for a
     table operator) and evaluated once per pair: the identity's left side
     B(g) B(h) reuses b = B(g).  g b h is translate by b + pad, then by
     h + pad (pad = _ID[n:]), and b^-1 the 256-byte table
     bytes.maketrans(b, _ID[:n]).
+
+    g o h comes back as its plain image bytes, not a Perm: a loop that
+    only compares it compares the bytes, and a caller that hands it to
+    B or to its own caller wraps it (_new(Perm, ...)), as circ and
+    check_pair do.
 
     The kernel does not test the degrees of g and h: a caller passes
     perms of degree n.  circ and check_pair, which take perms from their
@@ -229,9 +234,9 @@ def circ_kernel(B: RBOperator) -> Callable[[Perm, Perm], tuple[Perm, Perm]]:
     pad, ident, maketrans = _ID[n:], _ID[:n], bytes.maketrans
     f = B.proc or B
 
-    def kernel(g: Perm, h: Perm) -> tuple[Perm, Perm]:
+    def kernel(g: Perm, h: Perm) -> tuple[Perm, bytes]:
         b = f(g)
-        return b, _new(Perm, g.translate(b + pad).translate(h + pad).translate(maketrans(b, ident)))
+        return b, g.translate(b + pad).translate(h + pad).translate(maketrans(b, ident))
 
     return kernel
 
@@ -246,7 +251,7 @@ def _check_degree(B: RBOperator, g: Perm, h: Perm) -> None:
 def circ(B: RBOperator, g: Perm, h: Perm) -> Perm:
     """The descendent product g o h = g B(g) h B(g)^-1."""
     _check_degree(B, g, h)
-    return circ_kernel(B)(g, h)[1]
+    return _new(Perm, circ_kernel(B)(g, h)[1])
 
 
 def descendent_group(B: RBOperator) -> tuple[FiniteGroup, str]:

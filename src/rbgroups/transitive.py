@@ -4,6 +4,7 @@ on large alternating groups built from them."""
 
 from __future__ import annotations
 
+import gc
 import marshal
 import math
 import operator
@@ -322,29 +323,39 @@ def build_an_operator(n: int, variant: str = "default") -> RBOperator:
             f"degree {n} not configured (supported: {SUPPORTED_DEGREES})"
         )
 
-    if v.case == "a":
-        st = sharply2(v.m, v.q, 1)
-        S = {"S1": st.s1, "S2": st.s2, "S3": st.s3, "default": st.s1}[variant]
-        distinguished = (n - 2, n - 1)
-    else:
-        if variant != "default":
-            raise TransitiveError("variants apply only to the q^m case")
-        st = sharply3(v.q ** v.m)
-        S = st.psl
-        distinguished = (n - 3, n - 2, n - 1)
-    L = st.group
+    # The cyclic collector is paused while the groups are built.  Every
+    # Perm is tracked by it, yet holds no references and so is in no
+    # cycle; at n = 50 the collections walking the Perms took about a third
+    # of the build.  The caller's setting is restored on every exit.
+    collecting = gc.isenabled()
+    try:
+        gc.disable()
+        if v.case == "a":
+            st = sharply2(v.m, v.q, 1)
+            S = {"S1": st.s1, "S2": st.s2, "S3": st.s3, "default": st.s1}[variant]
+            distinguished = (n - 2, n - 1)
+        else:
+            if variant != "default":
+                raise TransitiveError("variants apply only to the q^m case")
+            st = sharply3(v.q ** v.m)
+            S = st.psl
+            distinguished = (n - 3, n - 2, n - 1)
+        L = st.group
 
-    sset = S._element_set()
-    r = _involution_stabilizing(S, distinguished)
-    if r is None:
-        raise TransitiveError("no involution of S stabilizes the distinguished points")
-    t = min(g for g in L.elements if g not in sset)
+        sset = S._element_set()
+        r = _involution_stabilizing(S, distinguished)
+        if r is None:
+            raise TransitiveError("no involution of S stabilizes the distinguished points")
+        t = min(g for g in L.elements if g not in sset)
 
-    kpoints = [i for i in range(n) if i not in distinguished]
-    K = families.alternating_on_points(n, kpoints)
-    G = families.alternating(n).group
-    R = FiniteGroup.from_elements([G.identity, r], label="R")
-    B = _twist(G, K, L, S, R, distinguished)
+        kpoints = [i for i in range(n) if i not in distinguished]
+        K = families.alternating_on_points(n, kpoints)
+        G = families.alternating(n).group
+        R = FiniteGroup.from_elements([G.identity, r], label="R")
+        B = _twist(G, K, L, S, R, distinguished)
+    finally:
+        if collecting:
+            gc.enable()
 
     im_tilde = FiniteGroup.generator_only(
         n,
@@ -474,7 +485,16 @@ def even_sampler(
     parity of the earlier chunks.  The tables are built per call, not at
     import: at k = 9 the chunks are 9*8*7 and 6*5*4*3*2, 504 + 2 * 720
     entries, and a draw is one getrandbits loop, one divmod and one
-    translate."""
+    translate.
+
+    Listed draws.  When |Alt(points)| = k!/2 is at most ENUMERATION_CAP
+    (k <= 7), every rank is decoded once into the list `listed`, and a
+    draw is the getrandbits loop and listed[x].  Entry x is decode(x),
+    the table decode of rank x that a per-draw draw makes, so both draws
+    give the same Perm of each rank, read by the same getrandbits calls,
+    and leave rng in the same state; a listed draw returns the stored
+    object, the same for the same rank.  At k = 7 the list holds 5,040
+    perms, made in about 4 ms."""
     pts = list(range(n)) if points is None else list(points)
     total = math.factorial(len(pts))
     bits = total.bit_length()
@@ -502,10 +522,7 @@ def even_sampler(
     (radix1, perms1, parity1), *rest = chunks or [(1, [_ID[:n]], [0])]
     perms1 = [P + pad for P in perms1]
 
-    def draw(rng: random.Random) -> Perm:
-        x = rng.getrandbits(bits)  # the loop of ranks(rng, total), inline
-        while x >= total:
-            x = rng.getrandbits(bits)
+    def decode(x: int) -> Perm:
         x, c = divmod(x, radix1)
         acc, odd = perms1[c], parity1[c]
         for radix, perms, parity in rest:
@@ -514,7 +531,23 @@ def even_sampler(
             odd ^= parity[c]
         return _new(Perm, last[2 * x + odd].translate(acc))
 
-    return draw
+    def draw(rng: random.Random) -> Perm:
+        x = rng.getrandbits(bits)  # the loop of ranks(rng, total), inline
+        while x >= total:
+            x = rng.getrandbits(bits)
+        return decode(x)
+
+    if total // 2 > ENUMERATION_CAP:
+        return draw
+    listed = list(map(decode, range(total)))
+
+    def draw_listed(rng: random.Random) -> Perm:
+        x = rng.getrandbits(bits)
+        while x >= total:
+            x = rng.getrandbits(bits)
+        return listed[x]
+
+    return draw_listed
 
 
 # -- sample ranges ---------------------------------------------------------
@@ -682,10 +715,11 @@ def verify_an_operator(
     Layer 3 draws g and h uniformly from A_n with even_sampler, one rank
     per element from rng.getrandbits (the ranks of rng.randrange(n!), see
     ranks), and evaluates B once each at g, h and g o h, calling B's
-    procedure directly as rbop.circ_kernel does.  The draws are perms of
-    degree n, so the kernel's pairs need no degree check.  The verdict
-    line prints only the pair counts and the seed; a failing verdict's
-    detail names the sample index and the pair.
+    procedure directly as rbop.circ_kernel does; the kernel's g o h, image
+    bytes, is wrapped in a Perm only to be handed to B.  The draws are
+    perms of degree n, so the kernel's pairs need no degree check.  The
+    verdict line prints only the pair counts and the seed; a failing
+    verdict's detail names the sample index and the pair.
 
     Layer 3 runs as contiguous sample ranges, one per usable CPU up to
     RANGE_MAX (_first_failure).  A range from sample a starts from
@@ -748,7 +782,7 @@ def verify_an_operator(
         for i in range(start, stop):
             g, h = draw(rng), draw(rng)
             b, gh = circ(g, h)
-            if b.translate(f(h) + pad) != f(gh):
+            if b.translate(f(h) + pad) != f(_new(Perm, gh)):
                 detail = f"identity fails at sample {i}: ({g!r}, {h!r})"
                 return (False, 3, detail, exhaustive, i + 1, seed)
         return None
@@ -790,11 +824,13 @@ def descendent_structure(B: RBOperator, seed: int = DEFAULT_SEED) -> DescendentR
     The K loop takes DESCENDENT_K_SAMPLES pairs and the twist loop
     DESCENDENT_TWIST_SAMPLES.  The K-elements are drawn uniformly from
     K = Alt(the points outside the distinguished ones) with even_sampler,
-    one rank per element from rng.getrandbits, and l is L.elements[j]
+    one rank per element from rng.getrandbits (at n = 9 and 10, K is
+    Alt(7 points), whose draws are listed), and l is L.elements[j]
     for a rank j from ranks(rng, |L|), the l that rng.choice(L.elements)
-    gives.  Both loops compare image bytes of products from
-    rbop.circ_kernel, on sampler draws, elements of L and products of
-    these, all of degree n, so the kernel's pairs need no degree check.
+    gives.  Both loops compare the image bytes of products from
+    rbop.circ_kernel as the kernel returns them, with no Perm made, on
+    sampler draws, elements of L and the h^(r^d), all of degree n, so the
+    kernel's pairs need no degree check.
 
     Both loops run as contiguous sample ranges, one per usable CPU up to
     RANGE_MAX (_first_failure).  Each range starts from Random(seed) and

@@ -394,12 +394,14 @@ def test_circ_rows_are_the_descendent_product(name):
 def _kernel_matches_the_perm_oracle(B, pairs):
     """circ, check_pair and one bound circ_kernel against the products
     and the identity by Perm products, pair by pair; the number of pairs
-    where the identity fails."""
+    where the identity fails.  circ returns a Perm, the kernel g o h as
+    plain image bytes."""
     kernel = rbop.circ_kernel(B)
     fails = 0
     for g, h in pairs:
-        gh = circ(B, g, h)
-        assert type(gh) is Perm and (B(g), gh) == kernel(g, h) and gh == perm_circ(B, g, h)
+        gh, (b, raw) = circ(B, g, h), kernel(g, h)
+        assert type(gh) is Perm and type(raw) is bytes
+        assert (B(g), gh) == (b, raw) and gh == perm_circ(B, g, h)
         ok = perm_check_pair(B, g, h)
         assert check_pair(B, g, h) == ok
         fails += not ok

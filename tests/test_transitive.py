@@ -1,6 +1,7 @@
 import collections
 import errno
 import functools
+import gc
 import hashlib
 import itertools
 import math
@@ -455,15 +456,33 @@ def test_even_sampler_matches_the_digit_decoder_on_seeded_ranks(n, points):
 
 
 @pytest.mark.parametrize(
-    "points", [tuple(range(k)) for k in range(8)] + [(5, 0, 2), (6, 1, 3, 4, 0), (7, 2, 5, 0, 3, 6, 1)]
+    "points",
+    [tuple(range(k)) for k in range(8)]
+    + [(5, 0, 2), (6, 1, 3, 4, 0), (7, 2, 5, 0, 3, 6, 1), tuple(range(8))],
 )
 def test_even_sampler_matches_the_digit_decoder_on_every_rank(points):
-    """k <= 6 is one chunk; k = 7 is two (7*6*5*4 and 3*2), so every way
-    two chunks compose is compared too."""
+    """k <= 7 is listed: every rank is decoded once when the sampler is
+    made, by one chunk (k <= 6) or two (k = 7: 7*6*5*4 and 3*2).  k = 8
+    decodes each draw by two chunks (8*7*6 and 5*4*3*2), so every way two
+    chunks compose is compared on both paths."""
     tables, digits = transitive.even_sampler(8, points), digit_sampler(8, points)
     r1, r2 = _Ranks(), _Ranks()
     for _ in range(math.factorial(len(points))):
         assert tables(r1) == digits(r2), points
+
+
+@pytest.mark.parametrize("k,listed", [(6, True), (7, True), (8, False)])
+def test_even_sampler_lists_the_draws_of_small_alternating_groups(k, listed):
+    """A sampler of Alt(k points) with k!/2 <= ENUMERATION_CAP (k <= 7)
+    hands back one stored Perm per rank, the same object each time the
+    rank is drawn; at k = 8 (20,160 even permutations) each draw makes a
+    new one."""
+    assert (math.factorial(k) // 2 <= ENUMERATION_CAP) == listed
+    draw = transitive.even_sampler(9, range(k))
+    first, again = _Ranks(), _Ranks()
+    for _ in range(50):
+        p, q = draw(first), draw(again)
+        assert type(p) is Perm and p == q and (p is q) == listed
 
 
 def test_descendent_k_samples_lie_in_k(monkeypatch):
@@ -520,30 +539,36 @@ def test_s_check_names_the_pairwise_oracles_first_failure(k):
         assert rep.detail == f"s o s' != s' s at ({s1!r}, {s2!r})"
 
 
-def test_descendent_catches_an_operator_corrupted_only_on_k():
+def test_descendent_catches_an_operator_corrupted_only_on_k(monkeypatch):
     """B'(k) = r for k in K of order 7.  S and L have no element of order
     7, so only the K-sample loop can see the corruption; the first failing
-    sample is the first pair (h, h') with h of order 7 and r h' r != h'."""
-    B = _an(9)
-    st = B.structural
-    r, points = st["r"], st["distinguished"]
-    assert all(g.order() != 7 for g in st["im"].elements)
+    sample is the first pair (h, h') with h of order 7 and r h' r != h',
+    the one the loops by Perm products name.  K is Alt(7 points), drawn
+    from its listed ranks, at n = 9 and at n = 10; the report is the same
+    in one range and in two."""
+    for n in (9, 10):
+        B = _an(n)
+        st = B.structural
+        r, points = st["r"], st["distinguished"]
+        assert all(g.order() != 7 for g in st["im"].elements)
 
-    def corrupted(g):
-        in_k = all(g[i] == i for i in points)
-        return r if in_k and g.order() == 7 else B.proc(g)
+        def corrupted(g):
+            in_k = all(g[i] == i for i in points)
+            return r if in_k and g.order() == 7 else B.proc(g)
 
-    bad = rebuilt(B, proc=corrupted)
-    rep = descendent_structure(bad, seed=7)
-    assert not rep.ok
-    rng = random.Random(7)
-    draw = digit_sampler(9, range(7))
-    for i in range(transitive.DESCENDENT_K_SAMPLES):
-        h1, h2 = draw(rng), draw(rng)
-        if h1.order() == 7 and r * h2 * r != h2:
-            break
-    assert rep.detail == f"h o h' != h h' at sample {i}"
-    assert (rep.s_pairs, rep.k_samples, rep.twist_samples) == (36 * 36, i + 1, 0)
+        bad = rebuilt(B, proc=corrupted)
+        one, two = _one_and_two_ranges(monkeypatch, lambda: descendent_structure(bad, seed=7))
+        rng = random.Random(7)
+        draw = digit_sampler(n, [i for i in range(n) if i not in points])
+        for i in range(transitive.DESCENDENT_K_SAMPLES):
+            h1, h2 = draw(rng), draw(rng)
+            if h1.order() == 7 and r * h2 * r != h2:
+                break
+        assert perm_descendent_loops(bad, transitive.DESCENDENT_K_SAMPLES, 0, 7) == ("k", i)
+        assert one == two and not one.ok, n
+        assert one.detail == f"h o h' != h h' at sample {i}"
+        s_pairs = {9: 36, 10: 360}[n] ** 2
+        assert (one.s_pairs, one.k_samples, one.twist_samples) == (s_pairs, i + 1, 0)
 
 
 def test_layer3_names_the_sample_the_digit_decoder_predicts():
@@ -565,23 +590,26 @@ def test_layer3_names_the_sample_the_digit_decoder_predicts():
     assert v.detail == f"identity fails at sample {i}: ({g!r}, {h!r})"
 
 
-def test_twist_loop_names_the_sample_the_perm_product_loop_predicts():
+def test_twist_loop_names_the_sample_the_perm_product_loop_predicts(monkeypatch):
     """B'(l) = B(l) r at one element l of L outside S.  The S x S check
     and the K loop never evaluate B' there, so only the twist loop can
     fail, and it fails at the sample that the loop by Perm products, drawn
-    with the per-digit decoder, names first."""
-    B = _an(9)
-    st = B.structural
-    r, sset = st["r"], st["ker_tilde"]._element_set()
-    l0 = max(l for l in st["im"].elements if l not in sset)
-    bad = rebuilt(B, proc=lambda g: B.proc(g) * r if g == l0 else B.proc(g))
+    with the per-digit decoder, names first: at n = 9 and at n = 10, in
+    one range and in two."""
     counts = transitive.DESCENDENT_K_SAMPLES, transitive.DESCENDENT_TWIST_SAMPLES
-    assert perm_descendent_loops(B, *counts, 7) is None
-    kind, i = perm_descendent_loops(bad, *counts, 7)
-    rep = descendent_structure(bad, seed=7)
-    assert kind == "twist" and i > 0
-    assert (rep.ok, rep.s_pairs, rep.k_samples, rep.twist_samples) == (False, 36 * 36, counts[0], i + 1)
-    assert rep.detail == f"l o h != h^(r^d) o l at sample {i}"
+    for n in (9, 10):
+        B = _an(n)
+        st = B.structural
+        r, sset = st["r"], st["ker_tilde"]._element_set()
+        l0 = max(l for l in st["im"].elements if l not in sset)
+        bad = rebuilt(B, proc=lambda g: B.proc(g) * r if g == l0 else B.proc(g))
+        assert perm_descendent_loops(B, *counts, 7) is None
+        kind, i = perm_descendent_loops(bad, *counts, 7)
+        one, two = _one_and_two_ranges(monkeypatch, lambda: descendent_structure(bad, seed=7))
+        assert kind == "twist" and i > 0 and one == two, n
+        s_pairs = {9: 36, 10: 360}[n] ** 2
+        assert (one.ok, one.s_pairs, one.k_samples, one.twist_samples) == (False, s_pairs, counts[0], i + 1)
+        assert one.detail == f"l o h != h^(r^d) o l at sample {i}"
 
 
 def test_twist_loop_draws_l_before_h_on_several_seeds():
@@ -699,6 +727,56 @@ def test_descendent_structure_evaluates_b_once_per_element_used(monkeypatch):
         S.order() + transitive.DESCENDENT_K_SAMPLES + 2 * transitive.DESCENDENT_TWIST_SAMPLES
     )
     assert calls[0] == expected == 30_036
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_b_is_handed_only_perms(monkeypatch, n):
+    """rbop.circ_kernel returns g o h as plain bytes; layer 3 wraps it
+    before evaluating B there, and the K and twist loops, which only
+    compare products, hand B only their draws, elements of L and
+    h^(r^d).  A procedure that asserts it gets a Perm passes both checks,
+    in one range and in two."""
+    B = _an(n)
+
+    def perms_only(g):
+        assert type(g) is Perm, type(g)
+        return B.proc(g)
+
+    checked = rebuilt(B, proc=perms_only)
+    for check in (
+        lambda: verify_an_operator(checked, sample_count=3_000).ok,
+        lambda: descendent_structure(checked).ok,
+    ):
+        assert _one_and_two_ranges(monkeypatch, check) == [True, True]
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_build_an_operator_pauses_and_restores_the_collector(monkeypatch, collecting):
+    """The groups are built with the cyclic collector paused, and the
+    caller's gc.isenabled() comes back after the call, whether the
+    collector was on or off and whether the call returns or raises."""
+    seen, build = [], transitive.sharply3
+
+    def recording(q):
+        seen.append(gc.isenabled())
+        return build(q)
+
+    monkeypatch.setattr(transitive, "sharply3", recording)
+    was = gc.isenabled()
+    try:
+        (gc.enable if collecting else gc.disable)()
+        assert build_an_operator(10).structural["case"] == "b"
+        assert gc.isenabled() is collecting
+        with pytest.raises(TransitiveError, match="variants apply only"):
+            build_an_operator(10, "S1")
+        assert gc.isenabled() is collecting
+        monkeypatch.setattr(families, "alternating", lambda n: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            build_an_operator(10)
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False, False]
 
 
 def test_sharply2_takes_few_products(monkeypatch):
