@@ -34,12 +34,6 @@ def _z8_semi_z2(k: int) -> FiniteGroup:
     return FiniteGroup.from_generators([r, s], cap=16)
 
 
-def _regular(mult: Callable[[int, int], int], gens: list[int]) -> FiniteGroup:
-    """The group on 0..15 with product mult, generated by gens, in its
-    right regular representation x -> x g."""
-    return FiniteGroup.from_generators([Perm(mult(x, g) for x in range(16)) for g in gens], cap=16)
-
-
 def _z4_semi_z4(x: int, y: int) -> int:
     """<a, b | a^4 = b^4 = e, a^b = a^-1>, a^i b^j at i + 4 j."""
     i, j, k, l = x % 4, x // 4, y % 4, y // 4
@@ -104,9 +98,10 @@ _CATALOG: dict[int, tuple[tuple[str, Callable[[], FiniteGroup]], ...]] = {
         ("M16", lambda: _z8_semi_z2(5)),
         ("D8xZ2", lambda: direct_product(families.dihedral(4).group, _cyclic(2))),
         ("Q8xZ2", lambda: direct_product(families.generalized_quaternion(2).group, _cyclic(2))),
-        ("Z4:Z4", lambda: _regular(_z4_semi_z4, [1, 4])),
-        ("(Z2xZ2):Z4", lambda: _regular(_klein_semi_z4, [1, 4])),
-        ("Z4oD8", lambda: _regular(_pauli, [1, 4, 8])),
+        ("Z4:Z4", lambda: families._regular_representation(16, _z4_semi_z4, [1, 4], "Z4:Z4")[0]),
+        ("(Z2xZ2):Z4",
+         lambda: families._regular_representation(16, _klein_semi_z4, [1, 4], "(Z2xZ2):Z4")[0]),
+        ("Z4oD8", lambda: families._regular_representation(16, _pauli, [1, 4, 8], "Z4oD8")[0]),
     ),
     # fixed-point-free on GF(3)^2: Z4 = <J>, Q8 = <J, K>
     36: (("(Z3xZ3):Z4", lambda: _affine9(lambda x, y: (-y, x))),),

@@ -5,7 +5,9 @@ lines and "gen: ..." lines (space-separated 0-based images).  An operator
 block appends "op: ..." (image indices into the canonical element list),
 or a "proc: ..." construction descriptor followed by the "distinguished:",
 "r:" and "t:" lines of the build; parse_operator rebuilds a proc: operator
-and checks the whole block against format_operator of the build.
+and checks the whole block, up to the build's "t:" line, against
+format_operator of the build.  Lines after a block's last line are not
+read, so a `construct --dump` or `build-an --dump` printout parses.
 Round-trips are bit-exact.
 """
 
@@ -106,16 +108,22 @@ def parse_operator(text: str | list[str]) -> RBOperator:
         if not all(0 <= i < n for i in table):
             raise FormatError(f"op line has an index outside 0..{n - 1}")
         return RBOperator(group=G, table=table, provenance="file")
-    fields = dict(
-        tok.split("=", 1) for tok in _expect(head, "proc").split()[1:]
-    )
+    tokens = _expect(head, "proc").split()[1:]
+    if not all("=" in tok for tok in tokens):
+        raise FormatError(f"proc line needs key=value tokens, got {head!r}")
+    fields = dict(tok.split("=", 1) for tok in tokens)
     if not {"n", "variant"} <= fields.keys():
         raise FormatError(f"proc line needs n= and variant=, got {head!r}")
+    try:
+        n = int(fields["n"])
+    except ValueError:
+        raise FormatError(f"proc line needs an integer n=, got {head!r}") from None
     from .transitive import build_an_operator
 
-    B = build_an_operator(int(fields["n"]), fields["variant"])
+    B = build_an_operator(n, fields["variant"])
     built = _lines(format_operator(B))
-    for i, (line, want) in enumerate(zip_longest(lines, built, fillvalue="")):
+    # the block ends at the build's last line, as an op: block ends at op:
+    for i, (line, want) in enumerate(zip_longest(lines[: len(built)], built, fillvalue="")):
         if line != want:
             raise FormatError(f"line {i + 1}, {line!r}, does not match the build's {want!r}")
     return B

@@ -12,7 +12,7 @@ import os
 import random
 import signal
 import threading
-from itertools import islice, repeat
+from itertools import islice
 from typing import BinaryIO, Callable, Iterator, NamedTuple, Optional, Sequence
 
 from . import families
@@ -36,7 +36,7 @@ DESCENDENT_TWIST_SAMPLES = 10_000
 RANGE_MIN_SAMPLES = 1_500
 RANGE_MAX = 2
 
-# Largest radix product of one chunk of Fisher-Yates steps in even_sampler:
+# Largest radix product of one chunk of Fisher-Yates steps in even_decoder:
 # the size of that chunk's decode table.
 SAMPLER_CHUNK = 1000
 
@@ -419,10 +419,14 @@ def ranks(rng: random.Random, total: int) -> Iterator[int]:
     drawn as CPython's Random._randbelow_with_getrandbits draws them:
     getrandbits(k), k = total.bit_length(), until the value is below
     total.  So the ranks are the same and rng is left in the same state;
-    rng.choice(seq) is seq[rank] with total = len(seq).  The iterator reads
-    no value ahead, so draws interleaved with it on one rng keep their
-    order."""
-    return filter(total.__gt__, map(rng.getrandbits, repeat(total.bit_length())))
+    rng.choice(seq) is seq[rank] with total = len(seq).  The generator
+    reads no value ahead, so draws interleaved with it on one rng keep
+    their order.  Every seeded rank of the package is drawn here."""
+    bits, getrandbits = total.bit_length(), rng.getrandbits
+    while True:
+        x = getrandbits(bits)
+        if x < total:
+            yield x
 
 
 def _transposition(n: int, a: int, b: int) -> bytes:
@@ -433,14 +437,14 @@ def _transposition(n: int, a: int, b: int) -> bytes:
     return bytes(imgs)
 
 
-def even_sampler(
+def even_decoder(
     n: int, points: Optional[Sequence[int]] = None
-) -> Callable[[random.Random], Perm]:
-    """A sampler draw(rng) -> Perm of uniform even permutations of
-    `points` (default: all n points) fixing every other point, each from
-    one rank x in [0, k!), k = len(points), drawn by rng.getrandbits as
-    ranks(rng, k!) draws it: the x of rng.randrange(k!), leaving rng in the
-    same state.
+) -> Callable[[int], Perm]:
+    """A decoder x -> Perm from the ranks x in [0, k!), k = len(points),
+    onto the even permutations of `points` (default: all n points) fixing
+    every other point, uniform on a uniform rank.  A sampled loop draws
+    each element as the decode of one item of ranks(rng, k!), so the
+    ranks a range skips are exactly the draws before it.
 
     The rank x is read as mixed-radix digits, least significant first:
     x = d_{k-1} + k (d_{k-2} + (k-1) (d_{k-3} + ...)) with 0 <= d_i <= i.
@@ -460,8 +464,8 @@ def even_sampler(
     points[1] swapped; that is composition with a fixed transposition, a
     bijection from the odd permutations onto the even ones.  For k >= 2
     each even permutation is therefore hit by exactly two ranks (itself
-    and its odd partner), so the draw is uniform on Alt(points); for
-    k <= 1 the only permutation is the identity.
+    and its odd partner), so a uniform rank decodes to a uniform element
+    of Alt(points); for k <= 1 the only permutation is the identity.
 
     Table decode.  The steps are cut, in order, into chunks, each as long
     as keeps its radix product R (the i+1 of its steps i) at most
@@ -484,20 +488,16 @@ def even_sampler(
     is s^(p xor parity(P[c])) P[c], s the fixed transposition, for p the
     parity of the earlier chunks.  The tables are built per call, not at
     import: at k = 9 the chunks are 9*8*7 and 6*5*4*3*2, 504 + 2 * 720
-    entries, and a draw is one getrandbits loop, one divmod and one
-    translate.
+    entries, and a decode is one divmod and one translate.
 
-    Listed draws.  When |Alt(points)| = k!/2 is at most ENUMERATION_CAP
-    (k <= 7), every rank is decoded once into the list `listed`, and a
-    draw is the getrandbits loop and listed[x].  Entry x is decode(x),
-    the table decode of rank x that a per-draw draw makes, so both draws
-    give the same Perm of each rank, read by the same getrandbits calls,
-    and leave rng in the same state; a listed draw returns the stored
-    object, the same for the same rank.  At k = 7 the list holds 5,040
-    perms, made in about 4 ms."""
+    Listed ranks.  When |Alt(points)| = k!/2 is at most ENUMERATION_CAP
+    (k <= 7), every rank is decoded once into a list, and the decoder is
+    that list's __getitem__: entry x is decode(x), the table decode of
+    rank x, so both give the same Perm of each rank, and a listed rank
+    returns the stored object, the same each time.  At k = 7 the list
+    holds 5,040 perms, made in about 4 ms."""
     pts = list(range(n)) if points is None else list(points)
     total = math.factorial(len(pts))
-    bits = total.bit_length()
     pad = _ID[n:]
     swap = _transposition(n, pts[0], pts[1]) if len(pts) >= 2 else _ID[:n]
 
@@ -531,23 +531,9 @@ def even_sampler(
             odd ^= parity[c]
         return _new(Perm, last[2 * x + odd].translate(acc))
 
-    def draw(rng: random.Random) -> Perm:
-        x = rng.getrandbits(bits)  # the loop of ranks(rng, total), inline
-        while x >= total:
-            x = rng.getrandbits(bits)
-        return decode(x)
-
     if total // 2 > ENUMERATION_CAP:
-        return draw
-    listed = list(map(decode, range(total)))
-
-    def draw_listed(rng: random.Random) -> Perm:
-        x = rng.getrandbits(bits)
-        while x >= total:
-            x = rng.getrandbits(bits)
-        return listed[x]
-
-    return draw_listed
+        return decode
+    return list(map(decode, range(total))).__getitem__
 
 
 # -- sample ranges ---------------------------------------------------------
@@ -560,6 +546,19 @@ _SampledLoop = tuple[int, Callable[[int, int], Optional[tuple]]]
 def _skip(iterator: Iterator, count: int) -> None:
     """Take `count` items from `iterator`, and no more."""
     next(islice(iterator, count, count), None)
+
+
+def _pairs(
+    decode: Callable[[int], Perm], total: int, seed: int, start: int
+) -> Iterator[tuple[Perm, Perm]]:
+    """The pairs (g, h) a seeded loop of two draws per sample takes from
+    sample `start` on: ranks(Random(seed), total) past the 2 start ranks
+    of the samples before, each rank decoded, g's before h's.  A loop
+    zips range(start, stop) first, so it draws no rank past its range."""
+    rk = ranks(random.Random(seed), total)
+    _skip(rk, 2 * start)
+    drawn = map(decode, rk)
+    return zip(drawn, drawn)
 
 
 def _usable_cpus() -> int:
@@ -712,23 +711,20 @@ def verify_an_operator(
     with TransitiveError before any layer runs: its table would hold
     |L|^2 entries.
 
-    Layer 3 draws g and h uniformly from A_n with even_sampler, one rank
-    per element from rng.getrandbits (the ranks of rng.randrange(n!), see
-    ranks), and evaluates B once each at g, h and g o h, calling B's
-    procedure directly as rbop.circ_kernel does; the kernel's g o h, image
-    bytes, is wrapped in a Perm only to be handed to B.  The draws are
-    perms of degree n, so the kernel's pairs need no degree check.  The
-    verdict line prints only the pair counts and the seed; a failing
-    verdict's detail names the sample index and the pair.
+    Layer 3 draws g and h uniformly from A_n, each the even_decoder
+    decode of one rank of ranks(Random(seed), n!), the ranks of
+    rng.randrange(n!), and evaluates B once each at g, h and g o h,
+    calling B's procedure directly as rbop.circ_kernel does; the kernel's
+    g o h, image bytes, is wrapped in a Perm only to be handed to B.  The
+    draws are perms of degree n, so the kernel's pairs need no degree
+    check.  The verdict line prints only the pair counts and the seed; a
+    failing verdict's detail names the sample index and the pair.
 
     Layer 3 runs as contiguous sample ranges, one per usable CPU up to
-    RANGE_MAX (_first_failure).  A range from sample a starts from
-    Random(seed) and first takes, through ranks(rng, n!), the 2a ranks the
-    serial loop draws before sample a.  Each draw takes exactly one rank,
-    by the loop ranks runs, and ranks reads no value ahead, so the rng
-    then stands where the serial loop's stands before sample a: the range
-    evaluates B on exactly the serial loop's pairs, and the verdict, the
-    first failing sample, is the same whatever the number of ranges."""
+    RANGE_MAX (_first_failure).  A range from sample a skips the 2a ranks
+    of the samples before a on the rank stream it then decodes (_pairs),
+    so it evaluates B on exactly the serial loop's pairs, and the verdict,
+    the first failing sample, is the same whatever the number of ranges."""
     if sample_count < 0:
         raise TransitiveError(f"sample count must be >= 0, got {sample_count}")
     st = B.structural
@@ -773,14 +769,11 @@ def verify_an_operator(
 
     # layer 3: seeded random pairs from the whole group
     n = B.group.degree
-    draw, circ, pad, f = even_sampler(n), circ_kernel(B), _ID[n:], B.proc or B
+    decode, circ, pad, f = even_decoder(n), circ_kernel(B), _ID[n:], B.proc or B
     total = math.factorial(n)
 
     def samples(start: int, stop: int) -> Optional[tuple]:
-        rng = random.Random(seed)
-        _skip(ranks(rng, total), 2 * start)
-        for i in range(start, stop):
-            g, h = draw(rng), draw(rng)
+        for i, (g, h) in zip(range(start, stop), _pairs(decode, total, seed, start)):
             b, gh = circ(g, h)
             if b.translate(f(h) + pad) != f(_new(Perm, gh)):
                 detail = f"identity fails at sample {i}: ({g!r}, {h!r})"
@@ -823,25 +816,24 @@ def descendent_structure(B: RBOperator, seed: int = DEFAULT_SEED) -> DescendentR
 
     The K loop takes DESCENDENT_K_SAMPLES pairs and the twist loop
     DESCENDENT_TWIST_SAMPLES.  The K-elements are drawn uniformly from
-    K = Alt(the points outside the distinguished ones) with even_sampler,
-    one rank per element from rng.getrandbits (at n = 9 and 10, K is
-    Alt(7 points), whose draws are listed), and l is L.elements[j]
-    for a rank j from ranks(rng, |L|), the l that rng.choice(L.elements)
+    K = Alt(the k points outside the distinguished ones), each the
+    even_decoder decode of one rank of ranks(rng, k!) (at n = 9 and 10,
+    K is Alt(7 points), whose ranks are listed), and l is L.elements[j]
+    for a rank j of ranks(rng, |L|), the l that rng.choice(L.elements)
     gives.  Both loops compare the image bytes of products from
     rbop.circ_kernel as the kernel returns them, with no Perm made, on
-    sampler draws, elements of L and the h^(r^d), all of degree n, so the
+    decoded draws, elements of L and the h^(r^d), all of degree n, so the
     kernel's pairs need no degree check.
 
     Both loops run as contiguous sample ranges, one per usable CPU up to
-    RANGE_MAX (_first_failure).  Each range starts from Random(seed) and
-    first takes, through ranks, the ranks the serial loops draw before it:
-    a K range from sample a the 2a K-ranks of the samples before a; a twist
-    range from sample a the 2 DESCENDENT_K_SAMPLES K-ranks of the K loop,
-    then one L-rank and one K-rank, in that order, for each twist sample
-    before a.  Each draw takes exactly one rank and ranks reads no value
-    ahead, so each range starts where the serial loops stand and draws
-    their pairs, and the report is the failure with the smallest (loop,
-    index), the serial loops' first, whatever the number of ranges."""
+    RANGE_MAX (_first_failure).  Each range skips, on the rank streams of
+    Random(seed) it then decodes, the ranks the serial loops draw before
+    it: a K range from sample a the 2a K-ranks of the samples before a
+    (_pairs); a twist range from sample a the 2 DESCENDENT_K_SAMPLES
+    K-ranks of the K loop, then one L-rank and one K-rank, in that order,
+    for each twist sample before a.  So each range draws the serial loops'
+    pairs, and the report is the failure with the smallest (loop, index),
+    the serial loops' first, whatever the number of ranges."""
     st = B.structural
     S, r, L = st["ker_tilde"], st["r"], st["im"]
     sset = S._element_set()
@@ -857,15 +849,12 @@ def descendent_structure(B: RBOperator, seed: int = DEFAULT_SEED) -> DescendentR
 
     n = B.group.degree
     kpoints = [i for i in range(n) if i not in st["distinguished"]]
-    random_k, k_total = even_sampler(n, kpoints), math.factorial(len(kpoints))
+    k_decode, k_total = even_decoder(n, kpoints), math.factorial(len(kpoints))
     circ, pad = circ_kernel(B), _ID[n:]
     lelems, rpad = L.elements, r + pad
 
     def k_samples(start: int, stop: int) -> Optional[tuple]:
-        rng = random.Random(seed)
-        _skip(ranks(rng, k_total), 2 * start)
-        for i in range(start, stop):
-            h1, h2 = random_k(rng), random_k(rng)
+        for i, (h1, h2) in zip(range(start, stop), _pairs(k_decode, k_total, seed, start)):
             if circ(h1, h2)[1] != h1.translate(h2 + pad):
                 return (False, f"h o h' != h h' at sample {i}", s_pairs, i + 1, 0)
         return None
@@ -876,11 +865,9 @@ def descendent_structure(B: RBOperator, seed: int = DEFAULT_SEED) -> DescendentR
         _skip(k_ranks, 2 * DESCENDENT_K_SAMPLES)
         l_ranks = ranks(rng, len(lelems))
         _skip(zip(l_ranks, k_ranks), start)  # an L-rank, then a K-rank
-        drawn_l = map(lelems.__getitem__, l_ranks)
-        # zip takes l before the body draws h, the order of the seeded
-        # stream, and stops on the range without drawing an l past it
-        for i, l in zip(range(start, stop), drawn_l):
-            h = random_k(rng)
+        # l, then h: the order of the seeded stream
+        drawn = zip(map(lelems.__getitem__, l_ranks), map(k_decode, k_ranks))
+        for i, (l, h) in zip(range(start, stop), drawn):
             h_tw = h if l in sset else _new(Perm, r.translate(h + pad).translate(rpad))
             if circ(l, h)[1] != circ(h_tw, l)[1]:
                 detail = f"l o h != h^(r^d) o l at sample {i}"

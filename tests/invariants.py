@@ -7,6 +7,7 @@ procedural operators get a sampled variant driven by a seeded RNG.
 
 from __future__ import annotations
 
+import math
 import random
 
 from rbgroups import rbop
@@ -95,12 +96,11 @@ def check_invariants(B: RBOperator) -> list[tuple[str, bool]]:
 
 def check_invariants_sampled(B: RBOperator, seed: int = 7, samples: int = 50) -> list[tuple[str, bool]]:
     """Sampled variant of the ten properties for procedural operators."""
-    from rbgroups.transitive import even_sampler
+    from rbgroups.transitive import even_decoder, ranks
 
     G = B.group
-    rng = random.Random(seed)
-    draw = even_sampler(G.degree)
-    singles = [draw(rng) for _ in range(samples)]
+    decode, stream = even_decoder(G.degree), ranks(random.Random(seed), math.factorial(G.degree))
+    singles = [decode(next(stream)) for _ in range(samples)]
     pairs = [(a, b) for a in singles[:20] for b in singles[:20]]
 
     results = []

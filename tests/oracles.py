@@ -195,7 +195,7 @@ def all_moves_classes(G, ops):
 
 
 def digit_sampler(n, points=None):
-    """The per-digit decoder that transitive.even_sampler's tables replace:
+    """The per-digit decoder that transitive.even_decoder's tables replace:
     one randrange(k!) read as Fisher-Yates digits, least significant
     first, one divmod and swap per step, then the images of points[0] and
     points[1] swapped when the number of swaps is odd."""

@@ -66,14 +66,32 @@ TAMPERED = {
     "order": ("order: 181440", "order: 7"),
     "case": ("case=a", "case=zz"),
     "proc": ("proc: an", "proc: xx"),
+    "short": ("\nt: 0 4 8 7 2 3 5 6 1", ""),  # the block ends before t:
+    "token": ("case=a", "case"),  # a proc: token without =
+    "n": ("n=9", "n=nine"),
 }
 
 
 @pytest.fixture(scope="module")
-def an9_dump():
+def an9_stdout():
     out = io.StringIO()
     assert cli.main(["build-an", "--n", "9", "--dump"], out=out) == 0
-    return out.getvalue().split("operator:")[0]
+    return out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def an9_dump(an9_stdout):
+    return an9_stdout.split("operator:")[0]
+
+
+def test_build_an_dump_stdout_verifies(an9_stdout, tmp_path):
+    """verify reads the block of the build-an --dump stdout up to its t:
+    line and no further, as it reads a table dump up to its op: line, so
+    the stdout with its operator: and verify: lines verifies."""
+    assert "\noperator: " in an9_stdout
+    path = tmp_path / "an9.out"
+    path.write_text(an9_stdout)
+    assert cli.main(["verify", str(path)], out=io.StringIO()) == 0
 
 
 @pytest.mark.parametrize("case", TAMPERED)

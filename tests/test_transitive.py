@@ -396,10 +396,7 @@ def test_an_l_above_the_enumeration_cap_is_refused():
 
 
 class _Ranks:
-    """A stub rng whose randrange(N) returns 0, 1, ..., N-1 in turn, and
-    whose getrandbits(k) returns 0, 1, 2, ... in turn, so a sampler that
-    draws ranks below N < 2^k by getrandbits takes each of 0, ..., N-1
-    once, as with randrange."""
+    """A stub rng whose randrange(N) returns 0, 1, ..., N-1 in turn."""
 
     def __init__(self):
         self.next = 0
@@ -408,9 +405,6 @@ class _Ranks:
         assert self.next < total
         self.next += 1
         return self.next - 1
-
-    def getrandbits(self, k):
-        return self.randrange(1 << k)
 
 
 def _even_perms(n, points):
@@ -431,10 +425,8 @@ def test_even_sampler_hits_each_even_permutation_equally(points):
     twice for k >= 2 (once for k <= 1), and nothing else comes out."""
     k = len(points)
     for n in range(max(points, default=0) + 1, 9):
-        draw = transitive.even_sampler(n, None if points == tuple(range(n)) else points)
-        rng = _Ranks()
-        counts = collections.Counter(draw(rng) for _ in range(math.factorial(k)))
-        assert rng.next == math.factorial(k)
+        decode = transitive.even_decoder(n, None if points == tuple(range(n)) else points)
+        counts = collections.Counter(map(decode, range(math.factorial(k))))
         assert set(counts) == _even_perms(n, points), (n, points)
         assert set(counts.values()) == {2 if k >= 2 else 1}, (n, points)
 
@@ -446,12 +438,14 @@ SAMPLER_CASES = [
 
 @pytest.mark.parametrize("n,points", SAMPLER_CASES)
 def test_even_sampler_matches_the_digit_decoder_on_seeded_ranks(n, points):
-    """The table decode is the per-digit Fisher-Yates decode, rank for
-    rank, so every seeded sample stream is unchanged."""
-    tables, digits = transitive.even_sampler(n, points), digit_sampler(n, points)
+    """The table decode of the rank stream is the per-digit Fisher-Yates
+    decode of randrange, rank for rank, so every seeded sample stream is
+    unchanged."""
+    decode, digits = transitive.even_decoder(n, points), digit_sampler(n, points)
     r1, r2 = random.Random(11), random.Random(11)
-    for _ in range(3000):
-        p = tables(r1)
+    stream = transitive.ranks(r1, math.factorial(n if points is None else len(points)))
+    for x in itertools.islice(stream, 3000):
+        p = decode(x)
         assert type(p) is Perm and p == digits(r2), (n, points)
 
 
@@ -461,27 +455,26 @@ def test_even_sampler_matches_the_digit_decoder_on_seeded_ranks(n, points):
     + [(5, 0, 2), (6, 1, 3, 4, 0), (7, 2, 5, 0, 3, 6, 1), tuple(range(8))],
 )
 def test_even_sampler_matches_the_digit_decoder_on_every_rank(points):
-    """k <= 7 is listed: every rank is decoded once when the sampler is
+    """k <= 7 is listed: every rank is decoded once when the decoder is
     made, by one chunk (k <= 6) or two (k = 7: 7*6*5*4 and 3*2).  k = 8
-    decodes each draw by two chunks (8*7*6 and 5*4*3*2), so every way two
+    decodes each rank by two chunks (8*7*6 and 5*4*3*2), so every way two
     chunks compose is compared on both paths."""
-    tables, digits = transitive.even_sampler(8, points), digit_sampler(8, points)
-    r1, r2 = _Ranks(), _Ranks()
-    for _ in range(math.factorial(len(points))):
-        assert tables(r1) == digits(r2), points
+    decode, digits = transitive.even_decoder(8, points), digit_sampler(8, points)
+    rng = _Ranks()
+    for x in range(math.factorial(len(points))):
+        assert decode(x) == digits(rng), points
 
 
 @pytest.mark.parametrize("k,listed", [(6, True), (7, True), (8, False)])
 def test_even_sampler_lists_the_draws_of_small_alternating_groups(k, listed):
-    """A sampler of Alt(k points) with k!/2 <= ENUMERATION_CAP (k <= 7)
+    """A decoder of Alt(k points) with k!/2 <= ENUMERATION_CAP (k <= 7)
     hands back one stored Perm per rank, the same object each time the
-    rank is drawn; at k = 8 (20,160 even permutations) each draw makes a
-    new one."""
+    rank is decoded; at k = 8 (20,160 even permutations) each decode
+    makes a new one."""
     assert (math.factorial(k) // 2 <= ENUMERATION_CAP) == listed
-    draw = transitive.even_sampler(9, range(k))
-    first, again = _Ranks(), _Ranks()
-    for _ in range(50):
-        p, q = draw(first), draw(again)
+    decode = transitive.even_decoder(9, range(k))
+    for x in range(50):
+        p, q = decode(x), decode(x)
         assert type(p) is Perm and p == q and (p is q) == listed
 
 
@@ -493,18 +486,18 @@ def test_descendent_k_samples_lie_in_k(monkeypatch):
     is made in this process."""
     monkeypatch.setattr(transitive, "_usable_cpus", lambda: 1)
     drawn = []
-    sampler = transitive.even_sampler
+    decoder = transitive.even_decoder
 
     def recording(n, points=None):
-        draw = sampler(n, points)
+        decode = decoder(n, points)
 
-        def rec(rng):
-            drawn.append(draw(rng))
+        def rec(x):
+            drawn.append(decode(x))
             return drawn[-1]
 
         return rec
 
-    monkeypatch.setattr(transitive, "even_sampler", recording)
+    monkeypatch.setattr(transitive, "even_decoder", recording)
     B = _an(9)
     assert descendent_structure(B, seed=7).ok
     assert len(drawn) == 2 * transitive.DESCENDENT_K_SAMPLES + transitive.DESCENDENT_TWIST_SAMPLES
@@ -641,7 +634,7 @@ def test_descendent_structure_takes_few_products(monkeypatch):
     both sample loops on rbop.circ_kernel's bytes (100,715 by Perm
     products, and 475,561 with a K-element built as a word of 12
     generators).  Only Perm.__mul__ is counted: the raw bytes.translate
-    work of rbop.circ_kernel, even_sampler and
+    work of rbop.circ_kernel, even_decoder and
     perm.homomorphism_failure is not, so this bounds Perm products, not
     all permutation work.  In one range, so that every product is made in
     this process."""
@@ -658,7 +651,7 @@ def test_layer3_takes_few_products(monkeypatch):
     at 30,000 layer-3 samples: twice the 850 counted with layer 3 on
     rbop.circ_kernel's bytes (120,850 by Perm products).  Only
     Perm.__mul__ is counted: the raw bytes.translate work of
-    rbop.circ_kernel, even_sampler and perm.homomorphism_failure is not,
+    rbop.circ_kernel, even_decoder and perm.homomorphism_failure is not,
     so this bounds Perm products, not all permutation work.  In one range,
     so that every product is made in this process."""
     from test_perm import _count_products
@@ -814,6 +807,36 @@ def test_layer3_draws_one_rank_per_element(monkeypatch):
     assert calls[0] == expected > 2 * 1000
 
 
+def test_descendent_draws_one_rank_per_element(monkeypatch):
+    """descendent_structure in one range makes exactly the getrandbits
+    calls, bit width for bit width, of its seeded stream on Random(7): the
+    K loop's 20,000 randrange(7!) calls; then the twist loop, from its own
+    Random(7), skips those 20,000 ranks and draws 10,000 pairs of
+    randrange(72) (its l) and randrange(7!) (its h).  One rank per
+    element, each drawn as randrange draws it."""
+    B = _an(9)
+    monkeypatch.setattr(transitive, "_usable_cpus", lambda: 1)
+    calls = []
+    getrandbits = random.Random.getrandbits
+
+    def counted(self, k):
+        calls.append(k)
+        return getrandbits(self, k)
+
+    monkeypatch.setattr(random.Random, "getrandbits", counted)
+    rng, k_total = random.Random(7), math.factorial(7)
+    for _ in range(2 * transitive.DESCENDENT_K_SAMPLES):
+        rng.randrange(k_total)
+    k_loop = calls[:]
+    for _ in range(transitive.DESCENDENT_TWIST_SAMPLES):
+        rng.randrange(len(B.structural["im"].elements))
+        rng.randrange(k_total)
+    expected, calls[:] = k_loop + calls, []
+    assert len(B.structural["im"].elements) == 72
+    assert descendent_structure(B, seed=7).ok
+    assert calls == expected and len(k_loop) > 2 * transitive.DESCENDENT_K_SAMPLES
+
+
 def _one_and_two_ranges(monkeypatch, check):
     """[check() with the sampled loops in one range, the same in two
     ranges], two whatever the CPUs of this host; after each, no child
@@ -842,11 +865,10 @@ def _changed_at(B, x, value):
 
 
 def _layer3_g(sample, seed=4):
-    """The g layer 3 draws at `sample` on `seed`."""
-    rng, draw = random.Random(seed), transitive.even_sampler(9)
-    for _ in range(sample + 1):
-        g, h = draw(rng), draw(rng)
-    return g
+    """The g layer 3 draws at `sample` on `seed`: the decode of item
+    2 sample of the rank stream."""
+    stream = transitive.ranks(random.Random(seed), math.factorial(9))
+    return transitive.even_decoder(9)(next(itertools.islice(stream, 2 * sample, None)))
 
 
 @pytest.mark.parametrize("sample,fails_at", [(0, 0), (14_999, 282), (15_000, 15_000), (29_999, 29_999)])
@@ -1081,24 +1103,31 @@ def test_rank_stream_is_randrange(total):
 
 @pytest.mark.parametrize("k", [1, 2, 6, 7, 9, 47, 49])
 def test_even_sampler_leaves_the_rng_as_randrange_does(k):
-    """200 draws on k points leave the rng as 200 randrange(k!) calls do."""
-    draw = transitive.even_sampler(k)
-    r1, r2 = random.Random(k), random.Random(k)
-    for _ in range(200):
-        draw(r1)
-        r2.randrange(math.factorial(k))
-    assert r1.getstate() == r2.getstate()
+    """The pairs the sampled loops draw from sample `start` on (_pairs)
+    are the per-digit draws of randrange(k!) on Random(k) after the
+    2 start draws of the samples before: the skip leaves the rank stream
+    where 2 start randrange calls leave the rng."""
+    decode, digits, total = transitive.even_decoder(k), digit_sampler(k), math.factorial(k)
+    for start in (0, 1, 37):
+        rng = random.Random(k)
+        for _ in range(2 * start):
+            rng.randrange(total)
+        want = [(digits(rng), digits(rng)) for _ in range(50)]
+        got = list(itertools.islice(transitive._pairs(decode, total, k, start), 50))
+        assert got == want, (k, start)
 
 
 @pytest.mark.slow
 def test_even_sampler_draws_at_n50_within_budget():
     """200,000 draws of even permutations of 50 points (32 chunk tables
-    per draw), table building included, within 10 s; about 2.9 s
-    measured.  The sampler must not get slower at high degree."""
+    per draw), each the decode of one rank of the stream, table building
+    included, within 10 s; about 2.9 s measured.  The draws must not get
+    slower at high degree."""
     start = time.perf_counter()
-    draw, rng = transitive.even_sampler(50), random.Random(50)
-    for _ in range(200_000):
-        draw(rng)
+    decode = transitive.even_decoder(50)
+    stream = transitive.ranks(random.Random(50), math.factorial(50))
+    for x in itertools.islice(stream, 200_000):
+        decode(x)
     assert time.perf_counter() - start < 10
 
 
