@@ -39,6 +39,14 @@ def _ints(line: str, key: str) -> tuple[int, ...]:
         raise FormatError(f"bad token in {line!r}") from None
 
 
+def _count(line: str, key: str) -> int:
+    """The one non-negative integer of a `key:` line."""
+    value = _ints(line, key)
+    if len(value) != 1 or value[0] < 0:
+        raise FormatError(f"{key} needs one non-negative integer, got {line!r}")
+    return value[0]
+
+
 def format_group(G: FiniteGroup) -> str:
     lines = [f"domain: {G.degree}"]
     if G.label:
@@ -54,7 +62,7 @@ def parse_group(text: str | list[str]) -> FiniteGroup:
     lines = _lines(text)
     if not lines:
         raise FormatError("empty group block")
-    degree = int(_expect(lines[0], "domain"))
+    degree = _count(lines[0], "domain")
     label = ""
     order = None
     gens = []
@@ -62,7 +70,7 @@ def parse_group(text: str | list[str]) -> FiniteGroup:
         if line.startswith("label:"):
             label = _expect(line, "label")
         elif line.startswith("order:"):
-            order = int(_expect(line, "order"))
+            order = _count(line, "order")
         elif line.startswith("gen:"):
             imgs = _ints(line, "gen")
             if len(imgs) != degree:

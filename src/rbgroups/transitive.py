@@ -5,7 +5,6 @@ on large alternating groups built from them."""
 from __future__ import annotations
 
 import gc
-import marshal
 import math
 import operator
 import os
@@ -13,7 +12,7 @@ import random
 import signal
 import threading
 from itertools import islice
-from typing import BinaryIO, Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from . import families
 from .build import ConstructionError, construction
@@ -29,10 +28,10 @@ DESCENDENT_TWIST_SAMPLES = 10_000
 
 # Sample ranges of one sampled check run across CPUs (_range_count).  Two
 # ranges pay from about 2,000 samples at n = 9 (a child costs about 2.5 ms
-# to fork, hear from and reap, a sample 5 us) and about 500 at n = 49, so
-# a check splits from 2 RANGE_MIN_SAMPLES = 3,000 samples.  RANGE_MAX is
-# the most ranges whose wall time and memory were measured; a child at
-# n = 50 holds about 39 MB of its own.  The figures are in BENCH_28.json.
+# to fork and reap, a sample 5 us) and about 500 at n = 49, so a check
+# splits from 2 RANGE_MIN_SAMPLES = 3,000 samples.  RANGE_MAX is the most
+# ranges whose wall time and memory were measured; a child at n = 50
+# holds about 39 MB of its own.  The figures are in BENCH_28.json.
 RANGE_MIN_SAMPLES = 1_500
 RANGE_MAX = 2
 
@@ -539,7 +538,7 @@ def even_decoder(
 # -- sample ranges ---------------------------------------------------------
 
 # (count, run) of one sampled loop: run(a, b) runs its samples a <= i < b
-# and returns the first failing sample's record (marshal-able), or None.
+# and returns the verdict of the first failing sample, or None.
 _SampledLoop = tuple[int, Callable[[int, int], Optional[tuple]]]
 
 
@@ -577,111 +576,65 @@ def _range_count(samples: int) -> int:
     return max(1, min(_usable_cpus(), RANGE_MAX, samples // RANGE_MIN_SAMPLES))
 
 
-def _fork(task: Callable[[], list]) -> tuple[int, BinaryIO]:
-    """(pid, pipe) of a child made by os.fork that runs task() and writes
-    marshal.dumps of its result to the pipe, or nothing when task raises.
-    The child ends with os._exit, so it never returns into its caller's
-    frames nor flushes buffers the parent still holds.  os.fork, not a
-    spawned interpreter: B's procedure is a closure, which a fresh import
-    cannot rebuild.  OSError when os.pipe or os.fork fails (no process id
-    or memory left), with no descriptor left open."""
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid == 0:
-        try:
-            os.close(r)
-            with open(w, "wb") as out:
-                out.write(marshal.dumps(task()))
-        finally:
-            os._exit(0)
-    os.close(w)
-    return pid, open(r, "rb")
-
-
-def _reap(pid: int, pipe: BinaryIO) -> None:
-    """Close the pipe of a child made by _fork, kill the child, which ends
-    it at once if it still runs, and reap it."""
-    pipe.close()
-    os.kill(pid, signal.SIGKILL)
-    os.waitpid(pid, 0)
-
-
 def _first_failure(loops: Sequence[_SampledLoop]) -> Optional[tuple]:
     """The failure the serial run of `loops` finds, each loop over all its
     samples and one loop after another, stopping at the first failure;
     None when every sample passes.  Each run(a, b) starts from its own rng,
-    brought to where the serial run's stands before sample a, so it gives
-    the same result wherever it runs (the callers prove it).
+    brought to where the serial run's stands before sample a, so it checks
+    the serial run's samples a .. b-1 wherever it runs (the callers prove
+    it).
 
     Each loop's samples are cut into p contiguous ranges j = 0 .. p-1,
     p = _range_count(all samples of all loops).  Range j of every loop
-    runs, loop by loop, in one process and stops at its first failure:
-    j = 0 in this process, each other j in a child made by _fork, which
-    sends back the list of its loops' results.  The results are then read
-    in the serial order, loop by loop and, within a loop, range by range;
-    the first failure read is the serial run's, as a loop's ranges cover
-    its samples in order and each run names the first failure of its
-    range.  A list cut short by a failure is never read past it, as that
-    failure ends the walk first.  A child that sent nothing (its run
-    raised, or it died) has its range re-run here when the walk reaches
-    it, and so has each range from the first that _fork could not make a
-    child for (OSError: no process id or memory left).  An exception of
-    this process's own range is raised where the walk reaches it, so an
-    exception B's procedure raises surfaces with its own type where the
-    serial run would raise it.  Every child is reaped before this returns,
-    and killed first, as it may still run when the walk ends early or an
-    exception or an interrupt leaves it.  A child leaves `children` before
-    it is reaped, so none is signalled or waited for twice."""
+    runs, loop by loop, in one process: j = 0 in this process, each other
+    j in a child made by os.fork, which ends with os._exit(0) when every
+    sample of its range passed and os._exit(1) otherwise (a failure, or
+    an exception of B's procedure).  os.fork, not a spawned interpreter:
+    B's procedure is a closure, which a fresh import cannot rebuild, and
+    os._exit never returns into the caller's frames nor flushes buffers
+    this process still holds.  The ranges cover every sample, so when
+    range 0 and every child pass, the serial run passes and this returns
+    None.  Any other outcome (a failing range, an exception in range 0, a
+    child that died, or an OSError from os.fork) runs the serial loops in
+    this process, and their first failure, or what they raise, is the
+    result: the same as one range, byte for byte.  Every child still
+    listed is killed and reaped before that run and before an exception
+    or an interrupt leaves this call; a child leaves `children` before it
+    is waited on, so none is signalled or waited for twice."""
     parts = _range_count(sum(count for count, _ in loops))
     bounds = [[count * j // parts for j in range(parts + 1)] for count, _ in loops]
 
-    def run_range(j: int, out: list) -> list:
-        for (_, run), b in zip(loops, bounds):
-            out.append(run(b[j], b[j + 1]))
-            if out[-1] is not None:
-                break
-        return out
+    def passes(j: int) -> bool:
+        return all(run(b[j], b[j + 1]) is None for (_, run), b in zip(loops, bounds))
 
-    children: dict[int, tuple[int, BinaryIO]] = {}  # range -> (pid, pipe), until reaped
-    try:
-        for j in range(1, parts):
-            try:
-                children[j] = _fork(lambda j=j: run_range(j, []))
-            except OSError:  # no child for this range nor the later ones
-                break
-        outcomes, error = [[]], None
+    if parts > 1:
+        children: list[int] = []
         try:
-            run_range(0, outcomes[0])
-        except Exception as exc:  # raised where the walk reaches it
-            error = exc
-        for l, ((_, run), b) in enumerate(zip(loops, bounds)):
-            for j in range(parts):
-                if j == len(outcomes):
-                    data = b""
-                    if j in children:
-                        pid, pipe = children.pop(j)
+            try:
+                for j in range(1, parts):
+                    pid = os.fork()
+                    if pid == 0:
                         try:
-                            data = pipe.read()
+                            os._exit(0 if passes(j) else 1)
                         finally:
-                            _reap(pid, pipe)
-                    outcomes.append(marshal.loads(data) if data else [])
-                if l < len(outcomes[j]):
-                    failure = outcomes[j][l]
-                elif j == 0:
-                    raise error
-                else:
-                    failure = run(b[j], b[j + 1])
-                if failure is not None:
-                    return failure
-        return None
-    finally:
-        for pid, pipe in children.values():
-            _reap(pid, pipe)
+                            os._exit(1)
+                    children.append(pid)
+                passed = passes(0)
+            except Exception:  # no child made (OSError), or B's procedure raised
+                passed = False
+            while passed and children:
+                passed = os.waitpid(children.pop(), 0)[1] == 0
+            if passed:
+                return None
+        finally:
+            for pid in children:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    for count, run in loops:
+        failure = run(0, count)
+        if failure is not None:
+            return failure
+    return None
 
 
 def verify_an_operator(
@@ -723,8 +676,11 @@ def verify_an_operator(
     Layer 3 runs as contiguous sample ranges, one per usable CPU up to
     RANGE_MAX (_first_failure).  A range from sample a skips the 2a ranks
     of the samples before a on the rank stream it then decodes (_pairs),
-    so it evaluates B on exactly the serial loop's pairs, and the verdict,
-    the first failing sample, is the same whatever the number of ranges."""
+    so it evaluates B on exactly the serial loop's pairs: a range passes
+    iff the serial loop passes its samples.  So all ranges passing means
+    the serial loop passes, and every other verdict, the first failing
+    sample, comes from the serial loop itself; the verdict is the same
+    whatever the number of ranges."""
     if sample_count < 0:
         raise TransitiveError(f"sample count must be >= 0, got {sample_count}")
     st = B.structural
@@ -772,18 +728,15 @@ def verify_an_operator(
     decode, circ, pad, f = even_decoder(n), circ_kernel(B), _ID[n:], B.proc or B
     total = math.factorial(n)
 
-    def samples(start: int, stop: int) -> Optional[tuple]:
+    def samples(start: int, stop: int) -> Optional[LayeredVerdict]:
         for i, (g, h) in zip(range(start, stop), _pairs(decode, total, seed, start)):
             b, gh = circ(g, h)
             if b.translate(f(h) + pad) != f(_new(Perm, gh)):
                 detail = f"identity fails at sample {i}: ({g!r}, {h!r})"
-                return (False, 3, detail, exhaustive, i + 1, seed)
+                return LayeredVerdict(False, 3, detail, exhaustive, i + 1, seed)
         return None
 
-    failure = _first_failure([(sample_count, samples)])
-    if failure is not None:
-        return LayeredVerdict(*failure)
-    return LayeredVerdict(
+    return _first_failure([(sample_count, samples)]) or LayeredVerdict(
         ok=True, layer=0, detail="",
         pairs_exhaustive=exhaustive, pairs_sampled=sample_count, seed=seed,
     )
@@ -832,8 +785,10 @@ def descendent_structure(B: RBOperator, seed: int = DEFAULT_SEED) -> DescendentR
     (_pairs); a twist range from sample a the 2 DESCENDENT_K_SAMPLES
     K-ranks of the K loop, then one L-rank and one K-rank, in that order,
     for each twist sample before a.  So each range draws the serial loops'
-    pairs, and the report is the failure with the smallest (loop, index),
-    the serial loops' first, whatever the number of ranges."""
+    pairs: a range passes iff the serial loops pass its samples.  So all
+    ranges passing means the serial loops pass, and every other report,
+    the first failure in (loop, index) order, comes from the serial loops
+    themselves; the report is the same whatever the number of ranges."""
     st = B.structural
     S, r, L = st["ker_tilde"], st["r"], st["im"]
     sset = S._element_set()
@@ -853,13 +808,13 @@ def descendent_structure(B: RBOperator, seed: int = DEFAULT_SEED) -> DescendentR
     circ, pad = circ_kernel(B), _ID[n:]
     lelems, rpad = L.elements, r + pad
 
-    def k_samples(start: int, stop: int) -> Optional[tuple]:
+    def k_samples(start: int, stop: int) -> Optional[DescendentReport]:
         for i, (h1, h2) in zip(range(start, stop), _pairs(k_decode, k_total, seed, start)):
             if circ(h1, h2)[1] != h1.translate(h2 + pad):
-                return (False, f"h o h' != h h' at sample {i}", s_pairs, i + 1, 0)
+                return DescendentReport(False, f"h o h' != h h' at sample {i}", s_pairs, i + 1, 0)
         return None
 
-    def twist_samples(start: int, stop: int) -> Optional[tuple]:
+    def twist_samples(start: int, stop: int) -> Optional[DescendentReport]:
         rng = random.Random(seed)
         k_ranks = ranks(rng, k_total)
         _skip(k_ranks, 2 * DESCENDENT_K_SAMPLES)
@@ -871,11 +826,10 @@ def descendent_structure(B: RBOperator, seed: int = DEFAULT_SEED) -> DescendentR
             h_tw = h if l in sset else _new(Perm, r.translate(h + pad).translate(rpad))
             if circ(l, h)[1] != circ(h_tw, l)[1]:
                 detail = f"l o h != h^(r^d) o l at sample {i}"
-                return (False, detail, s_pairs, DESCENDENT_K_SAMPLES, i + 1)
+                return DescendentReport(False, detail, s_pairs, DESCENDENT_K_SAMPLES, i + 1)
         return None
 
     loops = [(DESCENDENT_K_SAMPLES, k_samples), (DESCENDENT_TWIST_SAMPLES, twist_samples)]
-    failure = _first_failure(loops)
-    if failure is not None:
-        return DescendentReport(*failure)
-    return DescendentReport(True, "", s_pairs, DESCENDENT_K_SAMPLES, DESCENDENT_TWIST_SAMPLES)
+    return _first_failure(loops) or DescendentReport(
+        True, "", s_pairs, DESCENDENT_K_SAMPLES, DESCENDENT_TWIST_SAMPLES
+    )

@@ -297,6 +297,14 @@ def test_proc_line_without_n_exits_1(tmp_path, capsys):
     assert "error: proc line needs n= and variant=" in capsys.readouterr().err
 
 
+def test_negative_domain_exits_1(tmp_path, capsys):
+    """verify once passed domain: -3 as a degree-0 group with exit 0."""
+    path = tmp_path / "bad.op"
+    path.write_text("domain: -3\nop: 0\n")
+    assert run(["verify", str(path)]) == (1, "")
+    assert "'domain: -3'" in capsys.readouterr().err
+
+
 def test_negative_sample_count_exits_1(tmp_path, capsys):
     """A negative --verify-samples is an error, for build-an and for verify
     on a proc: or a table dump; it was subtracted from the exhaustive

@@ -29,6 +29,23 @@ def test_generator_only_group_roundtrip():
     assert H.generators == A9.generators
 
 
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("domain: nine\nop: 0\n", "domain: nine"),
+        ("domain: 3\norder: x\ngen: 1 2 0\n", "order: x"),
+        ("domain: -3\nop: 0\n", "domain: -3"),
+    ],
+    ids=["domain-word", "order-word", "domain-negative"],
+)
+def test_group_counts_are_non_negative_integers(text, line):
+    """A domain: or order: line that is not one non-negative integer is a
+    FormatError that quotes the line.  A negative domain once parsed as a
+    degree-0 group that re-dumped as domain: 0."""
+    with pytest.raises(FormatError, match=repr(line)):
+        parse_group(text)
+
+
 def test_table_operator_roundtrip():
     for name in ("s3", "a4_b2", "d16", "q60"):
         B = build.catalog_operator(name)

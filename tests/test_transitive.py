@@ -7,6 +7,7 @@ import itertools
 import math
 import os
 import random
+import signal
 import sys
 import time
 
@@ -538,7 +539,7 @@ def test_descendent_catches_an_operator_corrupted_only_on_k(monkeypatch):
     sample is the first pair (h, h') with h of order 7 and r h' r != h',
     the one the loops by Perm products name.  K is Alt(7 points), drawn
     from its listed ranks, at n = 9 and at n = 10; the report is the same
-    in one range and in two."""
+    in one, two and three ranges."""
     for n in (9, 10):
         B = _an(n)
         st = B.structural
@@ -550,7 +551,7 @@ def test_descendent_catches_an_operator_corrupted_only_on_k(monkeypatch):
             return r if in_k and g.order() == 7 else B.proc(g)
 
         bad = rebuilt(B, proc=corrupted)
-        one, two = _one_and_two_ranges(monkeypatch, lambda: descendent_structure(bad, seed=7))
+        one, *more = _ranges(monkeypatch, lambda: descendent_structure(bad, seed=7))
         rng = random.Random(7)
         draw = digit_sampler(n, [i for i in range(n) if i not in points])
         for i in range(transitive.DESCENDENT_K_SAMPLES):
@@ -558,7 +559,7 @@ def test_descendent_catches_an_operator_corrupted_only_on_k(monkeypatch):
             if h1.order() == 7 and r * h2 * r != h2:
                 break
         assert perm_descendent_loops(bad, transitive.DESCENDENT_K_SAMPLES, 0, 7) == ("k", i)
-        assert one == two and not one.ok, n
+        assert more == [one, one] and not one.ok, n
         assert one.detail == f"h o h' != h h' at sample {i}"
         s_pairs = {9: 36, 10: 360}[n] ** 2
         assert (one.s_pairs, one.k_samples, one.twist_samples) == (s_pairs, i + 1, 0)
@@ -588,7 +589,7 @@ def test_twist_loop_names_the_sample_the_perm_product_loop_predicts(monkeypatch)
     and the K loop never evaluate B' there, so only the twist loop can
     fail, and it fails at the sample that the loop by Perm products, drawn
     with the per-digit decoder, names first: at n = 9 and at n = 10, in
-    one range and in two."""
+    one, two and three ranges."""
     counts = transitive.DESCENDENT_K_SAMPLES, transitive.DESCENDENT_TWIST_SAMPLES
     for n in (9, 10):
         B = _an(n)
@@ -598,8 +599,8 @@ def test_twist_loop_names_the_sample_the_perm_product_loop_predicts(monkeypatch)
         bad = rebuilt(B, proc=lambda g: B.proc(g) * r if g == l0 else B.proc(g))
         assert perm_descendent_loops(B, *counts, 7) is None
         kind, i = perm_descendent_loops(bad, *counts, 7)
-        one, two = _one_and_two_ranges(monkeypatch, lambda: descendent_structure(bad, seed=7))
-        assert kind == "twist" and i > 0 and one == two, n
+        one, *more = _ranges(monkeypatch, lambda: descendent_structure(bad, seed=7))
+        assert kind == "twist" and i > 0 and more == [one, one], n
         s_pairs = {9: 36, 10: 360}[n] ** 2
         assert (one.ok, one.s_pairs, one.k_samples, one.twist_samples) == (False, s_pairs, counts[0], i + 1)
         assert one.detail == f"l o h != h^(r^d) o l at sample {i}"
@@ -740,7 +741,7 @@ def test_b_is_handed_only_perms(monkeypatch, n):
         lambda: verify_an_operator(checked, sample_count=3_000).ok,
         lambda: descendent_structure(checked).ok,
     ):
-        assert _one_and_two_ranges(monkeypatch, check) == [True, True]
+        assert _ranges(monkeypatch, check, most=2) == [True, True]
 
 
 @pytest.mark.parametrize("collecting", [True, False])
@@ -837,19 +838,20 @@ def test_descendent_draws_one_rank_per_element(monkeypatch):
     assert calls == expected and len(k_loop) > 2 * transitive.DESCENDENT_K_SAMPLES
 
 
-def _one_and_two_ranges(monkeypatch, check):
-    """[check() with the sampled loops in one range, the same in two
-    ranges], two whatever the CPUs of this host; after each, no child
-    process is left.  The two-range run forks one child."""
-    forks, fork = [], transitive._fork
+def _ranges(monkeypatch, check, most=3):
+    """[check() with the sampled loops in p ranges, for p = 1 .. most],
+    whatever the CPUs of this host.  The run in p ranges forks p - 1
+    children, and after each run no child process is left."""
+    forks, fork = [], os.fork
 
-    def counted(task):
-        forks.append(task)
-        return fork(task)
+    def counted():
+        forks.append(None)
+        return fork()
 
-    monkeypatch.setattr(transitive, "_fork", counted)
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(transitive, "RANGE_MAX", most)
     out = []
-    for cpus in (1, 2):
+    for cpus in range(1, most + 1):
         monkeypatch.setattr(transitive, "_usable_cpus", lambda: cpus)
         del forks[:]
         out.append(check())
@@ -874,16 +876,15 @@ def _layer3_g(sample, seed=4):
 @pytest.mark.parametrize("sample,fails_at", [(0, 0), (14_999, 282), (15_000, 15_000), (29_999, 29_999)])
 def test_layer3_verdict_is_the_same_in_two_ranges(monkeypatch, sample, fails_at):
     """B(g) r in place of B(g) at the g drawn at one sample of seed 4:
-    the verdict of 30,000 samples in two ranges of 15,000 is the one-range
-    verdict.  The failures lie in both ranges, each at the first pair that
-    evaluates B at g (for the g of sample 14,999, at sample 282)."""
+    the verdict of 30,000 samples in two ranges of 15,000, and in three of
+    10,000, is the one-range verdict.  The failures lie in every range,
+    each at the first pair that evaluates B at g (for the g of sample
+    14,999, at sample 282)."""
     B = _an(9, "S1")
     r = B.structural["r"]
     bad = _changed_at(B, _layer3_g(sample), lambda b: b * r)
-    one, two = _one_and_two_ranges(
-        monkeypatch, lambda: verify_an_operator(bad, sample_count=30_000, seed=4)
-    )
-    assert one == two
+    one, *more = _ranges(monkeypatch, lambda: verify_an_operator(bad, sample_count=30_000, seed=4))
+    assert more == [one, one]
     assert (one.ok, one.layer, one.pairs_sampled) == (False, 3, fails_at + 1)
 
 
@@ -896,8 +897,8 @@ def test_descendent_report_is_the_same_in_two_ranges(monkeypatch):
     that draws a new h (9,939 on seed 4), and the h^(r^d) of the first and
     the last twist sample that evaluates B at an element for the first
     time, with r l r != l (36 and 6,689).  The report of two ranges, 5,000
-    samples of each loop each, is the one-range report and names that
-    sample, in the first or the second range."""
+    samples of each loop each, and of three is the one-range report and
+    names that sample, in the first or a later range."""
     B = _an(9, "S1")
     st = B.structural
     L, r, sset = st["im"], st["r"], st["ker_tilde"]._element_set()
@@ -921,8 +922,8 @@ def test_descendent_report_is_the_same_in_two_ranges(monkeypatch):
     assert [i for i, _, _ in cases] == [9_939, 36, 6_689]
     for i, x, message in cases:
         bad = _changed_at(B, x, lambda b: r)
-        one, two = _one_and_two_ranges(monkeypatch, lambda: descendent_structure(bad, seed=4))
-        assert one == two
+        one, *more = _ranges(monkeypatch, lambda: descendent_structure(bad, seed=4))
+        assert more == [one, one]
         assert not one.ok and one.detail == f"{message} at sample {i}"
 
 
@@ -977,15 +978,21 @@ def test_ranges_call_b_where_the_serial_loops_do(monkeypatch, tmp_path):
 
 def test_ranges_raise_what_b_raises_and_leave_no_child(monkeypatch):
     """A procedure that raises ValueError at the g of layer-3 sample
-    29,999 (seed 4), first evaluated there, in the second of two ranges:
-    the two-range verify re-runs that range in this process and raises
-    ValueError, as the one-range verify does.  An interrupt in this
-    process's range, at the g of sample 0, kills and reaps the child.
-    Both runs evaluate B in this process as often as the serial loop does
-    before it raises: 72 times on L, then three times per earlier sample
-    and once at g."""
+    29,999 (seed 4), first evaluated there, in the last of two or three
+    ranges: that child exits 1, and the verify runs the serial loop in
+    this process and raises ValueError, as the one-range verify does.
+    Before it raises, the one-range verify evaluates B 72 times on L, then
+    three times per earlier sample and once at g; in more ranges, this
+    process first evaluates B three times per sample of the first range.
+    An interrupt in this process's range, at the g of sample 0, kills and
+    reaps the children, after the same evaluations as in one range."""
     B = _an(9, "S1")
-    for sample, exc in ((29_999, ValueError), (0, KeyboardInterrupt)):
+    serial = 72 + 3 * 29_999 + 1
+    cases = (
+        (29_999, ValueError, [serial, serial + 3 * 15_000, serial + 3 * 10_000]),
+        (0, KeyboardInterrupt, [73] * 3),
+    )
+    for sample, exc, evaluations in cases:
         g, calls = _layer3_g(sample), [0]
 
         def proc(x):
@@ -1000,7 +1007,7 @@ def test_ranges_raise_what_b_raises_and_leave_no_child(monkeypatch):
                 verify_an_operator(rebuilt(B, proc=proc), sample_count=30_000, seed=4)
             return calls[0]
 
-        assert _one_and_two_ranges(monkeypatch, check) == [72 + 3 * sample + 1] * 2
+        assert _ranges(monkeypatch, check) == evaluations
 
 
 def _three_ranges(monkeypatch):
@@ -1009,14 +1016,12 @@ def _three_ranges(monkeypatch):
     monkeypatch.setattr(transitive, "_usable_cpus", lambda: 3)
 
 
-@pytest.mark.parametrize("made", [0, 1])
-@pytest.mark.parametrize("fails", ["pipe", "fork"])
-def test_ranges_without_a_child_run_in_process(monkeypatch, fails, made):
-    """os.pipe or os.fork raises OSError (EAGAIN, as when no process id
-    is left) after `made` children of three ranges: the ranges with no
-    child run in this process, and the verdicts of a pass and of a failure
-    in the last range are the one-range verdicts.  No end of a pipe stays
-    open and no child is left."""
+@pytest.mark.parametrize("made", [0, 1], ids=lambda made: f"fork-{made}")
+def test_ranges_without_a_child_run_in_process(monkeypatch, made):
+    """os.fork raises OSError (EAGAIN, as when no process id is left)
+    after `made` children of three ranges: the serial loop runs in this
+    process, and the verdicts of a pass and of a failure in the last range
+    are the one-range verdicts.  No child is left."""
     B = _an(9, "S1")
     bad = _changed_at(B, _layer3_g(29_999), lambda b: b * B.structural["r"])
     checks = [functools.partial(verify_an_operator, x, sample_count=30_000, seed=4) for x in (B, bad)]
@@ -1024,39 +1029,60 @@ def test_ranges_without_a_child_run_in_process(monkeypatch, fails, made):
     expected = [check() for check in checks]
     assert [(v.ok, v.pairs_sampled) for v in expected] == [(True, 30_000), (False, 30_000)]
 
-    real, calls, fds = {"pipe": os.pipe, "fork": os.fork}, collections.Counter(), []
+    fork, calls = os.fork, [0]
 
-    def failing(name):
-        def call():
-            calls[name] += 1
-            if name == fails and calls[name] > made:
-                raise OSError(errno.EAGAIN, f"no {name}")
-            out = real[name]()
-            if name == "pipe":
-                fds.extend(out)
-            return out
-
-        return call
+    def failing():
+        calls[0] += 1
+        if calls[0] > made:
+            raise OSError(errno.EAGAIN, "no fork")
+        return fork()
 
     _three_ranges(monkeypatch)
-    for name in real:
-        monkeypatch.setattr(os, name, failing(name))
+    monkeypatch.setattr(os, "fork", failing)
     for check, verdict in zip(checks, expected):
-        calls.clear()
+        calls[0] = 0
         assert check() == verdict
-        assert calls[fails] == made + 1
-        for fd in fds:
-            with pytest.raises(OSError):
-                os.fstat(fd)
+        assert calls[0] == made + 1
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_child_that_dies_leaves_the_verdict_to_the_serial_loop(monkeypatch):
+    """B's procedure kills its own process with SIGKILL in every process
+    but this one: the children of two or three ranges die without
+    exiting, and the check gives the one-range verdict, with no child
+    left.  That is a pass for verify and descendent_structure on B, and
+    for verify on B changed at the g of layer-3 sample 29,999 the failure
+    there, in the range of the last child."""
+    B = _an(9, "S1")
+    bad = _changed_at(B, _layer3_g(29_999), lambda b: b * B.structural["r"])
+    me = os.getpid()
+
+    def killing(C):
+        def proc(g):
+            if os.getpid() != me:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return C.proc(g)
+
+        return rebuilt(C, proc=proc)
+
+    checks = (
+        functools.partial(verify_an_operator, killing(B), sample_count=30_000, seed=4),
+        functools.partial(descendent_structure, killing(B), seed=4),
+        functools.partial(verify_an_operator, killing(bad), sample_count=30_000, seed=4),
+    )
+    results = [_ranges(monkeypatch, check) for check in checks]
+    assert all(more == [one, one] for one, *more in results)
+    assert [one.ok for one, *_ in results] == [True, True, False]
+    assert results[2][0].pairs_sampled == 30_000
 
 
 def test_an_interrupt_after_a_reap_reaps_the_other_child(monkeypatch):
     """A KeyboardInterrupt that lands just after this process reaps the
     first of the two children of three ranges is what the check raises,
-    and the other child is killed and reaped: a child leaves the walk's
-    table before it is reaped, so none is signalled or waited for twice."""
+    and the other child is killed and reaped: a child leaves the list of
+    children before it is waited on, so none is signalled or waited for
+    twice."""
     B = _an(9)
     _three_ranges(monkeypatch)
     real, waited = os.waitpid, []
