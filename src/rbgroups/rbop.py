@@ -218,7 +218,10 @@ def circ_kernel(B: RBOperator) -> Callable[[Perm, Perm], tuple[Perm, bytes]]:
     table operator) and evaluated once per pair: the identity's left side
     B(g) B(h) reuses b = B(g).  g b h is translate by b + pad, then by
     h + pad (pad = _ID[n:]), and b^-1 the 256-byte table
-    bytes.maketrans(b, _ID[:n]).
+    bytes.maketrans(b, _ID[:n]).  The two tables of each distinct image b
+    are made on its first use and kept, keyed by b, for the kernel's
+    lifetime: B takes few values in a loop (72 images at n = 9), and B is
+    still evaluated at every g.
 
     g o h comes back as its plain image bytes, not a Perm: a loop that
     only compares it compares the bytes, and a caller that hands it to
@@ -233,10 +236,15 @@ def circ_kernel(B: RBOperator) -> Callable[[Perm, Perm], tuple[Perm, bytes]]:
     n = B.group.degree
     pad, ident, maketrans = _ID[n:], _ID[:n], bytes.maketrans
     f = B.proc or B
+    tables: dict[Perm, tuple[bytes, bytes]] = {}
 
     def kernel(g: Perm, h: Perm) -> tuple[Perm, bytes]:
         b = f(g)
-        return b, g.translate(b + pad).translate(h + pad).translate(maketrans(b, ident))
+        try:
+            right, inverse = tables[b]
+        except KeyError:
+            right, inverse = tables[b] = b + pad, maketrans(b, ident)
+        return b, g.translate(right).translate(h + pad).translate(inverse)
 
     return kernel
 

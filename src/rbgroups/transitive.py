@@ -7,11 +7,7 @@ from __future__ import annotations
 import gc
 import math
 import operator
-import os
 import random
-import signal
-import threading
-from itertools import islice
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from . import families
@@ -26,18 +22,12 @@ SUPPORTED_DEGREES = (9, 10, 49, 50)
 DESCENDENT_K_SAMPLES = 10_000
 DESCENDENT_TWIST_SAMPLES = 10_000
 
-# Sample ranges of one sampled check run across CPUs (_range_count).  Two
-# ranges pay from about 2,000 samples at n = 9 (a child costs about 2.5 ms
-# to fork and reap, a sample 5 us) and about 500 at n = 49, so a check
-# splits from 2 RANGE_MIN_SAMPLES = 3,000 samples.  RANGE_MAX is the most
-# ranges whose wall time and memory were measured; a child at n = 50
-# holds about 39 MB of its own.  The figures are in BENCH_28.json.
-RANGE_MIN_SAMPLES = 1_500
-RANGE_MAX = 2
-
 # Largest radix product of one chunk of Fisher-Yates steps in even_decoder:
-# the size of that chunk's decode table.
-SAMPLER_CHUNK = 1000
+# the size of that chunk's decode table.  At 2,500 the top steps at n = 49
+# and 50 pair up (49 * 48 = 2,352, 50 * 49 = 2,450), one table for two
+# steps; the chunks at n = 9 (504 | 720) and n = 10 (720 | 840 | 6) are
+# those of any bound from 840 to 2,519.
+SAMPLER_CHUNK = 2500
 
 
 class TransitiveError(ValueError):
@@ -442,8 +432,7 @@ def even_decoder(
     """A decoder x -> Perm from the ranks x in [0, k!), k = len(points),
     onto the even permutations of `points` (default: all n points) fixing
     every other point, uniform on a uniform rank.  A sampled loop draws
-    each element as the decode of one item of ranks(rng, k!), so the
-    ranks a range skips are exactly the draws before it.
+    each element as the decode of one item of ranks(rng, k!).
 
     The rank x is read as mixed-radix digits, least significant first:
     x = d_{k-1} + k (d_{k-2} + (k-1) (d_{k-3} + ...)) with 0 <= d_i <= i.
@@ -535,106 +524,12 @@ def even_decoder(
     return list(map(decode, range(total))).__getitem__
 
 
-# -- sample ranges ---------------------------------------------------------
-
-# (count, run) of one sampled loop: run(a, b) runs its samples a <= i < b
-# and returns the verdict of the first failing sample, or None.
-_SampledLoop = tuple[int, Callable[[int, int], Optional[tuple]]]
-
-
-def _skip(iterator: Iterator, count: int) -> None:
-    """Take `count` items from `iterator`, and no more."""
-    next(islice(iterator, count, count), None)
-
-
-def _pairs(
-    decode: Callable[[int], Perm], total: int, seed: int, start: int
-) -> Iterator[tuple[Perm, Perm]]:
-    """The pairs (g, h) a seeded loop of two draws per sample takes from
-    sample `start` on: ranks(Random(seed), total) past the 2 start ranks
-    of the samples before, each rank decoded, g's before h's.  A loop
-    zips range(start, stop) first, so it draws no rank past its range."""
-    rk = ranks(random.Random(seed), total)
-    _skip(rk, 2 * start)
+def _pairs(decode: Callable[[int], Perm], rk: Iterator[int]) -> Iterator[tuple[Perm, Perm]]:
+    """The pairs (g, h) a seeded loop of two draws per sample takes from the
+    rank iterator rk: each rank decoded, g's before h's.  A loop zips
+    range(count) first, so it draws no rank past its last sample."""
     drawn = map(decode, rk)
     return zip(drawn, drawn)
-
-
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
-def _range_count(samples: int) -> int:
-    """The number of ranges a check of `samples` samples is cut into: one
-    per usable CPU, at most RANGE_MAX, each of at least RANGE_MIN_SAMPLES
-    samples.  One without os.fork, or while this process runs other
-    threads: a forked child has only the thread that forked, and a lock
-    another thread held would stay held in it."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    return max(1, min(_usable_cpus(), RANGE_MAX, samples // RANGE_MIN_SAMPLES))
-
-
-def _first_failure(loops: Sequence[_SampledLoop]) -> Optional[tuple]:
-    """The failure the serial run of `loops` finds, each loop over all its
-    samples and one loop after another, stopping at the first failure;
-    None when every sample passes.  Each run(a, b) starts from its own rng,
-    brought to where the serial run's stands before sample a, so it checks
-    the serial run's samples a .. b-1 wherever it runs (the callers prove
-    it).
-
-    Each loop's samples are cut into p contiguous ranges j = 0 .. p-1,
-    p = _range_count(all samples of all loops).  Range j of every loop
-    runs, loop by loop, in one process: j = 0 in this process, each other
-    j in a child made by os.fork, which ends with os._exit(0) when every
-    sample of its range passed and os._exit(1) otherwise (a failure, or
-    an exception of B's procedure).  os.fork, not a spawned interpreter:
-    B's procedure is a closure, which a fresh import cannot rebuild, and
-    os._exit never returns into the caller's frames nor flushes buffers
-    this process still holds.  The ranges cover every sample, so when
-    range 0 and every child pass, the serial run passes and this returns
-    None.  Any other outcome (a failing range, an exception in range 0, a
-    child that died, or an OSError from os.fork) runs the serial loops in
-    this process, and their first failure, or what they raise, is the
-    result: the same as one range, byte for byte.  Every child still
-    listed is killed and reaped before that run and before an exception
-    or an interrupt leaves this call; a child leaves `children` before it
-    is waited on, so none is signalled or waited for twice."""
-    parts = _range_count(sum(count for count, _ in loops))
-    bounds = [[count * j // parts for j in range(parts + 1)] for count, _ in loops]
-
-    def passes(j: int) -> bool:
-        return all(run(b[j], b[j + 1]) is None for (_, run), b in zip(loops, bounds))
-
-    if parts > 1:
-        children: list[int] = []
-        try:
-            try:
-                for j in range(1, parts):
-                    pid = os.fork()
-                    if pid == 0:
-                        try:
-                            os._exit(0 if passes(j) else 1)
-                        finally:
-                            os._exit(1)
-                    children.append(pid)
-                passed = passes(0)
-            except Exception:  # no child made (OSError), or B's procedure raised
-                passed = False
-            while passed and children:
-                passed = os.waitpid(children.pop(), 0)[1] == 0
-            if passed:
-                return None
-        finally:
-            for pid in children:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-    for count, run in loops:
-        failure = run(0, count)
-        if failure is not None:
-            return failure
-    return None
 
 
 def verify_an_operator(
@@ -671,16 +566,7 @@ def verify_an_operator(
     g o h, image bytes, is wrapped in a Perm only to be handed to B.  The
     draws are perms of degree n, so the kernel's pairs need no degree
     check.  The verdict line prints only the pair counts and the seed; a
-    failing verdict's detail names the sample index and the pair.
-
-    Layer 3 runs as contiguous sample ranges, one per usable CPU up to
-    RANGE_MAX (_first_failure).  A range from sample a skips the 2a ranks
-    of the samples before a on the rank stream it then decodes (_pairs),
-    so it evaluates B on exactly the serial loop's pairs: a range passes
-    iff the serial loop passes its samples.  So all ranges passing means
-    the serial loop passes, and every other verdict, the first failing
-    sample, comes from the serial loop itself; the verdict is the same
-    whatever the number of ranges."""
+    failing verdict's detail names the sample index and the pair."""
     if sample_count < 0:
         raise TransitiveError(f"sample count must be >= 0, got {sample_count}")
     st = B.structural
@@ -728,15 +614,13 @@ def verify_an_operator(
     decode, circ, pad, f = even_decoder(n), circ_kernel(B), _ID[n:], B.proc or B
     total = math.factorial(n)
 
-    def samples(start: int, stop: int) -> Optional[LayeredVerdict]:
-        for i, (g, h) in zip(range(start, stop), _pairs(decode, total, seed, start)):
-            b, gh = circ(g, h)
-            if b.translate(f(h) + pad) != f(_new(Perm, gh)):
-                detail = f"identity fails at sample {i}: ({g!r}, {h!r})"
-                return LayeredVerdict(False, 3, detail, exhaustive, i + 1, seed)
-        return None
-
-    return _first_failure([(sample_count, samples)]) or LayeredVerdict(
+    pairs = _pairs(decode, ranks(random.Random(seed), total))
+    for i, (g, h) in zip(range(sample_count), pairs):
+        b, gh = circ(g, h)
+        if b.translate(f(h) + pad) != f(_new(Perm, gh)):
+            detail = f"identity fails at sample {i}: ({g!r}, {h!r})"
+            return LayeredVerdict(False, 3, detail, exhaustive, i + 1, seed)
+    return LayeredVerdict(
         ok=True, layer=0, detail="",
         pairs_exhaustive=exhaustive, pairs_sampled=sample_count, seed=seed,
     )
@@ -767,28 +651,19 @@ def descendent_structure(B: RBOperator, seed: int = DEFAULT_SEED) -> DescendentR
     the pairwise walk in canonical order.  s_pairs counts that walk's
     pairs: |S|^2 on a pass, i |S| + j + 1 at (S.elements[i], S.elements[j]).
 
-    The K loop takes DESCENDENT_K_SAMPLES pairs and the twist loop
-    DESCENDENT_TWIST_SAMPLES.  The K-elements are drawn uniformly from
-    K = Alt(the k points outside the distinguished ones), each the
-    even_decoder decode of one rank of ranks(rng, k!) (at n = 9 and 10,
-    K is Alt(7 points), whose ranks are listed), and l is L.elements[j]
-    for a rank j of ranks(rng, |L|), the l that rng.choice(L.elements)
-    gives.  Both loops compare the image bytes of products from
-    rbop.circ_kernel as the kernel returns them, with no Perm made, on
-    decoded draws, elements of L and the h^(r^d), all of degree n, so the
-    kernel's pairs need no degree check.
-
-    Both loops run as contiguous sample ranges, one per usable CPU up to
-    RANGE_MAX (_first_failure).  Each range skips, on the rank streams of
-    Random(seed) it then decodes, the ranks the serial loops draw before
-    it: a K range from sample a the 2a K-ranks of the samples before a
-    (_pairs); a twist range from sample a the 2 DESCENDENT_K_SAMPLES
-    K-ranks of the K loop, then one L-rank and one K-rank, in that order,
-    for each twist sample before a.  So each range draws the serial loops'
-    pairs: a range passes iff the serial loops pass its samples.  So all
-    ranges passing means the serial loops pass, and every other report,
-    the first failure in (loop, index) order, comes from the serial loops
-    themselves; the report is the same whatever the number of ranges."""
+    The K loop takes DESCENDENT_K_SAMPLES pairs and then the twist loop
+    DESCENDENT_TWIST_SAMPLES, both from one rng = Random(seed).  The
+    K-elements are drawn uniformly from K = Alt(the k points outside the
+    distinguished ones), each the even_decoder decode of one rank of
+    ranks(rng, k!) (at n = 9 and 10, K is Alt(7 points), whose ranks are
+    listed), and l is L.elements[j] for a rank j of ranks(rng, |L|), the
+    l that rng.choice(L.elements) gives.  The twist loop draws, per
+    sample, an L-rank and then a K-rank, the latter from the K loop's own
+    rank iterator, which stands after the K loop's last draw.  Both loops
+    compare the image bytes of products from rbop.circ_kernel as the
+    kernel returns them, with no Perm made, on decoded draws, elements of
+    L and the h^(r^d), all of degree n, so the kernel's pairs need no
+    degree check."""
     st = B.structural
     S, r, L = st["ker_tilde"], st["r"], st["im"]
     sset = S._element_set()
@@ -808,28 +683,17 @@ def descendent_structure(B: RBOperator, seed: int = DEFAULT_SEED) -> DescendentR
     circ, pad = circ_kernel(B), _ID[n:]
     lelems, rpad = L.elements, r + pad
 
-    def k_samples(start: int, stop: int) -> Optional[DescendentReport]:
-        for i, (h1, h2) in zip(range(start, stop), _pairs(k_decode, k_total, seed, start)):
-            if circ(h1, h2)[1] != h1.translate(h2 + pad):
-                return DescendentReport(False, f"h o h' != h h' at sample {i}", s_pairs, i + 1, 0)
-        return None
+    rng = random.Random(seed)
+    k_ranks = ranks(rng, k_total)
+    for i, (h1, h2) in zip(range(DESCENDENT_K_SAMPLES), _pairs(k_decode, k_ranks)):
+        if circ(h1, h2)[1] != h1.translate(h2 + pad):
+            return DescendentReport(False, f"h o h' != h h' at sample {i}", s_pairs, i + 1, 0)
 
-    def twist_samples(start: int, stop: int) -> Optional[DescendentReport]:
-        rng = random.Random(seed)
-        k_ranks = ranks(rng, k_total)
-        _skip(k_ranks, 2 * DESCENDENT_K_SAMPLES)
-        l_ranks = ranks(rng, len(lelems))
-        _skip(zip(l_ranks, k_ranks), start)  # an L-rank, then a K-rank
-        # l, then h: the order of the seeded stream
-        drawn = zip(map(lelems.__getitem__, l_ranks), map(k_decode, k_ranks))
-        for i, (l, h) in zip(range(start, stop), drawn):
-            h_tw = h if l in sset else _new(Perm, r.translate(h + pad).translate(rpad))
-            if circ(l, h)[1] != circ(h_tw, l)[1]:
-                detail = f"l o h != h^(r^d) o l at sample {i}"
-                return DescendentReport(False, detail, s_pairs, DESCENDENT_K_SAMPLES, i + 1)
-        return None
-
-    loops = [(DESCENDENT_K_SAMPLES, k_samples), (DESCENDENT_TWIST_SAMPLES, twist_samples)]
-    return _first_failure(loops) or DescendentReport(
-        True, "", s_pairs, DESCENDENT_K_SAMPLES, DESCENDENT_TWIST_SAMPLES
-    )
+    # l, then h: the order of the seeded stream
+    drawn = zip(map(lelems.__getitem__, ranks(rng, len(lelems))), map(k_decode, k_ranks))
+    for i, (l, h) in zip(range(DESCENDENT_TWIST_SAMPLES), drawn):
+        h_tw = h if l in sset else _new(Perm, r.translate(h + pad).translate(rpad))
+        if circ(l, h)[1] != circ(h_tw, l)[1]:
+            detail = f"l o h != h^(r^d) o l at sample {i}"
+            return DescendentReport(False, detail, s_pairs, DESCENDENT_K_SAMPLES, i + 1)
+    return DescendentReport(True, "", s_pairs, DESCENDENT_K_SAMPLES, DESCENDENT_TWIST_SAMPLES)

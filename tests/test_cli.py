@@ -415,12 +415,9 @@ def test_cli_output_is_pinned(command):
 
 
 @pytest.mark.parametrize("command", list(AN_DIGESTS))
-def test_an_output_is_pinned(command, monkeypatch):
-    """The same stdout with the sampled loops in one range and in two."""
-    for cpus in (1, 2):
-        monkeypatch.setattr(transitive, "_usable_cpus", lambda: cpus)
-        code, text = run(command.split())
-        assert (code, _sha(text)) == (0, AN_DIGESTS[command]), cpus
+def test_an_output_is_pinned(command):
+    code, text = run(command.split())
+    assert (code, _sha(text)) == (0, AN_DIGESTS[command])
 
 
 def test_construct_split_refuses_an_inexact_factorization(capsys):

@@ -7,7 +7,6 @@ import itertools
 import math
 import os
 import random
-import signal
 import sys
 import time
 
@@ -292,21 +291,16 @@ def _dump_digest(n):
     return hashlib.sha256(dump.encode()).hexdigest()
 
 
-def test_build_an_10_dump_is_pinned(monkeypatch):
-    """The same dump with the sampled loops in one range and in two."""
-    for cpus in (1, 2):
-        monkeypatch.setattr(transitive, "_usable_cpus", lambda: cpus)
-        assert _dump_digest(10) == AN_DUMP_DIGESTS[10]
+def test_build_an_10_dump_is_pinned():
+    assert _dump_digest(10) == AN_DUMP_DIGESTS[10]
 
 
 @pytest.mark.slow
-def test_build_an_50_dump_is_pinned(monkeypatch):
-    """Budget 60 s for each of one range and two."""
-    for cpus in (1, 2):
-        monkeypatch.setattr(transitive, "_usable_cpus", lambda: cpus)
-        start = time.perf_counter()
-        assert _dump_digest(50) == AN_DUMP_DIGESTS[50]
-        assert time.perf_counter() - start < 60
+def test_build_an_50_dump_is_pinned():
+    """Budget 60 s."""
+    start = time.perf_counter()
+    assert _dump_digest(50) == AN_DUMP_DIGESTS[50]
+    assert time.perf_counter() - start < 60
 
 
 def _tampered(field):
@@ -434,6 +428,7 @@ def test_even_sampler_hits_each_even_permutation_equally(points):
 
 SAMPLER_CASES = [
     (9, None), (9, range(7)), (10, None), (49, None), (50, range(47)), (12, range(1, 12, 2)),
+    (50, None),
 ]
 
 
@@ -458,7 +453,7 @@ def test_even_sampler_matches_the_digit_decoder_on_seeded_ranks(n, points):
 def test_even_sampler_matches_the_digit_decoder_on_every_rank(points):
     """k <= 7 is listed: every rank is decoded once when the decoder is
     made, by one chunk (k <= 6) or two (k = 7: 7*6*5*4 and 3*2).  k = 8
-    decodes each rank by two chunks (8*7*6 and 5*4*3*2), so every way two
+    decodes each rank by two chunks (8*7*6*5 and 4*3*2), so every way two
     chunks compose is compared on both paths."""
     decode, digits = transitive.even_decoder(8, points), digit_sampler(8, points)
     rng = _Ranks()
@@ -483,9 +478,7 @@ def test_descendent_k_samples_lie_in_k(monkeypatch):
     """Every K-sample is even and fixes the distinguished points, and the
     samples are not one element over and over: 30,000 uniform draws from
     |K| = 2,520 leave about 2,520 e^(-30000/2520) = 0.017 elements
-    undrawn, and seed 7 draws all of K.  In one range, so that every draw
-    is made in this process."""
-    monkeypatch.setattr(transitive, "_usable_cpus", lambda: 1)
+    undrawn, and seed 7 draws all of K."""
     drawn = []
     decoder = transitive.even_decoder
 
@@ -533,13 +526,12 @@ def test_s_check_names_the_pairwise_oracles_first_failure(k):
         assert rep.detail == f"s o s' != s' s at ({s1!r}, {s2!r})"
 
 
-def test_descendent_catches_an_operator_corrupted_only_on_k(monkeypatch):
+def test_descendent_catches_an_operator_corrupted_only_on_k():
     """B'(k) = r for k in K of order 7.  S and L have no element of order
     7, so only the K-sample loop can see the corruption; the first failing
     sample is the first pair (h, h') with h of order 7 and r h' r != h',
     the one the loops by Perm products name.  K is Alt(7 points), drawn
-    from its listed ranks, at n = 9 and at n = 10; the report is the same
-    in one, two and three ranges."""
+    from its listed ranks, at n = 9 and at n = 10."""
     for n in (9, 10):
         B = _an(n)
         st = B.structural
@@ -551,7 +543,7 @@ def test_descendent_catches_an_operator_corrupted_only_on_k(monkeypatch):
             return r if in_k and g.order() == 7 else B.proc(g)
 
         bad = rebuilt(B, proc=corrupted)
-        one, *more = _ranges(monkeypatch, lambda: descendent_structure(bad, seed=7))
+        one = descendent_structure(bad, seed=7)
         rng = random.Random(7)
         draw = digit_sampler(n, [i for i in range(n) if i not in points])
         for i in range(transitive.DESCENDENT_K_SAMPLES):
@@ -559,7 +551,7 @@ def test_descendent_catches_an_operator_corrupted_only_on_k(monkeypatch):
             if h1.order() == 7 and r * h2 * r != h2:
                 break
         assert perm_descendent_loops(bad, transitive.DESCENDENT_K_SAMPLES, 0, 7) == ("k", i)
-        assert more == [one, one] and not one.ok, n
+        assert not one.ok, n
         assert one.detail == f"h o h' != h h' at sample {i}"
         s_pairs = {9: 36, 10: 360}[n] ** 2
         assert (one.s_pairs, one.k_samples, one.twist_samples) == (s_pairs, i + 1, 0)
@@ -584,12 +576,11 @@ def test_layer3_names_the_sample_the_digit_decoder_predicts():
     assert v.detail == f"identity fails at sample {i}: ({g!r}, {h!r})"
 
 
-def test_twist_loop_names_the_sample_the_perm_product_loop_predicts(monkeypatch):
+def test_twist_loop_names_the_sample_the_perm_product_loop_predicts():
     """B'(l) = B(l) r at one element l of L outside S.  The S x S check
     and the K loop never evaluate B' there, so only the twist loop can
     fail, and it fails at the sample that the loop by Perm products, drawn
-    with the per-digit decoder, names first: at n = 9 and at n = 10, in
-    one, two and three ranges."""
+    with the per-digit decoder, names first: at n = 9 and at n = 10."""
     counts = transitive.DESCENDENT_K_SAMPLES, transitive.DESCENDENT_TWIST_SAMPLES
     for n in (9, 10):
         B = _an(n)
@@ -599,8 +590,8 @@ def test_twist_loop_names_the_sample_the_perm_product_loop_predicts(monkeypatch)
         bad = rebuilt(B, proc=lambda g: B.proc(g) * r if g == l0 else B.proc(g))
         assert perm_descendent_loops(B, *counts, 7) is None
         kind, i = perm_descendent_loops(bad, *counts, 7)
-        one, *more = _ranges(monkeypatch, lambda: descendent_structure(bad, seed=7))
-        assert kind == "twist" and i > 0 and more == [one, one], n
+        one = descendent_structure(bad, seed=7)
+        assert kind == "twist" and i > 0, n
         s_pairs = {9: 36, 10: 360}[n] ** 2
         assert (one.ok, one.s_pairs, one.k_samples, one.twist_samples) == (False, s_pairs, counts[0], i + 1)
         assert one.detail == f"l o h != h^(r^d) o l at sample {i}"
@@ -637,11 +628,9 @@ def test_descendent_structure_takes_few_products(monkeypatch):
     generators).  Only Perm.__mul__ is counted: the raw bytes.translate
     work of rbop.circ_kernel, even_decoder and
     perm.homomorphism_failure is not, so this bounds Perm products, not
-    all permutation work.  In one range, so that every product is made in
-    this process."""
+    all permutation work."""
     from test_perm import _count_products
 
-    monkeypatch.setattr(transitive, "_usable_cpus", lambda: 1)
     calls = _count_products(monkeypatch)
     assert descendent_structure(build_an_operator(9)).ok
     assert calls[0] <= 1_410
@@ -653,11 +642,9 @@ def test_layer3_takes_few_products(monkeypatch):
     rbop.circ_kernel's bytes (120,850 by Perm products).  Only
     Perm.__mul__ is counted: the raw bytes.translate work of
     rbop.circ_kernel, even_decoder and perm.homomorphism_failure is not,
-    so this bounds Perm products, not all permutation work.  In one range,
-    so that every product is made in this process."""
+    so this bounds Perm products, not all permutation work."""
     from test_perm import _count_products
 
-    monkeypatch.setattr(transitive, "_usable_cpus", lambda: 1)
     calls = _count_products(monkeypatch)
     v = verify_an_operator(build_an_operator(9), sample_count=30_000)
     assert v.ok and v.pairs_sampled == 30_000
@@ -701,13 +688,12 @@ def test_verify_evaluates_b_once_on_each_element_of_l():
     assert calls[0] == B.structural["im"].order() == 72
 
 
-def test_descendent_structure_evaluates_b_once_per_element_used(monkeypatch):
+def test_descendent_structure_evaluates_b_once_per_element_used():
     """descendent_structure evaluates B once per element of S (for
     s B(s)), once per K pair (B(h) in h o h') and twice per twist pair
     (l o h and h^(r^d) o l): |S| + DESCENDENT_K_SAMPLES +
     2 DESCENDENT_TWIST_SAMPLES calls of a counted procedure, 30,036 at
-    n = 9.  In one range, so that every call is made in this process."""
-    monkeypatch.setattr(transitive, "_usable_cpus", lambda: 1)
+    n = 9."""
     B = _an(9)
     calls = [0]
 
@@ -724,12 +710,12 @@ def test_descendent_structure_evaluates_b_once_per_element_used(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [9, 10])
-def test_b_is_handed_only_perms(monkeypatch, n):
+def test_b_is_handed_only_perms(n):
     """rbop.circ_kernel returns g o h as plain bytes; layer 3 wraps it
     before evaluating B there, and the K and twist loops, which only
     compare products, hand B only their draws, elements of L and
-    h^(r^d).  A procedure that asserts it gets a Perm passes both checks,
-    in one range and in two."""
+    h^(r^d).  A procedure that asserts it gets a Perm passes both
+    checks."""
     B = _an(n)
 
     def perms_only(g):
@@ -737,11 +723,8 @@ def test_b_is_handed_only_perms(monkeypatch, n):
         return B.proc(g)
 
     checked = rebuilt(B, proc=perms_only)
-    for check in (
-        lambda: verify_an_operator(checked, sample_count=3_000).ok,
-        lambda: descendent_structure(checked).ok,
-    ):
-        assert _ranges(monkeypatch, check, most=2) == [True, True]
+    assert verify_an_operator(checked, sample_count=3_000).ok
+    assert descendent_structure(checked).ok
 
 
 @pytest.mark.parametrize("collecting", [True, False])
@@ -809,14 +792,13 @@ def test_layer3_draws_one_rank_per_element(monkeypatch):
 
 
 def test_descendent_draws_one_rank_per_element(monkeypatch):
-    """descendent_structure in one range makes exactly the getrandbits
-    calls, bit width for bit width, of its seeded stream on Random(7): the
-    K loop's 20,000 randrange(7!) calls; then the twist loop, from its own
-    Random(7), skips those 20,000 ranks and draws 10,000 pairs of
-    randrange(72) (its l) and randrange(7!) (its h).  One rank per
-    element, each drawn as randrange draws it."""
+    """descendent_structure makes exactly the getrandbits calls, bit width
+    for bit width, of its seeded stream on Random(7): the K loop's 20,000
+    randrange(7!) calls, then the twist loop's 10,000 pairs of
+    randrange(72) (its l) and randrange(7!) (its h) on the same rng, with
+    no K-rank drawn twice.  One rank per element, each drawn as randrange
+    draws it."""
     B = _an(9)
-    monkeypatch.setattr(transitive, "_usable_cpus", lambda: 1)
     calls = []
     getrandbits = random.Random.getrandbits
 
@@ -828,37 +810,14 @@ def test_descendent_draws_one_rank_per_element(monkeypatch):
     rng, k_total = random.Random(7), math.factorial(7)
     for _ in range(2 * transitive.DESCENDENT_K_SAMPLES):
         rng.randrange(k_total)
-    k_loop = calls[:]
+    k_loop = len(calls)
     for _ in range(transitive.DESCENDENT_TWIST_SAMPLES):
         rng.randrange(len(B.structural["im"].elements))
         rng.randrange(k_total)
-    expected, calls[:] = k_loop + calls, []
+    expected, calls[:] = calls[:], []
     assert len(B.structural["im"].elements) == 72
     assert descendent_structure(B, seed=7).ok
-    assert calls == expected and len(k_loop) > 2 * transitive.DESCENDENT_K_SAMPLES
-
-
-def _ranges(monkeypatch, check, most=3):
-    """[check() with the sampled loops in p ranges, for p = 1 .. most],
-    whatever the CPUs of this host.  The run in p ranges forks p - 1
-    children, and after each run no child process is left."""
-    forks, fork = [], os.fork
-
-    def counted():
-        forks.append(None)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted)
-    monkeypatch.setattr(transitive, "RANGE_MAX", most)
-    out = []
-    for cpus in range(1, most + 1):
-        monkeypatch.setattr(transitive, "_usable_cpus", lambda: cpus)
-        del forks[:]
-        out.append(check())
-        assert len(forks) == cpus - 1
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-    return out
+    assert calls == expected and k_loop > 2 * transitive.DESCENDENT_K_SAMPLES
 
 
 def _changed_at(B, x, value):
@@ -874,21 +833,20 @@ def _layer3_g(sample, seed=4):
 
 
 @pytest.mark.parametrize("sample,fails_at", [(0, 0), (14_999, 282), (15_000, 15_000), (29_999, 29_999)])
-def test_layer3_verdict_is_the_same_in_two_ranges(monkeypatch, sample, fails_at):
-    """B(g) r in place of B(g) at the g drawn at one sample of seed 4:
-    the verdict of 30,000 samples in two ranges of 15,000, and in three of
-    10,000, is the one-range verdict.  The failures lie in every range,
-    each at the first pair that evaluates B at g (for the g of sample
-    14,999, at sample 282)."""
+def test_layer3_verdict_is_the_same_in_two_ranges(sample, fails_at):
+    """B(g) r in place of B(g) at the g drawn at one sample of seed 4: the
+    verdict of 30,000 samples fails at the first pair that evaluates B at
+    g (for the g of sample 14,999, at sample 282).  The samples are the
+    first and last of each half of the loop, where the sample ranges that
+    once split it began and ended; the id is kept for these pins."""
     B = _an(9, "S1")
     r = B.structural["r"]
     bad = _changed_at(B, _layer3_g(sample), lambda b: b * r)
-    one, *more = _ranges(monkeypatch, lambda: verify_an_operator(bad, sample_count=30_000, seed=4))
-    assert more == [one, one]
-    assert (one.ok, one.layer, one.pairs_sampled) == (False, 3, fails_at + 1)
+    v = verify_an_operator(bad, sample_count=30_000, seed=4)
+    assert (v.ok, v.layer, v.pairs_sampled) == (False, 3, fails_at + 1)
 
 
-def test_descendent_report_is_the_same_in_two_ranges(monkeypatch):
+def test_descendent_report_is_the_same_in_two_ranges():
     """B(x) = r at one x in K, where B(x) = e.  The K loop evaluates B at
     the first element h of its pairs only, the twist loop at l and
     h^(r^d) only, and neither at an element of K before; so the report
@@ -896,9 +854,9 @@ def test_descendent_report_is_the_same_in_two_ranges(monkeypatch):
     in the twist loop when r l r != l.  x is the h of the last K sample
     that draws a new h (9,939 on seed 4), and the h^(r^d) of the first and
     the last twist sample that evaluates B at an element for the first
-    time, with r l r != l (36 and 6,689).  The report of two ranges, 5,000
-    samples of each loop each, and of three is the one-range report and
-    names that sample, in the first or a later range."""
+    time, with r l r != l (36 and 6,689).  The report names that sample.
+    The samples lie in both halves of each loop, which sample ranges once
+    ran apart; the id is kept for these pins."""
     B = _an(9, "S1")
     st = B.structural
     L, r, sset = st["im"], st["r"], st["ker_tilde"]._element_set()
@@ -921,185 +879,42 @@ def test_descendent_report_is_the_same_in_two_ranges(monkeypatch):
     cases = [(i_k, h1, "h o h' != h h'"), *[(i, x, "l o h != h^(r^d) o l") for i, x in (twist[0], twist[-1])]]
     assert [i for i, _, _ in cases] == [9_939, 36, 6_689]
     for i, x, message in cases:
-        bad = _changed_at(B, x, lambda b: r)
-        one, *more = _ranges(monkeypatch, lambda: descendent_structure(bad, seed=4))
-        assert more == [one, one]
-        assert not one.ok and one.detail == f"{message} at sample {i}"
+        rep = descendent_structure(_changed_at(B, x, lambda b: r), seed=4)
+        assert not rep.ok and rep.detail == f"{message} at sample {i}"
 
 
-def test_ranges_call_b_where_the_serial_loops_do(monkeypatch, tmp_path):
-    """Each range calls B's procedure at exactly the serial loops'
-    elements, in their order.  The procedure appends its process and the
-    element to a file.  In one range every call is made in this process.
-    In two, this process makes the calls before the sampled loops and
-    those of the first half of each loop, and the child those of the
-    second halves: for verify, 72 on L, then 3 per sample of 30,000; for
-    descendent_structure, 36 on S, then 1 per K sample and 2 per twist
-    sample, 10,000 of each."""
-    B = _an(9)
-    path = tmp_path / "calls"
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+def test_sampled_checks_run_in_the_calling_process(monkeypatch):
+    """With os.fork replaced by a function that raises, and never called:
+    verify_an_operator at n = 9 with 30,000 samples and
+    descendent_structure at n = 9 pass with their counts, and a procedure
+    that raises ValueError at the g of layer-3 sample 29,999 (seed 4),
+    first evaluated there, makes verify raise it after 72 evaluations on
+    L, three per earlier sample and one at g."""
+    forks = []
 
-    def proc(g):
-        os.write(fd, b"%d %s\n" % (os.getpid(), g.hex().encode()))
-        return B.proc(g)
+    def fork():
+        forks.append(None)
+        raise OSError(errno.EAGAIN, "no fork")
 
-    logged = rebuilt(B, proc=proc)
-
-    def calls(check, cpus):
-        """(this process's calls, the other processes' calls)."""
-        monkeypatch.setattr(transitive, "_usable_cpus", lambda: cpus)
-        os.truncate(path, 0)
-        assert check().ok
-        by_pid = collections.defaultdict(list)
-        for line in path.read_text().splitlines():
-            pid, g = line.split()
-            by_pid[int(pid)].append(g)
-        mine = by_pid.pop(os.getpid())
-        return mine, [g for rest in by_pid.values() for g in rest]
-
-    try:
-        check = functools.partial(verify_an_operator, logged, sample_count=30_000, seed=4)
-        one, none = calls(check, 1)
-        cut = 72 + 3 * 15_000
-        assert (len(one), none) == (72 + 3 * 30_000, [])
-        assert calls(check, 2) == (one[:cut], one[cut:])
-
-        check = functools.partial(descendent_structure, logged, seed=4)
-        one, none = calls(check, 1)
-        s, k = 36, 36 + 10_000
-        assert (len(one), none) == (k + 2 * 10_000, [])
-        mine, child = calls(check, 2)
-        assert mine == one[: s + 5_000] + one[k : k + 10_000]
-        assert child == one[s + 5_000 : k] + one[k + 10_000 :]
-    finally:
-        os.close(fd)
-
-
-def test_ranges_raise_what_b_raises_and_leave_no_child(monkeypatch):
-    """A procedure that raises ValueError at the g of layer-3 sample
-    29,999 (seed 4), first evaluated there, in the last of two or three
-    ranges: that child exits 1, and the verify runs the serial loop in
-    this process and raises ValueError, as the one-range verify does.
-    Before it raises, the one-range verify evaluates B 72 times on L, then
-    three times per earlier sample and once at g; in more ranges, this
-    process first evaluates B three times per sample of the first range.
-    An interrupt in this process's range, at the g of sample 0, kills and
-    reaps the children, after the same evaluations as in one range."""
+    monkeypatch.setattr(os, "fork", fork)
     B = _an(9, "S1")
-    serial = 72 + 3 * 29_999 + 1
-    cases = (
-        (29_999, ValueError, [serial, serial + 3 * 15_000, serial + 3 * 10_000]),
-        (0, KeyboardInterrupt, [73] * 3),
-    )
-    for sample, exc, evaluations in cases:
-        g, calls = _layer3_g(sample), [0]
+    v = verify_an_operator(B, sample_count=30_000, seed=4)
+    assert (v.ok, v.pairs_exhaustive, v.pairs_sampled) == (True, 72 * 72, 30_000)
+    rep = descendent_structure(B, seed=4)
+    assert (rep.ok, rep.s_pairs, rep.k_samples, rep.twist_samples) == (True, 36 * 36, 10_000, 10_000)
 
-        def proc(x):
-            calls[0] += 1
-            if x == g:
-                raise exc(f"B at sample {sample}")
-            return B.proc(x)
+    g, calls = _layer3_g(29_999), [0]
 
-        def check():
-            calls[0] = 0
-            with pytest.raises(exc, match=f"B at sample {sample}"):
-                verify_an_operator(rebuilt(B, proc=proc), sample_count=30_000, seed=4)
-            return calls[0]
-
-        assert _ranges(monkeypatch, check) == evaluations
-
-
-def _three_ranges(monkeypatch):
-    """Sampled loops of 3,000 samples or more in three ranges."""
-    monkeypatch.setattr(transitive, "RANGE_MAX", 3)
-    monkeypatch.setattr(transitive, "_usable_cpus", lambda: 3)
-
-
-@pytest.mark.parametrize("made", [0, 1], ids=lambda made: f"fork-{made}")
-def test_ranges_without_a_child_run_in_process(monkeypatch, made):
-    """os.fork raises OSError (EAGAIN, as when no process id is left)
-    after `made` children of three ranges: the serial loop runs in this
-    process, and the verdicts of a pass and of a failure in the last range
-    are the one-range verdicts.  No child is left."""
-    B = _an(9, "S1")
-    bad = _changed_at(B, _layer3_g(29_999), lambda b: b * B.structural["r"])
-    checks = [functools.partial(verify_an_operator, x, sample_count=30_000, seed=4) for x in (B, bad)]
-    monkeypatch.setattr(transitive, "_usable_cpus", lambda: 1)
-    expected = [check() for check in checks]
-    assert [(v.ok, v.pairs_sampled) for v in expected] == [(True, 30_000), (False, 30_000)]
-
-    fork, calls = os.fork, [0]
-
-    def failing():
+    def proc(x):
         calls[0] += 1
-        if calls[0] > made:
-            raise OSError(errno.EAGAIN, "no fork")
-        return fork()
+        if x == g:
+            raise ValueError("B at sample 29999")
+        return B.proc(x)
 
-    _three_ranges(monkeypatch)
-    monkeypatch.setattr(os, "fork", failing)
-    for check, verdict in zip(checks, expected):
-        calls[0] = 0
-        assert check() == verdict
-        assert calls[0] == made + 1
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-
-def test_a_child_that_dies_leaves_the_verdict_to_the_serial_loop(monkeypatch):
-    """B's procedure kills its own process with SIGKILL in every process
-    but this one: the children of two or three ranges die without
-    exiting, and the check gives the one-range verdict, with no child
-    left.  That is a pass for verify and descendent_structure on B, and
-    for verify on B changed at the g of layer-3 sample 29,999 the failure
-    there, in the range of the last child."""
-    B = _an(9, "S1")
-    bad = _changed_at(B, _layer3_g(29_999), lambda b: b * B.structural["r"])
-    me = os.getpid()
-
-    def killing(C):
-        def proc(g):
-            if os.getpid() != me:
-                os.kill(os.getpid(), signal.SIGKILL)
-            return C.proc(g)
-
-        return rebuilt(C, proc=proc)
-
-    checks = (
-        functools.partial(verify_an_operator, killing(B), sample_count=30_000, seed=4),
-        functools.partial(descendent_structure, killing(B), seed=4),
-        functools.partial(verify_an_operator, killing(bad), sample_count=30_000, seed=4),
-    )
-    results = [_ranges(monkeypatch, check) for check in checks]
-    assert all(more == [one, one] for one, *more in results)
-    assert [one.ok for one, *_ in results] == [True, True, False]
-    assert results[2][0].pairs_sampled == 30_000
-
-
-def test_an_interrupt_after_a_reap_reaps_the_other_child(monkeypatch):
-    """A KeyboardInterrupt that lands just after this process reaps the
-    first of the two children of three ranges is what the check raises,
-    and the other child is killed and reaped: a child leaves the list of
-    children before it is waited on, so none is signalled or waited for
-    twice."""
-    B = _an(9)
-    _three_ranges(monkeypatch)
-    real, waited = os.waitpid, []
-
-    def waitpid(pid, options):
-        out = real(pid, options)
-        waited.append(pid)
-        if len(waited) == 1:
-            raise KeyboardInterrupt
-        return out
-
-    monkeypatch.setattr(os, "waitpid", waitpid)
-    with pytest.raises(KeyboardInterrupt):
-        verify_an_operator(B, sample_count=30_000, seed=4)
-    assert len(set(waited)) == len(waited) == 2
-    with pytest.raises(ChildProcessError):
-        real(-1, os.WNOHANG)
+    with pytest.raises(ValueError, match="B at sample 29999"):
+        verify_an_operator(rebuilt(B, proc=proc), sample_count=30_000, seed=4)
+    assert calls[0] == 72 + 3 * 29_999 + 1
+    assert forks == []
 
 
 @pytest.mark.parametrize(
@@ -1129,18 +944,17 @@ def test_rank_stream_is_randrange(total):
 
 @pytest.mark.parametrize("k", [1, 2, 6, 7, 9, 47, 49])
 def test_even_sampler_leaves_the_rng_as_randrange_does(k):
-    """The pairs the sampled loops draw from sample `start` on (_pairs)
-    are the per-digit draws of randrange(k!) on Random(k) after the
-    2 start draws of the samples before: the skip leaves the rank stream
-    where 2 start randrange calls leave the rng."""
+    """The pairs a sampled loop draws (_pairs) are the per-digit draws of
+    randrange(k!) on Random(k), g before h, and a rank iterator the pairs
+    stop taking from, taken on, continues the rng's draws: after 37
+    pairs, it gives the per-digit draws after 74 randrange calls."""
     decode, digits, total = transitive.even_decoder(k), digit_sampler(k), math.factorial(k)
-    for start in (0, 1, 37):
-        rng = random.Random(k)
-        for _ in range(2 * start):
-            rng.randrange(total)
-        want = [(digits(rng), digits(rng)) for _ in range(50)]
-        got = list(itertools.islice(transitive._pairs(decode, total, k, start), 50))
-        assert got == want, (k, start)
+    rng = random.Random(k)
+    want = [(digits(rng), digits(rng)) for _ in range(87)]
+    rk = transitive.ranks(random.Random(k), total)
+    got = list(itertools.islice(transitive._pairs(decode, rk), 37))
+    got += list(itertools.islice(transitive._pairs(decode, rk), 50))
+    assert got == want, k
 
 
 @pytest.mark.slow
