@@ -1,7 +1,7 @@
 """Operator constructions: the general construction over an exact
 factorization with a homomorphism into an abelian subgroup, which builds
-table and procedural operators alike, and a catalog of named example
-operators."""
+a table operator, or on a generator-only group the lookup that evaluates
+the operator, and a catalog of named example operators."""
 
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ def construction(
     phi: Callable[[Perm], Perm],
     R: FiniteGroup,
     provenance: str = "construction",
-) -> RBOperator:
+) -> RBOperator | Callable[[Perm], Perm]:
     """The operator B(k l) = l^-1 phi(l^-1) on the group of an exact
     factorization w: G = K L, for a homomorphism phi: L -> R into an
     abelian subgroup R of L whose image normalizes K; phi = e gives the
@@ -40,9 +40,10 @@ def construction(
     phi(L)), with x in K iff w.part(x) = w.part(e).
 
     B(x) is the image (phi(l) l)^-1 of the l with w.part(l) = w.part(x):
-    a table operator when G is enumerated, else a procedure that looks up
-    w.part(x).  Nothing verifies the result: the preconditions prove the
-    identity.  With x = k l, y = k' l' and B(x) = l^-1 phi(l)^-1,
+    a table operator when G is enumerated, else the lookup
+    x -> body[w.part(x)] itself.  Nothing verifies the result: the
+    preconditions prove the identity.  With x = k l, y = k' l' and
+    B(x) = l^-1 phi(l)^-1,
 
         x o y = x B(x) y B(x)^-1 = k (phi(l)^-1 k' phi(l)) m,
         m = phi(l)^-1 l' phi(l) l,
@@ -74,7 +75,7 @@ def construction(
                 raise ConstructionError(f"phi({s!r}) does not normalize K at {k!r}")
     body = {part(l): (z * l).inverse() for l, z in on_l.items()}
     if not G.enumerated:
-        return RBOperator(group=G, proc=lambda x: body[part(x)], provenance=provenance)
+        return lambda x: body[part(x)]
     index = {p: G.index(b) for p, b in body.items()}
     table = tuple(index[part(x)] for x in G.elements)
     return RBOperator(group=G, table=table, provenance=provenance)

@@ -23,7 +23,6 @@ from .rbop import (
     RBOperator,
     descendent_group,
     image_meet,
-    images,
     is_splitting,
     kernel_invariant,
     verify,
@@ -198,7 +197,7 @@ def _cmd_verify(args, out) -> int:
 
     with open(args.file) as fh:
         B = serialize.parse_operator(fh.read())
-    if B.is_table:
+    if isinstance(B, RBOperator):
         v = verify(B)
         out.write(v.line() + "\n")
         return EXIT_OK if v.ok else EXIT_VERIFY
@@ -232,11 +231,10 @@ def _cmd_build_an(args, out) -> int:
         from . import serialize
 
         out.write(serialize.format_operator(B))
-    im = images(B)
     out.write(
-        f"operator: {B.provenance} ker={iso_label(im.ker)} "
-        f"ker_tilde={iso_label(im.ker_tilde)} |R|={im.R.order()} "
-        f"splitting={'yes' if im.R.order() == 1 else 'no'}\n"
+        f"operator: {B.provenance} ker={iso_label(B.ker)} "
+        f"ker_tilde={iso_label(B.ker_tilde)} |R|={B.R.order()} "
+        f"splitting={'yes' if B.R.order() == 1 else 'no'}\n"
     )
     out.write(lv.line() + "\n")
     if not lv.ok:

@@ -7,7 +7,8 @@ regular representation built from the r^i s^j normal form.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Optional
+import math
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .perm import ENUMERATION_CAP, FiniteGroup, Perm, PermError
 
@@ -95,8 +96,6 @@ def symmetric(n: int) -> BuiltGroup:
         return BuiltGroup(group=FiniteGroup.from_elements([Perm((0,))], label="S1"))
     t = Perm.from_cycles(n, [(0, 1)])
     c = Perm(tuple((i + 1) % n for i in range(n)))
-    import math
-
     G = FiniteGroup.from_generators([t, c], cap=math.factorial(n), label=f"S{n}")
     return BuiltGroup(group=G)
 
@@ -114,22 +113,18 @@ def alternating_generators(n: int) -> list[Perm]:
 
 
 def alternating(n: int) -> BuiltGroup:
-    """A_n; enumerated when n!/2 fits under ENUMERATION_CAP, generator-only
+    """A_n, the group alternating_on_points gives on all n points;
+    enumerated when n!/2 fits under ENUMERATION_CAP, generator-only
     beyond."""
     if n < 3:
         raise PermError("alternating group needs n >= 3")
-    import math
-
-    order = math.factorial(n) // 2
-    gens = alternating_generators(n)
-    if order <= ENUMERATION_CAP:
-        G = FiniteGroup.from_generators(gens, cap=order, label=f"A{n}")
-    else:
-        G = FiniteGroup.generator_only(n, gens, order=order, label=f"A{n}")
+    G = alternating_on_points(n, range(n))
+    if G.order() <= ENUMERATION_CAP:
+        G = FiniteGroup.from_generators(G.generators, cap=G.order(), label=G.label)
     return BuiltGroup(group=G)
 
 
-def alternating_on_points(degree: int, points: list[int]) -> FiniteGroup:
+def alternating_on_points(degree: int, points: Iterable[int]) -> FiniteGroup:
     """Alt(points) as a generator-only subgroup of S_degree (the trivial
     group, enumerated, on fewer than three points)."""
     pts = sorted(points)
@@ -138,8 +133,6 @@ def alternating_on_points(degree: int, points: list[int]) -> FiniteGroup:
         if k < 1:
             raise PermError("need at least one point")
         return FiniteGroup.from_elements([Perm.identity(degree)], label="1")
-    import math
-
     order = math.factorial(k) // 2
     base_gens = alternating_generators(k)
     gens = []

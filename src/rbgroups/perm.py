@@ -296,9 +296,9 @@ class FiniteGroup(_Frozen):
     (unless it is given generators, which it trusts to generate the
     set).  `elements` is the canonical sorted element tuple when the
     group has been enumerated, else None (generator-only handle;
-    `known_order` then carries the order if it is known by
-    construction).  Equality and hash are by the five constructor
-    fields.
+    `known_order` then carries the order, which generator_only requires:
+    each caller knows it from the construction).  Equality and hash are
+    by the five constructor fields.
     """
 
     __slots__ = ("degree", "generators", "elements", "label", "known_order", "_cache")
@@ -373,7 +373,7 @@ class FiniteGroup(_Frozen):
         cls,
         degree: int,
         generators: Sequence[Perm],
-        order: Optional[int] = None,
+        order: int,
         label: str = "",
     ) -> "FiniteGroup":
         return cls(
@@ -397,9 +397,7 @@ class FiniteGroup(_Frozen):
     def order(self) -> int:
         if self.elements is not None:
             return len(self.elements)
-        if self.known_order is not None:
-            return self.known_order
-        raise PermError(f"order of generator-only group {self.label!r} unknown")
+        return self.known_order
 
     def __contains__(self, p: Perm) -> bool:
         if self.elements is None:

@@ -4,10 +4,12 @@ An operator B on a group G satisfies, for all g, h:
 
     B(g) B(h) = B(g B(g) h B(g)^-1)
 
-with the package-wide left-to-right composition convention.  Table
-operators store the index of the image of each canonical element;
-procedural operators (used on large alternating groups) carry an
-evaluation closure plus structural facts from their construction.
+with the package-wide left-to-right composition convention.  An
+RBOperator is a table on an enumerated group: the index of the image of
+each canonical element.  The operators on large alternating groups are
+not tables: transitive.AnOperator records their construction and
+evaluates them by a procedure, and the pair kernels here (circ_kernel,
+circ, check_pair) take either.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ DEFAULT_SEED = 7
 
 
 class InvalidOperator(ValueError):
-    """The defining identity or a structural consequence of it failed."""
+    """The defining identity or one of its consequences failed."""
 
 
 class Verdict(NamedTuple):
@@ -49,60 +51,35 @@ class Verdict(NamedTuple):
 
 
 class RBOperator(_Frozen):
-    """A Rota-Baxter operator on a finite group.
-
-    Exactly one of `table` and `proc` (procedural body) is set.  A table
-    operator lives on an enumerated group: table[i] is the index of
-    B(elements[i]) in the canonical element order, as the op: line
-    prints it.  `structural` carries construction-provided subgroup data
-    for procedural operators (a fresh dict when not given).  `images`,
-    `tilde` and `verify` keep their results in `_cache` (perm._kept); the
-    constructor does not take it, so an operator rebuilt by calling
-    RBOperator with B's fields starts with none kept.
+    """A Rota-Baxter operator on an enumerated finite group, as a table:
+    table[i] is the index of B(elements[i]) in the canonical element
+    order, as the op: line prints it.  `images`, `tilde` and `verify`
+    keep their results in `_cache` (perm._kept); the constructor does not
+    take it, so an operator rebuilt by calling RBOperator with B's fields
+    starts with none kept.
     """
 
-    __slots__ = ("group", "table", "proc", "provenance", "structural", "_cache")
+    __slots__ = ("group", "table", "provenance", "_cache")
 
-    def __init__(
-        self,
-        group: FiniteGroup,
-        table: Optional[tuple[int, ...]] = None,
-        proc: Optional[Callable[[Perm], Perm]] = None,
-        provenance: str = "",
-        structural: Optional[dict] = None,
-    ):
-        if (table is None) == (proc is None):
-            raise PermError("operator needs exactly one of a table or a procedure")
+    def __init__(self, group: FiniteGroup, table: tuple[int, ...], provenance: str = ""):
         _set(self, "group", group)
         _set(self, "table", table)
-        _set(self, "proc", proc)
         _set(self, "provenance", provenance)
-        _set(self, "structural", {} if structural is None else structural)
         _set(self, "_cache", {})
 
-    @property
-    def is_table(self) -> bool:
-        return self.table is not None
-
     def __call__(self, g: Perm) -> Perm:
-        if self.table is not None:
-            G = self.group
-            return G.elements[self.table[G.index(g)]]
-        return self.proc(g)
+        G = self.group
+        return G.elements[self.table[G.index(g)]]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RBOperator):
             return NotImplemented
         if self.group is not other.group and self.group != other.group:
             return False
-        if self.is_table and other.is_table:
-            return self.table == other.table
-        return self is other
+        return self.table == other.table
 
     def __hash__(self):
-        if self.table is not None:
-            return hash((self.group.degree, self.table))
-        return id(self)
+        return hash((self.group.degree, self.table))
 
 
 def from_table(
@@ -137,7 +114,7 @@ def trivial_inv(G: FiniteGroup) -> RBOperator:
 def check_pair(B: RBOperator, g: Perm, h: Perm) -> bool:
     """The defining identity B(g) B(h) = B(g o h) at the pair (g, h)."""
     _check_degree(B, g, h)
-    b, gh = circ_kernel(B)(g, h)
+    b, gh = circ_kernel(B, B.group.degree)(g, h)
     return b * B(h) == B(_new(Perm, gh))
 
 
@@ -151,8 +128,6 @@ def verify(B: RBOperator) -> Verdict:
     two lists of the first failing row differ, so the witness and detail
     are those of a pair-by-pair walk in canonical order.  The verdict is
     kept on B."""
-    if not B.is_table:
-        raise PermError("verification needs a table operator")
     G = B.group
     T = G.mult_table()
     Bt = B.table
@@ -193,32 +168,21 @@ def tilde(B: RBOperator) -> RBOperator:
     """The companion operator g -> g^-1 B(g^-1); an involution.  On a
     table, with j the index of g^-1, that is T[j][B.table[j]].  The
     companion is kept on B, and B on it, so tilde(tilde(B)) is B."""
-    provenance = f"tilde({B.provenance})"
-    if B.table is not None:
-        G = B.group
-        T = G.mult_table()
-        table = tuple(T[j][B.table[j]] for j in G.inverses())
-        C = RBOperator(group=G, table=table, provenance=provenance)
-    else:
-        proc = B.proc
-        swap = dict(ker="ker_tilde", ker_tilde="ker", im="im_tilde", im_tilde="im", R="R")
-        C = RBOperator(
-            group=B.group,
-            proc=lambda g: g.inverse() * proc(g.inverse()),
-            provenance=provenance,
-            structural={swap[k]: v for k, v in B.structural.items() if k in swap},
-        )
+    G = B.group
+    T = G.mult_table()
+    table = tuple(T[j][B.table[j]] for j in G.inverses())
+    C = RBOperator(group=G, table=table, provenance=f"tilde({B.provenance})")
     C._cache[tilde] = B
     return C
 
 
-def circ_kernel(B: RBOperator) -> Callable[[Perm, Perm], tuple[Perm, bytes]]:
-    """(g, h) -> (B(g), g o h), g o h = g B(g) h B(g)^-1, B bound once for
-    loops of pairs (its procedure, called directly, or B itself for a
-    table operator) and evaluated once per pair: the identity's left side
-    B(g) B(h) reuses b = B(g).  g b h is translate by b + pad, then by
-    h + pad (pad = _ID[n:]), and b^-1 the 256-byte table
-    bytes.maketrans(b, _ID[:n]).  The two tables of each distinct image b
+def circ_kernel(f: Callable[[Perm], Perm], n: int) -> Callable[[Perm, Perm], tuple[Perm, bytes]]:
+    """(g, h) -> (B(g), g o h), g o h = g B(g) h B(g)^-1, for the operator
+    B = f on perms of degree n: a table operator itself, or an A_n
+    operator's procedure, called directly.  B is evaluated once per pair:
+    the identity's left side B(g) B(h) reuses b = B(g).  g b h is
+    translate by b + pad, then by h + pad (pad = _ID[n:]), and b^-1 the
+    256-byte table bytes.maketrans(b, _ID[:n]).  The two tables of each distinct image b
     are made on its first use and kept, keyed by b, for the kernel's
     lifetime: B takes few values in a loop (72 images at n = 9), and B is
     still evaluated at every g.
@@ -233,9 +197,7 @@ def circ_kernel(B: RBOperator) -> Callable[[Perm, Perm], tuple[Perm, bytes]]:
     callers, test them first (_check_degree, PermError on a mismatch); the
     sampled loops of transitive pass only sampler draws, elements of L
     and products of these, all of degree n."""
-    n = B.group.degree
     pad, ident, maketrans = _ID[n:], _ID[:n], bytes.maketrans
-    f = B.proc or B
     tables: dict[Perm, tuple[bytes, bytes]] = {}
 
     def kernel(g: Perm, h: Perm) -> tuple[Perm, bytes]:
@@ -259,7 +221,7 @@ def _check_degree(B: RBOperator, g: Perm, h: Perm) -> None:
 def circ(B: RBOperator, g: Perm, h: Perm) -> Perm:
     """The descendent product g o h = g B(g) h B(g)^-1."""
     _check_degree(B, g, h)
-    return _new(Perm, circ_kernel(B)(g, h)[1])
+    return _new(Perm, circ_kernel(B, B.group.degree)(g, h)[1])
 
 
 def descendent_group(B: RBOperator) -> tuple[FiniteGroup, str]:
@@ -323,8 +285,9 @@ class OperatorImages(NamedTuple):
 
 @_kept
 def images(B: RBOperator) -> OperatorImages:
-    """The five structural subgroups, with the consequences of the
-    defining identity asserted (normality, factorization, index identity).
+    """The five subgroups Im(B), ker(B), Im(B~), ker(B~) and R, with the
+    consequences of the defining identity asserted (normality,
+    factorization, index identity).
 
     Each set is made a group by FiniteGroup.from_elements, whose one
     grow() pass also tests that it is a subgroup.  G = Im(B~) Im(B) is
@@ -336,14 +299,6 @@ def images(B: RBOperator) -> OperatorImages:
     table, with T = G.mult_table() and inv = G.inverses(), these are
     {T[g][b]} and {g : table[inv[g]] = g}.  The result is kept on B."""
     G = B.group
-    if not B.is_table:
-        st = B.structural
-        if {"ker", "im", "ker_tilde", "im_tilde", "R"} <= st.keys():
-            return OperatorImages(
-                im=st["im"], ker=st["ker"],
-                im_tilde=st["im_tilde"], ker_tilde=st["ker_tilde"], R=st["R"],
-            )
-        raise PermError("images of a procedural operator need structural data")
     elems, Bt = G.elements, B.table
     T, inv = G.mult_table(), G.inverses()
     e = G.index(G.identity)
@@ -399,8 +354,6 @@ def _normal_in(S: FiniteGroup, T: FiniteGroup) -> bool:
 def is_splitting(B: RBOperator) -> bool:
     """True iff Im(B~ B) is trivial, iff R is trivial.  For b = B(g),
     B~(b) = b^-1 B(b^-1) is e iff B(b^-1) = b."""
-    if not B.is_table:
-        return images(B).R.order() == 1
     Bt, inv = B.table, B.group.inverses()
     return all(Bt[inv[b]] == b for b in set(Bt))
 

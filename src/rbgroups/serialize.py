@@ -1,23 +1,29 @@
 """Line-oriented text formats for groups and operators.
 
-A group block lists "domain: n", optional "label: ..." and "order: ..."
-lines and "gen: ..." lines (space-separated 0-based images).  An operator
-block appends "op: ..." (image indices into the canonical element list),
-or a "proc: ..." construction descriptor followed by the "distinguished:",
-"r:" and "t:" lines of the build; parse_operator rebuilds a proc: operator
-and checks the whole block, up to the build's "t:" line, against
-format_operator of the build.  Lines after a block's last line are not
-read, so a `construct --dump` or `build-an --dump` printout parses.
-Round-trips are bit-exact.
+A group block lists "domain: n", an optional "label: ..." line and
+"gen: ..." lines (space-separated 0-based images); format_group adds an
+"order: ..." line for a generator-only group, and parse_group, which
+enumerates every group it reads, refuses one.  An operator block appends
+"op: ..." (image indices into the canonical element list) to the block of
+an RBOperator's group, or for a transitive.AnOperator a "proc: ..."
+construction descriptor followed by the "distinguished:", "r:" and "t:"
+lines of the build; parse_operator rebuilds a proc: operator and checks
+the whole block, up to the build's "t:" line, against format_operator of
+the build.  Lines after a block's last line are not read, so a
+`construct --dump` or `build-an --dump` printout parses.  An integer is
+read only in the spelling str(int) writes, so round-trips are bit-exact.
 """
 
 from __future__ import annotations
 
 from itertools import zip_longest
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .perm import FiniteGroup, Perm
 from .rbop import RBOperator
+
+if TYPE_CHECKING:  # transitive is loaded only to rebuild a proc: block
+    from .transitive import AnOperator
 
 
 class FormatError(ValueError):
@@ -32,11 +38,16 @@ def _expect(line: str, key: str) -> str:
 
 
 def _ints(line: str, key: str) -> tuple[int, ...]:
-    """The space-separated integers of a `key:` line."""
+    """The space-separated integers of a `key:` line, each spelled as
+    str(int) spells it."""
+    tokens = _expect(line, key).split()
     try:
-        return tuple(int(tok) for tok in _expect(line, key).split())
+        value = tuple(map(int, tokens))
     except ValueError:
-        raise FormatError(f"bad token in {line!r}") from None
+        value = ()
+    if list(map(str, value)) != tokens:
+        raise FormatError(f"bad token in {line!r}")
+    return value
 
 
 def _count(line: str, key: str) -> int:
@@ -64,13 +75,10 @@ def parse_group(text: str | list[str]) -> FiniteGroup:
         raise FormatError("empty group block")
     degree = _count(lines[0], "domain")
     label = ""
-    order = None
     gens = []
     for line in lines[1:]:
         if line.startswith("label:"):
             label = _expect(line, "label")
-        elif line.startswith("order:"):
-            order = _count(line, "order")
         elif line.startswith("gen:"):
             imgs = _ints(line, "gen")
             if len(imgs) != degree:
@@ -78,26 +86,22 @@ def parse_group(text: str | list[str]) -> FiniteGroup:
             gens.append(Perm.checked(imgs))
         else:
             raise FormatError(f"unexpected group line {line!r}")
-    if order is not None:
-        return FiniteGroup.generator_only(degree, gens, order=order, label=label)
     if not gens:
         gens = [Perm.identity(degree)]
     return FiniteGroup.from_generators(gens, label=label)
 
 
-def format_operator(B: RBOperator) -> str:
+def format_operator(B: RBOperator | AnOperator) -> str:
     out = format_group(B.group)
-    if B.is_table:
-        out += "op: " + " ".join(map(str, B.table)) + "\n"
-    else:
-        st = B.structural
-        out += f"proc: an n={B.group.degree} case={st['case']} variant={st['variant']}\n"
-        for key in ("distinguished", "r", "t"):
-            out += f"{key}: " + " ".join(map(str, st[key])) + "\n"
+    if isinstance(B, RBOperator):
+        return out + "op: " + " ".join(map(str, B.table)) + "\n"
+    out += f"proc: an n={B.group.degree} case={B.case} variant={B.variant}\n"
+    for key, value in (("distinguished", B.distinguished), ("r", B.r), ("t", B.t)):
+        out += f"{key}: " + " ".join(map(str, value)) + "\n"
     return out
 
 
-def parse_operator(text: str | list[str]) -> RBOperator:
+def parse_operator(text: str | list[str]) -> RBOperator | AnOperator:
     lines = _lines(text)
     split = next(
         (i for i, l in enumerate(lines) if l.startswith(("op:", "proc:"))), None
@@ -107,8 +111,6 @@ def parse_operator(text: str | list[str]) -> RBOperator:
     head = lines[split]
     if head.startswith("op:"):
         G = parse_group(lines[:split])
-        if not G.enumerated:
-            raise FormatError("table operator needs an enumerated group")
         n = G.order()
         table = _ints(head, "op")
         if len(table) != n:

@@ -1,6 +1,6 @@
 """Sharply 2- and 3-transitive permutation groups on finite fields, the
-admissibility test for degrees, and the non-splitting procedural operators
-on large alternating groups built from them."""
+admissibility test for degrees, and the non-splitting operators on large
+alternating groups built from them, each a record of its construction."""
 
 from __future__ import annotations
 
@@ -271,9 +271,37 @@ def admissible(n: int) -> AdmissibilityVerdict:
     return AdmissibilityVerdict(admissible=False, case="none")
 
 
-# -- the procedural operators on A_n ---------------------------------------
+# -- the operators on A_n -------------------------------------------------
 
 VARIANTS = ("S1", "S2", "S3", "default")
+
+
+class AnOperator(NamedTuple):
+    """The non-splitting operator on A_n that build_an_operator makes, as
+    the data of its construction: the exact factorization A_n = K L
+    (K = ker B, L = Im B), S = ker B~ of index 2 in L, R = {e, r} with r
+    an involution of S, t in L outside S, and the distinguished points
+    whose pointwise stabilizer is K.  Calling it calls proc, the lookup
+    build.construction makes; the provenance is an[n,variant]."""
+
+    group: FiniteGroup
+    proc: Callable[[Perm], Perm]
+    ker: FiniteGroup
+    im: FiniteGroup
+    ker_tilde: FiniteGroup
+    R: FiniteGroup
+    r: Perm
+    t: Perm
+    distinguished: tuple[int, ...]
+    variant: str
+    case: str
+
+    def __call__(self, g: Perm) -> Perm:
+        return self.proc(g)
+
+    @property
+    def provenance(self) -> str:
+        return f"an[{self.group.degree},{self.variant}]"
 
 
 def _involution_stabilizing(S: FiniteGroup, points: tuple[int, ...]) -> Optional[Perm]:
@@ -284,7 +312,7 @@ def _involution_stabilizing(S: FiniteGroup, points: tuple[int, ...]) -> Optional
     return next((g for g in involutions if {g[x] for x in pset} == pset), None)
 
 
-def build_an_operator(n: int, variant: str = "default") -> RBOperator:
+def build_an_operator(n: int, variant: str = "default") -> AnOperator:
     """The non-splitting operator on A_n from the exact factorization
     A_n = K L with L sharply 2- or 3-transitive: B(k t^d y) = l^-1 r^d.
 
@@ -341,40 +369,16 @@ def build_an_operator(n: int, variant: str = "default") -> RBOperator:
         K = families.alternating_on_points(n, kpoints)
         G = families.alternating(n).group
         R = FiniteGroup.from_elements([G.identity, r], label="R")
-        B = _twist(G, K, L, S, R, distinguished)
+        proc = _twist(G, K, L, S, R, distinguished)
     finally:
         if collecting:
             gc.enable()
-
-    im_tilde = FiniteGroup.generator_only(
-        n,
-        tuple(K.generators) + (r,),
-        order=2 * K.order(),
-        label="Im(B~)",
-    )
-    structural = {
-        "ker": K,
-        "im": L,
-        "ker_tilde": S,
-        "im_tilde": im_tilde,
-        "R": R,
-        "t": t,
-        "r": r,
-        "distinguished": distinguished,
-        "variant": variant,
-        "case": v.case,
-    }
-    return RBOperator(
-        group=G,
-        proc=B.proc,
-        provenance=f"an[{n},{variant}]",
-        structural=structural,
-    )
+    return AnOperator(G, proc, K, L, S, R, r, t, distinguished, variant, v.case)
 
 
 def _twist(
     G: FiniteGroup, K: FiniteGroup, L: FiniteGroup, S: FiniteGroup, R: FiniteGroup, points: tuple
-) -> RBOperator:
+) -> Callable[[Perm], Perm]:
     """build.construction over G = K L, the right cosets of K named by the
     images of the distinguished `points`, with phi(l) = r^d(l) onto
     R = {e, r} (r an involution), d the S-coset indicator on L (0 on S,
@@ -533,7 +537,7 @@ def _pairs(decode: Callable[[int], Perm], rk: Iterator[int]) -> Iterator[tuple[P
 
 
 def verify_an_operator(
-    B: RBOperator,
+    B: AnOperator,
     sample_count: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
 ) -> LayeredVerdict:
@@ -569,11 +573,7 @@ def verify_an_operator(
     failing verdict's detail names the sample index and the pair."""
     if sample_count < 0:
         raise TransitiveError(f"sample count must be >= 0, got {sample_count}")
-    st = B.structural
-    if not {"ker", "im", "ker_tilde", "r", "t"} <= st.keys():
-        raise TransitiveError("operator was not built by build_an_operator")
-    K, L, S = st["ker"], st["im"], st["ker_tilde"]
-    r, t = st["r"], st["t"]
+    K, L, S, r, t = B.ker, B.im, B.ker_tilde, B.r, B.t
     if L.order() > ENUMERATION_CAP:
         raise TransitiveError(
             f"|L| = {L.order()} exceeds the enumeration cap {ENUMERATION_CAP}:"
@@ -595,7 +595,7 @@ def verify_an_operator(
         return fail(1, "r must lie in S")
     try:
         R = FiniteGroup.from_elements([B.group.identity, r])
-        C = _twist(B.group, K, L, S, R, st["distinguished"])
+        C = _twist(B.group, K, L, S, R, B.distinguished)
     except ConstructionError as exc:
         return fail(1, str(exc))
     images = list(map(B, L.elements))
@@ -611,7 +611,8 @@ def verify_an_operator(
 
     # layer 3: seeded random pairs from the whole group
     n = B.group.degree
-    decode, circ, pad, f = even_decoder(n), circ_kernel(B), _ID[n:], B.proc or B
+    f = B.proc
+    decode, circ, pad = even_decoder(n), circ_kernel(f, n), _ID[n:]
     total = math.factorial(n)
 
     pairs = _pairs(decode, ranks(random.Random(seed), total))
@@ -637,7 +638,7 @@ class DescendentReport(NamedTuple):
     twist_samples: int
 
 
-def descendent_structure(B: RBOperator, seed: int = DEFAULT_SEED) -> DescendentReport:
+def descendent_structure(B: AnOperator, seed: int = DEFAULT_SEED) -> DescendentReport:
     """The product g o h = g B(g) h B(g)^-1 restricted to the parts of the
     construction: opposite product on S, plain product on K, and the
     twisted commutation l o h = h^(r^d) o l across parts.
@@ -664,8 +665,7 @@ def descendent_structure(B: RBOperator, seed: int = DEFAULT_SEED) -> DescendentR
     kernel returns them, with no Perm made, on decoded draws, elements of
     L and the h^(r^d), all of degree n, so the kernel's pairs need no
     degree check."""
-    st = B.structural
-    S, r, L = st["ker_tilde"], st["r"], st["im"]
+    S, r, L = B.ker_tilde, B.r, B.im
     sset = S._element_set()
 
     selems = S.elements
@@ -678,9 +678,9 @@ def descendent_structure(B: RBOperator, seed: int = DEFAULT_SEED) -> DescendentR
     s_pairs = len(selems) ** 2
 
     n = B.group.degree
-    kpoints = [i for i in range(n) if i not in st["distinguished"]]
+    kpoints = [i for i in range(n) if i not in B.distinguished]
     k_decode, k_total = even_decoder(n, kpoints), math.factorial(len(kpoints))
-    circ, pad = circ_kernel(B), _ID[n:]
+    circ, pad = circ_kernel(B.proc, n), _ID[n:]
     lelems, rpad = L.elements, r + pad
 
     rng = random.Random(seed)

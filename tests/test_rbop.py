@@ -52,15 +52,6 @@ def test_constant_nonidentity_map_fails():
     assert not v.ok and v.witness is not None
 
 
-def test_full_verify_takes_table_operators_only():
-    """Verification runs on the Cayley table and refuses a procedural
-    operator."""
-    G = s3()
-    B = rbop.RBOperator(group=G, proc=lambda g: g.inverse())
-    with pytest.raises(PermError, match="table operator"):
-        verify(B)
-
-
 def test_s3_example_images_and_descendent():
     B = s3_example()
     # transpositions all map to (12) on points {1,2}
@@ -396,7 +387,7 @@ def _kernel_matches_the_perm_oracle(B, pairs):
     and the identity by Perm products, pair by pair; the number of pairs
     where the identity fails.  circ returns a Perm, the kernel g o h as
     plain image bytes."""
-    kernel = rbop.circ_kernel(B)
+    kernel = rbop.circ_kernel(B, B.group.degree)
     fails = 0
     for g, h in pairs:
         gh, (b, raw) = circ(B, g, h), kernel(g, h)
@@ -436,11 +427,11 @@ def test_circ_kernel_matches_perm_products_on_q60():
 @pytest.mark.parametrize("n", [9, 10])
 def test_circ_kernel_matches_perm_products_on_an(n):
     """2,000 seeded pairs of A_n, drawn by the per-digit decoder, on the
-    procedural operator and on it with B(g) r for g of order 7 (the pairs
+    A_n operator and on it with B(g) r for g of order 7 (the pairs
     where that breaks the identity are counted)."""
     B = transitive.build_an_operator(n)
-    r = B.structural["r"]
-    bad = rebuilt(B, proc=lambda g: B.proc(g) * r if g.order() == 7 else B.proc(g))
+    r = B.r
+    bad = B._replace(proc=lambda g: B.proc(g) * r if g.order() == 7 else B.proc(g))
     draw, rng = digit_sampler(n), random.Random(n)
     pairs = [(draw(rng), draw(rng)) for _ in range(2000)]
     assert _kernel_matches_the_perm_oracle(B, pairs) == 0
@@ -477,8 +468,7 @@ def test_groups_operators_and_records_compare_by_value():
     """A FiniteGroup equals and hashes as the tuple of its five constructor
     fields; what it keeps is neither compared nor shared.  Table operators
     are equal on an equal group and table, whatever their provenance, and
-    hash as (degree, table); a procedural operator equals itself alone.
-    Neither class takes an attribute assignment or deletion, and copy and
+    hash as (degree, table).  Neither class takes an attribute assignment or deletion, and copy and
     pickle rebuild both through the constructor, with nothing kept.  The
     records compare and hash by value."""
     G = s3()
@@ -495,16 +485,8 @@ def test_groups_operators_and_records_compare_by_value():
     B = trivial_inv(G)
     twin = rbop.RBOperator(group=H, table=B.table, provenance="other")
     assert B == twin and hash(B) == hash(twin) == hash((3, B.table)) and B != trivial_e(G)
-    assert repr(B) == (
-        f"RBOperator(group={G!r}, table={B.table!r}, proc=None, provenance='B_inv',"
-        " structural={})"
-    )
-    P = rbop.RBOperator(group=G, proc=B)
-    assert P == P and P != rbop.RBOperator(group=G, proc=B) and hash(P) == id(P)
-    for table, proc in ((None, None), (B.table, B)):
-        with pytest.raises(PermError, match="exactly one"):
-            rbop.RBOperator(group=G, table=table, proc=proc)
-    for obj, attr in ((G, "label"), (G, "_cache"), (B, "table"), (B, "structural"), (B, "x")):
+    assert repr(B) == f"RBOperator(group={G!r}, table={B.table!r}, provenance='B_inv')"
+    for obj, attr in ((G, "label"), (G, "_cache"), (B, "table"), (B, "provenance"), (B, "x")):
         with pytest.raises(AttributeError):
             setattr(obj, attr, None)
         with pytest.raises(AttributeError):
@@ -520,19 +502,13 @@ def test_groups_operators_and_records_compare_by_value():
 
 def test_companion_of_the_companion_is_the_operator(monkeypatch):
     """tilde keeps B on its result, so tilde(tilde(B)) is B without a second
-    computation, on a table and on a procedural operator; the procedural
-    companion has B's structural subgroups with the roles swapped."""
-    A, d16 = transitive.build_an_operator(9), build.catalog_operator("d16")
+    computation."""
+    d16 = build.catalog_operator("d16")
     calls = []
     compute = rbop.tilde.__wrapped__
     monkeypatch.setattr(rbop.tilde, "__wrapped__", lambda B: calls.append(B) or compute(B))
-    for B in (rbop.RBOperator(group=d16.group, table=d16.table), A):
-        assert tilde(tilde(B)) is B and calls == [B]
-        calls.clear()
-    st, swapped = A.structural, tilde(A).structural
-    assert [swapped[k] for k in ("ker", "im", "ker_tilde", "im_tilde", "R")] == [
-        st[k] for k in ("ker_tilde", "im_tilde", "ker", "im", "R")
-    ]
+    B = rbop.RBOperator(group=d16.group, table=d16.table)
+    assert tilde(tilde(B)) is B and calls == [B]
 
 
 def test_replace_starts_with_nothing_kept():
@@ -542,10 +518,3 @@ def test_replace_starts_with_nothing_kept():
     assert verify(B).ok and images(B) and tilde(B)
     bad = rebuilt(B, table=(B.table[1],) + B.table[1:])
     assert not bad._cache and not verify(bad).ok
-    A = transitive.build_an_operator(9)
-    r = A.structural["r"]
-    data, companion = images(A), tilde(A)
-    moved = rebuilt(A, proc=lambda g: A.proc(g) * r)
-    assert not moved._cache
-    assert images(moved) is not data and tilde(moved) is not companion
-    assert tilde(moved)(r) == r * moved(r) != companion(r)

@@ -19,7 +19,6 @@ from oracles import (
     pairwise_identity,
     pairwise_opposite_product,
     perm_descendent_loops,
-    rebuilt,
 )
 from rbgroups import families, rbop, serialize, transitive
 from rbgroups.gf import make_field, prime_power
@@ -104,7 +103,7 @@ def test_sharply3_gf9():
 
 def test_sharply3_is_the_l_of_build_an():
     """M(9) comes out on the A_10 numbering that build_an_operator uses."""
-    assert sharply3(9).group.elements == _an(10).structural["im"].elements
+    assert sharply3(9).group.elements == _an(10).im.elements
 
 
 def _check_twist_screen(q):
@@ -193,13 +192,11 @@ def test_a9_operator_layers():
     B = build_an_operator(9)
     v = verify_an_operator(B, sample_count=2000, seed=7)
     assert v.ok, v.detail
-    st = B.structural
-    assert st["ker"].order() == 2520  # A7
-    assert st["ker_tilde"].order() == 36
-    assert iso_label(st["ker_tilde"]) == "(Z3xZ3):Z4"
-    assert st["R"].order() == 2
-    assert not rbop.is_splitting(B)
-    assert rbop.kernel_invariant(B) == ("(Z3xZ3):Z4", "A7")
+    assert B.ker.order() == 2520  # A7
+    assert B.ker_tilde.order() == 36
+    assert iso_label(B.ker_tilde) == "(Z3xZ3):Z4"
+    assert B.R.order() == 2  # non-splitting
+    assert sorted((iso_label(B.ker), iso_label(B.ker_tilde))) == ["(Z3xZ3):Z4", "A7"]
 
 
 def test_a9_variants_are_valid():
@@ -222,13 +219,8 @@ def test_a9_property_suite_sampled():
 
 def test_verification_catches_a_corrupted_operator():
     B = build_an_operator(9)
-    r = B.structural["r"]
-    bad = rbop.RBOperator(
-        group=B.group,
-        proc=lambda g: B.proc(g) * r if g.order() == 7 else B.proc(g),
-        provenance="corrupted",
-        structural=B.structural,
-    )
+    r = B.r
+    bad = B._replace(proc=lambda g: B.proc(g) * r if g.order() == 7 else B.proc(g))
     v = transitive.verify_an_operator(bad, sample_count=2000, seed=7)
     assert not v.ok
 
@@ -243,8 +235,8 @@ def test_coset_indicator_is_a_homomorphism(n, variant):
     """Exhaustive oracle for the homomorphism check of build.construction
     on L's generators: the S-coset indicator d on L satisfies
     d(l1 l2) = d(l1) + d(l2) mod 2 on all of L x L."""
-    st = _an(n, variant).structural
-    L, sset = st["im"], st["ker_tilde"]._element_set()
+    B = _an(n, variant)
+    L, sset = B.im, B.ker_tilde._element_set()
     d = {l: 0 if l in sset else 1 for l in L.elements}
     for l1 in L.elements:
         for l2 in L.elements:
@@ -257,11 +249,10 @@ def test_an_body_matches_the_reference_on_cosets(n, variant):
     of L, and B is constant on the right cosets K l: B(k l) = B(l) for
     seeded k in K."""
     B = _an(n, variant)
-    st = B.structural
-    L, body = st["im"], index2_body(st["im"], st["ker_tilde"], st["r"])
+    L, body = B.im, index2_body(B.im, B.ker_tilde, B.r)
     assert all(B(l) == body[l] for l in L.elements)
     rng = random.Random(7)
-    random_k = digit_sampler(n, [i for i in range(n) if i not in st["distinguished"]])
+    random_k = digit_sampler(n, [i for i in range(n) if i not in B.distinguished])
     for _ in range(2000):
         k, l = random_k(rng), rng.choice(L.elements)
         assert B(k * l) == body[l], (k, l)
@@ -273,8 +264,8 @@ def test_structural_groups_are_generated_by_their_generators(n, variant):
     A_10 numbering, generators included."""
     from rbgroups.perm import closure
 
-    st = _an(n, variant).structural
-    for X in (st["im"], st["ker_tilde"]):
+    B = _an(n, variant)
+    for X in (B.im, B.ker_tilde):
         assert closure(X.generators, cap=X.order()) == X.elements
 
 
@@ -305,8 +296,7 @@ def test_build_an_50_dump_is_pinned():
 
 def _tampered(field):
     B = _an(9)
-    st = B.structural
-    S = st["ker_tilde"]
+    S = B.ker_tilde
     if field == "t in S":
         change = {"t": B.group.identity}
     elif field == "r not an involution":
@@ -322,16 +312,16 @@ def _tampered(field):
     elif field == "S not a subgroup":
         # half of L with e, r and not t, but one element of S swapped for
         # another element of L outside S
-        L, t, r = st["im"], st["t"], st["r"]
+        L, t, r = B.im, B.t, B.r
         s0 = next(g for g in S.elements if g not in (B.group.identity, r))
         t1 = next(g for g in L.elements if g not in S and g != t)
         swapped = tuple(sorted([g for g in S.elements if g != s0] + [t1]))
         change = {"ker_tilde": FiniteGroup(9, swapped, swapped)}  # no group: the raw constructor
     elif field == "S not of index 2":
-        change = {"ker_tilde": FiniteGroup.from_elements([B.group.identity, st["r"]])}
+        change = {"ker_tilde": FiniteGroup.from_elements([B.group.identity, B.r])}
     else:  # "K meets L": K taken as the stabilizer of one point only
         change = {"distinguished": (8,)}
-    return rebuilt(B, structural={**st, **change})
+    return B._replace(**change)
 
 
 @pytest.mark.parametrize("field,message", [
@@ -355,7 +345,7 @@ def test_layer1_names_the_broken_precondition(field, message):
 ])
 def test_layer2_matches_the_pairwise_oracle(n, variant):
     B = _an(n, variant)
-    L = B.structural["im"]
+    L = B.im
     v = verify_an_operator(B, sample_count=0)
     assert pairwise_identity(B, L.elements) == (None, L.order() ** 2)
     assert (v.ok, v.pairs_exhaustive) == (True, L.order() ** 2)
@@ -366,11 +356,11 @@ def test_layer2_names_the_pairwise_oracles_first_failure(monkeypatch):
     1 compares it with: layer 1 passes, and layer 2 fails at the first pair
     of L x L, in canonical order, at which the identity fails."""
     B = _an(9)
-    L, S, r = (B.structural[k] for k in ("im", "ker_tilde", "r"))
+    L, S, r = B.im, B.ker_tilde, B.r
     image = index2_body(L, S, r)
     a, b = L.elements[5], L.elements[40]
     image[a], image[b] = image[b], image[a]
-    bad = rebuilt(B, proc=lambda x: image[x] if x in image else B.proc(x))
+    bad = B._replace(proc=lambda x: image[x] if x in image else B.proc(x))
     monkeypatch.setattr(transitive, "construction", lambda *args: bad)
     pair, _ = pairwise_identity(bad, L.elements)
     assert pair is not None
@@ -383,8 +373,8 @@ def test_an_l_above_the_enumeration_cap_is_refused():
     """An L too large for its Cayley table is refused by name, before
     layer 1 runs (the construction would fail on this L)."""
     B = _an(9)
-    big = FiniteGroup.generator_only(9, B.structural["im"].generators, order=ENUMERATION_CAP + 1)
-    huge = rebuilt(B, structural={**B.structural, "im": big})
+    big = FiniteGroup.generator_only(9, B.im.generators, order=ENUMERATION_CAP + 1)
+    huge = B._replace(im=big)
     with pytest.raises(TransitiveError, match=f"[|]L[|] = {ENUMERATION_CAP + 1} exceeds "
                                               f"the enumeration cap {ENUMERATION_CAP}"):
         verify_an_operator(huge, sample_count=0)
@@ -502,7 +492,7 @@ def test_descendent_k_samples_lie_in_k(monkeypatch):
 @pytest.mark.parametrize("n,variant", [(9, "S1"), (9, "S2"), (9, "S3"), (9, "default"), (10, "default")])
 def test_s_check_matches_the_pairwise_oracle(n, variant):
     B = _an(n, variant)
-    S = B.structural["ker_tilde"]
+    S = B.ker_tilde
     rep = descendent_structure(B)
     assert pairwise_opposite_product(B, S) == (None, S.order() ** 2)
     assert (rep.ok, rep.s_pairs) == (True, S.order() ** 2)
@@ -515,10 +505,10 @@ def test_s_check_names_the_pairwise_oracles_first_failure(k):
     all of S, so a check that skipped a generator would pass.  The check
     fails at the oracle's first failing pair, with its pair count."""
     B = _an(9)
-    S = B.structural["ker_tilde"]
+    S = B.ker_tilde
     s = S.elements[k]
-    for y in (B.structural["r"], *S.generators):
-        bad = rebuilt(B, proc=lambda g, y=y: s.inverse() * y if g == s else B.proc(g))
+    for y in (B.r, *S.generators):
+        bad = B._replace(proc=lambda g, y=y: s.inverse() * y if g == s else B.proc(g))
         (s1, s2), pairs = pairwise_opposite_product(bad, S)
         rep = descendent_structure(bad)
         assert s1 == s and pairs > k * S.order() + 1
@@ -534,15 +524,14 @@ def test_descendent_catches_an_operator_corrupted_only_on_k():
     from its listed ranks, at n = 9 and at n = 10."""
     for n in (9, 10):
         B = _an(n)
-        st = B.structural
-        r, points = st["r"], st["distinguished"]
-        assert all(g.order() != 7 for g in st["im"].elements)
+        r, points = B.r, B.distinguished
+        assert all(g.order() != 7 for g in B.im.elements)
 
         def corrupted(g):
             in_k = all(g[i] == i for i in points)
             return r if in_k and g.order() == 7 else B.proc(g)
 
-        bad = rebuilt(B, proc=corrupted)
+        bad = B._replace(proc=corrupted)
         one = descendent_structure(bad, seed=7)
         rng = random.Random(7)
         draw = digit_sampler(n, [i for i in range(n) if i not in points])
@@ -562,8 +551,8 @@ def test_layer3_names_the_sample_the_digit_decoder_predicts():
     layers 1 and 2 pass, and layer 3 fails at the first pair, drawn by the
     per-digit decoder, at which the identity fails."""
     B = _an(9)
-    r = B.structural["r"]
-    bad = rebuilt(B, proc=lambda g: B.proc(g) * r if g.order() == 7 else B.proc(g))
+    r = B.r
+    bad = B._replace(proc=lambda g: B.proc(g) * r if g.order() == 7 else B.proc(g))
     v = verify_an_operator(bad, sample_count=2000, seed=7)
     rng = random.Random(7)
     draw = digit_sampler(9)
@@ -584,10 +573,9 @@ def test_twist_loop_names_the_sample_the_perm_product_loop_predicts():
     counts = transitive.DESCENDENT_K_SAMPLES, transitive.DESCENDENT_TWIST_SAMPLES
     for n in (9, 10):
         B = _an(n)
-        st = B.structural
-        r, sset = st["r"], st["ker_tilde"]._element_set()
-        l0 = max(l for l in st["im"].elements if l not in sset)
-        bad = rebuilt(B, proc=lambda g: B.proc(g) * r if g == l0 else B.proc(g))
+        r, sset = B.r, B.ker_tilde._element_set()
+        l0 = max(l for l in B.im.elements if l not in sset)
+        bad = B._replace(proc=lambda g: B.proc(g) * r if g == l0 else B.proc(g))
         assert perm_descendent_loops(B, *counts, 7) is None
         kind, i = perm_descendent_loops(bad, *counts, 7)
         one = descendent_structure(bad, seed=7)
@@ -603,10 +591,9 @@ def test_twist_loop_draws_l_before_h_on_several_seeds():
     h before l would name the same sample, 21; at seeds 2 and 3 it names
     3 and 142 where the oracle names 59 and 138."""
     B = _an(9)
-    st = B.structural
-    r, sset = st["r"], st["ker_tilde"]._element_set()
-    l0 = max(l for l in st["im"].elements if l not in sset)
-    bad = rebuilt(B, proc=lambda g: B.proc(g) * r if g == l0 else B.proc(g))
+    r, sset = B.r, B.ker_tilde._element_set()
+    l0 = max(l for l in B.im.elements if l not in sset)
+    bad = B._replace(proc=lambda g: B.proc(g) * r if g == l0 else B.proc(g))
     counts = transitive.DESCENDENT_K_SAMPLES, transitive.DESCENDENT_TWIST_SAMPLES
     for seed in (1, 2, 3, 4):
         kind, i = perm_descendent_loops(bad, *counts, seed)
@@ -666,7 +653,7 @@ def test_layer3_evaluates_b_three_times_per_pair():
     totals = []
     for samples in (0, 1000):
         calls[0] = 0
-        v = verify_an_operator(rebuilt(B, proc=counted), sample_count=samples)
+        v = verify_an_operator(B._replace(proc=counted), sample_count=samples)
         assert v.ok and v.pairs_sampled == samples
         totals.append(calls[0])
     assert totals[1] - totals[0] == 3 * 1000
@@ -683,9 +670,9 @@ def test_verify_evaluates_b_once_on_each_element_of_l():
         calls[0] += 1
         return B.proc(g)
 
-    v = verify_an_operator(rebuilt(B, proc=counted), sample_count=0)
+    v = verify_an_operator(B._replace(proc=counted), sample_count=0)
     assert v.ok and v.pairs_exhaustive == 72 * 72
-    assert calls[0] == B.structural["im"].order() == 72
+    assert calls[0] == B.im.order() == 72
 
 
 def test_descendent_structure_evaluates_b_once_per_element_used():
@@ -701,8 +688,8 @@ def test_descendent_structure_evaluates_b_once_per_element_used():
         calls[0] += 1
         return B.proc(g)
 
-    assert descendent_structure(rebuilt(B, proc=counted)).ok
-    S = B.structural["ker_tilde"]
+    assert descendent_structure(B._replace(proc=counted)).ok
+    S = B.ker_tilde
     expected = (
         S.order() + transitive.DESCENDENT_K_SAMPLES + 2 * transitive.DESCENDENT_TWIST_SAMPLES
     )
@@ -722,7 +709,7 @@ def test_b_is_handed_only_perms(n):
         assert type(g) is Perm, type(g)
         return B.proc(g)
 
-    checked = rebuilt(B, proc=perms_only)
+    checked = B._replace(proc=perms_only)
     assert verify_an_operator(checked, sample_count=3_000).ok
     assert descendent_structure(checked).ok
 
@@ -742,7 +729,7 @@ def test_build_an_operator_pauses_and_restores_the_collector(monkeypatch, collec
     was = gc.isenabled()
     try:
         (gc.enable if collecting else gc.disable)()
-        assert build_an_operator(10).structural["case"] == "b"
+        assert build_an_operator(10).case == "b"
         assert gc.isenabled() is collecting
         with pytest.raises(TransitiveError, match="variants apply only"):
             build_an_operator(10, "S1")
@@ -812,17 +799,17 @@ def test_descendent_draws_one_rank_per_element(monkeypatch):
         rng.randrange(k_total)
     k_loop = len(calls)
     for _ in range(transitive.DESCENDENT_TWIST_SAMPLES):
-        rng.randrange(len(B.structural["im"].elements))
+        rng.randrange(len(B.im.elements))
         rng.randrange(k_total)
     expected, calls[:] = calls[:], []
-    assert len(B.structural["im"].elements) == 72
+    assert len(B.im.elements) == 72
     assert descendent_structure(B, seed=7).ok
     assert calls == expected and k_loop > 2 * transitive.DESCENDENT_K_SAMPLES
 
 
 def _changed_at(B, x, value):
     """B with B(x) replaced by value(B(x))."""
-    return rebuilt(B, proc=lambda g: value(B.proc(g)) if g == x else B.proc(g))
+    return B._replace(proc=lambda g: value(B.proc(g)) if g == x else B.proc(g))
 
 
 def _layer3_g(sample, seed=4):
@@ -840,7 +827,7 @@ def test_layer3_verdict_is_the_same_in_two_ranges(sample, fails_at):
     first and last of each half of the loop, where the sample ranges that
     once split it began and ended; the id is kept for these pins."""
     B = _an(9, "S1")
-    r = B.structural["r"]
+    r = B.r
     bad = _changed_at(B, _layer3_g(sample), lambda b: b * r)
     v = verify_an_operator(bad, sample_count=30_000, seed=4)
     assert (v.ok, v.layer, v.pairs_sampled) == (False, 3, fails_at + 1)
@@ -858,8 +845,7 @@ def test_descendent_report_is_the_same_in_two_ranges():
     The samples lie in both halves of each loop, which sample ranges once
     ran apart; the id is kept for these pins."""
     B = _an(9, "S1")
-    st = B.structural
-    L, r, sset = st["im"], st["r"], st["ker_tilde"]._element_set()
+    L, r, sset = B.im, B.r, B.ker_tilde._element_set()
     rng, draw = random.Random(4), digit_sampler(9, range(7))
     k_pairs = [(draw(rng), draw(rng)) for _ in range(transitive.DESCENDENT_K_SAMPLES)]
     first = {}
@@ -912,7 +898,7 @@ def test_sampled_checks_run_in_the_calling_process(monkeypatch):
         return B.proc(x)
 
     with pytest.raises(ValueError, match="B at sample 29999"):
-        verify_an_operator(rebuilt(B, proc=proc), sample_count=30_000, seed=4)
+        verify_an_operator(B._replace(proc=proc), sample_count=30_000, seed=4)
     assert calls[0] == 72 + 3 * 29_999 + 1
     assert forks == []
 
@@ -976,8 +962,8 @@ def test_a10_operator_layers():
     B = build_an_operator(10)
     v = verify_an_operator(B, sample_count=2000, seed=7)
     assert v.ok, v.detail
-    assert B.structural["ker"].order() == 2520
-    assert B.structural["ker_tilde"].order() == 360
+    assert B.ker.order() == 2520
+    assert B.ker_tilde.order() == 360
 
 
 @pytest.mark.slow
@@ -986,7 +972,7 @@ def test_n49_variants_inequivalent():
     b2 = build_an_operator(49, variant="S2")
     assert verify_an_operator(b1, sample_count=200, seed=7).ok
     assert verify_an_operator(b2, sample_count=200, seed=7).ok
-    assert rbop.kernel_invariant(b1) != rbop.kernel_invariant(b2)
+    assert {iso_label(b1.ker), iso_label(b1.ker_tilde)} != {iso_label(b2.ker), iso_label(b2.ker_tilde)}
     sg = sharply2(2, 7, 1)
     spectra = []
     for S in (sg.s1, sg.s2):
