@@ -10,14 +10,16 @@ construction descriptor followed by the "distinguished:", "r:" and "t:"
 lines of the build; parse_operator rebuilds a proc: operator and checks
 the whole block, up to the build's "t:" line, against format_operator of
 the build.  Lines after a block's last line are not read, so a
-`construct --dump` or `build-an --dump` printout parses.  An integer is
-read only in the spelling str(int) writes, so round-trips are bit-exact.
+`construct --dump` or `build-an --dump` printout parses.  A line is read
+only as the formatter spells it: "key: " and then the value, integers in
+the spelling str(int) writes, one space between them, no blank line and
+no space at either end, so round-trips are bit-exact.
 """
 
 from __future__ import annotations
 
 from itertools import zip_longest
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 from .perm import FiniteGroup, Perm
 from .rbop import RBOperator
@@ -31,21 +33,23 @@ class FormatError(ValueError):
 
 
 def _expect(line: str, key: str) -> str:
-    prefix = key + ":"
-    if not line.startswith(prefix):
-        raise FormatError(f"expected {prefix!r}, got {line!r}")
-    return line[len(prefix) :].strip()
+    """The value of a `key: value` line, with no space at either end."""
+    prefix = key + ": "
+    value = line[len(prefix) :]
+    if not line.startswith(prefix) or value != value.strip():
+        raise FormatError(f"expected {prefix!r} and a value, got {line!r}")
+    return value
 
 
 def _ints(line: str, key: str) -> tuple[int, ...]:
-    """The space-separated integers of a `key:` line, each spelled as
-    str(int) spells it."""
-    tokens = _expect(line, key).split()
+    """The integers of a `key:` line, each spelled as str(int) spells it,
+    one space apart."""
+    text = _expect(line, key)
     try:
-        value = tuple(map(int, tokens))
+        value = tuple(map(int, text.split()))
     except ValueError:
         value = ()
-    if list(map(str, value)) != tokens:
+    if " ".join(map(str, value)) != text:
         raise FormatError(f"bad token in {line!r}")
     return value
 
@@ -140,8 +144,4 @@ def parse_operator(text: str | list[str]) -> RBOperator | AnOperator:
 
 
 def _lines(text: str | list[str]) -> list[str]:
-    if isinstance(text, str):
-        raw: Iterator[str] = iter(text.splitlines())
-    else:
-        raw = iter(text)
-    return [l.strip() for l in raw if l.strip()]
+    return text.splitlines() if isinstance(text, str) else text

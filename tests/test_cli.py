@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import os
@@ -209,6 +210,41 @@ def test_precondition_errors_exit_1():
         assert code == 1
 
 
+def test_run_freezes_the_collector_and_main_does_not(monkeypatch, capsys):
+    """run(), the process entry, freezes every tracked object once the
+    command has returned, so the collections at interpreter exit skip
+    them; main() leaves the collector as it found it."""
+    assert gc.get_freeze_count() == 0
+    assert main(["admissible", "--n", "10"], out=io.StringIO()) == 0
+    assert gc.get_freeze_count() == 0
+    monkeypatch.setattr(sys, "argv", ["rbgroups", "admissible", "--n", "10"])
+    try:
+        assert cli.run() == 0
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+    assert capsys.readouterr().out == "yes case=b q=3 m=2 s=1\n"
+
+
+def test_module_entry_prints_and_exits_as_main(tmp_path):
+    """python -m rbgroups.cli, which goes through run(), writes the stdout
+    bytes and returns the exit code of main() in process, for one command
+    per exit code."""
+    pythonpath = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    for argv, want in (
+        (["admissible", "--n", "10"], 0),
+        (["classify", "D:7"], 1),
+        (["verify", str(_corrupt_s3_dump(tmp_path))], 2),
+        (["frobnicate"], 64),
+    ):
+        code, text = run(argv)
+        proc = subprocess.run(
+            [sys.executable, "-m", "rbgroups.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=pythonpath), capture_output=True,
+        )
+        assert code == want and (proc.returncode, proc.stdout) == (code, text.encode()), argv
+
+
 CLASSIFY_A5 = """\
 group: A5
 operators: 62
@@ -331,8 +367,8 @@ def test_negative_sample_count_exits_1(tmp_path, capsys):
         assert "error: sample count must be >= 0, got -5" in capsys.readouterr().err
 
 
-def test_verification_failure_exits_2(tmp_path):
-    # corrupt a serialized operator table: swap two image indices
+def _corrupt_s3_dump(tmp_path):
+    """A serialized s3 operator table with two image indices swapped."""
     code, text = run(["construct", "--example", "s3", "--dump"])
     block = text[: text.index("operator:")]
     lines = block.splitlines()
@@ -344,7 +380,11 @@ def test_verification_failure_exits_2(tmp_path):
             lines[pos] = "op: " + " ".join(idx)
     path = tmp_path / "bad.op"
     path.write_text("\n".join(lines) + "\n")
-    code2, text2 = run(["verify", str(path)])
+    return path
+
+
+def test_verification_failure_exits_2(tmp_path):
+    code2, text2 = run(["verify", str(_corrupt_s3_dump(tmp_path))])
     assert code2 == 2
     assert "fail" in text2
 

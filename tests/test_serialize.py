@@ -57,6 +57,27 @@ def test_integers_are_read_only_as_they_are_written(text, line):
         parse_operator(text)
 
 
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("domain:3\ngen: 1 2 0\nop: 0 0 0\n", "domain:3"),
+        ("domain: 3\ngen: 1\t2 0\nop: 0 0 0\n", "gen: 1\t2 0"),
+        ("domain: 3\ngen: 1  2 0\nop: 0 0 0\n", "gen: 1  2 0"),
+        ("domain: 3\n gen: 1 2 0\nop: 0 0 0\n", " gen: 1 2 0"),
+        ("domain: 3\ngen: 1 2 0\nop: 0 0 0 \n", "op: 0 0 0 "),
+        ("domain: 3\n\ngen: 1 2 0\nop: 0 0 0\n", ""),
+    ],
+    ids=["no-space", "tab", "two-spaces", "leading-space", "trailing-space", "blank-line"],
+)
+def test_whitespace_is_read_only_as_it_is_written(text, line):
+    """Spaces are read only as format_group and format_operator write
+    them: one after each colon, one between values, none at either end of
+    a line, and no blank line inside a block.  Before, every other
+    spelling here parsed and re-dumped as other bytes."""
+    with pytest.raises(FormatError, match=re.escape(repr(line))):
+        parse_operator(text)
+
+
 def test_table_operator_roundtrip():
     for name in ("s3", "a4_b2", "d16", "q60"):
         B = build.catalog_operator(name)

@@ -743,6 +743,30 @@ def test_build_an_operator_pauses_and_restores_the_collector(monkeypatch, collec
     assert seen == [False, False]
 
 
+def test_build_an_operator_leaves_its_groups_in_the_oldest_generation():
+    """What the paused build made is moved into the oldest generation, so
+    the first young collection after it does not walk it; before, L's
+    elements sat in generation 1 after the call."""
+    assert gc.get_freeze_count() == 0
+    elements = build_an_operator(9).im.elements
+    assert gc.is_tracked(elements)
+    assert any(o is elements for o in gc.get_objects(generation=2))
+
+
+def test_build_an_operator_keeps_the_callers_frozen_objects():
+    """A caller's frozen objects stay frozen: the move into the oldest
+    generation, which unfreezes, is skipped when anything is frozen."""
+    held = [object()]
+    gc.freeze()
+    try:
+        count = gc.get_freeze_count()
+        assert build_an_operator(9).case == "a"
+        assert gc.get_freeze_count() == count
+        assert not any(o is held for o in gc.get_objects())
+    finally:
+        gc.unfreeze()
+
+
 def test_sharply2_takes_few_products(monkeypatch):
     """sharply2 --m 2 --q 7 --t 1 makes at most 13,000 Perm products,
     labels included: 12,062 with one order table per group, 37,886 when
