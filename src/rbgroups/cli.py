@@ -110,7 +110,7 @@ def _parse_split(spec: str, h_text: str, l_text: str) -> FactorizationWitness:
     def gens(text: str) -> list[Perm]:
         out = []
         for chunk in text.split(";"):
-            out.append(Perm.checked(int(t) for t in chunk.split(",")))
+            out.append(Perm.checked([int(t) for t in chunk.split(",")]))
         return out
 
     H = G.subgroup(gens(h_text), label="H")
@@ -183,6 +183,8 @@ def _cmd_classify(args, out) -> int:
         for line in classify(G, cap=args.max_order).lines():
             out.write(line + "\n")
         return EXIT_OK
+    if args.n_from > args.n_to:
+        raise UsageError(f"empty family range: --n-from {args.n_from} > --n-to {args.n_to}")
     maker = families.dihedral if args.family == "dihedral" else families.generalized_quaternion
     for n in range(args.n_from, args.n_to + 1):
         rep = classify(maker(n).group, cap=args.max_order)
@@ -326,6 +328,8 @@ def main(argv: Optional[list[str]] = None, out=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.seed < 0:
+            raise UsageError(f"--seed must be >= 0, got {args.seed}")
         return _COMMANDS[args.command](args, out)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

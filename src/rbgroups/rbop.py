@@ -176,7 +176,7 @@ def tilde(B: RBOperator) -> RBOperator:
     return C
 
 
-def circ_kernel(f: Callable[[Perm], Perm], n: int) -> Callable[[Perm, Perm], tuple[Perm, bytes]]:
+def circ_kernel(f: Callable[[bytes], Perm], n: int) -> Callable[[bytes, bytes], tuple[Perm, bytes]]:
     """(g, h) -> (B(g), g o h), g o h = g B(g) h B(g)^-1, for the operator
     B = f on perms of degree n: a table operator itself, or an A_n
     operator's procedure, called directly.  B is evaluated once per pair:
@@ -187,20 +187,20 @@ def circ_kernel(f: Callable[[Perm], Perm], n: int) -> Callable[[Perm, Perm], tup
     lifetime: B takes few values in a loop (72 images at n = 9), and B is
     still evaluated at every g.
 
-    g o h comes back as its plain image bytes, not a Perm: a loop that
-    only compares it compares the bytes, and a caller that hands it to
-    B or to its own caller wraps it (_new(Perm, ...)), as circ and
-    check_pair do.
+    g, h and f's argument are image bytes, Perms or plain (Perm compares
+    and hashes as its bytes); g o h comes back plain.  circ and check_pair
+    wrap it (_new(Perm, ...)), and the sampled loops of transitive hand it
+    to f as it is.
 
     The kernel does not test the degrees of g and h: a caller passes
-    perms of degree n.  circ and check_pair, which take perms from their
-    callers, test them first (_check_degree, PermError on a mismatch); the
-    sampled loops of transitive pass only sampler draws, elements of L
-    and products of these, all of degree n."""
+    elements of degree n.  circ and check_pair, which take perms from
+    their callers, test them first (_check_degree, PermError on a
+    mismatch); the sampled loops of transitive pass only sampler draws,
+    elements of L and products of these, all of degree n."""
     pad, ident, maketrans = _ID[n:], _ID[:n], bytes.maketrans
     tables: dict[Perm, tuple[bytes, bytes]] = {}
 
-    def kernel(g: Perm, h: Perm) -> tuple[Perm, bytes]:
+    def kernel(g: bytes, h: bytes) -> tuple[Perm, bytes]:
         b = f(g)
         try:
             right, inverse = tables[b]

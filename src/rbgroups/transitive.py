@@ -8,7 +8,7 @@ import gc
 import math
 import operator
 import random
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import families
 from .build import ConstructionError, construction
@@ -78,6 +78,8 @@ def sharply2(m: int, q: int, t: int) -> SharplyTransitiveGroup:
     """The group on GF(q^m) generated by all translations plus
     a: x -> w^m x and b: x -> w^t x^q; sharply 2-transitive of order
     q^m (q^m - 1)."""
+    if m < 1:
+        raise TransitiveError(f"m must be >= 1, got {m}")
     pp = prime_power(q)
     if pp is None:
         raise TransitiveError(f"q = {q} is not a prime power")
@@ -282,10 +284,12 @@ class AnOperator(NamedTuple):
     (K = ker B, L = Im B), S = ker B~ of index 2 in L, R = {e, r} with r
     an involution of S, t in L outside S, and the distinguished points
     whose pointwise stabilizer is K.  Calling it calls proc, the lookup
-    build.construction makes; the provenance is an[n,variant]."""
+    build.construction makes; the provenance is an[n,variant].  proc
+    takes the image bytes of a degree-n element, a Perm or plain bytes,
+    and returns a Perm: the lookup reads only bytes."""
 
     group: FiniteGroup
-    proc: Callable[[Perm], Perm]
+    proc: Callable[[bytes], Perm]
     ker: FiniteGroup
     im: FiniteGroup
     ker_tilde: FiniteGroup
@@ -296,7 +300,7 @@ class AnOperator(NamedTuple):
     variant: str
     case: str
 
-    def __call__(self, g: Perm) -> Perm:
+    def __call__(self, g: bytes) -> Perm:
         return self.proc(g)
 
     @property
@@ -387,7 +391,7 @@ def build_an_operator(n: int, variant: str = "default") -> AnOperator:
 
 def _twist(
     G: FiniteGroup, K: FiniteGroup, L: FiniteGroup, S: FiniteGroup, R: FiniteGroup, points: tuple
-) -> Callable[[Perm], Perm]:
+) -> Callable[[bytes], Perm]:
     """build.construction over G = K L, the right cosets of K named by the
     images of the distinguished `points`, with phi(l) = r^d(l) onto
     R = {e, r} (r an involution), d the S-coset indicator on L (0 on S,
@@ -441,11 +445,12 @@ def _transposition(n: int, a: int, b: int) -> bytes:
 
 def even_decoder(
     n: int, points: Optional[Sequence[int]] = None
-) -> Callable[[int], Perm]:
-    """A decoder x -> Perm from the ranks x in [0, k!), k = len(points),
-    onto the even permutations of `points` (default: all n points) fixing
-    every other point, uniform on a uniform rank.  A sampled loop draws
-    each element as the decode of one item of ranks(rng, k!).
+) -> Callable[[Iterable[int]], Iterator[bytes]]:
+    """draws(rk): the even permutations of `points` (default: all n points)
+    fixing every other point, one for each rank x in [0, k!), k =
+    len(points), that the iterator rk gives, each as its image bytes, plain
+    bytes of length n; uniform on a uniform rank.  A sampled loop draws its
+    elements as draws(ranks(rng, k!)).
 
     The rank x is read as mixed-radix digits, least significant first:
     x = d_{k-1} + k (d_{k-2} + (k-1) (d_{k-3} + ...)) with 0 <= d_i <= i.
@@ -489,14 +494,14 @@ def even_decoder(
     is s^(p xor parity(P[c])) P[c], s the fixed transposition, for p the
     parity of the earlier chunks.  The tables are built per call, not at
     import: at k = 9 the chunks are 9*8*7 and 6*5*4*3*2, 504 + 2 * 720
-    entries, and a decode is one divmod and one translate.
+    entries, and a draw is one divmod and one translate.
 
     Listed ranks.  When |Alt(points)| = k!/2 is at most ENUMERATION_CAP
-    (k <= 7), every rank is decoded once into a list, and the decoder is
-    that list's __getitem__: entry x is decode(x), the table decode of
-    rank x, so both give the same Perm of each rank, and a listed rank
-    returns the stored object, the same each time.  At k = 7 the list
-    holds 5,040 perms, made in about 4 ms."""
+    (k <= 7), every rank is decoded once into a list, and draws(rk) is
+    map(listed.__getitem__, rk): entry x is the table decode of rank x,
+    so both give the same permutation of each rank, and a listed rank
+    gives the stored object, the same each time.  At k = 7 the list holds
+    5,040 permutations, made in about 4 ms."""
     pts = list(range(n)) if points is None else list(points)
     total = math.factorial(len(pts))
     pad = _ID[n:]
@@ -523,25 +528,27 @@ def even_decoder(
     (radix1, perms1, parity1), *rest = chunks or [(1, [_ID[:n]], [0])]
     perms1 = [P + pad for P in perms1]
 
-    def decode(x: int) -> Perm:
-        x, c = divmod(x, radix1)
-        acc, odd = perms1[c], parity1[c]
-        for radix, perms, parity in rest:
-            x, c = divmod(x, radix)
-            acc = perms[c].translate(acc) + pad
-            odd ^= parity[c]
-        return _new(Perm, last[2 * x + odd].translate(acc))
+    def draws(rk: Iterable[int]) -> Iterator[bytes]:
+        for x in rk:
+            x, c = divmod(x, radix1)
+            acc, odd = perms1[c], parity1[c]
+            for radix, perms, parity in rest:
+                x, c = divmod(x, radix)
+                acc = perms[c].translate(acc) + pad
+                odd ^= parity[c]
+            yield last[2 * x + odd].translate(acc)
 
     if total // 2 > ENUMERATION_CAP:
-        return decode
-    return list(map(decode, range(total))).__getitem__
+        return draws
+    listed = list(draws(range(total)))
+    return lambda rk: map(listed.__getitem__, rk)
 
 
-def _pairs(decode: Callable[[int], Perm], rk: Iterator[int]) -> Iterator[tuple[Perm, Perm]]:
-    """The pairs (g, h) a seeded loop of two draws per sample takes from the
-    rank iterator rk: each rank decoded, g's before h's.  A loop zips
-    range(count) first, so it draws no rank past its last sample."""
-    drawn = map(decode, rk)
+def _pairs(draws: Callable[..., Iterator[bytes]], rk: Iterator[int]) -> Iterator[tuple[bytes, bytes]]:
+    """The pairs (g, h) of a seeded loop of two draws per sample: one
+    draws(rk) zipped with itself, g before h.  A loop zips range(count)
+    first, so it draws no rank past its last sample."""
+    drawn = draws(rk)
     return zip(drawn, drawn)
 
 
@@ -572,14 +579,13 @@ def verify_an_operator(
     with TransitiveError before any layer runs: its table would hold
     |L|^2 entries.
 
-    Layer 3 draws g and h uniformly from A_n, each the even_decoder
-    decode of one rank of ranks(Random(seed), n!), the ranks of
-    rng.randrange(n!), and evaluates B once each at g, h and g o h,
-    calling B's procedure directly as rbop.circ_kernel does; the kernel's
-    g o h, image bytes, is wrapped in a Perm only to be handed to B.  The
-    draws are perms of degree n, so the kernel's pairs need no degree
-    check.  The verdict line prints only the pair counts and the seed; a
-    failing verdict's detail names the sample index and the pair."""
+    Layer 3 draws g and h uniformly from A_n, the even_decoder draws of
+    ranks(Random(seed), n!), the ranks of rng.randrange(n!), and evaluates
+    B once each at g, h and g o h by calling B's procedure directly, as
+    rbop.circ_kernel does, on their plain image bytes of degree n (so the
+    kernel's pairs need no degree check).  The verdict line prints only
+    the pair counts and the seed; a failing verdict's detail names the
+    sample index and the pair, as Perms."""
     if sample_count < 0:
         raise TransitiveError(f"sample count must be >= 0, got {sample_count}")
     K, L, S, r, t = B.ker, B.im, B.ker_tilde, B.r, B.t
@@ -590,10 +596,7 @@ def verify_an_operator(
         )
 
     def fail(layer: int, detail: str) -> LayeredVerdict:
-        return LayeredVerdict(
-            ok=False, layer=layer, detail=detail,
-            pairs_exhaustive=0, pairs_sampled=0, seed=seed,
-        )
+        return LayeredVerdict(False, layer, detail, 0, 0, seed)
 
     # layer 1: the index-2 facts, then the construction
     if t not in L or t in S:
@@ -619,21 +622,15 @@ def verify_an_operator(
     exhaustive = v.pairs
 
     # layer 3: seeded random pairs from the whole group
-    n = B.group.degree
-    f = B.proc
-    decode, circ, pad = even_decoder(n), circ_kernel(f, n), _ID[n:]
-    total = math.factorial(n)
-
-    pairs = _pairs(decode, ranks(random.Random(seed), total))
+    n, f = B.group.degree, B.proc
+    circ, pad = circ_kernel(f, n), _ID[n:]
+    pairs = _pairs(even_decoder(n), ranks(random.Random(seed), math.factorial(n)))
     for i, (g, h) in zip(range(sample_count), pairs):
         b, gh = circ(g, h)
-        if b.translate(f(h) + pad) != f(_new(Perm, gh)):
-            detail = f"identity fails at sample {i}: ({g!r}, {h!r})"
+        if b.translate(f(h) + pad) != f(gh):
+            detail = f"identity fails at sample {i}: ({_new(Perm, g)!r}, {_new(Perm, h)!r})"
             return LayeredVerdict(False, 3, detail, exhaustive, i + 1, seed)
-    return LayeredVerdict(
-        ok=True, layer=0, detail="",
-        pairs_exhaustive=exhaustive, pairs_sampled=sample_count, seed=seed,
-    )
+    return LayeredVerdict(True, 0, "", exhaustive, sample_count, seed)
 
 
 # -- descendent structure --------------------------------------------------
@@ -664,16 +661,16 @@ def descendent_structure(B: AnOperator, seed: int = DEFAULT_SEED) -> DescendentR
     The K loop takes DESCENDENT_K_SAMPLES pairs and then the twist loop
     DESCENDENT_TWIST_SAMPLES, both from one rng = Random(seed).  The
     K-elements are drawn uniformly from K = Alt(the k points outside the
-    distinguished ones), each the even_decoder decode of one rank of
-    ranks(rng, k!) (at n = 9 and 10, K is Alt(7 points), whose ranks are
-    listed), and l is L.elements[j] for a rank j of ranks(rng, |L|), the
-    l that rng.choice(L.elements) gives.  The twist loop draws, per
-    sample, an L-rank and then a K-rank, the latter from the K loop's own
-    rank iterator, which stands after the K loop's last draw.  Both loops
+    distinguished ones), the even_decoder draws of ranks(rng, k!) (at
+    n = 9 and 10, K is Alt(7 points), whose ranks are listed), and l is
+    L.elements[j] for a rank j of ranks(rng, |L|), the l that
+    rng.choice(L.elements) gives.  The twist loop draws, per sample, an
+    L-rank and then a K-rank, the latter from the K loop's own rank
+    iterator, which stands after the K loop's last draw.  Both loops
     compare the image bytes of products from rbop.circ_kernel as the
-    kernel returns them, with no Perm made, on decoded draws, elements of
-    L and the h^(r^d), all of degree n, so the kernel's pairs need no
-    degree check."""
+    kernel returns them, with no Perm made: the draws and the h^(r^d)
+    stay plain bytes, handed to B as they are, and the elements of L are
+    Perms, all of degree n, so the kernel's pairs need no degree check."""
     S, r, L = B.ker_tilde, B.r, B.im
     sset = S._element_set()
 
@@ -688,20 +685,19 @@ def descendent_structure(B: AnOperator, seed: int = DEFAULT_SEED) -> DescendentR
 
     n = B.group.degree
     kpoints = [i for i in range(n) if i not in B.distinguished]
-    k_decode, k_total = even_decoder(n, kpoints), math.factorial(len(kpoints))
     circ, pad = circ_kernel(B.proc, n), _ID[n:]
     lelems, rpad = L.elements, r + pad
 
-    rng = random.Random(seed)
-    k_ranks = ranks(rng, k_total)
-    for i, (h1, h2) in zip(range(DESCENDENT_K_SAMPLES), _pairs(k_decode, k_ranks)):
+    k_draws, rng = even_decoder(n, kpoints), random.Random(seed)
+    k_ranks = ranks(rng, math.factorial(len(kpoints)))
+    for i, (h1, h2) in zip(range(DESCENDENT_K_SAMPLES), _pairs(k_draws, k_ranks)):
         if circ(h1, h2)[1] != h1.translate(h2 + pad):
             return DescendentReport(False, f"h o h' != h h' at sample {i}", s_pairs, i + 1, 0)
 
     # l, then h: the order of the seeded stream
-    drawn = zip(map(lelems.__getitem__, ranks(rng, len(lelems))), map(k_decode, k_ranks))
+    drawn = zip(map(lelems.__getitem__, ranks(rng, len(lelems))), k_draws(k_ranks))
     for i, (l, h) in zip(range(DESCENDENT_TWIST_SAMPLES), drawn):
-        h_tw = h if l in sset else _new(Perm, r.translate(h + pad).translate(rpad))
+        h_tw = h if l in sset else r.translate(h + pad).translate(rpad)
         if circ(l, h)[1] != circ(h_tw, l)[1]:
             detail = f"l o h != h^(r^d) o l at sample {i}"
             return DescendentReport(False, detail, s_pairs, DESCENDENT_K_SAMPLES, i + 1)

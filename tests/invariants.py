@@ -8,6 +8,7 @@ a seeded RNG.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -107,8 +108,8 @@ def check_invariants_sampled(B: AnOperator, seed: int = 7, samples: int = 50) ->
     from rbgroups.transitive import even_decoder, ranks
 
     G = B.group
-    decode, stream = even_decoder(G.degree), ranks(random.Random(seed), math.factorial(G.degree))
-    singles = [decode(next(stream)) for _ in range(samples)]
+    stream = ranks(random.Random(seed), math.factorial(G.degree))
+    singles = list(map(Perm, itertools.islice(even_decoder(G.degree)(stream), samples)))
     pairs = [(a, b) for a in singles[:20] for b in singles[:20]]
 
     results = []

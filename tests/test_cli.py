@@ -2,6 +2,7 @@ import gc
 import hashlib
 import io
 import os
+import random
 import subprocess
 import sys
 import time
@@ -497,6 +498,40 @@ def test_construct_split_refuses_an_inexact_factorization(capsys):
     """H = L = <(0 1)> does not factor S3: exit 1, nothing on stdout."""
     assert run(["construct", "--split", "S:3", "1,0,2", "1,0,2"]) == (1, "")
     assert capsys.readouterr().err == "error: factorization is not exact\n"
+
+
+def test_construct_split_names_a_token_that_is_not_an_integer(capsys):
+    """The token is quoted, exit 1; the int() error raised while the Perm
+    read its images once came out as 'Perm images must lie in 0..255'."""
+    assert run(["construct", "--split", "S:3", "x", "0,1,2"]) == (1, "")
+    err = capsys.readouterr().err
+    assert err == "error: invalid literal for int() with base 10: 'x'\n"
+
+
+def test_negative_seed_is_a_usage_error(capsys):
+    """Random(-7) draws what Random(7) draws, so --seed -7 once printed
+    seed=-7 over the stream of seed 7.  A seed below 0 exits 64, naming
+    --seed, whatever the command; --seed 0 runs."""
+    assert random.Random(-7).getrandbits(64) == random.Random(7).getrandbits(64)
+    for argv in (["build-an", "--n", "9"], ["descendent", "--n", "9"], ["classify", "D:6"]):
+        assert run(["--seed", "-7", *argv]) == (64, ""), argv
+        assert "usage error: --seed must be >= 0, got -7\n" in capsys.readouterr().err
+    code, text = run(["--seed", "0", "build-an", "--n", "9", "--verify-samples", "100"])
+    assert code == 0 and text.endswith("verify: pass pairs=5284 seed=0\n")
+
+
+def test_empty_family_range_is_a_usage_error(capsys):
+    """--n-from above --n-to once exited 0 with nothing printed."""
+    argv = ["classify", "--family", "dihedral", "--n-from", "5", "--n-to", "2"]
+    assert run(argv) == (64, "")
+    assert "usage error: empty family range: --n-from 5 > --n-to 2\n" in capsys.readouterr().err
+
+
+def test_sharply2_m_below_1_is_named(capsys):
+    """m = 0 was blamed on 4 | m, and m = -2 on the field degree."""
+    for m in ("0", "-2"):
+        assert run(["sharply2", "--m", m, "--q", "7", "--t", "1"]) == (1, "")
+        assert capsys.readouterr().err == f"error: m must be >= 1, got {m}\n"
 
 
 @pytest.mark.slow

@@ -431,7 +431,7 @@ def test_circ_kernel_matches_perm_products_on_an(n):
     where that breaks the identity are counted)."""
     B = transitive.build_an_operator(n)
     r = B.r
-    bad = B._replace(proc=lambda g: B.proc(g) * r if g.order() == 7 else B.proc(g))
+    bad = B._replace(proc=lambda g: B.proc(g) * r if Perm(g).order() == 7 else B.proc(g))
     draw, rng = digit_sampler(n), random.Random(n)
     pairs = [(draw(rng), draw(rng)) for _ in range(2000)]
     assert _kernel_matches_the_perm_oracle(B, pairs) == 0

@@ -220,7 +220,7 @@ def test_a9_property_suite_sampled():
 def test_verification_catches_a_corrupted_operator():
     B = build_an_operator(9)
     r = B.r
-    bad = B._replace(proc=lambda g: B.proc(g) * r if g.order() == 7 else B.proc(g))
+    bad = B._replace(proc=lambda g: B.proc(g) * r if Perm(g).order() == 7 else B.proc(g))
     v = transitive.verify_an_operator(bad, sample_count=2000, seed=7)
     assert not v.ok
 
@@ -410,8 +410,8 @@ def test_even_sampler_hits_each_even_permutation_equally(points):
     twice for k >= 2 (once for k <= 1), and nothing else comes out."""
     k = len(points)
     for n in range(max(points, default=0) + 1, 9):
-        decode = transitive.even_decoder(n, None if points == tuple(range(n)) else points)
-        counts = collections.Counter(map(decode, range(math.factorial(k))))
+        draws = transitive.even_decoder(n, None if points == tuple(range(n)) else points)
+        counts = collections.Counter(draws(range(math.factorial(k))))
         assert set(counts) == _even_perms(n, points), (n, points)
         assert set(counts.values()) == {2 if k >= 2 else 1}, (n, points)
 
@@ -425,14 +425,13 @@ SAMPLER_CASES = [
 @pytest.mark.parametrize("n,points", SAMPLER_CASES)
 def test_even_sampler_matches_the_digit_decoder_on_seeded_ranks(n, points):
     """The table decode of the rank stream is the per-digit Fisher-Yates
-    decode of randrange, rank for rank, so every seeded sample stream is
-    unchanged."""
-    decode, digits = transitive.even_decoder(n, points), digit_sampler(n, points)
+    decode of randrange, rank for rank, as plain image bytes, so every
+    seeded sample stream is unchanged."""
+    draws, digits = transitive.even_decoder(n, points), digit_sampler(n, points)
     r1, r2 = random.Random(11), random.Random(11)
     stream = transitive.ranks(r1, math.factorial(n if points is None else len(points)))
-    for x in itertools.islice(stream, 3000):
-        p = decode(x)
-        assert type(p) is Perm and p == digits(r2), (n, points)
+    for p in itertools.islice(draws(stream), 3000):
+        assert type(p) is bytes and p == digits(r2), (n, points)
 
 
 @pytest.mark.parametrize(
@@ -445,23 +444,23 @@ def test_even_sampler_matches_the_digit_decoder_on_every_rank(points):
     made, by one chunk (k <= 6) or two (k = 7: 7*6*5*4 and 3*2).  k = 8
     decodes each rank by two chunks (8*7*6*5 and 4*3*2), so every way two
     chunks compose is compared on both paths."""
-    decode, digits = transitive.even_decoder(8, points), digit_sampler(8, points)
+    draws, digits = transitive.even_decoder(8, points), digit_sampler(8, points)
     rng = _Ranks()
-    for x in range(math.factorial(len(points))):
-        assert decode(x) == digits(rng), points
+    for p in draws(range(math.factorial(len(points)))):
+        assert p == digits(rng), points
 
 
 @pytest.mark.parametrize("k,listed", [(6, True), (7, True), (8, False)])
 def test_even_sampler_lists_the_draws_of_small_alternating_groups(k, listed):
     """A decoder of Alt(k points) with k!/2 <= ENUMERATION_CAP (k <= 7)
-    hands back one stored Perm per rank, the same object each time the
-    rank is decoded; at k = 8 (20,160 even permutations) each decode
-    makes a new one."""
+    hands back one stored bytes object per rank, the same object each
+    time the rank is drawn; at k = 8 (20,160 even permutations) each draw
+    of these ranks is decoded anew."""
     assert (math.factorial(k) // 2 <= ENUMERATION_CAP) == listed
-    decode = transitive.even_decoder(9, range(k))
+    draws = transitive.even_decoder(9, range(k))
     for x in range(50):
-        p, q = decode(x), decode(x)
-        assert type(p) is Perm and p == q and (p is q) == listed
+        p, q = draws([x, x])
+        assert type(p) is bytes and p == q and (p is q) == listed
 
 
 def test_descendent_k_samples_lie_in_k(monkeypatch):
@@ -473,11 +472,12 @@ def test_descendent_k_samples_lie_in_k(monkeypatch):
     decoder = transitive.even_decoder
 
     def recording(n, points=None):
-        decode = decoder(n, points)
+        draws = decoder(n, points)
 
-        def rec(x):
-            drawn.append(decode(x))
-            return drawn[-1]
+        def rec(rk):
+            for p in draws(rk):
+                drawn.append(p)
+                yield p
 
         return rec
 
@@ -485,7 +485,7 @@ def test_descendent_k_samples_lie_in_k(monkeypatch):
     B = _an(9)
     assert descendent_structure(B, seed=7).ok
     assert len(drawn) == 2 * transitive.DESCENDENT_K_SAMPLES + transitive.DESCENDENT_TWIST_SAMPLES
-    assert all(p.is_even() and p[7] == 7 and p[8] == 8 for p in drawn)
+    assert all(Perm(p).is_even() and p[7] == 7 and p[8] == 8 for p in drawn)
     assert len(set(drawn)) == 2520
 
 
@@ -529,7 +529,7 @@ def test_descendent_catches_an_operator_corrupted_only_on_k():
 
         def corrupted(g):
             in_k = all(g[i] == i for i in points)
-            return r if in_k and g.order() == 7 else B.proc(g)
+            return r if in_k and Perm(g).order() == 7 else B.proc(g)
 
         bad = B._replace(proc=corrupted)
         one = descendent_structure(bad, seed=7)
@@ -552,7 +552,7 @@ def test_layer3_names_the_sample_the_digit_decoder_predicts():
     per-digit decoder, at which the identity fails."""
     B = _an(9)
     r = B.r
-    bad = B._replace(proc=lambda g: B.proc(g) * r if g.order() == 7 else B.proc(g))
+    bad = B._replace(proc=lambda g: B.proc(g) * r if Perm(g).order() == 7 else B.proc(g))
     v = verify_an_operator(bad, sample_count=2000, seed=7)
     rng = random.Random(7)
     draw = digit_sampler(9)
@@ -697,21 +697,39 @@ def test_descendent_structure_evaluates_b_once_per_element_used():
 
 
 @pytest.mark.parametrize("n", [9, 10])
-def test_b_is_handed_only_perms(n):
-    """rbop.circ_kernel returns g o h as plain bytes; layer 3 wraps it
-    before evaluating B there, and the K and twist loops, which only
-    compare products, hand B only their draws, elements of L and
-    h^(r^d).  A procedure that asserts it gets a Perm passes both
-    checks."""
+def test_b_is_handed_image_bytes_by_the_sampled_loops(n):
+    """Layer 3 hands B's procedure g, h and g o h, and the K and twist
+    loops of descendent_structure their h and h^(r^d), as plain bytes of
+    length n; only the elements of L (layer 1, the twist loop's l) and of
+    S come as Perms.  A procedure that wraps its argument in a Perm gives
+    the same verdict and report, on B, on B(g) r at the g of layer-3
+    sample 14,999 (seed 4) and on B(h) = r at the first K-sample h."""
     B = _an(n)
+    k_count, t_count = transitive.DESCENDENT_K_SAMPLES, transitive.DESCENDENT_TWIST_SAMPLES
+    handed = collections.Counter()
 
-    def perms_only(g):
-        assert type(g) is Perm, type(g)
+    def recording(g):
+        handed[type(g), len(g)] += 1
         return B.proc(g)
 
-    checked = B._replace(proc=perms_only)
-    assert verify_an_operator(checked, sample_count=3_000).ok
-    assert descendent_structure(checked).ok
+    assert verify_an_operator(B._replace(proc=recording), sample_count=1_000, seed=4).ok
+    assert handed == {(Perm, n): B.im.order(), (bytes, n): 3 * 1_000}
+    handed.clear()
+    assert descendent_structure(B._replace(proc=recording), seed=4).ok
+    assert handed == {(Perm, n): B.ker_tilde.order() + t_count, (bytes, n): k_count + t_count}
+
+    r, kpoints = B.r, [i for i in range(n) if i not in B.distinguished]
+    k_ranks = transitive.ranks(random.Random(4), math.factorial(len(kpoints)))
+    h = Perm(next(transitive.even_decoder(n, kpoints)(k_ranks)))
+    verdicts, reports = [], []
+    for op in (B, _changed_at(B, _layer3_g(14_999, n=n), lambda b: b * r), _changed_at(B, h, lambda b: r)):
+        wrapped = op._replace(proc=lambda g, f=op.proc: f(Perm(g)))
+        verdicts.append(verify_an_operator(op, sample_count=15_000, seed=4))
+        assert verify_an_operator(wrapped, sample_count=15_000, seed=4) == verdicts[-1]
+        reports.append(descendent_structure(op, seed=4))
+        assert descendent_structure(wrapped, seed=4) == reports[-1]
+    assert [(v.ok, v.layer) for v in verdicts] == [(True, 0), (False, 3), (True, 0)]
+    assert [rep.ok for rep in reports] == [True, True, False]
 
 
 @pytest.mark.parametrize("collecting", [True, False])
@@ -836,11 +854,11 @@ def _changed_at(B, x, value):
     return B._replace(proc=lambda g: value(B.proc(g)) if g == x else B.proc(g))
 
 
-def _layer3_g(sample, seed=4):
-    """The g layer 3 draws at `sample` on `seed`: the decode of item
-    2 sample of the rank stream."""
-    stream = transitive.ranks(random.Random(seed), math.factorial(9))
-    return transitive.even_decoder(9)(next(itertools.islice(stream, 2 * sample, None)))
+def _layer3_g(sample, seed=4, n=9):
+    """The g layer 3 draws at `sample` on `seed` at degree n, as a Perm:
+    the draw of item 2 sample of the rank stream."""
+    stream = transitive.ranks(random.Random(seed), math.factorial(n))
+    return Perm(next(transitive.even_decoder(n)(itertools.islice(stream, 2 * sample, None))))
 
 
 @pytest.mark.parametrize("sample,fails_at", [(0, 0), (14_999, 282), (15_000, 15_000), (29_999, 29_999)])
@@ -958,12 +976,12 @@ def test_even_sampler_leaves_the_rng_as_randrange_does(k):
     randrange(k!) on Random(k), g before h, and a rank iterator the pairs
     stop taking from, taken on, continues the rng's draws: after 37
     pairs, it gives the per-digit draws after 74 randrange calls."""
-    decode, digits, total = transitive.even_decoder(k), digit_sampler(k), math.factorial(k)
+    draws, digits, total = transitive.even_decoder(k), digit_sampler(k), math.factorial(k)
     rng = random.Random(k)
     want = [(digits(rng), digits(rng)) for _ in range(87)]
     rk = transitive.ranks(random.Random(k), total)
-    got = list(itertools.islice(transitive._pairs(decode, rk), 37))
-    got += list(itertools.islice(transitive._pairs(decode, rk), 50))
+    got = list(itertools.islice(transitive._pairs(draws, rk), 37))
+    got += list(itertools.islice(transitive._pairs(draws, rk), 50))
     assert got == want, k
 
 
@@ -974,10 +992,10 @@ def test_even_sampler_draws_at_n50_within_budget():
     included, within 10 s; about 2.9 s measured.  The draws must not get
     slower at high degree."""
     start = time.perf_counter()
-    decode = transitive.even_decoder(50)
+    draws = transitive.even_decoder(50)
     stream = transitive.ranks(random.Random(50), math.factorial(50))
-    for x in itertools.islice(stream, 200_000):
-        decode(x)
+    for p in draws(itertools.islice(stream, 200_000)):
+        Perm(p)
     assert time.perf_counter() - start < 10
 
 
