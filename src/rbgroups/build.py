@@ -149,7 +149,8 @@ def _a4_b2() -> RBOperator:
 def _homomorphism(L: FiniteGroup, gens: tuple, images: tuple, A: FiniteGroup) -> Callable:
     """gens -> images extended to L -> A (perm.extend_homomorphism), as
     the map on elements that construction takes."""
-    f = extend_homomorphism(L, [L.index(g) for g in gens], [A.index(t) for t in images], A)
+    TL, TA = L.mult_table(), A.mult_table()
+    f = extend_homomorphism(TL, [L.index(g) for g in gens], [A.index(t) for t in images], TA)
     return lambda l: A.elements[f[L.index(l)]]
 
 

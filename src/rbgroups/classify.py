@@ -7,7 +7,7 @@ import re
 from typing import Callable, NamedTuple
 
 from .labels import iso_label
-from .perm import FiniteGroup, Grower, PermError, automorphism_group
+from .perm import FiniteGroup, Grower, PermError, automorphism_group, extend_homomorphism
 from .rbop import (
     ENUMERATE_GUARANTEED,
     RBOperator,
@@ -66,28 +66,30 @@ def enumerate_rb(G: FiniteGroup, cap: int = ENUMERATE_GUARANTEED) -> list[RBOper
 
     The search runs over sections of G's own subgroup lattice (Goursat's
     lemma).  A subgroup H of GxG has the projections A = pi1(H) and
-    C = pi2(H), and H meets Gx1 in A0 x 1 and 1xG in 1 x C0, with A0
-    normal in A, C0 normal in C, A/A0 isomorphic to C/C0 and
-    |H| = |A||C0|.  All subgroups of G are found by cyclic extension
-    (_subgroups); a section (A, A0) is kept when A0 lies in A and is
-    normalized by A's generators; and a pair of sections is tried when
-    |A||C0| = |G|, |A/A0| = |C/C0|, A0 meets C0 only in e, and
-    (a) |A||C| = |G||A meet C|, with A meet C counted on the masks.  For
-    such a pair the search starts from N = A0 x C0 and, for each generator
-    a_i of A in turn, tries each c_i of a transversal T of C0 in C (b)
-    whose coset c_i C0 has the order in C/C0 that a_i A0 has in A/A0,
-    growing <N, (a_1, c_1), ..., (a_i, c_i)> in GxG by Dimino's method
-    (perm.Grower on the pair index a*n + b, with (a, b)(c, d) = (ac, bd)
-    read off G's table).  A branch stops as soon as the closure grows past
-    |G| or meets D; a closure that takes all the generators is kept (c)
-    when its second projection is all of C.  A generator a_i that the
-    closure already projects onto is passed over: the closure holds some
-    (a_i, c), and with 1 x C0 in N it holds (a_i, c') for every c' in
-    c C0.
+    C = pi2(H) and meets Gx1 in A0 x 1 and 1xG in 1 x C0, with A0 normal
+    in A, C0 normal in C, and H = {(a, c) : c C0 = theta(a A0)} for the
+    isomorphism theta: A/A0 -> C/C0, a A0 -> c C0 for (a, c) in H.  All
+    subgroups of G are found by cyclic extension (_subgroups).  A section
+    (A, A0) is kept when A0 lies in A and is normalized by A's
+    generators; its cosets are numbered (A0 is 0), and the Cayley table of
+    A/A0 on them, the order of each coset and a generating tuple
+    g_1, g_2, ... of A/A0, taken greedily by decreasing order (so g_i is
+    not in <g_1, ..., g_(i-1)>), are read off G's table once.  A pair of
+    sections is tried when |A||C0| = |G|, |A/A0| = |C/C0|, A0 meets C0
+    only in e, and (a) |A||C| = |G||A meet C|, with A meet C counted on
+    the masks.  The search sends each g_i in turn (b) to each coset of
+    C/C0 of its order that is not yet an image, and
+    perm.extend_homomorphism walks <g_1, ..., g_i> in A/A0.  A branch
+    stops when the walk conflicts, when theta is not injective (a coset
+    other than A0 goes to C0), or (c) when a coset x A0 it reaches, with
+    x != e in A meet C, goes to x C0.  A complete theta gives the graph
+    H(theta) = {(a, c) : c C0 = theta(a A0)}.
 
-    Soundness: a kept closure K contains 1 x C0 and projects onto
-    <A0, a_1, a_2, ...> = A, so |K| >= |A||C0| = |G|; it did not grow past
-    |G|, so |K| = |G|, and it meets D only in e.  So K is an operator graph.
+    Soundness: a complete theta is a homomorphism on <g_1, ...> = A/A0,
+    so H(theta), the preimage of its graph under (a, c) -> (a A0, c C0),
+    is a subgroup of GxG with |C0| pairs for each a in A, |A||C0| = |G| in
+    all.  A pair (x, x) in it has x in A meet C and theta(x A0) = x C0,
+    so by (c) x = e, and H(theta) is an operator graph.
 
     Completeness: let H be the graph of B, so pi1(H) = Im B,
     H meet (Gx1) = ker B~ x 1, pi2(H) = Im B~ and H meet (1xG) = 1 x ker B.
@@ -95,53 +97,34 @@ def enumerate_rb(G: FiniteGroup, cap: int = ENUMERATE_GUARANTEED) -> list[RBOper
     |A||C0| = |H| = |G|; A/A0 and C/C0 are isomorphic; an x in A0 meet C0
     puts (x, x) in H meet D, so x = e; and (a) G = Im(B~) Im(B) = CA
     (images asserts it), so by the product formula
-    |G| = |CA| = |C||A| / |A meet C|.  N lies in H.  Each a_i has partners
-    c with (a_i, c) in H, and they form one coset c C0 (two of them, c and
-    c', put (e, c^-1 c') in H); as C0 is normal in C, T holds exactly one
-    of them, c_i.  (b) The map A/A0 -> C/C0, a A0 -> c C0 for (a, c) in H,
-    is the isomorphism of Goursat's lemma, so a_i A0 and c_i C0 have the
-    same order, and c_i is tried.  With these choices every closure lies
-    in H (a closure in H that projects onto a_i already holds (a_i, c_i)),
-    so it neither grows past |G| nor meets D, and the last one, of order
-    >= |A||C0| = |H|, is H; (c) its second projection is C.
+    |G| = |CA| = |C||A| / |A meet C|.  Its theta keeps orders and is
+    injective, so (b) theta(g_i) is tried: it is not the image of an
+    element of <g_1, ..., g_(i-1)>, which g_i lies outside.  Along that
+    branch each walk returns theta on <g_1, ..., g_i> (the one
+    homomorphism there with these generator images), which is injective
+    and, as H meets D only in e, passes (c).  So the branch ends in theta.
 
-    Each graph is kept exactly once.  A kept K has pi1(K) = A and, by (c),
-    pi2(K) = C, so K meets Gx1 in a group of order |K|/|C| = |A||C0|/|C|
-    = |A0| that contains A0 x 1, and 1xG in one of order |K|/|A| = |C0|
-    that contains 1 x C0: (A, A0, C, C0) are K's own sections, and K is
-    kept under no other pair.  Within the pair, two branches that first
-    differ at a_i, with c != c' from T, cannot both end in K: (a_i, c) and
-    (a_i, c') in K put (e, c^-1 c') in K meet (1xG) = 1 x C0, while T holds
-    one element of each coset of C0."""
+    Each graph is kept exactly once.  A kept theta is injective between
+    quotients of one order, so bijective: H(theta) projects onto A and C
+    and meets Gx1 in A0 x 1 and 1xG in 1 x C0, so it is kept under its own
+    sections only.  There theta is read back from H(theta), and a
+    homomorphism is fixed by its generator images, so no two branches
+    end in one graph."""
     n = G.order()
     if n > cap:
         raise EnumerationCapExceeded(f"|G| = {n} exceeds enumeration cap {cap}")
     table = G.mult_table()
     e = G.index(G.identity)
     cols = [[table[x][y] for x in range(n)] for y in range(n)]  # cols[y][x] = x*y
-    ncols = [[v * n for v in col] for col in cols]  # the a*c part of (a*c)*n + b*d
-    pi1 = [p // n for p in range(n * n)]
-    pi2 = [p % n for p in range(n * n)]
 
     def g_times(xs, y):
         col = cols[y]
         return [col[x] for x in xs]
 
-    def pair_times(xs, y):
-        ca, cb = ncols[pi1[y]], cols[pi2[y]]
-        return [ca[pi1[x]] + cb[pi2[x]] for x in xs]
-
-    def coset_order(a, members):
-        """The order of a*A0 in A/A0, for A0 with the element set `members`."""
-        k, x = 1, a
-        while x not in members:
-            k, x = k + 1, table[x][a]
-        return k
-
     inv = G.inverses()
     subgroups = _subgroups(e, n, g_times)
-    # (|A|, |A0|) -> [(A, A0, mask of A, mask of A0, coset orders of A's
-    # generators, {coset order: the transversal of A0 in A with that order})]
+    # (|A|, |A0|) -> [(mask of A, mask of A0, {a: coset id}, [sorted coset],
+    # table of A/A0, generating tuple of A/A0, [coset order], {order: [coset ids]})]
     sections: dict[tuple[int, int], list] = {}
     for amask, A in subgroups:
         for a0mask, A0 in subgroups:
@@ -149,53 +132,55 @@ def enumerate_rb(G: FiniteGroup, cap: int = ENUMERATE_GUARANTEED) -> list[RBOper
                 table[table[inv[a]][t]][a] in A0.members for a in A.gens for t in A0.gens
             ):
                 continue
-            transversal, covered = {}, set()
+            coset_of, cosets = {}, []
             for a in A.elements:
-                if a not in covered:
-                    transversal.setdefault(coset_order(a, A0.members), []).append(a)
-                    covered.update(g_times(A0.elements, a))
-            gen_orders = [coset_order(a, A0.members) for a in A.gens]
-            key = (len(A.elements), len(A0.elements))
-            sections.setdefault(key, []).append((A, A0, amask, a0mask, gen_orders, transversal))
+                if a not in coset_of:
+                    coset = g_times(A0.elements, a)
+                    coset_of.update(dict.fromkeys(coset, len(cosets)))
+                    cosets.append(sorted(coset))
+            quotient = [[coset_of[table[x[0]][y[0]]] for y in cosets] for x in cosets]
+            orders, by_order = [], {}
+            for x in range(len(cosets)):
+                k, y = 1, x
+                while y:
+                    k, y = k + 1, quotient[y][x]
+                orders.append(k)
+                by_order.setdefault(k, []).append(x)
+            span = Grower(0, times=lambda xs, y: [quotient[x][y] for x in xs])
+            for x in sorted(range(len(cosets)), key=orders.__getitem__, reverse=True):
+                if x not in span.members:
+                    span.add(x)
+            sections.setdefault((len(A.elements), len(A0.elements)), []).append(
+                (amask, a0mask, coset_of, cosets, quotient, span.gens, orders, by_order)
+            )
 
-    off_diagonal = frozenset(range(n * n)) - {i * n + i for i in range(n) if i != e}
-    kernels: dict[tuple[int, int], Grower] = {}  # A0 x C0 by the masks of A0, C0
     graphs = []
     for (na, na0), lefts in sections.items():
         nc0 = n // na
         nc = nc0 * na // na0
         rights = sections.get((nc, nc0), ())
-        for A, A0, amask, a0mask, gen_orders, _ in lefts:
-            for _, C0, cmask, c0mask, _, transversal in rights:
+        for amask, a0mask, a_coset, _, QA, gens, orders, _ in lefts:
+            labelled = sorted(a_coset.items())
+            for cmask, c0mask, c_coset, c_cosets, QC, _, _, by_order in rights:
                 if a0mask & c0mask != 1 << e or na * nc != n * (amask & cmask).bit_count():
                     continue
-                N = kernels.get((a0mask, c0mask))
-                if N is None:
-                    N = Grower(e * n + e, off_diagonal, n, pair_times)
-                    for a in A0.gens:
-                        N.add(a * n + e)
-                    for c in C0.gens:
-                        N.add(e * n + c)
-                    kernels[a0mask, c0mask] = N
-                stack = [(N, 0)]
+                diagonal = {(a_coset[x], c_coset[x]) for x in a_coset if x in c_coset and x != e}
+                # (images of gens[:i], theta on <gens[:i]>)
+                stack = [([], [0] + [None] * (len(QA) - 1))]
                 while stack:
-                    K, i = stack.pop()
-                    if i == len(A.gens):
-                        if len({pi2[x] for x in K.elements}) == nc:
-                            graphs.append(K.elements)
+                    images, theta = stack.pop()
+                    i = len(images)
+                    if i == len(gens):
+                        graphs.append([(a, c) for a, x in labelled for c in c_cosets[theta[x]]])
                         continue
-                    a = A.gens[i]
-                    if any(pi1[x] == a for x in K.elements):
-                        stack.append((K, i + 1))
-                        continue
-                    for c in transversal.get(gen_orders[i], ()):
-                        grown = K.extended(a * n + c)
-                        if grown is not None:
-                            stack.append((grown, i + 1))
+                    for c in by_order.get(orders[gens[i]], ()):
+                        if c in theta:  # gens[i] and a reached coset would share an image
+                            continue
+                        f = extend_homomorphism(QA, gens[: i + 1], images + [c], QC, theta)
+                        if f and f.count(0) == 1 and all(f[x] != y for x, y in diagonal):
+                            stack.append((images + [c], f))
     # graph(from_graph(G, pairs)) is pairs, so this is the sort by graph pairs
-    return [from_graph(G, frozenset(pairs)) for pairs in sorted(
-        sorted(divmod(p, n) for p in H) for H in graphs
-    )]
+    return [from_graph(G, frozenset(pairs)) for pairs in sorted(graphs)]
 
 
 # -- equivalence under the graph action ------------------------------------

@@ -330,6 +330,8 @@ def main(argv: Optional[list[str]] = None, out=None) -> int:
         args = parser.parse_args(argv)
         if args.seed < 0:
             raise UsageError(f"--seed must be >= 0, got {args.seed}")
+        if getattr(args, "max_order", 1) < 1:
+            raise UsageError(f"--max-order must be >= 1, got {args.max_order}")
         return _COMMANDS[args.command](args, out)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -147,8 +147,8 @@ class Grower:
     (None: no bound); extended(x) grows a copy and keeps this one.
 
     `times(xs, y)` lists x*y for x in xs.  By default the elements are
-    Perms; a group given by a Cayley table on element indices passes a
-    table lookup instead, so one grower serves G and G x G alike.
+    Perms; a group given by a Cayley table on indices passes a table
+    lookup instead, as classify does for G, its quotients A/A0 and Aut(G).
     """
 
     __slots__ = ("elements", "members", "gens", "inside", "cap", "times")
@@ -559,29 +559,35 @@ def homomorphism_failure(
 
 
 def extend_homomorphism(
-    G: FiniteGroup,
+    TG: Sequence[Sequence[int]],
     gens: Sequence[int],
     images: Sequence[int],
-    H: FiniteGroup,
-) -> Optional[list[int]]:
-    """The homomorphism G -> H sending G.elements[gens[i]] to
-    H.elements[images[i]], as an index table f, or None when there is
-    none; the gens must generate G.  A breadth-first walk of G's Cayley
-    graph from e, with f(e) = e, sets f(x s) = f(x) t on each edge
-    x -> x s (t the image of s), read off the two Cayley tables, and
-    returns None when an element already set gets another value.
+    TH: Sequence[Sequence[int]],
+    f: Optional[list] = None,
+) -> Optional[list]:
+    """The homomorphism <gens> -> H sending gens[i] to images[i], as an
+    index table f on G's indices (None off <gens>), or None when there is
+    none.  TG and TH are Cayley tables on indices with e at 0 (canonical
+    order puts e first; classify numbers A0 as coset 0).  f, when given,
+    is the table returned for a prefix of gens and images, and the walk
+    goes on from a copy of it.
 
-    Proof: the walk reaches every element (each is a positive word in the
-    gens) and checks each edge, so f(x s) = f(x) f(s) for all x and gens
-    s, and by induction on the length of z, f(x z) = f(x) f(z).  A
-    homomorphism extending gens -> images satisfies the same edge
-    equations from f(e) = e, so it is f; a conflict means there is none."""
-    TG, TH = G.mult_table(), H.mult_table()
-    e = G.index(G.identity)
-    f: list = [None] * len(TG)
-    f[e] = H.index(H.identity)
+    A breadth-first walk from every element f maps (from e alone, with
+    f(e) = e, when f is not given) sets f(x s) = f(x) t on each edge
+    x -> x s (t the image of s), read off the two tables, and returns
+    None when an element already set gets another value.
+
+    Proof: the walk starts inside <gens> and from e, so it reaches all of
+    <gens> (each element is a positive word in the gens) and nothing
+    else, and it checks each edge of each element it reaches:
+    f(x s) = f(x) f(s) for all x in <gens> and gens s, and by induction
+    on the length of z, f(x z) = f(x) f(z).  A homomorphism extending
+    gens -> images satisfies the same edge equations from f(e) = e, as
+    did the values f held at the start, so it is f; a conflict means
+    there is none."""
+    f = [0] + [None] * (len(TG) - 1) if f is None else f[:]
     pairs = list(zip(gens, images))
-    frontier = [e]
+    frontier = [x for x, fx in enumerate(f) if fx is not None]
     while frontier:
         fresh = []
         for x in frontier:
@@ -611,9 +617,9 @@ def _isomorphisms(G: FiniteGroup, H: FiniteGroup) -> Iterator[tuple[int, ...]]:
         by_order.setdefault(h_orders[x], []).append(i)
     g_orders = G.order_table()
     candidates = [by_order.get(g_orders[G.elements[g]], []) for g in gens]
-    n = G.order()
+    n, TG, TH = G.order(), G.mult_table(), H.mult_table()
     for images in itertools.product(*candidates):
-        f = extend_homomorphism(G, gens, images, H)
+        f = extend_homomorphism(TG, gens, images, TH)
         if f is not None and len(set(f)) == n:
             yield tuple(f)
 

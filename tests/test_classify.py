@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import time
 
@@ -14,7 +15,7 @@ from oracles import (
 )
 from rbgroups import build, classify, families, rbop, transitive
 from rbgroups.labels import direct_product, iso_label
-from rbgroups.perm import Grower, closure, grow, small_generating_tuple
+from rbgroups.perm import closure, grow, small_generating_tuple
 from rbgroups.rbop import descendent_group, graph, is_splitting, tilde
 
 
@@ -242,20 +243,73 @@ def test_section_search_matches_lattice_search(spec):
     assert masks == lattice_graph_masks(G)
 
 
-def test_enumeration_takes_few_closures(monkeypatch):
-    """At most 2,000 Grower.add calls for D:24: the search makes 1,825.
-    Without the product-formula and coset-order prunes it made 3,998, and
-    the subgroup search in G x G made 241,805 closures."""
+# Operator count and sha256 of repr(sorted(table keys)) for direct products,
+# folded left by labels.direct_product: on these the quotients A/A0 have many
+# cosets of each order, so each generator has many candidate images.
+# Recorded with the search that grew each graph on the pair index of G x G.
+# The first five run in tier-1, the last two in the slow suite.
+PRODUCTS = {
+    ("Z:4", "Z:4"): (256, "d38a9f4d374bf897c921eee5894625b2efee1075a925a36deac20fe5127e6d3b"),
+    ("Z:2", "Z:8"): (64, "1e9db65d9279396c517618a4f78e383bc01bf39c121599206ee77fe3d87476a6"),
+    ("Z:2", "Z:2", "Z:2"): (512, "6cf81cd6f137a0be7cd3efa283e04a532928954e20c5052aad7cd82cc6d4daa3"),
+    ("Z:3", "Z:3"): (81, "d505d601c71f465cac7929581707e6e58d6292d591e23671ebfc86bad2573207"),
+    ("S:3", "Z:2"): (80, "71f21e0ed02dc4527bebc71c7dbefa95ed9b0bb01bd46a78ee6662b86fe108a6"),
+    ("Z:2",) * 4: (65536, "5f626c5257f45e69fede7af556ddd203e3767917fe663ae6620643e18c362a6b"),
+    ("Z:3",) * 3: (19683, "733fce72e54a12a654f8fd87c874fd6ab929b9a70eb76cb3aa8a978adc517c53"),
+}
+
+
+def _product(specs):
+    return functools.reduce(direct_product, [families.parse_group_spec(s).group for s in specs])
+
+
+def _digest(ops):
+    return hashlib.sha256(repr(sorted(B.table for B in ops)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("specs", list(PRODUCTS)[:5], ids=" x ".join)
+def test_products_are_pinned(specs):
+    """The pinned operators, and the graphs a subgroup search in G x G
+    finds."""
+    G = _product(specs)
+    n = G.order()
+    ops = classify.enumerate_rb(G)
+    assert (len(ops), _digest(ops)) == PRODUCTS[specs]
+    masks = sorted(sum(1 << (a * n + b) for a, b in graph(B)) for B in ops)
+    assert masks == lattice_graph_masks(G)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("specs,budget", [(("Z:2",) * 4, 4.4), (("Z:3",) * 3, 1.3)],
+                         ids=["Z2^4", "Z3^3"])
+def test_large_products_are_pinned(specs, budget):
+    """Budgets 4.4 s and 1.3 s: twice the median enumerate_rb times of 10
+    runs on a 2-core machine, 2.22 s for Z2^4 and 0.64 s for Z3^3 (4.13 s
+    and 0.94 s, alternating with them, for the search that grew each
+    graph on the pair index of G x G)."""
+    G = _product(specs)
+    start = time.perf_counter()
+    ops = classify.enumerate_rb(G, cap=G.order())
+    assert time.perf_counter() - start < budget
+    assert (len(ops), _digest(ops)) == PRODUCTS[specs]
+
+
+def test_enumeration_takes_few_walks(monkeypatch):
+    """At most 620 homomorphism walks for D:24: the search makes 561.
+    With A's own generators in place of a generating tuple of A/A0 taken
+    by decreasing order it made 941 (1,051 when it also walked candidate
+    images already taken), and the search that grew each graph on the
+    pair index of G x G made 1,591 Grower.add calls."""
     calls = [0]
-    add = Grower.add
+    walk = classify.extend_homomorphism
 
-    def counted(self, x):
+    def counted(*args):
         calls[0] += 1
-        return add(self, x)
+        return walk(*args)
 
-    monkeypatch.setattr(Grower, "add", counted)
+    monkeypatch.setattr(classify, "extend_homomorphism", counted)
     assert len(classify.enumerate_rb(families.parse_group_spec("D:24").group)) == 288
-    assert calls[0] <= 2_000
+    assert calls[0] <= 620
 
 
 @pytest.mark.parametrize("spec,graphs", [("D:16", 136), ("S:4", 100), ("D:24", 288)])

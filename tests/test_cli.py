@@ -293,6 +293,19 @@ def test_classify_s5_is_pinned():
     assert (code, _sha(text)) == (0, CLASSIFY_DIGESTS["S:5"])
 
 
+@pytest.mark.slow
+def test_classify_d256_is_pinned():
+    """Budget 10.2 s: twice the 5.1 s median of five spawned runs on a
+    2-core machine.  The stdout was recorded when enumerate_rb grew each
+    graph on the pair index of G x G, and a spawn took 8.4 to 11.5 s."""
+    start = time.perf_counter()
+    code, text = run(["classify", "D:256", "--max-order", "256"])
+    assert time.perf_counter() - start < 10.2
+    assert (code, _sha(text)) == (
+        0, "03827846133927c48409b6f25ea11bc32ba258f6ac749a9e5240242e229c5386"
+    )
+
+
 def test_classify_d32_is_pinned():
     code, text = run(["classify", "D:32", "--max-order", "120"])
     assert (code, _sha(text)) == (0, CLASSIFY_DIGESTS["D:32"])
@@ -518,6 +531,23 @@ def test_negative_seed_is_a_usage_error(capsys):
         assert "usage error: --seed must be >= 0, got -7\n" in capsys.readouterr().err
     code, text = run(["--seed", "0", "build-an", "--n", "9", "--verify-samples", "100"])
     assert code == 0 and text.endswith("verify: pass pairs=5284 seed=0\n")
+
+
+def test_max_order_below_1_is_a_usage_error(capsys):
+    """--max-order -1 once exited 1 with '|G| = 8 exceeds enumeration cap
+    -1'.  A cap below 1 exits 64, naming --max-order, on enumerate and
+    classify; --max-order 1 runs."""
+    for argv in (
+        ["enumerate", "Z:2", "--max-order", "-1"],
+        ["classify", "D:8", "--max-order", "-1"],
+        ["classify", "--family", "dihedral", "--max-order", "0"],
+    ):
+        assert run(argv) == (64, ""), argv
+        value = argv[-1]
+        assert f"usage error: --max-order must be >= 1, got {value}\n" in capsys.readouterr().err
+    assert run(["enumerate", "Z:1", "--max-order", "1"]) == (
+        0, "group: Z1 operators: 1\nop: 0 | splitting=yes R=Z1\n"
+    )
 
 
 def test_empty_family_range_is_a_usage_error(capsys):
